@@ -15,7 +15,6 @@ from .billiard_map import (
     Wall,
     from_birkhoff,
     generic_step,
-    iterate_generic,
     map_disk,
     map_in,
     map_out,

@@ -184,15 +184,6 @@ def half_period_formula(s, r, n: int, R: float, lib=FLOAT_BACKEND):
     return -s3, -lib.cos(theta3)
 
 
-def half_period_theta_formula(s, theta, n: int, R: float, lib=FLOAT_BACKEND):
-    """Same composition as ``half_period_formula`` but parametrized by the
-    reflection angle instead of its cosine: (s, theta) -> (-s3, pi - theta3)."""
-    s1, theta1 = disk_formula(s, theta, n - 1, lib)
-    s2, theta2 = scatterer_entry_formula(s1, theta1, R, lib)
-    s3, theta3 = scatterer_exit_formula(s2, theta2, R, lib)
-    return -s3, lib.pi - theta3
-
-
 # ---------------------------------------------------------------------------
 # public phase-space maps (wrapped, validated)
 # ---------------------------------------------------------------------------
@@ -318,15 +309,3 @@ def generic_step(p: PhasePoint, pose: ScattererPose | None) -> StepResult:
     if not 0.0 < theta1 < math.pi:
         raise GrazingError(f"degenerate reflection angle {theta1!r}")
     return StepResult(PhasePoint(wall, s1, theta1), float(t))
-
-
-def iterate_generic(
-    p: PhasePoint, pose: ScattererPose | None, steps: int
-) -> list[StepResult]:
-    """Chain ``generic_step`` and collect the results."""
-    out = []
-    for _ in range(steps):
-        res = generic_step(p, pose)
-        out.append(res)
-        p = res.point
-    return out

@@ -40,7 +40,7 @@ from .errors import (
     ResonanceError,
 )
 from .geometry import tangency_radius_b
-from .jets import MONOMIALS, Jet2
+from .jets import MONOMIALS, Jet2, jet_acos, jet_cos, polyval2
 
 #: tolerance on |lambda^m - 1| below which a low-order resonance is declared
 RESONANCE_TOL = 1e-8
@@ -226,9 +226,7 @@ def fd_taylor_jet(
     from mpmath import mp
 
     fp = fixed_point if fixed_point is not None else rmap.fixed_point
-    old = mp.dps
-    try:
-        mp.dps = dps
+    with mp.workdps(dps):
         coarse = _fd_partials(rmap, fp, mp.mpf(h), mp)
         fine = _fd_partials(rmap, fp, mp.mpf(h) / 2, mp)
         a: dict = {}
@@ -239,118 +237,61 @@ def fd_taylor_jet(
             fact = math.factorial(key[0]) * math.factorial(key[1])
             a[key] = float((w * fine[key][0] - coarse[key][0]) / (w - 1)) / fact
             b[key] = float((w * fine[key][1] - coarse[key][1]) / (w - 1)) / fact
-    finally:
-        mp.dps = old
     return TaylorJet3(a=a, b=b)
 
 
 # ---------------------------------------------------------------------------
-# angle-parametrized Taylor data and the chain-rule conversion layer
+# angle-parametrized Taylor data and the conversion layer
 # ---------------------------------------------------------------------------
 
 
 def theta_taylor_jet(rmap: ReducedMap) -> tuple[Jet2, Jet2]:
     """Jets of the half-period map parametrized by (s, theta) instead of
     (s, r): returns (s_out, theta_out) as degree-3 jets in the displacements
-    (ds0, dtheta0)."""
-    from .billiard_map import half_period_theta_formula
-
+    (ds0, dtheta0).  The reflected output angle is pi - theta3 =
+    arccos(-cos theta3), the arccos of the map's r output."""
     s_jet = Jet2.variable(rmap.s0, 0)
     th_jet = Jet2.variable(rmap.theta0, 1)
-    return half_period_theta_formula(s_jet, th_jet, rmap.n, rmap.R, JET_BACKEND)
+    s_out, r_out = rmap.apply(s_jet, jet_cos(th_jet), JET_BACKEND)
+    return s_out, jet_acos(r_out)
+
+
+def _displacement(jet: Jet2) -> Jet2:
+    """``jet`` minus its constant term."""
+    return Jet2(np.concatenate(([0.0], jet.c[1:])))
+
+
+def _substitute(jet: Jet2, dx: Jet2, dy: Jet2) -> Jet2:
+    """Re-expand ``jet`` in new displacement variables: its polynomial part
+    evaluated at the zero-constant jets (dx, dy), plus its constant term."""
+    return polyval2(_displacement(jet), dx, dy) + jet.value
 
 
 def theta_jet_to_birkhoff(s_jet: Jet2, th_jet: Jet2, theta0: float) -> TaylorJet3:
     """Convert angle-parametrized Taylor data to (s, r = cos theta) data.
 
-    Implements the chain-rule identities for r0 = cos(theta0) on the input
-    side and r = cos(theta) on the output side, through third order.  Used as
-    a cross-check against the jets computed directly in (s, r).
+    Substitutes dtheta0 = arccos(r0 + dr0) - theta0 on the input side and
+    takes r = cos(theta) on the output side, by jet composition.  Used as a
+    cross-check against the jets computed directly in (s, r).
     """
-    st0, ct0 = math.sin(theta0), math.cos(theta0)
-    th = th_jet.value
-    stf, ctf = math.sin(th), math.cos(th)
-
-    def d(jet: Jet2, i: int, j: int) -> float:
-        return jet.partial(i, j)
-
-    s_p: dict[tuple[int, int], float] = {}
-    s_p[(1, 0)] = d(s_jet, 1, 0)
-    s_p[(2, 0)] = d(s_jet, 2, 0)
-    s_p[(3, 0)] = d(s_jet, 3, 0)
-    s_p[(0, 1)] = -d(s_jet, 0, 1) / st0
-    s_p[(1, 1)] = -d(s_jet, 1, 1) / st0
-    s_p[(0, 2)] = (d(s_jet, 0, 2) - (ct0 / st0) * d(s_jet, 0, 1)) / st0**2
-    s_p[(2, 1)] = -d(s_jet, 2, 1) / st0
-    s_p[(0, 3)] = (
-        -(1.0 / st0**3 + 3.0 * ct0**2 / st0**5) * d(s_jet, 0, 1)
-        + (3.0 * ct0 / st0**4) * d(s_jet, 0, 2)
-        - d(s_jet, 0, 3) / st0**3
-    )
-    s_p[(1, 2)] = (d(s_jet, 1, 2) - (ct0 / st0) * d(s_jet, 1, 1)) / st0**2
-
-    t10 = d(th_jet, 1, 0)
-    t01 = d(th_jet, 0, 1)
-    t20 = d(th_jet, 2, 0)
-    t11 = d(th_jet, 1, 1)
-    t02 = d(th_jet, 0, 2)
-    t30 = d(th_jet, 3, 0)
-    t21 = d(th_jet, 2, 1)
-    t12 = d(th_jet, 1, 2)
-    t03 = d(th_jet, 0, 3)
-
-    r_p: dict[tuple[int, int], float] = {}
-    r_p[(1, 0)] = -stf * t10
-    r_p[(0, 1)] = (stf / st0) * t01
-    r_p[(2, 0)] = -ctf * t10**2 - stf * t20
-    r_p[(0, 2)] = (
-        -(ctf / st0**2) * t01**2
-        + (ct0 * stf / st0**3) * t01
-        - (stf / st0**2) * t02
-    )
-    r_p[(1, 1)] = (ctf / st0) * t10 * t01 + (stf / st0) * t11
-    r_p[(3, 0)] = stf * t10**3 - 3.0 * ctf * t10 * t20 - stf * t30
-    r_p[(2, 1)] = (stf / st0) * (t21 - t10**2 * t01) + (ctf / st0) * (
-        t20 * t01 + 2.0 * t10 * t11
-    )
-    r_p[(1, 2)] = (
-        (-stf / st0**2) * (t12 - t01**2 * t10)
-        + (ct0 / st0**3) * (stf * t11 + ctf * t10 * t01)
-        - (ctf / st0**2) * (2.0 * t11 * t01 + t10 * t02)
-    )
-    r_p[(0, 3)] = (
-        (stf / st0**3) * (-(t01**3) + t03)
-        - (3.0 * ct0 / st0**4) * (ctf * t01**2 + stf * t02)
-        + (3.0 * ctf / st0**3) * t02 * t01
-        + (stf / st0**4) * t01 * (st0 + 3.0 * ct0**2 / st0)
-    )
-
-    fact = lambda i, j: math.factorial(i) * math.factorial(j)
-    return TaylorJet3(
-        a={k: s_p[k] / fact(*k) for k in _COEFF_KEYS},
-        b={k: r_p[k] / fact(*k) for k in _COEFF_KEYS},
-    )
+    ds = Jet2.variable(0.0, 0)
+    dth = _displacement(jet_acos(Jet2.variable(math.cos(theta0), 1)))
+    s_out = _substitute(s_jet, ds, dth)
+    r_out = jet_cos(_substitute(th_jet, ds, dth))
+    return TaylorJet3.from_jets(s_out, r_out)
 
 
 def birkhoff_jet_to_theta(jet: TaylorJet3, theta0: float, theta_out: float) -> tuple[Jet2, Jet2]:
     """Reverse conversion: rebuild the angle-parametrized jets from (s, r)
     Taylor data by substituting r0 = cos(theta0 + dtheta) and composing the
     output with arccos."""
-    from .jets import jet_acos, jet_cos, polyval2
-
     ds = Jet2.variable(0.0, 0)
-    dth = Jet2.variable(0.0, 1)
-    dr = jet_cos(dth + theta0) - math.cos(theta0)
-    s_coeffs = np.zeros(len(MONOMIALS))
-    r_coeffs = np.zeros(len(MONOMIALS))
-    for idx, mono in enumerate(MONOMIALS):
-        if mono in jet.a:
-            s_coeffs[idx] = jet.a[mono]
-            r_coeffs[idx] = jet.b[mono]
-    # displacement polynomials composed with the input substitution
-    s_out = polyval2(Jet2(s_coeffs), ds, dr)
-    r_out = polyval2(Jet2(r_coeffs), ds, dr)
-    theta_jet = jet_acos(r_out + math.cos(theta_out))
+    dr = _displacement(jet_cos(Jet2.variable(theta0, 1)))
+    s_poly, r_poly = (
+        Jet2(np.array([side.get(mono, 0.0) for mono in MONOMIALS])) for side in (jet.a, jet.b)
+    )
+    s_out = _substitute(s_poly, ds, dr)
+    theta_jet = jet_acos(_substitute(r_poly, ds, dr) + math.cos(theta_out))
     return s_out, theta_jet
 
 
@@ -455,11 +396,6 @@ def birkhoff_report(n: int, epsilon: float, cross_check: bool = False) -> Birkho
     """Full numeric pipeline: reduced map -> Taylor jet -> twist coefficient."""
     rmap = ReducedMap(n, epsilon)
     return birkhoff_A(taylor_jet(rmap, cross_check=cross_check))
-
-
-def twist_nonzero_threshold(epsilon: float) -> float:
-    """Scale below which a computed |A| is treated as numerically zero."""
-    return 1e-6 / (epsilon * epsilon)
 
 
 def rotation_number(n: int, epsilon: float) -> float:

@@ -15,6 +15,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -76,18 +77,29 @@ class ScanSpec:
 
 
 def parse_values(text: str, cast=float) -> list:
-    """Parse a flag value: a single number, a comma list, or start:stop:count."""
-    if text is None:
-        return []
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(
-                f"range must be start:stop:count, got {text!r}"
-            )
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return [cast(v) for v in np.linspace(start, stop, count)]
-    return [cast(v) for v in text.split(",")]
+    """Parse a flag value: a single number, a comma list, or start:stop:count.
+
+    Malformed values raise ``argparse.ArgumentTypeError``, so as an argparse
+    ``type`` they exit with usage.
+    """
+    try:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise argparse.ArgumentTypeError(
+                    f"range must be start:stop:count, got {text!r}"
+                )
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            if count < 1:
+                raise argparse.ArgumentTypeError(f"range count must be >= 1, got {text!r}")
+            grid = np.linspace(start, stop, count)
+            values = [cast(v) for v in grid]
+            if values != list(grid):
+                raise argparse.ArgumentTypeError(f"range {text!r} is not exact in {cast.__name__}")
+            return values
+        return [cast(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from None
 
 
 def _fmt(value) -> str:
@@ -119,6 +131,16 @@ def write_csv(spec: ScanSpec, columns: list[str], rows: list[dict], summary: dic
 def write_json(spec: ScanSpec, rows: list[dict], summary: dict) -> None:
     doc = {"spec": spec.echo(), "rows": rows, "summary": summary}
     _write_text(spec.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_table(spec: ScanSpec, columns: list[str], rows: list[dict], summary: dict) -> int:
+    """Write a scan in the requested text format (svg is refused at parse
+    time for commands without a renderer)."""
+    if spec.fmt == "json":
+        write_json(spec, rows, summary)
+    else:
+        write_csv(spec, columns, rows, summary)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +279,7 @@ def cmd_stability(spec: ScanSpec) -> int:
     rows = _map_points(_stability_point, points, spec.jobs)
     summary = {"points": len(rows), "skipped": sum(1 for r in rows if r["skip_reason"])}
     cols = ["n", "k", "R", "delta", "trace_closed", "trace_numeric", "classification", "skip_reason"]
-    if spec.fmt == "json":
-        write_json(spec, rows, summary)
-    else:
-        write_csv(spec, cols, rows, summary)
-    return 0
+    return write_table(spec, cols, rows, summary)
 
 
 def cmd_region(spec: ScanSpec) -> int:
@@ -279,11 +297,8 @@ def cmd_region(spec: ScanSpec) -> int:
     summary = {"n": n, "delta_star": dstar}
     if spec.fmt == "svg":
         _write_text(spec.out, region_svg(deltas, r_min, r_del))
-    elif spec.fmt == "json":
-        write_json(spec, rows, summary)
-    else:
-        write_csv(spec, ["delta", "R_min", "R_delta", "stable_window"], rows, summary)
-    return 0
+        return 0
+    return write_table(spec, ["delta", "R_min", "R_delta", "stable_window"], rows, summary)
 
 
 def _extrapolate_ladder(eps: list[float], vals: list[float]) -> float | None:
@@ -321,14 +336,10 @@ def cmd_birkhoff(spec: ScanSpec) -> int:
         )
         for r in sub:
             r["A_tilde"] = at if at is not None else ""
-        summary[f"A_tilde_n{n}"] = at if at is not None else "nan"
+        summary[f"A_tilde_n{n}"] = at if at is not None else ""
         summary[f"A_tilde_closed_n{n}"] = twist_limit(n)
     cols = ["n", "eps", "mu", "A_numeric", "A_closed_leading", "A_tilde", "skip_reason"]
-    if spec.fmt == "json":
-        write_json(spec, rows, summary)
-    else:
-        write_csv(spec, cols, rows, summary)
-    return 0
+    return write_table(spec, cols, rows, summary)
 
 
 def cmd_orbit(spec: ScanSpec) -> int:
@@ -376,11 +387,7 @@ def cmd_section(spec: ScanSpec) -> int:
         "escape_seed": report.escape_seed if report.escaped else "",
         "escape_iteration": report.escape_iteration if report.escaped else "",
     }
-    if spec.fmt == "json":
-        write_json(spec, rows, summary)
-    else:
-        write_csv(spec, ["s", "r"], rows, summary)
-    return 0
+    return write_table(spec, ["s", "r"], rows, summary)
 
 
 def cmd_lemma(spec: ScanSpec) -> int:
@@ -402,11 +409,7 @@ def cmd_lemma(spec: ScanSpec) -> int:
         "bound_two_pi": 2.0 * math.pi,
         **{f"n_{k}": (v if v is not None else "none") for k, v in nk.items()},
     }
-    if spec.fmt == "json":
-        write_json(spec, rows, summary)
-    else:
-        write_csv(spec, ["x", "f", "max_k"], rows, summary)
-    return 0
+    return write_table(spec, ["x", "f", "max_k"], rows, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +417,26 @@ def cmd_lemma(spec: ScanSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=str, default=None, help="value, list, or start:stop:count")
-    sub.add_argument("--k", type=str, default="1")
-    sub.add_argument("--R", type=str, default=None)
-    sub.add_argument("--delta", type=str, default=None)
-    sub.add_argument("--eps", type=str, default=None)
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json", "svg"), default="csv")
+#: subcommands with an svg renderer
+SVG_COMMANDS = ("region", "orbit")
+
+#: flags of which a subcommand reads only one value
+SINGLE_VALUE_FLAGS = {
+    "region": ("n",),
+    "orbit": ("n", "k", "R", "delta", "eps"),
+    "section": ("n", "eps"),
+}
+
+_INTS = partial(parse_values, cast=int)
+
+
+def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    sub.add_argument("--n", type=_INTS, default=[], help="value, list, or start:stop:count")
+    sub.add_argument("--k", type=_INTS, default=[1])
+    sub.add_argument("--R", type=parse_values, default=[])
+    sub.add_argument("--delta", type=parse_values, default=[0.0])
+    sub.add_argument("--eps", type=parse_values, default=[])
+    sub.add_argument("--format", dest="fmt", choices=formats, default="csv")
     sub.add_argument("--out", type=str, default=None, help="output path ('-' = stdout)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--jobs", type=int, default=1)
@@ -442,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("lemma", "winding-number bound function f and the n_k table"),
     ):
         sub = subs.add_parser(name, help=helptext)
-        _add_common(sub)
+        _add_common(sub, ("csv", "json", "svg") if name in SVG_COMMANDS else ("csv", "json"))
         if name == "section":
             sub.add_argument("--radius", type=float, default=1e-4)
             sub.add_argument("--iterations", type=int, default=10000)
@@ -450,22 +466,17 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "region":
             sub.add_argument("--count", type=int, default=400)
         if name == "lemma":
-            sub.add_argument("--x", type=str, default=None)
+            sub.add_argument("--x", type=parse_values, default=None)
     return parser
 
 
 def spec_from_args(args: argparse.Namespace) -> ScanSpec:
-    params: dict = {}
-    params["n"] = parse_values(args.n, int) if args.n else []
-    params["k"] = parse_values(args.k, int) if args.k else [1]
-    params["R"] = parse_values(args.R, float) if args.R else []
-    params["delta"] = parse_values(args.delta, float) if args.delta else [0.0]
-    params["eps"] = parse_values(args.eps, float) if args.eps else []
+    params: dict = {flag: getattr(args, flag) for flag in ("n", "k", "R", "delta", "eps")}
     for extra in ("radius", "iterations", "seeds", "count"):
         if hasattr(args, extra):
             params[extra] = getattr(args, extra)
     if getattr(args, "x", None):
-        params["x"] = parse_values(args.x, float)
+        params["x"] = args.x
     return ScanSpec(
         command=args.command,
         params=params,
@@ -486,11 +497,25 @@ _COMMANDS = {
 }
 
 
+def _spec_error(spec: ScanSpec) -> str | None:
+    """Why a parsed request cannot run as given, or None."""
+    p = spec.params
+    if spec.command != "lemma" and not p["n"]:
+        return "--n is required"
+    if spec.command == "section" and not p["eps"]:
+        return "section needs --eps"
+    for flag in SINGLE_VALUE_FLAGS.get(spec.command, ()):
+        if len(p[flag]) > 1:
+            return f"{spec.command} takes a single --{flag} value, got {len(p[flag])}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     spec = spec_from_args(args)
-    if spec.command in ("stability", "region", "birkhoff", "orbit", "section") and not spec.params["n"]:
-        print("error: --n is required", file=sys.stderr)
+    error = _spec_error(spec)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[spec.command](spec)

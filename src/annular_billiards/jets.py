@@ -152,14 +152,6 @@ def jet_cos(x: Jet2) -> Jet2:
     return x.compose_univariate((c, -s, -c, s))
 
 
-def jet_sqrt(x: Jet2) -> Jet2:
-    u = x.value
-    if u <= 0.0:
-        raise ValueError("jet_sqrt needs a positive constant term")
-    r = math.sqrt(u)
-    return x.compose_univariate((r, 0.5 / r, -0.25 / r**3, 0.375 / r**5))
-
-
 def jet_acos(x: Jet2) -> Jet2:
     u = x.value
     if not -1.0 < u < 1.0:
@@ -172,14 +164,6 @@ def jet_acos(x: Jet2) -> Jet2:
             -u * w**-1.5,
             -(1.0 + 2.0 * u * u) * w**-2.5,
         )
-    )
-
-
-def jet_atan(x: Jet2) -> Jet2:
-    u = x.value
-    w = 1.0 + u * u
-    return x.compose_univariate(
-        (math.atan(u), 1.0 / w, -2.0 * u / w**2, (6.0 * u * u - 2.0) / w**3)
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GrazingError
+from .errors import ClassificationError, DomainError, GrazingError
 from .geometry import max_radius
 from .orbits import OrbitRecord
 
@@ -35,12 +35,18 @@ class Classification(enum.Enum):
 
 
 def classify(trace: float, tol: float = CLASSIFY_TOL) -> Classification:
-    """|trace| < 2: elliptic, > 2: hyperbolic, within tol of 2: parabolic."""
+    """|trace| < 2: elliptic, > 2: hyperbolic, within tol of 2: parabolic.
+
+    A non-finite trace (NaN fails every comparison) raises
+    ``ClassificationError``.
+    """
     if abs(trace) < 2.0 - tol:
         return Classification.ELLIPTIC
-    if abs(trace) > 2.0 + tol:
+    if 2.0 + tol < abs(trace) < math.inf:
         return Classification.HYPERBOLIC
-    return Classification.PARABOLIC
+    if abs(trace) <= 2.0 + tol:
+        return Classification.PARABOLIC
+    raise ClassificationError(f"non-finite trace {trace!r}")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,50 @@ class TestParsing:
     def test_missing_n_errors(self, capsys):
         assert main(["stability"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,text",
+        [("--R", "0.1:0.2"), ("--R", "abc"), ("--R", "0.1:0.2:0"), ("--R", "0.1:0.2:-3"),
+         ("--k", "1.5"), ("--k", "1:2:3")],
+    )
+    def test_bad_values_exit_with_usage(self, capsys, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["stability", "--n", "5", flag, text])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["region", "--n", "5,6"],
+            ["orbit", "--n", "5", "--k", "1,2"],
+            ["orbit", "--n", "3", "--eps", "0.01:0.02:2"],
+            ["section", "--n", "3", "--eps", "0.01,0.02"],
+        ],
+    )
+    def test_single_value_commands_reject_lists(self, tmp_path, capsys, args):
+        assert main(args + ["--out", str(tmp_path / "x")]) == 2
+        assert "single" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_section_needs_eps(self, capsys):
+        assert main(["section", "--n", "3"]) == 2
+        assert "--eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["stability", "--n", "5"],
+            ["birkhoff", "--n", "3", "--eps", "0.01"],
+            ["section", "--n", "3", "--eps", "0.02"],
+            ["lemma"],
+        ],
+    )
+    def test_svg_only_where_rendered(self, tmp_path, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--format", "svg", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
+
 
 class TestStability:
     def test_sweep_finds_bifurcation(self, tmp_path):
@@ -94,6 +138,15 @@ class TestStability:
         assert doc["spec"]["command"] == "stability"
         assert len(doc["rows"]) == 2
 
+    def test_nan_trace_row_is_skipped(self, tmp_path, monkeypatch):
+        import annular_billiards.cli as cli
+
+        monkeypatch.setattr(cli, "trace_closed_form", lambda *args: float("nan"))
+        text = run(tmp_path, "nan.csv", ["stability", "--n", "5", "--delta", "0.02", "--R", "0.15"])
+        rows = [l.split(",") for l in text.splitlines() if l and not l.startswith("#")][1:]
+        assert len(rows) == 1
+        assert rows[0][6] == "" and rows[0][7].startswith("ClassificationError")
+
     def test_parallel_matches_serial(self, tmp_path):
         args = ["stability", "--n", "5", "--delta", "0.02", "--R", "0.1:0.18:7"]
         serial = run(tmp_path, "s1.csv", args + ["--jobs", "1"])
@@ -131,6 +184,11 @@ class TestBirkhoffCommand:
                 break
         else:
             pytest.fail("missing extrapolation summary")
+
+    def test_all_skipped_ladder_has_empty_extrapolation(self, tmp_path):
+        text = run(tmp_path, "bk3.csv", ["birkhoff", "--n", "40", "--eps", "0.5"])
+        assert "# summary A_tilde_n40: \n" in text
+        assert "nan" not in text
 
     def test_resonant_or_hyperbolic_points_flagged(self, tmp_path):
         from annular_billiards.linear_stability import epsilon_star

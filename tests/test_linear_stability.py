@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from annular_billiards.errors import DomainError, GrazingError
+from annular_billiards.errors import ClassificationError, DomainError, GrazingError
 from annular_billiards.geometry import TableParams, max_radius, max_radius_delta
 from annular_billiards.linear_stability import (
     Classification,
@@ -290,6 +290,11 @@ class TestClassification:
         assert classify(1.5) is Classification.ELLIPTIC
         assert classify(-3.0) is Classification.HYPERBOLIC
         assert classify(-2.0) is Classification.PARABOLIC
+
+    @pytest.mark.parametrize("trace", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_trace_rejected(self, trace):
+        with pytest.raises(ClassificationError):
+            classify(trace)
 
     def test_radius_sweep_order(self):
         # hyperbolic below the bifurcation radius, parabolic at it, elliptic above
