@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .billiard_map import (
+    ARRAY_BACKEND,
     FLOAT_BACKEND,
     JET_BACKEND,
     BirkhoffCoords,
@@ -34,7 +35,6 @@ from .billiard_map import (
 from .errors import (
     ClassificationError,
     DomainError,
-    NoCollisionError,
     NonEllipticNormalizationError,
     PrecisionError,
     ResonanceError,
@@ -503,28 +503,42 @@ def island_sampler(
     Starts ``seeds`` points on a circle of the given radius around the fixed
     point in (s, r), applies the squared reduced map ``iterations`` times and
     tracks the maximal distance from the fixed point.  Leaving the chart (a
-    ray missing the scatterer) is recorded as an escape.  With ``collect``
-    the visited (s, r) iterates are returned for plotting.
+    ray missing the scatterer) is recorded as an escape; the reported seed is
+    the lowest-numbered one that escaped.  With ``collect`` the visited (s, r)
+    iterates are returned for plotting, seed by seed, each up to its escape.
+
+    All seeds advance together, one array step per half period: the array
+    backend gives each seed the same bits as iterating it alone on floats.
     """
+    if iterations < 1 or seeds < 1:
+        raise DomainError(f"need iterations >= 1 and seeds >= 1, got {iterations}, {seeds}")
+    if not radius >= 0.0:
+        raise DomainError(f"need radius >= 0, got {radius}")
     rmap = ReducedMap(n, epsilon)
     fp = np.array(rmap.fixed_point)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=seeds) if radius > 0.0 else [0.0]
+    start = fp + radius * np.array([[math.cos(ph), math.sin(ph)] for ph in phases])
+    s, r = start[:, 0], start[:, 1]
+    live = np.arange(len(phases))  # indices of the seeds still on the chart
+    done = np.full(len(phases), iterations)  # iterations each seed completed
+    cloud = np.empty((iterations, len(phases), 2)) if collect else None
     max_exc = 0.0
-    esc_seed = esc_iter = None
-    cloud = []
-    for si, phase in enumerate(phases):
-        z = fp + radius * np.array([math.cos(phase), math.sin(phase)])
-        for it in range(iterations):
-            try:
-                z = np.array(rmap.full_period(z))
-            except (NoCollisionError, ValueError):
-                if esc_seed is None:
-                    esc_seed, esc_iter = si, it
+    for it in range(iterations):
+        s, r = rmap.apply(*rmap.apply(s, r, ARRAY_BACKEND), ARRAY_BACKEND)
+        on_chart = np.isfinite(s) & np.isfinite(r)
+        if not on_chart.all():
+            done[live[~on_chart]] = it
+            live, s, r = live[on_chart], s[on_chart], r[on_chart]
+            if not live.size:
                 break
-            max_exc = max(max_exc, float(np.hypot(*(z - fp))))
-            if collect:
-                cloud.append(z.copy())
+        max_exc = max(max_exc, float(np.hypot(s - fp[0], r - fp[1]).max()))
+        if collect:
+            cloud[it, live, 0] = s
+            cloud[it, live, 1] = r
+    escaped = np.flatnonzero(done < iterations)
+    esc_seed = int(escaped[0]) if escaped.size else None
+    esc_iter = int(done[esc_seed]) if escaped.size else None
     report = IslandReport(
         max_excursion=max_exc,
         iterations_run=iterations,
@@ -535,5 +549,5 @@ def island_sampler(
         radius=radius,
     )
     if collect:
-        return report, np.array(cloud) if cloud else np.empty((0, 2))
+        return report, cloud.swapaxes(0, 1)[np.arange(iterations) < done[:, None]]
     return report

@@ -102,6 +102,28 @@ def parse_values(text: str, cast=float) -> list:
         raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from None
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type`` of a count flag: a whole number >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    """argparse ``type`` of a size flag: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
@@ -337,7 +359,10 @@ def cmd_birkhoff(spec: ScanSpec) -> int:
         for r in sub:
             r["A_tilde"] = at if at is not None else ""
         summary[f"A_tilde_n{n}"] = at if at is not None else ""
-        summary[f"A_tilde_closed_n{n}"] = twist_limit(n)
+        try:
+            summary[f"A_tilde_closed_n{n}"] = twist_limit(n)
+        except BilliardError:
+            summary[f"A_tilde_closed_n{n}"] = ""
     cols = ["n", "eps", "mu", "A_numeric", "A_closed_leading", "A_tilde", "skip_reason"]
     return write_table(spec, cols, rows, summary)
 
@@ -439,7 +464,7 @@ def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     sub.add_argument("--format", dest="fmt", choices=formats, default="csv")
     sub.add_argument("--out", type=str, default=None, help="output path ('-' = stdout)")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,11 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=helptext)
         _add_common(sub, ("csv", "json", "svg") if name in SVG_COMMANDS else ("csv", "json"))
         if name == "section":
-            sub.add_argument("--radius", type=float, default=1e-4)
-            sub.add_argument("--iterations", type=int, default=10000)
-            sub.add_argument("--seeds", type=int, default=8)
+            sub.add_argument("--radius", type=nonnegative_float, default=1e-4)
+            sub.add_argument("--iterations", type=positive_int, default=10000)
+            sub.add_argument("--seeds", type=positive_int, default=8)
         if name == "region":
-            sub.add_argument("--count", type=int, default=400)
+            sub.add_argument("--count", type=positive_int, default=400)
         if name == "lemma":
             sub.add_argument("--x", type=parse_values, default=None)
     return parser
@@ -519,6 +544,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[spec.command](spec)
+    except BilliardError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 0
 

@@ -55,3 +55,13 @@ def test_trace_plan_sees_hot_layers_and_restores(tracer_module, pkg, tmp_path):
         assert tracer.calls(name) > 0, name
     for owner, attr in targets:
         assert owner.__dict__[attr] is originals[owner, attr], attr
+
+
+def test_section_maps_all_seeds_in_one_call_per_half_period(tracer_module, pkg, tmp_path):
+    # 8 seeds, 10 iterations: two array calls per iteration, not 2 * 8 * 10
+    tracer = tracer_module.Tracer()
+    argv = ["section", "--n", "3", "--eps", "0.02", "--seeds", "8", "--iterations", "10"]
+    with tracer.installed(pkg):
+        assert cli.main(argv + ["--out", str(tmp_path / "sec.csv")]) == 0
+    assert tracer.calls("billiard_map.half_period.float") == 20
+    assert tracer.calls("birkhoff.island_sampler") == 1

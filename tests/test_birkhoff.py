@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from annular_billiards.billiard_map import (
+    ACOS_CLAMP_TOL,
+    ARRAY_BACKEND,
+    FLOAT_BACKEND,
     PhasePoint,
     Wall,
     generic_step,
@@ -13,6 +16,7 @@ from annular_billiards.billiard_map import (
 )
 from annular_billiards.birkhoff import (
     BirkhoffReport,
+    IslandReport,
     ReducedMap,
     TaylorJet3,
     birkhoff_A,
@@ -34,6 +38,7 @@ from annular_billiards.birkhoff import (
 from annular_billiards.errors import (
     ClassificationError,
     DomainError,
+    NoCollisionError,
     NonEllipticNormalizationError,
     PrecisionError,
     ResonanceError,
@@ -383,3 +388,74 @@ class TestIslandSampler:
         rep, cloud = island_sampler(3, 0.02, 1e-4, 200, seeds=2, collect=True)
         assert cloud.shape[1] == 2
         assert len(cloud) > 0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(iterations=0), dict(iterations=-1), dict(seeds=0), dict(seeds=-2), dict(radius=-1e-4)],
+    )
+    def test_bad_sizes_refused(self, kwargs):
+        args = dict(n=3, epsilon=0.02, radius=1e-4, iterations=10) | kwargs
+        with pytest.raises(DomainError):
+            island_sampler(**args, collect=True)
+
+
+def _reference_sampler(n, epsilon, radius, iterations, seeds=8, seed=0):
+    """Each seed alone through the float full-period map until its first
+    ``NoCollisionError``: the scalar reference for ``island_sampler``."""
+    rmap = ReducedMap(n, epsilon)
+    fp = np.array(rmap.fixed_point)
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=seeds) if radius > 0.0 else [0.0]
+    max_exc, escape, cloud = 0.0, None, []
+    for si, phase in enumerate(phases):
+        z = fp + radius * np.array([math.cos(phase), math.sin(phase)])
+        for it in range(iterations):
+            try:
+                z = np.array(rmap.full_period(z))
+            except NoCollisionError:
+                if escape is None:
+                    escape = (si, it)
+                break
+            max_exc = max(max_exc, float(np.hypot(*(z - fp))))
+            cloud.append(z)
+    esc_seed, esc_iter = escape or (None, None)
+    report = IslandReport(
+        max_excursion=max_exc,
+        iterations_run=iterations,
+        escaped=escape is not None,
+        escape_seed=esc_seed,
+        escape_iteration=esc_iter,
+        seeds=len(phases),
+        radius=radius,
+    )
+    return report, np.array(cloud).reshape(-1, 2)
+
+
+class TestArrayPathMatchesFloatPath:
+    @pytest.mark.parametrize(
+        "args,kwargs,escapes",
+        [
+            ((3, 0.02, 1e-4, 500), dict(seeds=8, seed=1), False),
+            ((3, 0.02, 0.1, 50), dict(seeds=8), True),
+            ((6, 0.002, 0.05, 300), dict(seeds=16), True),
+            ((3, 0.02, 0.0, 100), dict(), False),
+        ],
+    )
+    def test_sampler_identical_to_seed_by_seed_floats(self, args, kwargs, escapes):
+        ref_report, ref_cloud = _reference_sampler(*args, **kwargs)
+        report, cloud = island_sampler(*args, **kwargs, collect=True)
+        assert report.escaped is escapes
+        assert report == ref_report
+        assert island_sampler(*args, **kwargs) == ref_report
+        assert cloud.shape == ref_cloud.shape
+        assert np.array_equal(cloud, ref_cloud)
+
+    def test_acos_bit_equal_and_refusals_become_nan(self):
+        u = np.random.default_rng(0).uniform(-1.0, 1.0, 100_000)
+        u = np.concatenate([u, [-1.0, 1.0, 1.0 + ACOS_CLAMP_TOL / 2, -1.0 - ACOS_CLAMP_TOL / 2]])
+        assert np.array_equal(ARRAY_BACKEND.acos(u), [FLOAT_BACKEND.acos(x) for x in u.tolist()])
+        far = np.array([1.0 + 2 * ACOS_CLAMP_TOL, -1.0 - 2 * ACOS_CLAMP_TOL])
+        assert np.isnan(ARRAY_BACKEND.acos(far)).all()
+        for x in far.tolist():
+            with pytest.raises(NoCollisionError):
+                FLOAT_BACKEND.acos(x)

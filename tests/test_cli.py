@@ -80,6 +80,41 @@ class TestParsing:
         assert exc.value.code == 2
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["region", "--n", "5", "--count", "0", "--format", "svg"],
+            ["region", "--n", "5", "--count", "-3"],
+            ["section", "--n", "3", "--eps", "0.02", "--seeds", "-2"],
+            ["section", "--n", "3", "--eps", "0.02", "--seeds", "0"],
+            ["section", "--n", "3", "--eps", "0.02", "--iterations", "-1"],
+            ["section", "--n", "3", "--eps", "0.02", "--iterations", "0"],
+            ["section", "--n", "3", "--eps", "0.02", "--radius=-1e-4"],
+            ["section", "--n", "3", "--eps", "0.02", "--radius", "nan"],
+            ["stability", "--n", "5", "--jobs", "0"],
+            ["birkhoff", "--n", "3", "--eps", "0.01", "--jobs", "-1"],
+        ],
+    )
+    def test_bad_sizes_exit_with_usage(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            (["orbit", "--n", "5", "--k", "2", "--R", "5"], "InvalidTableError"),
+            (["orbit", "--n", "5", "--k", "4"], "DomainError"),
+            (["region", "--n", "2"], "DomainError"),
+        ],
+    )
+    def test_refused_single_result_exits_2(self, tmp_path, capsys, args, error):
+        assert main(args + ["--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}: ")
+        assert not (tmp_path / "x").exists()
+
 
 class TestStability:
     def test_sweep_finds_bifurcation(self, tmp_path):
@@ -189,6 +224,12 @@ class TestBirkhoffCommand:
         text = run(tmp_path, "bk3.csv", ["birkhoff", "--n", "40", "--eps", "0.5"])
         assert "# summary A_tilde_n40: \n" in text
         assert "nan" not in text
+
+    def test_undefined_twist_limit_leaves_closed_summary_empty(self, tmp_path):
+        text = run(tmp_path, "bk_n2.csv", ["birkhoff", "--n", "2", "--eps", "0.01"])
+        assert "# summary A_tilde_closed_n2: \n" in text
+        assert "# summary A_tilde_n2: \n" in text
+        assert "DomainError" in text.splitlines()[-1]
 
     def test_resonant_or_hyperbolic_points_flagged(self, tmp_path):
         from annular_billiards.linear_stability import epsilon_star
