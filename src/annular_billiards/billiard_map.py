@@ -13,7 +13,9 @@ left) and the outgoing velocity.
 The closed-form maps ``map_disk``, ``map_in`` and ``map_out`` apply to the
 tangent configuration (scatterer center on the negative x-axis at distance
 1 - R).  ``generic_step`` is an independent Cartesian ray tracer valid for
-any scatterer pose; the two routes are cross-checked in the test suite.
+any scatterer pose; the two routes are cross-checked in the test suite.  The
+ray tracer works on plain Python floats, with no NumPy in the per-step path:
+it runs once per collision of every orbit the package validates.
 
 The wall-to-wall formulas are written once, generically over a small math
 backend, so the float map, the elementwise array map, the truncated-Taylor-jet
@@ -263,30 +265,32 @@ def reflection_birkhoff(bc: BirkhoffCoords) -> BirkhoffCoords:
 
 def phase_to_cartesian(
     p: PhasePoint, pose: ScattererPose | None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple[float, float], tuple[float, float]]:
     """Collision point and outgoing unit velocity of a phase state."""
     if p.wall is Wall.OUTER:
-        pos = np.array([math.cos(p.s), math.sin(p.s)])
         # tangent (-sin s, cos s); direction = cos(theta)*t + sin(theta)*(-normal)
         ang = p.s + p.theta
-        vel = np.array([-math.sin(ang), math.cos(ang)])
-        return pos, vel
+        return (math.cos(p.s), math.sin(p.s)), (-math.sin(ang), math.cos(ang))
     if pose is None:
         raise DomainError("inner-wall state needs a scatterer pose")
     R = pose.radius
+    cx, cy = pose.center.tolist()
     gamma = math.pi - (p.s - math.pi) / R
-    pos = pose.center + R * np.array([math.cos(gamma), math.sin(gamma)])
     # positively oriented (clockwise) tangent (sin g, -cos g), outward normal (cos g, sin g)
     ang = gamma + p.theta
-    vel = np.array([math.sin(ang), -math.cos(ang)])
-    return pos, vel
+    return (
+        (cx + R * math.cos(gamma), cy + R * math.sin(gamma)),
+        (math.sin(ang), -math.cos(ang)),
+    )
 
 
 def _ray_circle_times(pos, vel, center, radius) -> list[float]:
-    """Positive intersection times of the ray pos + t*vel with a circle."""
-    d = pos - center
-    b = float(np.dot(vel, d))
-    c = float(np.dot(d, d)) - radius * radius
+    """Positive intersection times of the ray pos + t*vel with a circle,
+    in increasing order."""
+    dx = pos[0] - center[0]
+    dy = pos[1] - center[1]
+    b = vel[0] * dx + vel[1] * dy
+    c = (dx * dx + dy * dy) - radius * radius
     disc = b * b - c
     if disc < 0.0:
         return []
@@ -298,6 +302,9 @@ def _ray_circle_times(pos, vel, center, radius) -> list[float]:
     return [t for t in (-b - sq, -b + sq) if t > MIN_FLIGHT]
 
 
+_ORIGIN = (0.0, 0.0)
+
+
 def generic_step(p: PhasePoint, pose: ScattererPose | None) -> StepResult:
     """One collision-to-collision step by Cartesian ray tracing.
 
@@ -306,30 +313,33 @@ def generic_step(p: PhasePoint, pose: ScattererPose | None) -> StepResult:
     rebuilds the (wall, s, theta) chart at the new collision.
     """
     pos, vel = phase_to_cartesian(p, pose)
-    candidates: list[tuple[float, Wall]] = []
-    for t in _ray_circle_times(pos, vel, np.zeros(2), 1.0):
-        candidates.append((t, Wall.OUTER))
+    (px, py), (vx, vy) = pos, vel
+    times = _ray_circle_times(pos, vel, _ORIGIN, 1.0)
+    t, wall = (times[0], Wall.OUTER) if times else (math.inf, None)
     if pose is not None:
-        for t in _ray_circle_times(pos, vel, pose.center, pose.radius):
-            candidates.append((t, Wall.INNER))
-    if not candidates:
+        R = pose.radius
+        cx, cy = center = pose.center.tolist()
+        times = _ray_circle_times(pos, vel, center, R)
+        if times and times[0] < t:
+            t, wall = times[0], Wall.INNER
+    if wall is None:
         raise NoCollisionError("ray escapes both walls")
-    t, wall = min(candidates)
-    hit = pos + t * vel
+    hx = px + t * vx
+    hy = py + t * vy
     if wall is Wall.OUTER:
-        s1 = math.atan2(hit[1], hit[0])
-        n_in = -hit  # inward normal of the unit circle
-        tan = np.array([-hit[1], hit[0]])
+        s1 = math.atan2(hy, hx)
+        nx, ny = -hx, -hy  # inward normal of the unit circle
+        tx, ty = -hy, hx
     else:
-        rel = (hit - pose.center) / pose.radius
-        gamma = math.atan2(rel[1], rel[0]) % (2.0 * math.pi)
-        s1 = math.pi + pose.radius * (math.pi - gamma)
-        n_in = rel  # normal pointing into the billiard domain
-        tan = np.array([rel[1], -rel[0]])
-    w = vel - 2.0 * float(np.dot(vel, n_in)) * n_in
-    sin_th = float(np.dot(w, n_in))
-    cos_th = float(np.dot(w, tan))
-    theta1 = math.atan2(sin_th, cos_th)
+        nx = (hx - cx) / R  # normal pointing into the billiard domain
+        ny = (hy - cy) / R
+        gamma = math.atan2(ny, nx) % (2.0 * math.pi)
+        s1 = math.pi + R * (math.pi - gamma)
+        tx, ty = ny, -nx
+    k = 2.0 * (vx * nx + vy * ny)
+    wx = vx - k * nx
+    wy = vy - k * ny
+    theta1 = math.atan2(wx * nx + wy * ny, wx * tx + wy * ty)
     if not 0.0 < theta1 < math.pi:
         raise GrazingError(f"degenerate reflection angle {theta1!r}")
-    return StepResult(PhasePoint(wall, s1, theta1), float(t))
+    return StepResult(PhasePoint(wall, s1, theta1), t)

@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -64,7 +63,6 @@ class ScanSpec:
     fmt: str = "csv"
     out: str | None = None
     seed: int = 0
-    jobs: int = 1
 
     def echo(self) -> dict:
         return {
@@ -215,7 +213,7 @@ def region_svg(deltas, r_min, r_delta) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scan workers (module level so process pools can pickle them)
+# scan workers: one row per grid point
 # ---------------------------------------------------------------------------
 
 
@@ -269,13 +267,6 @@ def _birkhoff_point(args) -> dict:
     return row
 
 
-def _map_points(worker, points, jobs: int) -> list[dict]:
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, points))
-    return [worker(p) for p in points]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -298,7 +289,7 @@ def cmd_stability(spec: ScanSpec) -> int:
                     rs = list(np.linspace(0.05 * cap, cap, 25))
                 for R in rs:
                     points.append((n, k, R, delta))
-    rows = _map_points(_stability_point, points, spec.jobs)
+    rows = [_stability_point(point) for point in points]
     summary = {"points": len(rows), "skipped": sum(1 for r in rows if r["skip_reason"])}
     cols = ["n", "k", "R", "delta", "trace_closed", "trace_numeric", "classification", "skip_reason"]
     return write_table(spec, cols, rows, summary)
@@ -348,7 +339,7 @@ def cmd_birkhoff(spec: ScanSpec) -> int:
     p = spec.params
     eps_list = p["eps"]
     points = [(n, e) for n in p["n"] for e in eps_list]
-    rows = _map_points(_birkhoff_point, points, spec.jobs)
+    rows = [_birkhoff_point(point) for point in points]
     summary: dict = {"points": len(rows)}
     for n in p["n"]:
         sub = [r for r in rows if r["n"] == n]
@@ -464,7 +455,6 @@ def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     sub.add_argument("--format", dest="fmt", choices=formats, default="csv")
     sub.add_argument("--out", type=str, default=None, help="output path ('-' = stdout)")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--jobs", type=positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,7 +498,6 @@ def spec_from_args(args: argparse.Namespace) -> ScanSpec:
         fmt=args.fmt,
         out=args.out,
         seed=args.seed,
-        jobs=args.jobs,
     )
 
 

@@ -63,53 +63,66 @@ class StabilityReport:
     mu: float | None
 
 
-def bounce_jacobian(
-    tau: float, kappa: float, kappa1: float, theta: float, theta1: float
-) -> np.ndarray:
+def bounce_jacobian(tau, kappa, kappa1, theta, theta1) -> np.ndarray:
     """Derivative of one bounce: flight tau, signed wall curvatures kappa at
     the launch point and kappa1 at the arrival point (-1 on the outer circle,
-    +1/R on the scatterer), reflection angles theta -> theta1."""
-    st1 = math.sin(theta1)
-    if abs(st1) < 1e-12:
-        raise GrazingError(f"sin(theta1) = {st1!r} too close to zero")
-    st = math.sin(theta)
-    return -np.array(
+    +1/R on the scatterer), reflection angles theta -> theta1.
+
+    Scalars give one (2, 2) matrix; arrays of m bounces give an (m, 2, 2)
+    stack of the same matrices (``np.sin`` equals ``math.sin`` bit for bit).
+    """
+    st1 = np.sin(theta1)
+    grazing = np.abs(st1) < 1e-12
+    if np.count_nonzero(grazing):
+        worst = float(np.asarray(st1)[grazing][0])
+        raise GrazingError(f"sin(theta1) = {worst!r} too close to zero")
+    st = np.sin(theta)
+    entries = -np.array(
         [
-            [(tau * kappa + st) / st1, tau / st1],
-            [
-                (tau * kappa * kappa1 + kappa1 * st) / st1 + kappa,
-                tau * kappa1 / st1 + 1.0,
-            ],
+            (tau * kappa + st) / st1,
+            tau / st1,
+            (tau * kappa * kappa1 + kappa1 * st) / st1 + kappa,
+            tau * kappa1 / st1 + 1.0,
         ]
     )
+    return entries.reshape(4, -1).T.reshape(entries.shape[1:] + (2, 2))
 
 
-def bounce_jacobian_birkhoff(
-    tau: float, kappa: float, kappa1: float, theta: float, theta1: float
-) -> np.ndarray:
+def _diag(a, b) -> np.ndarray:
+    """diag(a, b), stacked over the broadcast shape of a and b."""
+    a, b = np.broadcast_arrays(a, b)
+    D = np.zeros(a.shape + (2, 2))
+    D[..., 0, 0] = a
+    D[..., 1, 1] = b
+    return D
+
+
+def bounce_jacobian_birkhoff(tau, kappa, kappa1, theta, theta1) -> np.ndarray:
     """Same bounce derivative rescaled to (s, cos theta); determinant 1."""
     J = bounce_jacobian(tau, kappa, kappa1, theta, theta1)
-    st, st1 = math.sin(theta), math.sin(theta1)
-    return np.diag([1.0, st1]) @ J @ np.diag([1.0, 1.0 / st])
+    st, st1 = np.sin(theta), np.sin(theta1)
+    return _diag(1.0, st1) @ J @ _diag(1.0, 1.0 / st)
 
 
 def monodromy(orbit: OrbitRecord, birkhoff_frame: bool = False) -> np.ndarray:
-    """Ordered product of the per-bounce Jacobians around a periodic orbit."""
+    """Ordered product of the per-bounce Jacobians around a periodic orbit.
+
+    All bounce matrices come from one stacked call; the product is taken
+    one (2, 2) ``@`` per bounce, in orbit order.
+    """
     factory = bounce_jacobian_birkhoff if birkhoff_frame else bounce_jacobian
-    m = orbit.period
+    theta = [p.theta for p in orbit.points]
+    kappa = orbit.curvatures
+    bounces = factory(
+        np.array(orbit.flights),
+        np.array(kappa),
+        np.array(kappa[1:] + kappa[:1]),
+        np.array(theta),
+        np.array(theta[1:] + theta[:1]),
+    )
     M = np.eye(2)
-    for i in range(m):
-        j = (i + 1) % m
-        M = (
-            factory(
-                orbit.flights[i],
-                orbit.curvatures[i],
-                orbit.curvatures[j],
-                orbit.points[i].theta,
-                orbit.points[j].theta,
-            )
-            @ M
-        )
+    for J in bounces:
+        M = J @ M
     return M
 
 

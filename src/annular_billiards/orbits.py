@@ -94,7 +94,6 @@ def build_type_a(params: TableParams) -> OrbitRecord:
     """
     if params.config is not TableConfig.TYPE_A:
         raise InvalidTableError("build_type_a needs a type (a) table")
-    params.validate()
     n, k, R, delta = params.n, params.k, params.R, params.delta
     pose = scatterer_pose(params)
     theta = k * math.pi / n

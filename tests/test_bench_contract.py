@@ -65,3 +65,15 @@ def test_section_maps_all_seeds_in_one_call_per_half_period(tracer_module, pkg, 
         assert cli.main(argv + ["--out", str(tmp_path / "sec.csv")]) == 0
     assert tracer.calls("billiard_map.half_period.float") == 20
     assert tracer.calls("birkhoff.island_sampler") == 1
+
+
+def test_stability_layers_count_every_step_and_monodromy(tracer_module, pkg, tmp_path):
+    # two n = 5 orbits of 12 collisions: one ray-trace step per collision in
+    # the closure check, one monodromy per orbit
+    tracer = tracer_module.Tracer()
+    argv = ["stability", "--n", "5", "--delta", "0.02", "--R", "0.1:0.15:2"]
+    with tracer.installed(pkg):
+        assert cli.main(argv + ["--out", str(tmp_path / "stab.csv")]) == 0
+    assert tracer.calls("orbits.build_type_a") == 2
+    assert tracer.calls("billiard_map.generic_step") == 24
+    assert tracer.calls("linear_stability.monodromy") == 2

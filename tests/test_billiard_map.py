@@ -1,11 +1,13 @@
 """Wall-to-wall maps against the Cartesian ray-tracing oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from annular_billiards.billiard_map import (
+    MIN_FLIGHT,
     BirkhoffCoords,
     PhasePoint,
     Wall,
@@ -20,8 +22,14 @@ from annular_billiards.billiard_map import (
     to_birkhoff,
     wrap_pi,
 )
-from annular_billiards.errors import DomainError, NoCollisionError
-from annular_billiards.geometry import TableParams
+from annular_billiards.errors import (
+    BilliardError,
+    DomainError,
+    GrazingError,
+    NoCollisionError,
+    TangencyWarning,
+)
+from annular_billiards.geometry import TableParams, max_radius
 from annular_billiards.linear_stability import bounce_jacobian
 from annular_billiards.orbits import build_type_a, build_type_b
 
@@ -293,3 +301,128 @@ class TestGenericStep:
         with pytest.warns(TangencyWarning):
             times = _ray_circle_times(pos, vel, center, R)
         assert times == []
+
+
+def _vector_step(p: PhasePoint, pose):
+    """The former NumPy-vector ray tracer, kept as the reference for the
+    plain-float ``generic_step``."""
+
+    def launch(p):
+        if p.wall is Wall.OUTER:
+            ang = p.s + p.theta
+            return np.array([math.cos(p.s), math.sin(p.s)]), np.array([-math.sin(ang), math.cos(ang)])
+        R = pose.radius
+        gamma = math.pi - (p.s - math.pi) / R
+        pos = pose.center + R * np.array([math.cos(gamma), math.sin(gamma)])
+        ang = gamma + p.theta
+        return pos, np.array([math.sin(ang), -math.cos(ang)])
+
+    def times(pos, vel, center, radius):
+        d = pos - center
+        b = float(np.dot(vel, d))
+        c = float(np.dot(d, d)) - radius * radius
+        disc = b * b - c
+        if disc < 0.0:
+            return []
+        if disc < 1e-14 and c > MIN_FLIGHT:
+            warnings.warn("tangential ray-circle contact skipped", TangencyWarning)
+            return []
+        sq = math.sqrt(disc)
+        return [t for t in (-b - sq, -b + sq) if t > MIN_FLIGHT]
+
+    pos, vel = launch(p)
+    candidates = [(t, Wall.OUTER) for t in times(pos, vel, np.zeros(2), 1.0)]
+    if pose is not None:
+        candidates += [(t, Wall.INNER) for t in times(pos, vel, pose.center, pose.radius)]
+    if not candidates:
+        raise NoCollisionError("ray escapes both walls")
+    t, wall = min(candidates)
+    hit = pos + t * vel
+    if wall is Wall.OUTER:
+        s1 = math.atan2(hit[1], hit[0])
+        n_in = -hit
+        tan = np.array([-hit[1], hit[0]])
+    else:
+        rel = (hit - pose.center) / pose.radius
+        gamma = math.atan2(rel[1], rel[0]) % (2.0 * math.pi)
+        s1 = math.pi + pose.radius * (math.pi - gamma)
+        n_in = rel
+        tan = np.array([rel[1], -rel[0]])
+    w = vel - 2.0 * float(np.dot(vel, n_in)) * n_in
+    theta1 = math.atan2(float(np.dot(w, n_in)), float(np.dot(w, tan)))
+    if not 0.0 < theta1 < math.pi:
+        raise GrazingError(f"degenerate reflection angle {theta1!r}")
+    return PhasePoint(wall, s1, theta1), float(t)
+
+
+def _tracer_tables():
+    """(pose, orbit states) of type (a) tables for k = 1..6, tangent type (b)
+    tables and the scatterer-free disk."""
+    out = []
+    for n, k in ((5, 1), (5, 2), (10, 3), (13, 4), (21, 5), (53, 6)):
+        for delta_frac in (0.0, 0.05):
+            delta = delta_frac * max_radius(n, k, 0.0)
+            orbit = build_type_a(TableParams.type_a(n, k, 0.5 * max_radius(n, k, delta), delta))
+            out.append((orbit.pose, orbit.points))
+    for n, eps in ((3, 0.01), (6, 0.002)):
+        orbit = build_type_b(n, eps)
+        out.append((orbit.pose, orbit.points))
+    out.append((None, ()))
+    return out
+
+
+def _outcome(step, p, pose):
+    """(result or exception type, number of tangency warnings) of one step."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = step(p, pose)
+        except BilliardError as exc:
+            result = type(exc)
+    return result, sum(issubclass(w.category, TangencyWarning) for w in caught)
+
+
+class TestPlainFloatTracerMatchesVectorTracer:
+    def test_steps_agree_on_random_and_orbit_states(self):
+        rng = np.random.default_rng(7)
+        seen = {"launch": set(), "hit": set(), "refused": 0}
+        compared = 0
+        for pose, orbit_states in _tracer_tables():
+            states = list(orbit_states)
+            states += [PhasePoint(Wall.OUTER, s, th) for s, th in zip(
+                rng.uniform(-math.pi, math.pi, 80).tolist(),
+                rng.uniform(1e-3, math.pi - 1e-3, 80).tolist(),
+            )]
+            # from (1, 0) exactly, a flight shorter than MIN_FLIGHT finds no wall
+            states += [PhasePoint(Wall.OUTER, 0.0, 1e-13), PhasePoint(Wall.OUTER, 0.0, math.pi - 1e-13)]
+            if pose is not None:
+                R = pose.radius
+                states += [PhasePoint(Wall.INNER, math.pi + R * (math.pi - g), th) for g, th in zip(
+                    rng.uniform(0.0, 2.0 * math.pi, 80).tolist(),
+                    rng.uniform(1e-3, math.pi - 1e-3, 80).tolist(),
+                )]
+            for p in states:
+                got, got_warned = _outcome(generic_step, p, pose)
+                want, want_warned = _outcome(_vector_step, p, pose)
+                assert got_warned == want_warned, p
+                compared += 1
+                seen["launch"].add(p.wall)
+                if isinstance(want, type) or isinstance(got, type):
+                    assert got is want, p
+                    seen["refused"] += 1
+                    continue
+                (a, flight), (b, ref_flight) = got, want
+                assert a.wall is b.wall, p
+                # arriving on a circle of radius r, rounding grows like
+                # 1 / (r^2 sin theta1): b*b - c cancels to O(r^2 sin^2 theta1)
+                # and the normal is divided by r
+                r = 1.0 if a.wall is Wall.OUTER else pose.radius
+                tol = 1e-13 + 2e-15 / (r * r * math.sin(b.theta))
+                ds = wrap_pi(a.s - b.s) if a.wall is Wall.OUTER else a.s - b.s
+                assert abs(ds) <= tol, p
+                assert abs(a.theta - b.theta) <= tol, p
+                assert abs(flight - ref_flight) <= tol, p
+                seen["hit"].add(a.wall)
+        assert compared >= 1000
+        assert seen["launch"] == seen["hit"] == {Wall.OUTER, Wall.INNER}
+        assert seen["refused"] > 0

@@ -91,8 +91,8 @@ class TestParsing:
             ["section", "--n", "3", "--eps", "0.02", "--iterations", "0"],
             ["section", "--n", "3", "--eps", "0.02", "--radius=-1e-4"],
             ["section", "--n", "3", "--eps", "0.02", "--radius", "nan"],
-            ["stability", "--n", "5", "--jobs", "0"],
-            ["birkhoff", "--n", "3", "--eps", "0.01", "--jobs", "-1"],
+            # the process pool and its flag are gone
+            ["stability", "--n", "5", "--jobs", "2"],
         ],
     )
     def test_bad_sizes_exit_with_usage(self, tmp_path, capsys, args):
@@ -181,12 +181,6 @@ class TestStability:
         rows = [l.split(",") for l in text.splitlines() if l and not l.startswith("#")][1:]
         assert len(rows) == 1
         assert rows[0][6] == "" and rows[0][7].startswith("ClassificationError")
-
-    def test_parallel_matches_serial(self, tmp_path):
-        args = ["stability", "--n", "5", "--delta", "0.02", "--R", "0.1:0.18:7"]
-        serial = run(tmp_path, "s1.csv", args + ["--jobs", "1"])
-        parallel = run(tmp_path, "s2.csv", args + ["--jobs", "3"])
-        assert serial == parallel
 
 
 class TestRegion:

@@ -123,6 +123,75 @@ class TestMonodromy:
         assert lam * lam_inv == pytest.approx(1.0, abs=1e-9)
 
 
+def _per_bounce_jacobian(tau, kappa, kappa1, theta, theta1, birkhoff_frame):
+    """The former one-bounce-at-a-time Jacobian, kept as the reference."""
+    st1, st = math.sin(theta1), math.sin(theta)
+    J = -np.array(
+        [
+            [(tau * kappa + st) / st1, tau / st1],
+            [(tau * kappa * kappa1 + kappa1 * st) / st1 + kappa, tau * kappa1 / st1 + 1.0],
+        ]
+    )
+    if birkhoff_frame:
+        J = np.diag([1.0, st1]) @ J @ np.diag([1.0, 1.0 / st])
+    return J
+
+
+def _per_bounce_monodromy(orbit, birkhoff_frame=False):
+    m = orbit.period
+    M = np.eye(2)
+    for i in range(m):
+        j = (i + 1) % m
+        J = _per_bounce_jacobian(
+            orbit.flights[i],
+            orbit.curvatures[i],
+            orbit.curvatures[j],
+            orbit.points[i].theta,
+            orbit.points[j].theta,
+            birkhoff_frame,
+        )
+        M = J @ M
+    return M
+
+
+class TestStackedBounces:
+    def test_stack_equals_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        m = 1000
+        tau = rng.uniform(1e-3, 2.0, m)
+        kappa = rng.choice([-1.0, 1.0 / 0.3, 1.0 / 0.003], m)
+        kappa1 = rng.choice([-1.0, 1.0 / 0.05], m)
+        theta = rng.uniform(1e-3, math.pi - 1e-3, m)
+        theta1 = rng.uniform(1e-3, math.pi - 1e-3, m)
+        columns = [a.tolist() for a in (tau, kappa, kappa1, theta, theta1)]
+        for factory, birkhoff_frame in ((bounce_jacobian, False), (bounce_jacobian_birkhoff, True)):
+            stack = factory(tau, kappa, kappa1, theta, theta1)
+            assert stack.shape == (m, 2, 2)
+            single = [factory(*args) for args in zip(*columns)]
+            assert all(J.shape == (2, 2) for J in single)
+            assert np.array_equal(stack, single)
+            ref = [_per_bounce_jacobian(*args, birkhoff_frame) for args in zip(*columns)]
+            assert np.array_equal(stack, ref)
+
+    def test_grazing_guard_covers_the_whole_stack(self):
+        theta1 = np.array([0.5, 1e-14, 1.0])
+        with pytest.raises(GrazingError, match=r"sin\(theta1\) = 1e-14 "):
+            bounce_jacobian(np.ones(3), -np.ones(3), -np.ones(3), np.full(3, 0.5), theta1)
+
+    def test_monodromy_equals_per_bounce_loop_bit_for_bit(self):
+        orbits = [build_type_b(n, eps) for n, eps in ((3, 0.01), (6, 0.002), (10, 1e-4))]
+        for n, k in ((5, 1), (5, 2), (10, 3), (13, 4), (21, 5), (53, 6)):
+            for frac in (0.0, 0.03, 0.1):
+                delta = frac * max_radius(n, k, 0.0)
+                for r_frac in (0.1, 0.5, 0.95):
+                    R = r_frac * max_radius(n, k, delta)
+                    orbits.append(build_type_a(TableParams.type_a(n, k, R, delta)))
+        for orbit in orbits:
+            for bf in (False, True):
+                M = monodromy(orbit, birkhoff_frame=bf)
+                assert np.array_equal(M, _per_bounce_monodromy(orbit, bf)), orbit.params
+
+
 class TestTraceClosedForm:
     def test_symmetric_is_two(self):
         assert trace_closed_form(5, 1, 0.1, 0.0) == 2.0
