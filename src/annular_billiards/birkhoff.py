@@ -33,8 +33,10 @@ from .billiard_map import (
     half_period_formula,
 )
 from .errors import (
+    BilliardError,
     ClassificationError,
     DomainError,
+    NoCollisionError,
     NonEllipticNormalizationError,
     PrecisionError,
     ResonanceError,
@@ -49,7 +51,7 @@ RESONANCE_TOL = 1e-8
 #: voids the extraction
 CROSS_CHECK_TOL = 1e-5
 
-_COEFF_KEYS = tuple((i, j) for (i, j) in MONOMIALS if 1 <= i + j <= 3)
+_COEFF_KEYS = MONOMIALS[1:]
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,10 @@ class TaylorJet3:
 
     @staticmethod
     def from_jets(s_jet: Jet2, r_jet: Jet2) -> "TaylorJet3":
+        # _COEFF_KEYS are the monomials after the constant, in storage order
         return TaylorJet3(
-            a={k: s_jet.coeff(*k) for k in _COEFF_KEYS},
-            b={k: r_jet.coeff(*k) for k in _COEFF_KEYS},
+            a=dict(zip(_COEFF_KEYS, s_jet.c[1:].tolist())),
+            b=dict(zip(_COEFF_KEYS, r_jet.c[1:].tolist())),
         )
 
     def max_rel_disagreement(self, other: "TaylorJet3") -> float:
@@ -139,21 +142,55 @@ class ReducedMap:
 
 
 def taylor_jet(
-    rmap: ReducedMap,
+    rmap: ReducedMap | list[ReducedMap],
     fixed_point: BirkhoffCoords | None = None,
     cross_check: bool = False,
-) -> TaylorJet3:
+) -> TaylorJet3 | list[TaylorJet3 | BilliardError]:
     """Order-3 Taylor data of the reduced map at its fixed point.
 
     Primary extraction pushes degree-3 truncated polynomials through the map
     composition (exact up to rounding).  With ``cross_check`` the
     high-precision central-difference oracle re-derives every coefficient and
     a disagreement beyond 1e-5 relative raises ``PrecisionError``.
+
+    Given a list of maps, pushes all their fixed points through one batched
+    jet evaluation and returns, map by map, its Taylor data or the
+    ``BilliardError`` that refuses it, so one refused point does not stop the
+    others.  A single map is the batch of one.
     """
+    if not isinstance(rmap, ReducedMap):
+        return _taylor_jets(rmap, [m.fixed_point for m in rmap], cross_check)
     fp = fixed_point if fixed_point is not None else rmap.fixed_point
-    s_jet = Jet2.variable(fp.s, 0)
-    r_jet = Jet2.variable(fp.r, 1)
-    s_out, r_out = rmap.apply(s_jet, r_jet, JET_BACKEND)
+    (jet,) = _taylor_jets([rmap], [fp], cross_check)
+    if isinstance(jet, BilliardError):
+        raise jet
+    return jet
+
+
+def _taylor_jets(rmaps, fps, cross_check) -> list[TaylorJet3 | BilliardError]:
+    """One batched push of every map's point, with n and R as arrays."""
+    if not rmaps:
+        return []
+    s0, r0 = np.array(fps).T
+    n = np.array([rmap.n for rmap in rmaps])
+    R = np.array([rmap.R for rmap in rmaps])
+    s_out, r_out = half_period_formula(
+        Jet2.variable(s0, 0), Jet2.variable(r0, 1), n, R, JET_BACKEND
+    )
+    jets: list[TaylorJet3 | BilliardError] = []
+    for rmap, fp, s_col, r_col in zip(rmaps, fps, s_out.c.T, r_out.c.T):
+        try:
+            jets.append(_checked_jet(rmap, fp, Jet2(s_col), Jet2(r_col), cross_check))
+        except BilliardError as exc:
+            jets.append(exc)
+    return jets
+
+
+def _checked_jet(rmap, fp, s_out: Jet2, r_out: Jet2, cross_check: bool) -> TaylorJet3:
+    """One point's Taylor data, refused if the push left the arccos domain
+    (NaN), the point is not fixed, or the audit disagrees."""
+    if not (np.isfinite(s_out.c).all() and np.isfinite(r_out.c).all()):
+        raise NoCollisionError("an arccos argument of the jet push leaves (-1, 1)")
     residual = max(abs(s_out.value - fp.s), abs(r_out.value - fp.r))
     if residual > 1e-9:
         raise DomainError(f"point is not fixed (residual {residual:.3g})")
@@ -256,15 +293,10 @@ def theta_taylor_jet(rmap: ReducedMap) -> tuple[Jet2, Jet2]:
     return s_out, jet_acos(r_out)
 
 
-def _displacement(jet: Jet2) -> Jet2:
-    """``jet`` minus its constant term."""
-    return Jet2(np.concatenate(([0.0], jet.c[1:])))
-
-
 def _substitute(jet: Jet2, dx: Jet2, dy: Jet2) -> Jet2:
     """Re-expand ``jet`` in new displacement variables: its polynomial part
     evaluated at the zero-constant jets (dx, dy), plus its constant term."""
-    return polyval2(_displacement(jet), dx, dy) + jet.value
+    return polyval2(jet.displacement(), dx, dy) + jet.value
 
 
 def theta_jet_to_birkhoff(s_jet: Jet2, th_jet: Jet2, theta0: float) -> TaylorJet3:
@@ -275,7 +307,7 @@ def theta_jet_to_birkhoff(s_jet: Jet2, th_jet: Jet2, theta0: float) -> TaylorJet
     cross-check against the jets computed directly in (s, r).
     """
     ds = Jet2.variable(0.0, 0)
-    dth = _displacement(jet_acos(Jet2.variable(math.cos(theta0), 1)))
+    dth = jet_acos(Jet2.variable(math.cos(theta0), 1)).displacement()
     s_out = _substitute(s_jet, ds, dth)
     r_out = jet_cos(_substitute(th_jet, ds, dth))
     return TaylorJet3.from_jets(s_out, r_out)
@@ -286,7 +318,7 @@ def birkhoff_jet_to_theta(jet: TaylorJet3, theta0: float, theta_out: float) -> t
     Taylor data by substituting r0 = cos(theta0 + dtheta) and composing the
     output with arccos."""
     ds = Jet2.variable(0.0, 0)
-    dr = _displacement(jet_cos(Jet2.variable(theta0, 1)))
+    dr = jet_cos(Jet2.variable(theta0, 1)).displacement()
     s_poly, r_poly = (
         Jet2(np.array([side.get(mono, 0.0) for mono in MONOMIALS])) for side in (jet.a, jet.b)
     )

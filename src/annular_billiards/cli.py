@@ -77,8 +77,8 @@ class ScanSpec:
 def parse_values(text: str, cast=float) -> list:
     """Parse a flag value: a single number, a comma list, or start:stop:count.
 
-    Malformed values raise ``argparse.ArgumentTypeError``, so as an argparse
-    ``type`` they exit with usage.
+    Malformed or non-finite values raise ``argparse.ArgumentTypeError``, so as
+    an argparse ``type`` they exit with usage.
     """
     try:
         if ":" in text:
@@ -90,14 +90,19 @@ def parse_values(text: str, cast=float) -> list:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
                 raise argparse.ArgumentTypeError(f"range count must be >= 1, got {text!r}")
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise argparse.ArgumentTypeError(f"range bounds must be finite, got {text!r}")
             grid = np.linspace(start, stop, count)
             values = [cast(v) for v in grid]
             if values != list(grid):
                 raise argparse.ArgumentTypeError(f"range {text!r} is not exact in {cast.__name__}")
-            return values
-        return [cast(v) for v in text.split(",")]
-    except ValueError as exc:
+        else:
+            values = [cast(v) for v in text.split(",")]
+    except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
+    return values
 
 
 def positive_int(text: str) -> int:
@@ -241,12 +246,14 @@ def _stability_point(args) -> dict:
     return row
 
 
-def _birkhoff_point(args) -> dict:
-    n, eps = args
+def _birkhoff_point(n: int, eps: float, jet) -> dict:
+    """One twist-scan row from the point's Taylor data, or from the
+    ``BilliardError`` that refused the point."""
     row = {"n": n, "eps": eps}
     try:
-        rmap = ReducedMap(n, eps)
-        report = birkhoff_A(taylor_jet(rmap))
+        if isinstance(jet, BilliardError):
+            raise jet
+        report = birkhoff_A(jet)
         row.update(
             mu=report.mu,
             A_numeric=report.A,
@@ -337,9 +344,19 @@ def _extrapolate_ladder(eps: list[float], vals: list[float]) -> float | None:
 
 def cmd_birkhoff(spec: ScanSpec) -> int:
     p = spec.params
-    eps_list = p["eps"]
-    points = [(n, e) for n in p["n"] for e in eps_list]
-    rows = [_birkhoff_point(point) for point in points]
+    points = [(n, e) for n in p["n"] for e in p["eps"]]
+    # a map that cannot be built skips its own point; the rest share one push
+    rmaps = []
+    for n, eps in points:
+        try:
+            rmaps.append(ReducedMap(n, eps))
+        except BilliardError as exc:
+            rmaps.append(exc)
+    jets = iter(taylor_jet([m for m in rmaps if isinstance(m, ReducedMap)]))
+    rows = [
+        _birkhoff_point(n, eps, m if isinstance(m, BilliardError) else next(jets))
+        for (n, eps), m in zip(points, rmaps)
+    ]
     summary: dict = {"points": len(rows)}
     for n in p["n"]:
         sub = [r for r in rows if r["n"] == n]
@@ -521,6 +538,12 @@ def _spec_error(spec: ScanSpec) -> str | None:
     for flag in SINGLE_VALUE_FLAGS.get(spec.command, ()):
         if len(p[flag]) > 1:
             return f"{spec.command} takes a single --{flag} value, got {len(p[flag])}"
+    if spec.command == "birkhoff":
+        # the ladder extrapolation divides by differences of detunings, and a
+        # repeated n would pool two ladders into one
+        for flag in ("n", "eps"):
+            if len(set(p[flag])) < len(p[flag]):
+                return f"birkhoff needs distinct --{flag} values, got {p[flag]}"
     return None
 
 

@@ -12,6 +12,13 @@ Coefficients are stored densely in the monomial order
 
 and are plain Taylor *coefficients* (factorials included), so the partial
 derivative d^(i+j) f / dx^i dy^j equals ``coeff(i, j) * i! * j!``.
+
+A jet may also carry a trailing batch axis: coefficients of shape ``(10, m)``
+hold m expansions about m base points, one per column.  The arithmetic
+operators (with jets of the same batch, scalars, or length-m arrays) and
+``jet_sin``/``jet_cos``/``jet_acos`` act on each column as they would on that
+column alone, with the same bits.  Coefficient access and ``polyval2`` take
+unbatched jets.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NoCollisionError
 
 #: monomial exponents in storage order
 MONOMIALS: tuple[tuple[int, int], ...] = (
@@ -44,13 +53,19 @@ for _a, (_i, _j) in enumerate(MONOMIALS):
     for _b, (_p, _q) in enumerate(MONOMIALS):
         if _i + _j + _p + _q <= 3:
             _MUL_TABLE.append((_a, _b, _INDEX[(_i + _p, _j + _q)]))
+_IA, _IB, _IO = (np.array(_col) for _col in zip(*_MUL_TABLE))
 
 
 @dataclass(frozen=True)
 class Jet2:
-    """Degree-3 truncated Taylor expansion of a scalar function of two variables."""
+    """Degree-3 truncated Taylor expansion of a scalar function of two
+    variables, or a batch of them (coefficients ``(10,)`` or ``(10, m)``)."""
 
     c: np.ndarray
+
+    # an ndarray operand defers to the jet, so ``array * jet`` scales column i
+    # of a batch by element i of the array
+    __array_ufunc__ = None
 
     # -- constructors ------------------------------------------------------
 
@@ -61,11 +76,12 @@ class Jet2:
         return Jet2(c)
 
     @staticmethod
-    def variable(value: float, index: int) -> "Jet2":
-        """Jet of the coordinate function ``value + dx_index``."""
+    def variable(value, index: int) -> "Jet2":
+        """Jet of the coordinate function ``value + dx_index``; an array of m
+        values gives a batch of m jets."""
         if index not in (0, 1):
             raise ValueError("variable index must be 0 or 1")
-        c = np.zeros(_N)
+        c = np.zeros((_N,) + np.shape(value))
         c[0] = value
         c[1 + index] = 1.0
         return Jet2(c)
@@ -85,7 +101,7 @@ class Jet2:
         return Jet2(-self.c)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet2) else -float(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -93,11 +109,13 @@ class Jet2:
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             return Jet2(self.c * other)
-        out = np.zeros(_N)
-        a, b = self.c, other.c
-        for ia, ib, io in _MUL_TABLE:
-            out[io] += a[ia] * b[ib]
-        return Jet2(out)
+        # gather every product, then scatter-add them by output coefficient:
+        # bincount sums each bin in input order from 0.0, which is table
+        # order, so every column gets the bits of the former loop over it
+        prod = self.c[_IA] * other.c[_IB]
+        m = prod[0].size
+        bins = (_IO[:, None] * m + np.arange(m)).ravel()
+        return Jet2(np.bincount(bins, prod.ravel(), _N * m).reshape(self.c.shape))
 
     __rmul__ = __mul__
 
@@ -110,10 +128,7 @@ class Jet2:
         return self._reciprocal() * other
 
     def _reciprocal(self) -> "Jet2":
-        u = self.c[0]
-        if u == 0.0:
-            raise ZeroDivisionError("jet with zero constant term")
-        return self.compose_univariate((1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4))
+        return _compose_each(self, _reciprocal_derivs)
 
     # -- composition with univariate functions ------------------------------
 
@@ -121,10 +136,16 @@ class Jet2:
         """Compose ``f(self)`` given ``f`` and its first three derivatives at
         the jet's constant term."""
         f0, f1, f2, f3 = derivs
-        h = Jet2(np.concatenate(([0.0], self.c[1:])))  # self minus constant part
+        h = self.displacement()
         h2 = h * h
         h3 = h2 * h
         return f0 + f1 * h + (f2 / 2.0) * h2 + (f3 / 6.0) * h3
+
+    def displacement(self) -> "Jet2":
+        """The jet minus its constant term."""
+        c = self.c.copy()
+        c[0] = 0.0
+        return Jet2(c)
 
     # -- coefficient access --------------------------------------------------
 
@@ -140,31 +161,51 @@ class Jet2:
         return float(self.c[0])
 
 
+def _compose_each(x: Jet2, derivs) -> Jet2:
+    """Compose ``f(x)`` where ``derivs(u)`` gives f and its first three
+    derivatives at one constant term in Python float arithmetic, evaluated
+    one constant at a time (NumPy's ``power`` and ``arccos`` differ from
+    Python's ``**`` and ``math.acos`` in the last bit on some arguments)."""
+    u = x.c[0]
+    table = np.array([derivs(v) for v in np.ravel(u).tolist()])
+    return x.compose_univariate(tuple(table.T.reshape((4,) + u.shape)))
+
+
+def _reciprocal_derivs(u: float) -> tuple[float, float, float, float]:
+    if u == 0.0:
+        raise ZeroDivisionError("jet with zero constant term")
+    return 1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4
+
+
+def _acos_derivs(u: float) -> tuple[float, float, float, float]:
+    if not -1.0 < u < 1.0:
+        return (math.nan,) * 4
+    w = 1.0 - u * u
+    return math.acos(u), -w**-0.5, -u * w**-1.5, -(1.0 + 2.0 * u * u) * w**-2.5
+
+
 def jet_sin(x: Jet2) -> Jet2:
-    u = x.value
-    s, c = math.sin(u), math.cos(u)
+    u = x.c[0]
+    s, c = np.sin(u), np.cos(u)
     return x.compose_univariate((s, c, -s, -c))
 
 
 def jet_cos(x: Jet2) -> Jet2:
-    u = x.value
-    s, c = math.sin(u), math.cos(u)
+    u = x.c[0]
+    s, c = np.sin(u), np.cos(u)
     return x.compose_univariate((c, -s, -c, s))
 
 
 def jet_acos(x: Jet2) -> Jet2:
-    u = x.value
-    if not -1.0 < u < 1.0:
-        raise ValueError("jet_acos needs |constant term| < 1")
-    w = 1.0 - u * u
-    return x.compose_univariate(
-        (
-            math.acos(u),
-            -w**-0.5,
-            -u * w**-1.5,
-            -(1.0 + 2.0 * u * u) * w**-2.5,
-        )
-    )
+    """arccos of a jet whose constant term lies in (-1, 1).
+
+    An unbatched jet outside raises ``NoCollisionError`` (the ray the map
+    follows misses its wall); in a batch that column becomes NaN instead, so
+    the other points go on.
+    """
+    if x.c.ndim == 1 and not -1.0 < x.c[0] < 1.0:
+        raise NoCollisionError(f"jet_acos needs |constant term| < 1, got {x.value!r}")
+    return _compose_each(x, _acos_derivs)
 
 
 def polyval2(jet: Jet2, x: Jet2, y: Jet2) -> Jet2:

@@ -4,7 +4,9 @@
 time each layer.  If a refactor moves or renames one of them, the traced run
 either fails or silently reads zero calls for a layer.  This test enters the
 tracer on tiny requests of the three benchmark workloads' subcommands and
-checks that the hot layers are seen and that every patch is undone.
+checks that the hot layers are seen and that every patch is undone.  It also
+runs the benchmark's twist output check, whose audit calls the package, on a
+small output.
 """
 
 import importlib.util
@@ -19,12 +21,21 @@ from annular_billiards import billiard_map, birkhoff, cli, errors, geometry, jet
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def checks_module():
+    return _load("checks")
 
 
 @pytest.fixture
@@ -77,3 +88,26 @@ def test_stability_layers_count_every_step_and_monodromy(tracer_module, pkg, tmp
     assert tracer.calls("orbits.build_type_a") == 2
     assert tracer.calls("billiard_map.generic_step") == 24
     assert tracer.calls("linear_stability.monodromy") == 2
+
+
+def test_twist_scan_pushes_every_point_in_one_jet_call(tracer_module, pkg, tmp_path):
+    # 3 x 2 points: one batched push through one taylor_jet call, then one
+    # birkhoff_A per point
+    tracer = tracer_module.Tracer()
+    argv = ["birkhoff", "--n", "3,4,5", "--eps", "0.002,0.001"]
+    with tracer.installed(pkg):
+        assert cli.main(argv + ["--out", str(tmp_path / "tw.csv")]) == 0
+    assert tracer.calls("jets.push") == 1
+    assert tracer.calls("birkhoff.taylor_jet") == 1
+    assert tracer.calls("birkhoff.birkhoff_A") == 6
+
+
+def test_twist_output_passes_the_benchmark_checks(checks_module, pkg, tmp_path):
+    # the benchmark's twist check reads the CSV and re-derives two points
+    # with the mpmath audit through birkhoff.taylor_jet(ReducedMap(n, eps))
+    argv = ["birkhoff", "--n", "3,4", "--eps", "1e-4,5e-5,2.5e-5"]
+    out = tmp_path / "tw.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    problems, health = checks_module.check_twist(argv, out.read_text(), pkg)
+    assert problems == []
+    assert health["rows"] == 6

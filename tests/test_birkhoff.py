@@ -42,8 +42,9 @@ from annular_billiards.errors import (
     NonEllipticNormalizationError,
     PrecisionError,
     ResonanceError,
+    SingularConfigurationError,
 )
-from annular_billiards.jets import Jet2
+from annular_billiards.jets import _MUL_TABLE, MONOMIALS, Jet2, jet_acos, jet_cos, jet_sin
 from annular_billiards.linear_stability import (
     bounce_jacobian_birkhoff,
     epsilon_star,
@@ -459,3 +460,151 @@ class TestArrayPathMatchesFloatPath:
         for x in far.tolist():
             with pytest.raises(NoCollisionError):
                 FLOAT_BACKEND.acos(x)
+
+
+# ---------------------------------------------------------------------------
+# the batched jet push against the former per-point route
+# ---------------------------------------------------------------------------
+
+
+def _former_mul(self, other):
+    """``Jet2.__mul__`` as it was: a Python loop over the product table."""
+    if not isinstance(other, Jet2):
+        return Jet2(self.c * other)
+    out = np.zeros(len(MONOMIALS))
+    a, b = self.c, other.c
+    for ia, ib, io in _MUL_TABLE:
+        out[io] += a[ia] * b[ib]
+    return Jet2(out)
+
+
+def _former_compose(x, f0, f1, f2, f3):
+    h = Jet2(np.concatenate(([0.0], x.c[1:])))
+    h2 = _former_mul(h, h)
+    h3 = _former_mul(h2, h)
+    return f0 + f1 * h + (f2 / 2.0) * h2 + (f3 / 6.0) * h3
+
+
+class _FormerJetBackend:
+    """Unbatched jet math on Python floats, as before the batch axis."""
+
+    pi = math.pi
+
+    @staticmethod
+    def sin(x):
+        s, c = math.sin(x.value), math.cos(x.value)
+        return _former_compose(x, s, c, -s, -c)
+
+    @staticmethod
+    def cos(x):
+        s, c = math.sin(x.value), math.cos(x.value)
+        return _former_compose(x, c, -s, -c, s)
+
+    @staticmethod
+    def acos(x):
+        u = x.value
+        if not -1.0 < u < 1.0:
+            raise ValueError("jet_acos needs |constant term| < 1")
+        w = 1.0 - u * u
+        return _former_compose(
+            x, math.acos(u), -w**-0.5, -u * w**-1.5, -(1.0 + 2.0 * u * u) * w**-2.5
+        )
+
+    @staticmethod
+    def reciprocal(x):
+        u = x.c[0]
+        return _former_compose(x, 1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4)
+
+
+def _former_taylor_jet(rmap):
+    """``taylor_jet`` as it was: one unbatched push per point."""
+    fp = rmap.fixed_point
+    s_out, r_out = rmap.apply(Jet2.variable(fp.s, 0), Jet2.variable(fp.r, 1), _FormerJetBackend)
+    residual = max(abs(s_out.value - fp.s), abs(r_out.value - fp.r))
+    if residual > 1e-9:
+        raise DomainError(f"point is not fixed (residual {residual:.3g})")
+    keys = MONOMIALS[1:]
+    return TaylorJet3(
+        a={k: s_out.coeff(*k) for k in keys}, b={k: r_out.coeff(*k) for k in keys}
+    )
+
+
+def _bits(jet: TaylorJet3) -> bytes:
+    return np.array([jet.a[k] for k in MONOMIALS[1:]] + [jet.b[k] for k in MONOMIALS[1:]]).tobytes()
+
+
+def _use_former_products(monkeypatch):
+    """Route every product of two jets through the former loop."""
+    monkeypatch.setattr(Jet2, "__mul__", _former_mul)
+    monkeypatch.setattr(Jet2, "__rmul__", _former_mul)
+
+
+class TestBatchedPushMatchesFormerRoute:
+    @pytest.mark.parametrize("m", [None, 1, 7, 64])
+    def test_random_jets_bit_equal_per_column(self, monkeypatch, m):
+        rng = np.random.default_rng(0 if m is None else m)
+        shape = (10,) if m is None else (10, m)
+        a, b = rng.normal(size=shape), rng.normal(size=shape)
+        a[0] = rng.uniform(-0.95, 0.95, size=shape[1:])  # inside the arccos domain
+        a[4], b[7] = -0.0, 0.0  # signed zeros must survive as before
+        ja, jb = Jet2(a), Jet2(b)
+        got = {
+            "mul": ja * jb,
+            "scale": 0.37 * ja,
+            "sin": jet_sin(ja),
+            "cos": jet_cos(ja),
+            "acos": jet_acos(ja),
+            "reciprocal": 1.0 / ja,
+        }
+        _use_former_products(monkeypatch)
+        columns = [(a, b)] if m is None else list(zip(a.T, b.T))
+        for i, (ca, cb) in enumerate(columns):
+            x, y = Jet2(ca.copy()), Jet2(cb.copy())
+            want = {
+                "mul": _former_mul(x, y),
+                "scale": 0.37 * x,
+                "sin": _FormerJetBackend.sin(x),
+                "cos": _FormerJetBackend.cos(x),
+                "acos": _FormerJetBackend.acos(x),
+                "reciprocal": _FormerJetBackend.reciprocal(x),
+            }
+            for key, jet in got.items():
+                col = jet.c if m is None else jet.c[:, i]
+                assert col.shape == (10,)
+                assert col.tobytes() == want[key].c.tobytes(), (key, i)
+
+    def test_grid_with_skips_bit_equal_to_per_point_pushes(self, monkeypatch):
+        grid = [(n, eps) for n in (2, 3, 4, 5, 7, 12, 20) for eps in (1e-4, 3e-3, 0.3, 1.2, 2.9, 2.95)]
+        rmaps = []
+        for n, eps in grid:
+            try:
+                rmaps.append(ReducedMap(n, eps))
+            except (DomainError, SingularConfigurationError):
+                pass  # refused before any push, as in the scan
+        batched = taylor_jet(rmaps)
+        _use_former_products(monkeypatch)
+        kinds = set()
+        for rmap, got in zip(rmaps, batched, strict=True):
+            try:
+                want = _former_taylor_jet(rmap)
+            except DomainError as exc:
+                kinds.add("not fixed")
+                assert type(got) is DomainError and str(got) == str(exc)
+            except ValueError:
+                # the former push ended the scan here; the batch refuses the point
+                kinds.add("off domain")
+                assert isinstance(got, NoCollisionError), (rmap.n, rmap.epsilon)
+            else:
+                kinds.add("jet")
+                assert isinstance(got, TaylorJet3), (rmap.n, rmap.epsilon, got)
+                assert _bits(got) == _bits(want), (rmap.n, rmap.epsilon)
+        assert {"jet", "off domain"} <= kinds
+        assert len(rmaps) < len(grid)  # some points never reach the push
+
+    def test_single_map_is_the_batch_of_one(self):
+        rmaps = [ReducedMap(n, eps) for n, eps in ((3, 0.01), (5, 1e-3), (10, 1e-4))]
+        for rmap, jet in zip(rmaps, taylor_jet(rmaps)):
+            assert _bits(taylor_jet(rmap)) == _bits(jet)
+        with pytest.raises(NoCollisionError):
+            taylor_jet(ReducedMap(3, 2.9))
+        assert taylor_jet([]) == []

@@ -103,6 +103,39 @@ class TestParsing:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["birkhoff", "--n", "3", "--eps", "inf"],
+            ["birkhoff", "--n", "3", "--eps", "nan"],
+            ["birkhoff", "--n", "3", "--eps", "0.01,-inf"],
+            ["stability", "--n", "5", "--delta", "inf"],
+            ["stability", "--n", "5", "--R", "0.1:inf:3"],
+            ["stability", "--n", "5", "--R", "nan:0.2:3"],
+            ["lemma", "--x", "2,nan"],
+        ],
+    )
+    def test_non_finite_values_exit_with_usage(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "finite" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["birkhoff", "--n", "5", "--eps", "0.001,0.001"],
+            ["birkhoff", "--n", "5", "--eps", "0.002,0.001,0.0020"],
+            ["birkhoff", "--n", "5,5", "--eps", "0.002,0.001"],
+        ],
+    )
+    def test_birkhoff_refuses_repeated_values(self, tmp_path, capsys, args):
+        assert main(args + ["--out", str(tmp_path / "x")]) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
         "args,error",
         [
             (["orbit", "--n", "5", "--k", "2", "--R", "5"], "InvalidTableError"),
@@ -224,6 +257,16 @@ class TestBirkhoffCommand:
         assert "# summary A_tilde_closed_n2: \n" in text
         assert "# summary A_tilde_n2: \n" in text
         assert "DomainError" in text.splitlines()[-1]
+
+    def test_off_domain_point_skips_without_ending_the_scan(self, tmp_path):
+        # at n = 3, eps >= ~2.88 an arccos argument of the jet push leaves
+        # (-1, 1); that point alone is refused
+        text = run(tmp_path, "bk_far.csv", ["birkhoff", "--n", "3", "--eps", "0.001,2.9,0.0005"])
+        rows = [l.split(",", 6) for l in text.splitlines() if l and not l.startswith("#")][1:]
+        assert [r[1] for r in rows] == ["0.001", "2.8999999999999999", "0.00050000000000000001"]
+        assert rows[1][6].startswith("NoCollisionError: ") and rows[1][3] == ""
+        for r in (rows[0], rows[2]):
+            assert r[6] == "" and float(r[3]) > 0.0
 
     def test_resonant_or_hyperbolic_points_flagged(self, tmp_path):
         from annular_billiards.linear_stability import epsilon_star

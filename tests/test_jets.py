@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from annular_billiards.errors import NoCollisionError
 from annular_billiards.jets import (
     Jet2,
     jet_acos,
@@ -101,6 +102,25 @@ def test_acos_sqrt_atan():
 def test_acos_domain_guard():
     with pytest.raises(ValueError):
         jet_acos(Jet2.constant(1.0))
+
+
+def test_acos_refuses_off_domain_jet_and_marks_batch_column_nan():
+    with pytest.raises(NoCollisionError):
+        jet_acos(Jet2.variable(1.5, 0))
+    batch = jet_acos(Jet2.variable(np.array([0.3, 1.5, -0.2]), 0))
+    assert np.isnan(batch.c[:, 1]).all()
+    for i, u in ((0, 0.3), (2, -0.2)):
+        assert batch.c[:, i].tobytes() == jet_acos(Jet2.variable(u, 0)).c.tobytes()
+
+
+def test_array_operand_acts_on_each_column():
+    # ndarray * jet defers to the jet instead of building an object array
+    x = Jet2.variable(np.array([0.5, -1.0]), 0)
+    for f in (lambda a, j: a * j, lambda a, j: j * a, lambda a, j: a + j, lambda a, j: j / a):
+        got = f(np.array([2.0, 3.0]), x)
+        assert isinstance(got, Jet2) and got.c.shape == (10, 2)
+        for i, a in enumerate((2.0, 3.0)):
+            assert got.c[:, i].tobytes() == f(a, Jet2.variable(x.c[0, i], 0)).c.tobytes()
 
 
 def test_reciprocal_zero_guard():
