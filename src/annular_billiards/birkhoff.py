@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,45 +52,32 @@ RESONANCE_TOL = 1e-8
 #: voids the extraction
 CROSS_CHECK_TOL = 1e-5
 
-_COEFF_KEYS = MONOMIALS[1:]
+#: base step and working precision of the finite-difference audit
+FD_STEP = 1e-6
+FD_DPS = 50
 
 
-@dataclass(frozen=True)
-class TaylorJet3:
-    """Taylor coefficients of a planar map about a fixed point, degree <= 3.
+class TaylorJet3(NamedTuple):
+    """Degree-3 Taylor data of a planar map about a point: the jets of its
+    two outputs, s and r, in the displacements (ds, dr) of the input.
 
-    a[(i, j)] multiplies ds^i dr^j in the first output, b[(i, j)] in the
-    second; factorials are included in the coefficients.
+    Each jet's constant term is the map's value at the point, and the others
+    are plain Taylor coefficients, factorials included (see ``jets.Jet2``).
     """
 
-    a: dict[tuple[int, int], float]
-    b: dict[tuple[int, int], float]
+    s: Jet2
+    r: Jet2
 
     def linear(self) -> np.ndarray:
-        return np.array(
-            [[self.a[(1, 0)], self.a[(0, 1)]], [self.b[(1, 0)], self.b[(0, 1)]]]
-        )
+        return np.array([self.s.c[1:3], self.r.c[1:3]])
 
     def trace(self) -> float:
-        return self.a[(1, 0)] + self.b[(0, 1)]
-
-    def det_defect(self) -> float:
-        return abs(float(np.linalg.det(self.linear())) - 1.0)
-
-    @staticmethod
-    def from_jets(s_jet: Jet2, r_jet: Jet2) -> "TaylorJet3":
-        # _COEFF_KEYS are the monomials after the constant, in storage order
-        return TaylorJet3(
-            a=dict(zip(_COEFF_KEYS, s_jet.c[1:].tolist())),
-            b=dict(zip(_COEFF_KEYS, r_jet.c[1:].tolist())),
-        )
+        return float(self.s.c[1] + self.r.c[2])
 
     def max_rel_disagreement(self, other: "TaylorJet3") -> float:
-        worst = 0.0
-        for k in _COEFF_KEYS:
-            for mine, theirs in ((self.a[k], other.a[k]), (self.b[k], other.b[k])):
-                worst = max(worst, abs(mine - theirs) / max(abs(mine), abs(theirs), 1.0))
-        return worst
+        mine, theirs = (np.array([jet.s.c, jet.r.c]) for jet in (self, other))
+        scale = np.maximum(np.maximum(np.abs(mine), np.abs(theirs)), 1.0)
+        return float((np.abs(mine - theirs) / scale).max())
 
 
 @dataclass(frozen=True)
@@ -119,6 +107,9 @@ class ReducedMap:
             raise DomainError(f"need n >= 3, got {n}")
         if epsilon <= 0.0:
             raise DomainError(f"need epsilon > 0, got {epsilon}")
+        if epsilon >= math.pi - math.pi / n:
+            # theta0 = pi/n + eps would leave the reflection angles' range (0, pi)
+            raise DomainError(f"need epsilon < pi - pi/n at n={n}, got {epsilon}")
         self.n = n
         self.epsilon = epsilon
         self.R = tangency_radius_b(n, epsilon)
@@ -142,9 +133,7 @@ class ReducedMap:
 
 
 def taylor_jet(
-    rmap: ReducedMap | list[ReducedMap],
-    fixed_point: BirkhoffCoords | None = None,
-    cross_check: bool = False,
+    rmap: ReducedMap | list[ReducedMap], cross_check: bool = False
 ) -> TaylorJet3 | list[TaylorJet3 | BilliardError]:
     """Order-3 Taylor data of the reduced map at its fixed point.
 
@@ -159,45 +148,43 @@ def taylor_jet(
     others.  A single map is the batch of one.
     """
     if not isinstance(rmap, ReducedMap):
-        return _taylor_jets(rmap, [m.fixed_point for m in rmap], cross_check)
-    fp = fixed_point if fixed_point is not None else rmap.fixed_point
-    (jet,) = _taylor_jets([rmap], [fp], cross_check)
+        return _taylor_jets(rmap, cross_check)
+    (jet,) = _taylor_jets([rmap], cross_check)
     if isinstance(jet, BilliardError):
         raise jet
     return jet
 
 
-def _taylor_jets(rmaps, fps, cross_check) -> list[TaylorJet3 | BilliardError]:
-    """One batched push of every map's point, with n and R as arrays."""
+def _taylor_jets(rmaps, cross_check) -> list[TaylorJet3 | BilliardError]:
+    """One batched push of every map's fixed point, with n and R as arrays."""
     if not rmaps:
         return []
-    s0, r0 = np.array(fps).T
+    s0, r0 = np.array([rmap.fixed_point for rmap in rmaps]).T
     n = np.array([rmap.n for rmap in rmaps])
     R = np.array([rmap.R for rmap in rmaps])
     s_out, r_out = half_period_formula(
         Jet2.variable(s0, 0), Jet2.variable(r0, 1), n, R, JET_BACKEND
     )
     jets: list[TaylorJet3 | BilliardError] = []
-    for rmap, fp, s_col, r_col in zip(rmaps, fps, s_out.c.T, r_out.c.T):
+    for rmap, s_col, r_col in zip(rmaps, s_out.c.T, r_out.c.T):
         try:
-            jets.append(_checked_jet(rmap, fp, Jet2(s_col), Jet2(r_col), cross_check))
+            jets.append(_checked_jet(rmap, TaylorJet3(Jet2(s_col), Jet2(r_col)), cross_check))
         except BilliardError as exc:
             jets.append(exc)
     return jets
 
 
-def _checked_jet(rmap, fp, s_out: Jet2, r_out: Jet2, cross_check: bool) -> TaylorJet3:
+def _checked_jet(rmap, jet: TaylorJet3, cross_check: bool) -> TaylorJet3:
     """One point's Taylor data, refused if the push left the arccos domain
     (NaN), the point is not fixed, or the audit disagrees."""
-    if not (np.isfinite(s_out.c).all() and np.isfinite(r_out.c).all()):
+    if not (np.isfinite(jet.s.c).all() and np.isfinite(jet.r.c).all()):
         raise NoCollisionError("an arccos argument of the jet push leaves (-1, 1)")
-    residual = max(abs(s_out.value - fp.s), abs(r_out.value - fp.r))
+    fp = rmap.fixed_point
+    residual = max(abs(jet.s.value - fp.s), abs(jet.r.value - fp.r))
     if residual > 1e-9:
         raise DomainError(f"point is not fixed (residual {residual:.3g})")
-    jet = TaylorJet3.from_jets(s_out, r_out)
     if cross_check:
-        audit = fd_taylor_jet(rmap, fp)
-        worst = jet.max_rel_disagreement(audit)
+        worst = jet.max_rel_disagreement(fd_taylor_jet(rmap))
         if worst > CROSS_CHECK_TOL:
             raise PrecisionError(
                 f"jet and finite-difference coefficients disagree by {worst:.3g}"
@@ -216,15 +203,16 @@ _STENCILS = {
 _STENCIL_SCALE = {0: 1.0, 1: 12.0, 2: 12.0, 3: 2.0}
 
 
-def _fd_partials(rmap: ReducedMap, fp, h, mp) -> dict:
+def _fd_partials(rmap: ReducedMap, h, mp) -> dict:
     lib = MPBackend(mp)
+    fp = rmap.fixed_point
     s0, r0 = mp.mpf(fp.s), mp.mpf(fp.r)
     grid = {}
     for i in range(-2, 3):
         for j in range(-2, 3):
             grid[(i, j)] = rmap.apply(s0 + i * h, r0 + j * h, lib)
     out = {}
-    for (di, dj) in _COEFF_KEYS:
+    for (di, dj) in MONOMIALS:
         acc = [mp.mpf(0), mp.mpf(0)]
         for p in range(5):
             wp = _STENCILS[di][p]
@@ -246,35 +234,29 @@ def _fd_partials(rmap: ReducedMap, fp, h, mp) -> dict:
     return out
 
 
-def fd_taylor_jet(
-    rmap: ReducedMap,
-    fixed_point: BirkhoffCoords | None = None,
-    h: float = 1e-6,
-    dps: int = 50,
-) -> TaylorJet3:
+def fd_taylor_jet(rmap: ReducedMap) -> TaylorJet3:
     """Audit oracle: central differences with one Richardson level, evaluated
-    in high-precision arithmetic on the bit-identical map.
+    in high-precision arithmetic on the bit-identical map at its fixed point.
 
     The base step follows the local curvature scale of the chart (the maps
-    stay analytic at O(1) distances from the fixed point, so h = 1e-6 puts
-    the truncation error near 1e-12 while the working precision removes the
-    cancellation noise that double-precision differencing would suffer).
+    stay analytic at O(1) distances from the fixed point, so ``FD_STEP`` =
+    1e-6 puts the truncation error near 1e-12 while the working precision
+    removes the cancellation noise that double-precision differencing would
+    suffer).  The constant terms are the map's value at the point.
     """
     from mpmath import mp
 
-    fp = fixed_point if fixed_point is not None else rmap.fixed_point
-    with mp.workdps(dps):
-        coarse = _fd_partials(rmap, fp, mp.mpf(h), mp)
-        fine = _fd_partials(rmap, fp, mp.mpf(h) / 2, mp)
-        a: dict = {}
-        b: dict = {}
-        for key in _COEFF_KEYS:
+    with mp.workdps(FD_DPS):
+        coarse = _fd_partials(rmap, mp.mpf(FD_STEP), mp)
+        fine = _fd_partials(rmap, mp.mpf(FD_STEP) / 2, mp)
+        sides = ([], [])
+        for key in MONOMIALS:
             order = 4 if max(key) < 3 else 2
             w = 2**order
             fact = math.factorial(key[0]) * math.factorial(key[1])
-            a[key] = float((w * fine[key][0] - coarse[key][0]) / (w - 1)) / fact
-            b[key] = float((w * fine[key][1] - coarse[key][1]) / (w - 1)) / fact
-    return TaylorJet3(a=a, b=b)
+            for side, f, c in zip(sides, fine[key], coarse[key]):
+                side.append(float((w * f - c) / (w - 1)) / fact)
+    return TaylorJet3(*(Jet2(np.array(side)) for side in sides))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +292,7 @@ def theta_jet_to_birkhoff(s_jet: Jet2, th_jet: Jet2, theta0: float) -> TaylorJet
     dth = jet_acos(Jet2.variable(math.cos(theta0), 1)).displacement()
     s_out = _substitute(s_jet, ds, dth)
     r_out = jet_cos(_substitute(th_jet, ds, dth))
-    return TaylorJet3.from_jets(s_out, r_out)
+    return TaylorJet3(s_out, r_out)
 
 
 def birkhoff_jet_to_theta(jet: TaylorJet3, theta0: float, theta_out: float) -> tuple[Jet2, Jet2]:
@@ -319,11 +301,8 @@ def birkhoff_jet_to_theta(jet: TaylorJet3, theta0: float, theta_out: float) -> t
     output with arccos."""
     ds = Jet2.variable(0.0, 0)
     dr = jet_cos(Jet2.variable(theta0, 1)).displacement()
-    s_poly, r_poly = (
-        Jet2(np.array([side.get(mono, 0.0) for mono in MONOMIALS])) for side in (jet.a, jet.b)
-    )
-    s_out = _substitute(s_poly, ds, dr)
-    theta_jet = jet_acos(_substitute(r_poly, ds, dr) + math.cos(theta_out))
+    s_out = _substitute(jet.s.displacement(), ds, dr)
+    theta_jet = jet_acos(_substitute(jet.r.displacement(), ds, dr) + math.cos(theta_out))
     return s_out, theta_jet
 
 
@@ -337,7 +316,7 @@ def c_terms(jet: TaylorJet3) -> tuple[float, float, float]:
 
     Requires a01*b10 < 0 so the normalization square roots are real.
     """
-    a, b = jet.a, jet.b
+    a, b = (dict(zip(MONOMIALS, side.c.tolist())) for side in jet)
     a10, a01 = a[(1, 0)], a[(0, 1)]
     b10 = b[(1, 0)]
     if not a01 * b10 < 0.0:

@@ -39,7 +39,7 @@ from .linear_stability import (
     monodromy,
     trace_closed_form,
 )
-from .orbits import build_type_a, build_type_b
+from .orbits import build_type_a, build_type_b, verify_closure
 
 #: JSON document layout for scan output (validated in the test suite)
 JSON_SCHEMA = {
@@ -392,10 +392,9 @@ def cmd_orbit(spec: ScanSpec) -> int:
         _write_text(spec.out, orbit_svg(orbit))
     elif spec.fmt == "csv":
         rows = [{"x": x, "y": y} for x, y in orbit.polyline()]
-        write_csv(spec, ["x", "y"], rows, {"closure_residual": orbit.to_json_dict()["closure_residual"]})
+        write_csv(spec, ["x", "y"], rows, {"closure_residual": verify_closure(orbit)})
     else:
-        doc = {"spec": spec.echo(), "rows": [orbit.to_json_dict()], "summary": {}}
-        _write_text(spec.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(spec, [orbit.to_json_dict()], {})
     return 0
 
 

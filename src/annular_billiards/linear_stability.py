@@ -27,6 +27,16 @@ from .orbits import OrbitRecord
 #: half-width of the parabolic dead zone around |trace| = 2
 CLASSIFY_TOL = 1e-9
 
+#: closed-form trace samples that ``admissible_interval`` checks for ellipticity
+ADMISSIBLE_GRID = 1000
+
+#: largest n that ``min_period_for_k`` tries
+MIN_PERIOD_SCAN_LIMIT = 10**6
+
+#: tolerance of ``delta_star``: its bisection stops once the bracket is
+#: narrower than half of it
+DELTA_STAR_TOL = 1e-6
+
 
 class Classification(enum.Enum):
     ELLIPTIC = "elliptic"
@@ -34,17 +44,18 @@ class Classification(enum.Enum):
     PARABOLIC = "parabolic"
 
 
-def classify(trace: float, tol: float = CLASSIFY_TOL) -> Classification:
-    """|trace| < 2: elliptic, > 2: hyperbolic, within tol of 2: parabolic.
+def classify(trace: float) -> Classification:
+    """|trace| < 2: elliptic, > 2: hyperbolic, within ``CLASSIFY_TOL`` of 2:
+    parabolic.
 
     A non-finite trace (NaN fails every comparison) raises
     ``ClassificationError``.
     """
-    if abs(trace) < 2.0 - tol:
+    if abs(trace) < 2.0 - CLASSIFY_TOL:
         return Classification.ELLIPTIC
-    if 2.0 + tol < abs(trace) < math.inf:
+    if 2.0 + CLASSIFY_TOL < abs(trace) < math.inf:
         return Classification.HYPERBOLIC
-    if abs(trace) <= 2.0 + tol:
+    if abs(trace) <= 2.0 + CLASSIFY_TOL:
         return Classification.PARABOLIC
     raise ClassificationError(f"non-finite trace {trace!r}")
 
@@ -126,9 +137,9 @@ def monodromy(orbit: OrbitRecord, birkhoff_frame: bool = False) -> np.ndarray:
     return M
 
 
-def stability_report(M: np.ndarray, tol: float = CLASSIFY_TOL) -> StabilityReport:
+def stability_report(M: np.ndarray) -> StabilityReport:
     tr = float(np.trace(M))
-    cls = classify(tr, tol)
+    cls = classify(tr)
     half = tr / 2.0
     disc = half * half - 1.0
     if disc < 0.0:
@@ -176,21 +187,19 @@ def bifurcation_radius(n: int, k: int, delta: float) -> float:
     return (s + math.sqrt(s * s + 4.0 * n * n * delta * delta)) / (2.0 * n)
 
 
-def admissible_interval(
-    n: int, k: int, delta: float, grid: int = 1000
-) -> tuple[float, float] | None:
+def admissible_interval(n: int, k: int, delta: float) -> tuple[float, float] | None:
     """Radius interval on which the orbit is linearly stable, or None.
 
     Candidate range is (bifurcation radius, admissible maximum].  Ellipticity
-    is then verified by evaluating the closed-form trace on a grid; if the
-    trace leaves (-2, 2) inside the candidate range, the interval is trimmed
-    to the verified part (bisection on trace = -2).
+    is then verified by evaluating the closed-form trace at ``ADMISSIBLE_GRID``
+    radii; if the trace leaves (-2, 2) inside the candidate range, the
+    interval is trimmed to the verified part (bisection on trace = -2).
     """
     lo = bifurcation_radius(n, k, delta)
     hi = max_radius(n, k, delta)
     if not lo < hi:
         return None
-    rs = np.linspace(lo, hi, grid + 1)[1:]
+    rs = np.linspace(lo, hi, ADMISSIBLE_GRID + 1)[1:]
     traces = np.array([trace_closed_form(n, k, R, delta) for R in rs])
     inside = np.abs(traces) < 2.0
     if not inside.any() or not inside[0]:
@@ -222,7 +231,7 @@ def star_inequality(n: int, k: int) -> bool:
     return 2.0 * n * math.sin(math.pi / n) ** 2 > math.tan(k * math.pi / n)
 
 
-def min_period_for_k(k: int, scan_limit: int = 10**6) -> int | None:
+def min_period_for_k(k: int) -> int | None:
     """Smallest n admitting linearly stable orbits of winding number k.
 
     Returns None for k >= 7: the inequality is equivalent to k < f(n) with
@@ -232,7 +241,7 @@ def min_period_for_k(k: int, scan_limit: int = 10**6) -> int | None:
         raise DomainError(f"need k >= 2, got {k}")
     if k >= 7:
         return None
-    for n in range(2 * k + 1, scan_limit + 1):
+    for n in range(2 * k + 1, MIN_PERIOD_SCAN_LIMIT + 1):
         if star_inequality(n, k):
             return n
     return None
@@ -261,8 +270,14 @@ def trace_b_expansion(n: int, epsilon: float) -> float:
 
 
 def epsilon_star(n: int) -> float:
-    """Leading-order detuning threshold where the trace reaches -2 (the
-    elliptic window of the tangent table is 0 < epsilon < epsilon_star)."""
+    """Detuning 4/c1(n) where the first-order trace 2 - c1*epsilon reaches -2.
+
+    This sets the scale of the tangent table's elliptic window, not its end:
+    the full-period trace is (reduced trace)^2 - 2 >= -2, so it touches -2
+    near epsilon_star (at 0.977 epsilon_star for n = 7, 0.951 for n = 12)
+    and turns back up.  For n = 3..40 the orbit is still elliptic at
+    1.2 epsilon_star; for n = 4..40 it is hyperbolic at 2 epsilon_star.
+    """
     return 4.0 / trace_b_coefficient(n)
 
 
@@ -271,7 +286,7 @@ def epsilon_star_large_n(n: int) -> float:
     return math.pi**2 / (4.0 * n**3 * (math.pi - 2.0))
 
 
-def delta_star(n: int, tol: float = 1e-6) -> float:
+def delta_star(n: int) -> float:
     """Displacement where the bifurcation radius meets the admissible maximum
     (k = 1), closing the window of stable radii; solved by bisection."""
     from .geometry import max_radius_delta
@@ -284,7 +299,7 @@ def delta_star(n: int, tol: float = 1e-6) -> float:
         raise DomainError(f"no crossing: stability window empty already at delta=0 (n={n})")
     if g(hi) <= 0.0:
         raise DomainError(f"no crossing below delta = sin(pi/n) for n={n}")
-    while hi - lo > tol * 0.5:
+    while hi - lo > DELTA_STAR_TOL * 0.5:
         m = 0.5 * (lo + hi)
         if g(m) < 0.0:
             lo = m

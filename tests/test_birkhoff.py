@@ -1,6 +1,7 @@
 """Twist-coefficient pipeline: jets, c-terms, closed forms, island evidence."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from annular_billiards.billiard_map import (
     ACOS_CLAMP_TOL,
     ARRAY_BACKEND,
     FLOAT_BACKEND,
+    BirkhoffCoords,
     PhasePoint,
     Wall,
     generic_step,
@@ -49,6 +51,7 @@ from annular_billiards.linear_stability import (
     bounce_jacobian_birkhoff,
     epsilon_star,
     monodromy,
+    symplectic_defect,
 )
 from annular_billiards.orbits import build_type_b
 
@@ -72,6 +75,19 @@ def scaled_ladder(n, base=1e-3, ref=3):
     """Detuning ladder shrunk with the stability window ~ n^-3."""
     b = base * (ref / n) ** 3
     return [b, b / 2, b / 4]
+
+
+class ShiftedMap(ReducedMap):
+    """A reduced map whose ``fixed_point`` is moved by (ds, dr): a point the
+    map does not fix, or, with |r| > 1, one off the arccos domain."""
+
+    def __init__(self, n, epsilon, ds, dr):
+        super().__init__(n, epsilon)
+        self.shift = (ds, dr)
+
+    @property
+    def fixed_point(self):
+        return BirkhoffCoords(self.s0 + self.shift[0], self.r0 + self.shift[1])
 
 
 class TestReducedMap:
@@ -120,6 +136,13 @@ class TestReducedMap:
         with pytest.raises(DomainError):
             ReducedMap(3, 0.0)
 
+    @pytest.mark.parametrize("n,eps", [(3, 2.9), (3, 2.95), (3, math.pi - math.pi / 3), (5, 2.6)])
+    def test_refuses_detuning_past_pi_minus_pi_over_n(self, n, eps):
+        # theta0 = pi/n + eps >= pi is no reflection angle, even where the
+        # tangency radius lands in (0, 1) again, as at n = 3, eps = 2.9
+        with pytest.raises(DomainError, match=r"pi - pi/n"):
+            ReducedMap(n, eps)
+
 
 class TestTaylorJet:
     def test_linear_part_from_bounce_product(self):
@@ -148,7 +171,7 @@ class TestTaylorJet:
     def test_unit_determinant(self):
         for (n, eps) in [(3, 1e-3), (4, 1e-3), (10, 1e-4)]:
             jet = taylor_jet(ReducedMap(n, eps))
-            assert jet.det_defect() < 1e-8
+            assert symplectic_defect(jet.linear()) < 1e-8
 
     @pytest.mark.parametrize("n,eps", [(3, 0.01), (4, 0.005), (5, 1e-3), (10, 1e-4)])
     def test_matches_high_precision_differences(self, n, eps):
@@ -164,33 +187,37 @@ class TestTaylorJet:
         import annular_billiards.birkhoff as bk
 
         good = fd_taylor_jet(ReducedMap(3, 0.01))
-        bad = TaylorJet3(
-            a={k: v * (1.0 + 1e-3) for k, v in good.a.items()},
-            b=dict(good.b),
-        )
+        s = good.s.c.copy()
+        s[1:] *= 1.0 + 1e-3
+        bad = TaylorJet3(Jet2(s), good.r)
         monkeypatch.setattr(bk, "fd_taylor_jet", lambda *a, **kw: bad)
         with pytest.raises(PrecisionError):
             taylor_jet(ReducedMap(3, 0.01), cross_check=True)
 
     def test_rejects_non_fixed_point(self):
-        from annular_billiards.billiard_map import BirkhoffCoords
+        with pytest.raises(DomainError, match="not fixed"):
+            taylor_jet(ShiftedMap(3, 0.01, 0.01, 0.0))
 
-        rmap = ReducedMap(3, 0.01)
-        with pytest.raises(DomainError):
-            taylor_jet(rmap, fixed_point=BirkhoffCoords(rmap.s0 + 0.01, rmap.r0))
+    def test_audit_constant_term_is_the_fixed_point(self):
+        # both routes hold the map's value at the point in the constant term
+        rmap = ReducedMap(5, 1e-3)
+        for jet in (taylor_jet(rmap), fd_taylor_jet(rmap)):
+            assert (jet.s.value, jet.r.value) == pytest.approx(rmap.fixed_point, abs=1e-12)
 
     def test_mirror_map_jet(self):
         # the mirror symmetry alone: linear part -identity, no higher terms
         s = Jet2.variable(0.0, 0)
         r = Jet2.variable(0.0, 1)
-        jet = TaylorJet3.from_jets(-s, -r)
-        assert jet.a[(1, 0)] == -1.0
-        assert jet.b[(0, 1)] == -1.0
-        assert jet.a[(0, 1)] == 0.0
-        assert jet.b[(1, 0)] == 0.0
-        for key, val in {**{k: jet.a[k] for k in jet.a}, }.items():
-            if sum(key) > 1:
-                assert val == 0.0
+        jet = TaylorJet3(-s, -r)
+        assert jet.s.coeff(1, 0) == -1.0
+        assert jet.r.coeff(0, 1) == -1.0
+        assert jet.s.coeff(0, 1) == 0.0
+        assert jet.r.coeff(1, 0) == 0.0
+        assert jet.trace() == -2.0
+        for side in jet:
+            for key in MONOMIALS:
+                if sum(key) > 1:
+                    assert side.coeff(*key) == 0.0
 
 
 class TestConversionLayer:
@@ -220,15 +247,11 @@ class TestConversionLayer:
 
 
 def make_jet(a_extra=None, b_extra=None, a10=0.0, a01=1.0, b10=-1.0, b01=0.0):
-    keys = [(i, j) for i in range(4) for j in range(4) if 1 <= i + j <= 3]
-    a = {k: 0.0 for k in keys}
-    b = {k: 0.0 for k in keys}
-    a[(1, 0)], a[(0, 1)], b[(1, 0)], b[(0, 1)] = a10, a01, b10, b01
-    for k, v in (a_extra or {}).items():
-        a[k] = v
-    for k, v in (b_extra or {}).items():
-        b[k] = v
-    return TaylorJet3(a=a, b=b)
+    a = {(1, 0): a10, (0, 1): a01} | (a_extra or {})
+    b = {(1, 0): b10, (0, 1): b01} | (b_extra or {})
+    return TaylorJet3(
+        *(Jet2(np.array([side.get(k, 0.0) for k in MONOMIALS])) for side in (a, b))
+    )
 
 
 class TestCTerms:
@@ -523,14 +546,12 @@ def _former_taylor_jet(rmap):
     residual = max(abs(s_out.value - fp.s), abs(r_out.value - fp.r))
     if residual > 1e-9:
         raise DomainError(f"point is not fixed (residual {residual:.3g})")
-    keys = MONOMIALS[1:]
-    return TaylorJet3(
-        a={k: s_out.coeff(*k) for k in keys}, b={k: r_out.coeff(*k) for k in keys}
-    )
+    return TaylorJet3(s_out, r_out)
 
 
 def _bits(jet: TaylorJet3) -> bytes:
-    return np.array([jet.a[k] for k in MONOMIALS[1:]] + [jet.b[k] for k in MONOMIALS[1:]]).tobytes()
+    """All 20 coefficients, constant terms included."""
+    return np.concatenate([jet.s.c, jet.r.c]).tobytes()
 
 
 def _use_former_products(monkeypatch):
@@ -575,12 +596,17 @@ class TestBatchedPushMatchesFormerRoute:
 
     def test_grid_with_skips_bit_equal_to_per_point_pushes(self, monkeypatch):
         grid = [(n, eps) for n in (2, 3, 4, 5, 7, 12, 20) for eps in (1e-4, 3e-3, 0.3, 1.2, 2.9, 2.95)]
-        rmaps = []
+        rmaps, refused = [], {}
         for n, eps in grid:
             try:
                 rmaps.append(ReducedMap(n, eps))
-            except (DomainError, SingularConfigurationError):
-                pass  # refused before any push, as in the scan
+            except (DomainError, SingularConfigurationError) as exc:
+                refused[(n, eps)] = exc  # refused before any push, as in the scan
+        assert all(type(refused[(3, eps)]) is DomainError for eps in (2.9, 2.95))
+        # points the push refuses, amid the others: not fixed, and off the
+        # arccos domain
+        rmaps[3:3] = [ShiftedMap(3, 0.01, 0.01, 0.0)]
+        rmaps[9:9] = [ShiftedMap(5, 1e-3, 0.0, 2.0), ShiftedMap(7, 3e-3, 0.0, -1.5)]
         batched = taylor_jet(rmaps)
         _use_former_products(monkeypatch)
         kinds = set()
@@ -598,13 +624,106 @@ class TestBatchedPushMatchesFormerRoute:
                 kinds.add("jet")
                 assert isinstance(got, TaylorJet3), (rmap.n, rmap.epsilon, got)
                 assert _bits(got) == _bits(want), (rmap.n, rmap.epsilon)
-        assert {"jet", "off domain"} <= kinds
-        assert len(rmaps) < len(grid)  # some points never reach the push
+        assert kinds == {"jet", "not fixed", "off domain"}
+        assert len(rmaps) - 3 < len(grid)  # some points never reach the push
 
     def test_single_map_is_the_batch_of_one(self):
         rmaps = [ReducedMap(n, eps) for n, eps in ((3, 0.01), (5, 1e-3), (10, 1e-4))]
         for rmap, jet in zip(rmaps, taylor_jet(rmaps)):
             assert _bits(taylor_jet(rmap)) == _bits(jet)
+        with pytest.raises(DomainError, match=r"pi - pi/n"):
+            ReducedMap(3, 2.9)
         with pytest.raises(NoCollisionError):
-            taylor_jet(ReducedMap(3, 2.9))
+            taylor_jet(ShiftedMap(3, 0.01, 0.0, 2.0))
         assert taylor_jet([]) == []
+
+
+# ---------------------------------------------------------------------------
+# the jet pair against the former dict-based Taylor data
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _DictTaylorJet3:
+    """``TaylorJet3`` as it was: the 18 non-constant coefficients copied out of
+    the pushed jets into two (i, j)-keyed dicts."""
+
+    a: dict
+    b: dict
+
+    def trace(self) -> float:
+        return self.a[(1, 0)] + self.b[(0, 1)]
+
+    @staticmethod
+    def from_jets(s_jet: Jet2, r_jet: Jet2) -> "_DictTaylorJet3":
+        keys = MONOMIALS[1:]
+        return _DictTaylorJet3(
+            a=dict(zip(keys, s_jet.c[1:].tolist())), b=dict(zip(keys, r_jet.c[1:].tolist()))
+        )
+
+
+def _dict_c_terms(jet: _DictTaylorJet3) -> tuple[float, float, float]:
+    """``c_terms`` as it was, reading the dicts."""
+    a, b = jet.a, jet.b
+    a10, a01 = a[(1, 0)], a[(0, 1)]
+    b10 = b[(1, 0)]
+    if not a01 * b10 < 0.0:
+        raise NonEllipticNormalizationError(
+            f"need a01*b10 < 0, got a01={a01!r}, b10={b10!r}"
+        )
+    im_c21 = (
+        a10
+        * (
+            -a[(1, 2)]
+            + 3.0 * b10 * a[(0, 3)] / a01
+            - 3.0 * a01 * b[(3, 0)] / b10
+            + b[(1, 2)]
+        )
+        - b10
+        * (
+            a[(1, 2)]
+            - 3.0 * a01 * a[(3, 0)] / b10
+            - a01 * b[(2, 1)] / b10
+            + 3.0 * b[(0, 3)]
+        )
+    ) / 8.0
+    sq_ab = math.sqrt(-a01 / b10)
+    sq_ba = math.sqrt(-b10 / a01)
+    plus_a = (b10 / a01) * a[(0, 2)] + a[(2, 0)] + b[(1, 1)]
+    plus_b = (a01 / b10) * b[(2, 0)] + b[(0, 2)] + a[(1, 1)]
+    minus_a = (b10 / a01) * a[(0, 2)] + a[(2, 0)] - b[(1, 1)]
+    minus_b = (a01 / b10) * b[(2, 0)] + b[(0, 2)] - a[(1, 1)]
+    abs_c20_sq = (sq_ab * plus_a**2 + sq_ba * plus_b**2) / 16.0
+    abs_c02_sq = (sq_ab * minus_a**2 + sq_ba * minus_b**2) / 16.0
+    return im_c21, abs_c20_sq, abs_c02_sq
+
+
+def _report_or_refusal(jet):
+    try:
+        return repr(birkhoff_A(jet))
+    except (ClassificationError, ResonanceError, NonEllipticNormalizationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestJetPairMatchesDictRoute:
+    def test_twist_reports_bit_equal_on_a_twist_grid(self, monkeypatch):
+        import annular_billiards.birkhoff as bk
+
+        # detuning ladders inside the elliptic window, as a twist scan has
+        # them, plus points past it that birkhoff_A refuses
+        rmaps = [
+            ReducedMap(n, e)
+            for n in range(3, 21)
+            for e in [epsilon_star(n) * 0.05 * 0.5**i for i in range(8)]
+            + [epsilon_star(n) * f for f in (0.5, 1.2, 2.0)]
+        ]
+        jets = taylor_jet(rmaps)
+        assert all(isinstance(jet, TaylorJet3) for jet in jets)
+        got = [_report_or_refusal(jet) for jet in jets]
+        monkeypatch.setattr(bk, "c_terms", _dict_c_terms)
+        want = [_report_or_refusal(_DictTaylorJet3.from_jets(*jet)) for jet in jets]
+        assert got == want
+        assert sum(text.startswith("BirkhoffReport(") for text in got) >= 8 * 18
+        assert any(text.startswith("ClassificationError") for text in got)
+        for jet in jets:
+            assert jet.trace() == _DictTaylorJet3.from_jets(*jet).trace()

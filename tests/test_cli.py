@@ -141,6 +141,7 @@ class TestParsing:
             (["orbit", "--n", "5", "--k", "2", "--R", "5"], "InvalidTableError"),
             (["orbit", "--n", "5", "--k", "4"], "DomainError"),
             (["region", "--n", "2"], "DomainError"),
+            (["section", "--n", "3", "--eps", "2.9"], "DomainError"),
         ],
     )
     def test_refused_single_result_exits_2(self, tmp_path, capsys, args, error):
@@ -259,12 +260,12 @@ class TestBirkhoffCommand:
         assert "DomainError" in text.splitlines()[-1]
 
     def test_off_domain_point_skips_without_ending_the_scan(self, tmp_path):
-        # at n = 3, eps >= ~2.88 an arccos argument of the jet push leaves
-        # (-1, 1); that point alone is refused
+        # at n = 3, eps >= pi - pi/n puts theta0 = pi/n + eps past pi; that
+        # point alone is refused, before any jet push
         text = run(tmp_path, "bk_far.csv", ["birkhoff", "--n", "3", "--eps", "0.001,2.9,0.0005"])
         rows = [l.split(",", 6) for l in text.splitlines() if l and not l.startswith("#")][1:]
         assert [r[1] for r in rows] == ["0.001", "2.8999999999999999", "0.00050000000000000001"]
-        assert rows[1][6].startswith("NoCollisionError: ") and rows[1][3] == ""
+        assert rows[1][6].startswith("DomainError: need epsilon < pi - pi/n") and rows[1][3] == ""
         for r in (rows[0], rows[2]):
             assert r[6] == "" and float(r[3]) > 0.0
 
