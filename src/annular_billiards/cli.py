@@ -222,28 +222,33 @@ def region_svg(deltas, r_min, r_delta) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _stability_point(args) -> dict:
-    n, k, R, delta = args
-    row = {"n": n, "k": k, "R": R, "delta": delta}
-    try:
-        params = TableParams.type_a(n, k, R, delta)
-        orbit = build_type_a(params)
-        closed = trace_closed_form(n, k, R, delta)
-        numeric = float(np.trace(monodromy(orbit)))
-        row.update(
-            trace_closed=closed,
-            trace_numeric=numeric,
-            classification=classify(closed).value,
-            skip_reason="",
-        )
-    except BilliardError as exc:
-        row.update(
-            trace_closed="",
-            trace_numeric="",
-            classification="",
-            skip_reason=f"{type(exc).__name__}: {exc}",
-        )
-    return row
+def _stability_rows(rows: list[dict], tables: list[TableParams], refusals: list) -> None:
+    """Fill the rows of a stability scan.  ``refusals[i]`` is the
+    ``BilliardError`` that refused row i's table, or None where the row's
+    table is next in ``tables``; every such table is built, checked and
+    linearised in one batch, and a row refused on the way gets the refusal
+    as its ``skip_reason``."""
+    matrices, errors = monodromy(build_type_a(tables)) if tables else ((), ())
+    outcomes = iter(zip(matrices, errors))
+    for row, refusal in zip(rows, refusals):
+        M, error = next(outcomes) if refusal is None else (None, refusal)
+        try:
+            if error is not None:
+                raise error
+            closed = trace_closed_form(row["n"], row["k"], row["R"], row["delta"])
+            row.update(
+                trace_closed=closed,
+                trace_numeric=float(np.trace(M)),
+                classification=classify(closed).value,
+                skip_reason="",
+            )
+        except BilliardError as exc:
+            row.update(
+                trace_closed="",
+                trace_numeric="",
+                classification="",
+                skip_reason=f"{type(exc).__name__}: {exc}",
+            )
 
 
 def _birkhoff_point(n: int, eps: float, jet) -> dict:
@@ -281,22 +286,27 @@ def _birkhoff_point(n: int, eps: float, jet) -> dict:
 
 def cmd_stability(spec: ScanSpec) -> int:
     p = spec.params
-    points = []
+    rows, tables, refusals = [], [], []
     for n in p["n"]:
         for k in p["k"]:
-            if k < 1 or 2 * k > n or math.gcd(k, n) != 1:
-                continue
             for delta in p["delta"]:
                 rs = p["R"]
                 if not rs:
                     try:
                         cap = max_radius(n, k, delta)
-                    except BilliardError:
+                    except BilliardError as exc:
+                        rows.append({"n": n, "k": k, "R": "", "delta": delta})
+                        refusals.append(exc)
                         continue
                     rs = list(np.linspace(0.05 * cap, cap, 25))
                 for R in rs:
-                    points.append((n, k, R, delta))
-    rows = [_stability_point(point) for point in points]
+                    rows.append({"n": n, "k": k, "R": R, "delta": delta})
+                    try:
+                        tables.append(TableParams.type_a(n, k, R, delta))
+                        refusals.append(None)
+                    except BilliardError as exc:
+                        refusals.append(exc)
+    _stability_rows(rows, tables, refusals)
     summary = {"points": len(rows), "skipped": sum(1 for r in rows if r["skip_reason"])}
     cols = ["n", "k", "R", "delta", "trace_closed", "trace_numeric", "classification", "skip_reason"]
     return write_table(spec, cols, rows, summary)

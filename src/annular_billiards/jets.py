@@ -67,6 +67,12 @@ class Jet2:
     # of a batch by element i of the array
     __array_ufunc__ = None
 
+    def __eq__(self, other):
+        """Equal coefficients (and batch shape), as one bool."""
+        if not isinstance(other, Jet2):
+            return NotImplemented
+        return np.array_equal(self.c, other.c)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassificationError, DomainError, GrazingError
+from .errors import ClassificationError, DomainError, GrazingError, only_column
 from .geometry import max_radius
-from .orbits import OrbitRecord
+from .orbits import OrbitBatch, OrbitRecord
 
 #: half-width of the parabolic dead zone around |trace| = 2
 CLASSIFY_TOL = 1e-9
@@ -83,10 +83,9 @@ def bounce_jacobian(tau, kappa, kappa1, theta, theta1) -> np.ndarray:
     stack of the same matrices (``np.sin`` equals ``math.sin`` bit for bit).
     """
     st1 = np.sin(theta1)
-    grazing = np.abs(st1) < 1e-12
-    if np.count_nonzero(grazing):
-        worst = float(np.asarray(st1)[grazing][0])
-        raise GrazingError(f"sin(theta1) = {worst!r} too close to zero")
+    (error,) = _grazing(np.reshape(st1, (-1, 1)))
+    if error is not None:
+        raise error
     st = np.sin(theta)
     entries = -np.array(
         [
@@ -97,6 +96,19 @@ def bounce_jacobian(tau, kappa, kappa1, theta, theta1) -> np.ndarray:
         ]
     )
     return entries.reshape(4, -1).T.reshape(entries.shape[1:] + (2, 2))
+
+
+def _grazing(st1: np.ndarray) -> tuple[GrazingError | None, ...]:
+    """Per column of st1 = sin(theta1), shape (bounces, m): the
+    ``GrazingError`` of its first bounce too close to tangential, or None."""
+    grazing = np.abs(st1) < 1e-12
+    if not grazing.any():
+        return (None,) * st1.shape[1]
+    first = np.argmax(grazing, axis=0)
+    return tuple(
+        GrazingError(f"sin(theta1) = {float(st1[i, j])!r} too close to zero") if hit else None
+        for j, (i, hit) in enumerate(zip(first.tolist(), grazing.any(axis=0).tolist()))
+    )
 
 
 def _diag(a, b) -> np.ndarray:
@@ -115,26 +127,43 @@ def bounce_jacobian_birkhoff(tau, kappa, kappa1, theta, theta1) -> np.ndarray:
     return _diag(1.0, st1) @ J @ _diag(1.0, 1.0 / st)
 
 
-def monodromy(orbit: OrbitRecord, birkhoff_frame: bool = False) -> np.ndarray:
+def monodromy(orbit, birkhoff_frame: bool = False):
     """Ordered product of the per-bounce Jacobians around a periodic orbit.
 
-    All bounce matrices come from one stacked call; the product is taken
-    one (2, 2) ``@`` per bounce, in orbit order.
+    For an ``OrbitBatch`` of m orbits, all bounce matrices come from one
+    stacked call, shape (period, m, 2, 2), and the product is taken one
+    stacked ``@`` per bounce, in orbit order, each column over its own
+    period.  It returns the (m, 2, 2) monodromies (NaN where refused)
+    beside the batch's ``errors`` with the ``GrazingError`` of each
+    column's first grazing bounce added.  An ``OrbitRecord`` is the batch of
+    one: it returns the matrix and raises its refusal.
     """
+    if isinstance(orbit, OrbitBatch):
+        return _monodromies(orbit, birkhoff_frame)
+    return only_column(*_monodromies(OrbitBatch.of(orbit), birkhoff_frame))
+
+
+def _monodromies(batch: OrbitBatch, birkhoff_frame: bool):
+    theta = batch.points.theta
+    theta1 = np.roll(theta, -1, axis=0)
+    errors = tuple(g if e is None else e for e, g in zip(batch.errors, _grazing(np.sin(theta1))))
+    live = np.flatnonzero([e is None for e in errors])
+    kappa = batch.curvatures[:, live]
     factory = bounce_jacobian_birkhoff if birkhoff_frame else bounce_jacobian
-    theta = [p.theta for p in orbit.points]
-    kappa = orbit.curvatures
     bounces = factory(
-        np.array(orbit.flights),
-        np.array(kappa),
-        np.array(kappa[1:] + kappa[:1]),
-        np.array(theta),
-        np.array(theta[1:] + theta[:1]),
+        batch.flights[:, live],
+        kappa,
+        np.roll(kappa, -1, axis=0),
+        theta[:, live],
+        theta1[:, live],
     )
-    M = np.eye(2)
-    for J in bounces:
-        M = J @ M
-    return M
+    periods = batch.periods[live][:, None, None]
+    M = np.tile(np.eye(2), (live.size, 1, 1))
+    for i, J in enumerate(bounces):
+        M = np.where(i < periods, J @ M, M)
+    out = np.full((len(errors), 2, 2), math.nan)
+    out[live] = M
+    return out, errors
 
 
 def stability_report(M: np.ndarray) -> StabilityReport:

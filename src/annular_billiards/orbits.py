@@ -3,23 +3,29 @@
 Both families close after 2n+2 collisions: n on the outer circle, one
 perpendicular hit on the scatterer (index n), the n outer collisions of the
 reversed path, and the second perpendicular hit (index 2n+1).
+
+Type (a) orbits are built and ray-traced together as the columns of an
+``OrbitBatch``; a single table is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .billiard_map import (
+    PhaseColumns,
     PhasePoint,
+    ScattererColumns,
     Wall,
     generic_step,
     phase_to_cartesian,
     wrap_pi,
+    wrap_pi_columns,
 )
-from .errors import InvalidTableError
+from .errors import BilliardError, InvalidTableError, only_column
 from .geometry import ScattererPose, TableConfig, TableParams, scatterer_pose
 
 #: maximum closure residual accepted when a constructed orbit is validated
@@ -47,9 +53,8 @@ class OrbitRecord:
 
     def cartesian_points(self) -> np.ndarray:
         """Collision points in the plane, shape (2n+2, 2)."""
-        return np.array(
-            [phase_to_cartesian(p, self.pose)[0] for p in self.points]
-        )
+        pos, _ = phase_to_cartesian(PhaseColumns.of(self.points), self.pose)
+        return np.column_stack(pos)
 
     def polyline(self) -> np.ndarray:
         """Closed polygonal trajectory for rendering, shape (2n+3, 2)."""
@@ -76,48 +81,148 @@ class OrbitRecord:
         }
 
 
-def _phase_gap(a: PhasePoint, b: PhasePoint) -> float:
-    """Chart distance between two states on the same wall."""
-    if a.wall is not b.wall:
-        return math.inf
-    ds = wrap_pi(a.s - b.s) if a.wall is Wall.OUTER else a.s - b.s
-    return max(abs(ds), abs(a.theta - b.theta))
+@dataclass(frozen=True)
+class OrbitBatch:
+    """m periodic orbits as columns.
+
+    Column j is an orbit of ``periods[j]`` collisions.  ``points`` fields,
+    ``flights`` and ``curvatures`` have shape (period, m), ``period`` being
+    the longest of them, with the meaning of the ``OrbitRecord`` fields; a
+    shorter orbit repeats down its column, so in every column row i + 1
+    (cyclically) holds the successor of row i.  ``pose`` holds one scatterer
+    per column, and ``errors[j]`` is the ``BilliardError`` that refuses
+    column j, or None.
+    """
+
+    params: tuple[TableParams, ...]
+    periods: np.ndarray
+    points: PhaseColumns
+    flights: np.ndarray
+    curvatures: np.ndarray
+    pose: ScattererColumns = field(repr=False)
+    errors: tuple[BilliardError | None, ...]
+
+    @property
+    def period(self) -> int:
+        """Rows of the batch: the longest period."""
+        return self.flights.shape[0]
+
+    @staticmethod
+    def of(orbit: OrbitRecord) -> "OrbitBatch":
+        """The batch of one orbit."""
+        pts = PhaseColumns.of(orbit.points)
+        return OrbitBatch(
+            (orbit.params,),
+            np.array([orbit.period]),
+            PhaseColumns(*(a[:, None] for a in pts)),
+            np.array(orbit.flights)[:, None],
+            np.array(orbit.curvatures)[:, None],
+            ScattererColumns(orbit.pose.center[:, None], np.array([orbit.pose.radius])),
+            (None,),
+        )
+
+    def orbit(self, j: int) -> OrbitRecord:
+        """Column j as an ``OrbitRecord``."""
+        period = int(self.periods[j])
+        pts = self.points.take(j)
+        return OrbitRecord(
+            self.params[j],
+            tuple(pts.point(i) for i in range(period)),
+            tuple(self.flights[:period, j].tolist()),
+            tuple(self.curvatures[:period, j].tolist()),
+            ScattererPose(self.pose.center[:, j], float(self.pose.radius[j])),
+        )
 
 
-def build_type_a(params: TableParams) -> OrbitRecord:
+def _phase_gap(a: PhaseColumns, b: PhaseColumns) -> np.ndarray:
+    """Chart distance between two states of each column; inf where they lie
+    on different walls."""
+    ds = a.s - b.s
+    ds = np.where(a.inner, ds, wrap_pi_columns(ds))
+    gap = np.maximum(np.abs(ds), np.abs(a.theta - b.theta))
+    return np.where(a.inner == b.inner, gap, math.inf)
+
+
+def build_type_a(params):
     """Construct the polygon-with-scatterer orbit from its closed-form geometry.
 
     The n outer collisions sit at angles s0 + 2jk*pi/n with s0 = -pi + k*pi/n
     and reflection angle k*pi/n; the reversed path revisits them with angle
     pi - k*pi/n.  The scatterer is hit perpendicularly from both sides of its
     chord, at arc parameters pi + R*pi/2 and pi - R*pi/2.
+
+    Given a non-empty list of tables, builds and ray-traces them all as one
+    ``OrbitBatch``, whatever their (n, k); a table refused on the way (no
+    pose, or no closure) carries its ``BilliardError`` in ``errors`` without
+    stopping the others.  A single table is the batch of one: it returns an
+    ``OrbitRecord`` and raises its refusal.
     """
-    if params.config is not TableConfig.TYPE_A:
-        raise InvalidTableError("build_type_a needs a type (a) table")
-    n, k, R, delta = params.n, params.k, params.R, params.delta
-    pose = scatterer_pose(params)
+    if not isinstance(params, TableParams):
+        return _build_type_a(params)
+    batch = _build_type_a([params])
+    only_column(batch.periods, batch.errors)  # raises the refusal, if any
+    return batch.orbit(0)
+
+
+def _build_type_a(params: list[TableParams]) -> OrbitBatch:
+    errors: list[BilliardError | None] = []
+    centers = []
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, p in enumerate(params):
+        groups.setdefault((p.n, p.k), []).append(j)
+        try:
+            if p.config is not TableConfig.TYPE_A:
+                raise InvalidTableError("build_type_a needs a type (a) table")
+            centers.append(scatterer_pose(p).center)
+            errors.append(None)
+        except BilliardError as exc:
+            centers.append((math.nan, math.nan))
+            errors.append(exc)
+    R = np.array([p.R for p in params], dtype=float)
+    delta = np.array([p.delta for p in params], dtype=float)
+    periods = np.array([2 * p.n + 2 for p in params])
+    shape = (int(periods.max()), len(params))
+    inner, s, th, flights = (np.empty(shape, dtype=bool), np.empty(shape), np.empty(shape), np.empty(shape))
+    for (n, k), cols in groups.items():
+        cyclic = np.arange(shape[0]) % (2 * n + 2)
+        for out, col in zip((inner, s, th, flights), _type_a_columns(n, k, R[cols], delta[cols])):
+            out[:, cols] = col[cyclic]
+    curv = np.where(inner, 1.0 / R, -1.0)
+    pose = ScattererColumns(np.array(centers, dtype=float).T, R)
+    batch = OrbitBatch(tuple(params), periods, PhaseColumns(inner, s, th), flights, curv, pose, tuple(errors))
+    residuals, errors = verify_closure(batch)
+    return replace(batch, errors=tuple(map(_closure_error, errors, residuals.tolist())))
+
+
+def _type_a_columns(n: int, k: int, R: np.ndarray, delta: np.ndarray):
+    """``inner``, ``s``, ``theta`` and flights of the (n, k) orbits with
+    radii R and displacements delta, shape (2n+2, len(R))."""
     theta = k * math.pi / n
     s0 = -math.pi + theta
-    outer_angles = [wrap_pi(s0 + 2.0 * j * theta) for j in range(n)]
+    outer = np.array([wrap_pi(s0 + 2.0 * j * theta) for j in range(n)])[:, None]
+    shape = (2 * n + 2, R.size)
+    inner = np.zeros(shape, dtype=bool)
+    inner[[n, 2 * n + 1]] = True
+    s = np.empty(shape)
+    s[:n] = outer
+    s[n] = math.pi + R * math.pi / 2.0
+    s[n + 1 : 2 * n + 1] = outer[::-1]
+    s[2 * n + 1] = math.pi - R * math.pi / 2.0
+    th = np.empty(shape)
+    th[:n] = theta
+    th[n + 1 : 2 * n + 1] = math.pi - theta
+    th[[n, 2 * n + 1]] = math.pi / 2.0
+    flights = np.full(shape, 2.0 * math.sin(theta))
+    flights[[n - 1, n]] = math.sin(theta) - R - delta
+    flights[[2 * n, 2 * n + 1]] = math.sin(theta) - R + delta
+    return inner, s, th, flights
 
-    pts: list[PhasePoint] = []
-    pts += [PhasePoint(Wall.OUTER, a, theta) for a in outer_angles]
-    pts.append(PhasePoint(Wall.INNER, math.pi + R * math.pi / 2.0, math.pi / 2.0))
-    pts += [
-        PhasePoint(Wall.OUTER, outer_angles[n - 1 - j], math.pi - theta)
-        for j in range(n)
-    ]
-    pts.append(PhasePoint(Wall.INNER, math.pi - R * math.pi / 2.0, math.pi / 2.0))
 
-    side = 2.0 * math.sin(theta)
-    near = math.sin(theta) - R - delta
-    far = math.sin(theta) - R + delta
-    flights = [side] * (n - 1) + [near, near] + [side] * (n - 1) + [far, far]
-
-    curv = [-1.0 if p.wall is Wall.OUTER else 1.0 / R for p in pts]
-    orbit = OrbitRecord(params, tuple(pts), tuple(flights), tuple(curv), pose)
-    _validate_orbit(orbit)
-    return orbit
+def _closure_error(error: BilliardError | None, residual: float) -> BilliardError | None:
+    """The refusal of an orbit: its tracer's, or a residual over ``CLOSURE_TOL``."""
+    if error is None and residual > CLOSURE_TOL:
+        return InvalidTableError(f"orbit closure residual {residual:.3g} exceeds {CLOSURE_TOL}")
+    return error
 
 
 def build_type_b(n: int, epsilon: float) -> OrbitRecord:
@@ -140,10 +245,9 @@ def build_type_b(n: int, epsilon: float) -> OrbitRecord:
         flights.append(res.flight)
         pts.append(res.point)
         p = res.point
-    if _phase_gap(pts[0], pts[-1]) > CLOSURE_TOL:
-        raise InvalidTableError(
-            f"type (b) orbit did not close (residual {_phase_gap(pts[0], pts[-1]):.3g})"
-        )
+    gap = float(_phase_gap(PhaseColumns.of(pts[:1]), PhaseColumns.of(pts[-1:]))[0])
+    if gap > CLOSURE_TOL:
+        raise InvalidTableError(f"type (b) orbit did not close (residual {gap:.3g})")
     pts = pts[:-1]
     if abs(pts[n].theta - math.pi / 2.0) > 1e-10 or abs(
         pts[2 * n + 1].theta - math.pi / 2.0
@@ -154,24 +258,48 @@ def build_type_b(n: int, epsilon: float) -> OrbitRecord:
     return OrbitRecord(params, tuple(pts), tuple(flights), tuple(curv), pose)
 
 
-def verify_closure(orbit: OrbitRecord) -> float:
+def verify_closure(orbit):
     """Residual of one full period of the Cartesian ray tracer.
 
     Returns the maximum chart distance between the stepped trajectory and the
     recorded points, including the return to points[0].
+
+    For an ``OrbitBatch``, steps every column at once, one ``generic_step``
+    per collision of the longest period, and returns the residuals (NaN
+    where refused) beside the batch's ``errors`` with each tracer refusal
+    added; a column the batch already refuses is not traced.  An
+    ``OrbitRecord`` is the batch of one: it returns a float and raises its
+    refusal.
     """
-    p = orbit.points[0]
-    worst = 0.0
-    m = orbit.period
-    for i in range(m):
-        res = generic_step(p, orbit.pose)
+    if isinstance(orbit, OrbitBatch):
+        return _residuals(orbit)
+    return float(only_column(*_residuals(OrbitBatch.of(orbit))))
+
+
+def _residuals(batch: OrbitBatch):
+    residuals = np.full(len(batch.errors), math.nan)
+    errors = list(batch.errors)
+    live = np.flatnonzero([e is None for e in errors])
+    pts = batch.points
+    p = PhaseColumns(*(a[0, live] for a in pts))
+    worst = np.zeros(live.size)
+    for i in range(batch.period):
+        going = batch.periods[live] > i
+        if not going.all():
+            # these columns are back at their first point
+            residuals[live[~going]] = worst[~going]
+            live, p, worst = live[going], p.take(going), worst[going]
+        if not live.size:
+            break
+        res = generic_step(p, batch.pose.take(live))
+        target = PhaseColumns(*(a[(i + 1) % batch.period, live] for a in pts))
+        gap = _phase_gap(res.point, target)
+        worst = np.where(gap > worst, gap, worst)
         p = res.point
-        target = orbit.points[(i + 1) % m]
-        worst = max(worst, _phase_gap(p, target))
-    return worst
-
-
-def _validate_orbit(orbit: OrbitRecord) -> None:
-    res = verify_closure(orbit)
-    if res > CLOSURE_TOL:
-        raise InvalidTableError(f"orbit closure residual {res:.3g} exceeds {CLOSURE_TOL}")
+        if res.errors.count(None) < live.size:
+            ok = np.array([e is None for e in res.errors])
+            for j in np.flatnonzero(~ok).tolist():
+                errors[live[j]] = res.errors[j]
+            live, p, worst = live[ok], p.take(ok), worst[ok]
+    residuals[live] = worst
+    return residuals, tuple(errors)

@@ -1,0 +1,449 @@
+"""The batched ray tracer, closure check and monodromy against the
+one-orbit-at-a-time route they replaced.
+
+The reference here is that route, kept inline on plain floats:
+``_scalar_step`` is the former ``generic_step``, ``_scalar_closure`` the
+former ``verify_closure`` and ``_scalar_monodromy`` the former
+``monodromy``.  A ``stability`` row's ``trace_numeric`` and ``skip_reason``
+must come out with the same bits and the same text either way, and a column
+that the batch refuses must be refused as that orbit alone would be.
+"""
+
+import importlib.util
+import json
+import math
+import sys
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from annular_billiards import cli
+from annular_billiards.billiard_map import (
+    MIN_FLIGHT,
+    PhaseColumns,
+    PhasePoint,
+    ScattererColumns,
+    Wall,
+    generic_step,
+    wrap_pi,
+)
+from annular_billiards.errors import (
+    BilliardError,
+    GrazingError,
+    InvalidTableError,
+    NoCollisionError,
+    TangencyWarning,
+)
+from annular_billiards.geometry import (
+    ScattererPose,
+    TableConfig,
+    TableParams,
+    max_radius,
+    scatterer_pose,
+)
+from annular_billiards.linear_stability import bounce_jacobian, classify, monodromy, trace_closed_form
+from annular_billiards.orbits import CLOSURE_TOL, build_type_a, build_type_b, verify_closure
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+# ---------------------------------------------------------------------------
+# the former plain-float route
+# ---------------------------------------------------------------------------
+
+
+def _scalar_cartesian(p, pose):
+    if p.wall is Wall.OUTER:
+        ang = p.s + p.theta
+        return (math.cos(p.s), math.sin(p.s)), (-math.sin(ang), math.cos(ang))
+    R = pose.radius
+    cx, cy = pose.center.tolist()
+    gamma = math.pi - (p.s - math.pi) / R
+    ang = gamma + p.theta
+    return (cx + R * math.cos(gamma), cy + R * math.sin(gamma)), (math.sin(ang), -math.cos(ang))
+
+
+def _scalar_times(pos, vel, center, radius):
+    dx = pos[0] - center[0]
+    dy = pos[1] - center[1]
+    b = vel[0] * dx + vel[1] * dy
+    c = (dx * dx + dy * dy) - radius * radius
+    disc = b * b - c
+    if disc < 0.0:
+        return []
+    if disc < 1e-14 and c > MIN_FLIGHT:
+        warnings.warn("tangential ray-circle contact skipped", TangencyWarning)
+        return []
+    sq = math.sqrt(disc)
+    return [t for t in (-b - sq, -b + sq) if t > MIN_FLIGHT]
+
+
+def _scalar_step(p, pose):
+    pos, vel = _scalar_cartesian(p, pose)
+    (px, py), (vx, vy) = pos, vel
+    times = _scalar_times(pos, vel, (0.0, 0.0), 1.0)
+    t, wall = (times[0], Wall.OUTER) if times else (math.inf, None)
+    if pose is not None:
+        R = pose.radius
+        cx, cy = center = pose.center.tolist()
+        times = _scalar_times(pos, vel, center, R)
+        if times and times[0] < t:
+            t, wall = times[0], Wall.INNER
+    if wall is None:
+        raise NoCollisionError("ray escapes both walls")
+    hx = px + t * vx
+    hy = py + t * vy
+    if wall is Wall.OUTER:
+        s1 = math.atan2(hy, hx)
+        nx, ny = -hx, -hy
+        tx, ty = -hy, hx
+    else:
+        nx = (hx - cx) / R
+        ny = (hy - cy) / R
+        gamma = math.atan2(ny, nx) % (2.0 * math.pi)
+        s1 = math.pi + R * (math.pi - gamma)
+        tx, ty = ny, -nx
+    k = 2.0 * (vx * nx + vy * ny)
+    wx = vx - k * nx
+    wy = vy - k * ny
+    theta1 = math.atan2(wx * nx + wy * ny, wx * tx + wy * ty)
+    if not 0.0 < theta1 < math.pi:
+        raise GrazingError(f"degenerate reflection angle {theta1!r}")
+    return PhasePoint(wall, s1, theta1), t
+
+
+def _scalar_gap(a, b):
+    if a.wall is not b.wall:
+        return math.inf
+    ds = wrap_pi(a.s - b.s) if a.wall is Wall.OUTER else a.s - b.s
+    return max(abs(ds), abs(a.theta - b.theta))
+
+
+def _scalar_closure(orbit):
+    p = orbit.points[0]
+    worst = 0.0
+    m = len(orbit.points)
+    for i in range(m):
+        p, _ = _scalar_step(p, orbit.pose)
+        worst = max(worst, _scalar_gap(p, orbit.points[(i + 1) % m]))
+    return worst
+
+
+def _scalar_type_a(params):
+    """Former ``build_type_a``: closed-form orbit, then the closure check."""
+    if params.config is not TableConfig.TYPE_A:
+        raise InvalidTableError("build_type_a needs a type (a) table")
+    n, k, R, delta = params.n, params.k, params.R, params.delta
+    pose = scatterer_pose(params)
+    theta = k * math.pi / n
+    s0 = -math.pi + theta
+    outer = [wrap_pi(s0 + 2.0 * j * theta) for j in range(n)]
+    pts = [PhasePoint(Wall.OUTER, a, theta) for a in outer]
+    pts.append(PhasePoint(Wall.INNER, math.pi + R * math.pi / 2.0, math.pi / 2.0))
+    pts += [PhasePoint(Wall.OUTER, outer[n - 1 - j], math.pi - theta) for j in range(n)]
+    pts.append(PhasePoint(Wall.INNER, math.pi - R * math.pi / 2.0, math.pi / 2.0))
+    side = 2.0 * math.sin(theta)
+    near = math.sin(theta) - R - delta
+    far = math.sin(theta) - R + delta
+    flights = [side] * (n - 1) + [near, near] + [side] * (n - 1) + [far, far]
+    curv = [-1.0 if p.wall is Wall.OUTER else 1.0 / R for p in pts]
+    orbit = _Orbit(tuple(pts), tuple(flights), tuple(curv), pose)
+    res = _scalar_closure(orbit)
+    if res > CLOSURE_TOL:
+        raise InvalidTableError(f"orbit closure residual {res:.3g} exceeds {CLOSURE_TOL}")
+    return orbit
+
+
+class _Orbit:
+    def __init__(self, points, flights, curvatures, pose):
+        self.points, self.flights, self.curvatures, self.pose = points, flights, curvatures, pose
+
+
+def _scalar_monodromy(orbit):
+    theta = [p.theta for p in orbit.points]
+    kappa = list(orbit.curvatures)
+    bounces = bounce_jacobian(
+        np.array(orbit.flights),
+        np.array(kappa),
+        np.array(kappa[1:] + kappa[:1]),
+        np.array(theta),
+        np.array(theta[1:] + theta[:1]),
+    )
+    M = np.eye(2)
+    for J in bounces:
+        M = J @ M
+    return M
+
+
+def _scalar_row(n, k, R, delta):
+    """(trace_numeric, skip_reason) of one stability row by the former route."""
+    try:
+        orbit = _scalar_type_a(TableParams.type_a(n, k, R, delta))
+        closed = trace_closed_form(n, k, R, delta)
+        numeric = float(np.trace(_scalar_monodromy(orbit)))
+        classify(closed)
+        return numeric, ""
+    except BilliardError as exc:
+        return "", f"{type(exc).__name__}: {exc}"
+
+
+def _outcome(fn, *args):
+    """The result of ``fn``, or the type and text of the error that refused it."""
+    try:
+        return fn(*args)
+    except BilliardError as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# stability rows
+# ---------------------------------------------------------------------------
+
+
+def _scan_requests(seed):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return [list(r.argv) for r in module.requests_for("stability-scan", seed)]
+
+
+def _pose_grid():
+    """Consecutive radii just below cap + GEOM_TOL at n = 5, k = 1: the
+    first pass every check, the next few pass the table check and are
+    refused by ``scatterer_pose`` alone, the rest by the table check."""
+    rs = []
+    for delta in (0.0, 0.01, 0.02):
+        R = max_radius(5, 1, delta) + 0.9997e-12
+        for _ in range(16):
+            R = math.nextafter(R, 1.0)
+            rs.append(R)
+    return ["stability", "--n", "5", "--k", "1", "--delta", "0,0.01,0.02", "--R", ",".join(map(repr, rs))]
+
+
+#: the n = 53, k = 6 grid: delta from 0 to half its cap, 25 default radii each
+_CAP_53_6 = math.cos(6 * math.pi / 53) * math.tan(math.pi / 53)
+GRIDS = {
+    **{f"seed7_{i}": argv for i, argv in enumerate(_scan_requests(7))},
+    "n53_k6": ["stability", "--n", "53", "--k", "6", "--delta", f"0:{0.5 * _CAP_53_6!r}:8"],
+    "n4_k1_residual": ["stability", "--n", "4", "--k", "1", "--R", "0.003", "--delta", "0.5"],
+    "pose": _pose_grid(),
+    # one batch of many periods, with inadmissible (n, k) pairs among them
+    "mixed_periods": ["stability", "--n", "3:40:38", "--k", "1,2,3", "--delta", "0,0.01", "--R", "0.004,0.01"],
+    "mixed_default_radii": ["stability", "--n", "4,5,7,12,21", "--k", "1,2,4", "--delta", "0.005"],
+}
+
+
+def _rows(argv, tmp_path):
+    out = tmp_path / "rows.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TangencyWarning)
+        assert cli.main(argv + ["--format", "json", "--out", str(out)]) == 0
+    return json.loads(out.read_text())["rows"]
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_stability_rows_match_the_scalar_route(grid, tmp_path):
+    rows = _rows(GRIDS[grid], tmp_path)
+    reasons = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TangencyWarning)
+        for row in rows:
+            if row["R"] == "":
+                # no radius grid: max_radius refused this (n, k, delta)
+                error, text = _outcome(max_radius, row["n"], row["k"], row["delta"])
+                numeric, reason = "", f"{error.__name__}: {text}"
+            else:
+                numeric, reason = _scalar_row(row["n"], row["k"], row["R"], row["delta"])
+            assert row["trace_numeric"] == numeric, row
+            assert row["skip_reason"] == reason, row
+            reasons.append(reason)
+    # each grid reaches the refusals it is here for
+    closure = sum("closure residual" in r for r in reasons)
+    if grid == "n53_k6":
+        assert len(rows) == 200 and closure > 0
+    if grid == "n4_k1_residual":
+        assert reasons == ["InvalidTableError: orbit closure residual 1.11e-09 exceeds 1e-09"]
+    if grid.startswith("mixed"):
+        assert len({(r["n"], r["k"]) for r, why in zip(rows, reasons) if not why}) > 4
+        assert any(why.startswith(("InvalidTableError: need 1 <= k", "DomainError: need n >= 5")) for why in reasons)
+    if grid == "pose":
+        assert any("pokes out" in r for r in reasons)
+        assert any("exceeds the admissible maximum" in r for r in reasons)
+        assert any(r == "" for r in reasons)
+
+
+# ---------------------------------------------------------------------------
+# orbits and single steps
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_type_b_orbit_matches_the_scalar_route(n):
+    from annular_billiards.linear_stability import epsilon_star
+
+    eps = 0.3 * epsilon_star(n)
+    orbit = build_type_b(n, eps)
+    p = orbit.points[0]
+    for i in range(orbit.period):
+        q, flight = _scalar_step(p, orbit.pose)
+        assert flight == orbit.flights[i]
+        if i + 1 < orbit.period:
+            assert q == orbit.points[i + 1]
+        p = q
+    assert verify_closure(orbit) == _scalar_closure(orbit)
+    assert np.array_equal(monodromy(orbit), _scalar_monodromy(orbit))
+
+
+def _grazing_state(pose, s):
+    """An outer-wall state at arc length s whose ray passes the scatterer at
+    distance sqrt(R^2 - 5e-15), a skipped grazing contact."""
+    R = pose.radius
+    cx, cy = pose.center.tolist()
+    dx, dy = cx - math.cos(s), cy - math.sin(s)
+    off = math.asin(math.sqrt(R * R - 5e-15) / math.hypot(dx, dy))
+    theta = math.atan2(dy, dx) + off - s - math.pi / 2.0
+    return PhasePoint(Wall.OUTER, s, theta % (2.0 * math.pi))
+
+
+def _column_states(pose, rng, count):
+    """Outer and inner states: ordinary, near-tangent launches (some refused
+    with NoCollisionError or GrazingError) and grazing contacts."""
+    R = pose.radius
+    tiny = 10.0 ** rng.uniform(-15.0, -6.0, count)
+    theta = np.where(rng.random(count) < 0.5, tiny, math.pi - tiny)
+    theta[: count // 2] = rng.uniform(1e-3, math.pi - 1e-3, count // 2)
+    outer = [PhasePoint(Wall.OUTER, s, t) for s, t in zip(rng.uniform(-math.pi, math.pi, count).tolist(), theta.tolist())]
+    g = rng.uniform(0.0, 2.0 * math.pi, count)
+    inner = [PhasePoint(Wall.INNER, math.pi + R * (math.pi - a), t) for a, t in zip(g.tolist(), theta.tolist())]
+    return outer + inner + [_grazing_state(pose, s) for s in (0.9, 1.0, 1.1)]
+
+
+def _counted(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, sum(issubclass(w.category, TangencyWarning) for w in caught)
+
+
+def test_batched_step_matches_the_scalar_step_column_by_column():
+    rng = np.random.default_rng(5)
+    tables = [build_type_b(4, 0.01), build_type_a(TableParams.type_a(5, 1, 0.15, 0.02))]
+    states, centers, radii = [], [], []
+    for orbit in tables:
+        batch = _column_states(orbit.pose, rng, 300) + list(orbit.points)
+        states += batch
+        centers += [orbit.pose.center] * len(batch)
+        radii += [orbit.pose.radius] * len(batch)
+    pose = ScattererColumns(np.array(centers).T, np.array(radii))
+    res, warned = _counted(generic_step, PhaseColumns.of(states), pose)
+    assert len(res.errors) == len(states)
+
+    def reference():
+        return [_outcome(_scalar_step, p, ScattererPose(c, r)) for p, c, r in zip(states, centers, radii)]
+
+    want, want_warned = _counted(reference)
+    assert warned == want_warned >= 6
+    seen = set()
+    for j, expected in enumerate(want):
+        if isinstance(expected[0], type):
+            exc = res.errors[j]
+            assert (type(exc), str(exc)) == expected, states[j]
+            seen.add(expected[0])
+            continue
+        assert res.errors[j] is None, states[j]
+        assert res.point.point(j) == expected[0], states[j]
+        assert res.flight[j] == expected[1], states[j]
+        seen.add(expected[0].wall)
+    assert seen == {NoCollisionError, GrazingError, Wall.OUTER, Wall.INNER}
+
+
+def test_a_grazing_column_warns_once_per_skipped_contact():
+    orbit = build_type_b(4, 0.01)
+    graze = [_grazing_state(orbit.pose, s) for s in (0.9, 1.0, 1.1)]
+    for p in graze:
+        _, warned = _counted(_outcome, _scalar_step, p, orbit.pose)
+        assert warned == 1
+    cols = PhaseColumns.of(graze + list(orbit.points) + graze[:1])
+    res, warned = _counted(generic_step, cols, orbit.pose)
+    assert warned == 4
+    assert res.errors == (None,) * len(cols.s)
+    for p in graze:
+        assert _counted(generic_step, p, orbit.pose) == _counted(_scalar_step, p, orbit.pose)
+
+
+# ---------------------------------------------------------------------------
+# batch refusals
+# ---------------------------------------------------------------------------
+
+
+def test_closure_refuses_columns_as_the_scalar_route_does():
+    params = [TableParams.type_a(5, 1, R, 0.02) for R in np.linspace(0.05, 0.15, 12).tolist()]
+    batch = build_type_a(params)
+    assert batch.period == 12 and batch.errors == (None,) * 12
+    # knock the start state of most columns off the orbit: small kicks leave
+    # a finite residual, larger ones miss the scatterer (a wrong wall, then
+    # further steps), and a launch almost along the wall finds no wall
+    kicks = [0.0, 1e-9, 1e-6, 1e-3, 1e-2, 0.05, 0.1, 0.2, 0.4, -0.2, -0.4]
+    theta = batch.points.theta.copy()
+    theta[0, : len(kicks)] += kicks
+    theta[0, -1] = 1e-13
+    kicked = replace(batch, points=batch.points._replace(theta=theta))
+    (residuals, errors), warned = _counted(verify_closure, kicked)
+
+    def reference():
+        return [_outcome(_scalar_closure, kicked.orbit(j)) for j in range(len(params))]
+
+    want, want_warned = _counted(reference)
+    assert warned == want_warned
+    got = [(type(e), str(e)) if e is not None else r for e, r in zip(errors, residuals.tolist())]
+    assert got == want
+    assert math.inf in got and any(0.0 < g < math.inf for g in want if not isinstance(g, tuple))
+    assert (NoCollisionError, "ray escapes both walls") in want
+    assert all(math.isnan(r) for e, r in zip(errors, residuals.tolist()) if e is not None)
+    # a column the batch already refuses is not traced again
+    refused = replace(kicked, errors=(InvalidTableError("refused"),) + kicked.errors[1:])
+    residuals, errors = verify_closure(refused)
+    assert str(errors[0]) == "refused" and math.isnan(residuals[0])
+
+
+def test_monodromy_refuses_a_grazing_column_alone():
+    params = [TableParams.type_a(7, 2, R, 0.0) for R in (0.02, 0.03, 0.04)]
+    batch = build_type_a(params)
+    theta = batch.points.theta.copy()
+    theta[5, 1] = 1e-13
+    grazing = replace(batch, points=batch.points._replace(theta=theta))
+    matrices, errors = monodromy(grazing)
+    for j, (M, error) in enumerate(zip(matrices, errors)):
+        want = _outcome(_scalar_monodromy, grazing.orbit(j))
+        if j == 1:
+            assert (type(error), str(error)) == want == (GrazingError, "sin(theta1) = 1e-13 too close to zero")
+            assert np.isnan(M).all()
+        else:
+            assert error is None and np.array_equal(M, want)
+    with pytest.raises(GrazingError, match=r"sin\(theta1\) = 1e-13 "):
+        monodromy(grazing.orbit(1))
+
+
+def test_a_batch_of_many_periods_matches_each_orbit_alone():
+    tables = [
+        TableParams.type_a(n, k, f * max_radius(n, k, delta), delta)
+        for n, k, delta, f in [(5, 2, 0.01, 0.5), (3, 1, 0.0, 0.3), (21, 4, 0.02, 0.7), (4, 1, 0.03, 0.9), (5, 1, 0.0, 0.2)]
+    ]
+    batch = build_type_a(tables)
+    assert batch.periods.tolist() == [12, 8, 44, 10, 12] and batch.period == 44
+    assert batch.errors == (None,) * len(tables)
+    residuals, _ = verify_closure(batch)
+    matrices, errors = monodromy(batch)
+    assert errors == batch.errors
+    for j, table in enumerate(tables):
+        alone = _scalar_type_a(table)
+        orbit = batch.orbit(j)
+        assert (orbit.points, orbit.flights, orbit.curvatures) == (alone.points, alone.flights, alone.curvatures)
+        assert np.array_equal(orbit.pose.center, alone.pose.center) and orbit.pose.radius == alone.pose.radius
+        assert residuals[j] == _scalar_closure(alone)
+        assert np.array_equal(matrices[j], _scalar_monodromy(alone))

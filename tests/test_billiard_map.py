@@ -295,12 +295,13 @@ class TestGenericStep:
 
         R = 0.2
         h = math.sqrt(R * R - 5e-15)
-        pos = np.array([0.0, 0.0])
-        vel = np.array([1.0, 0.0])
-        center = np.array([2.0, h])
+        # one ray per column: (x, y) of the launch points and velocities
+        pos = (np.array([0.0]), np.array([0.0]))
+        vel = (np.array([1.0]), np.array([0.0]))
+        center = (2.0, h)
         with pytest.warns(TangencyWarning):
             times = _ray_circle_times(pos, vel, center, R)
-        assert times == []
+        assert times.tolist() == [math.inf]
 
 
 def _vector_step(p: PhasePoint, pose):

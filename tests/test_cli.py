@@ -186,6 +186,39 @@ class TestStability:
         assert len(rows) == 1
         assert "InvalidTableError" in rows[0]
 
+    def test_inadmissible_pair_gets_a_row_per_point(self, tmp_path):
+        # gcd(6, 2) = 2: each requested point is refused by the table check
+        doc = json.loads(run(
+            tmp_path,
+            "pair.json",
+            ["stability", "--n", "6", "--k", "2", "--delta", "0.01", "--R", "0.1,0.2", "--format", "json"],
+        ))
+        assert [(r["R"], r["delta"]) for r in doc["rows"]] == [(0.1, 0.01), (0.2, 0.01)]
+        reason = "InvalidTableError: need 1 <= k <= n/2 coprime with n, got k=2, n=6"
+        assert [r["skip_reason"] for r in doc["rows"]] == [reason, reason]
+        assert doc["summary"] == {"points": 2, "skipped": 2}
+
+    def test_refused_radius_cap_gets_a_row_per_delta(self, tmp_path):
+        # without --R the radii come from max_radius; where it refuses, the
+        # delta gets one row with R left empty
+        doc = json.loads(run(
+            tmp_path,
+            "cap.json",
+            ["stability", "--n", "6", "--k", "2", "--delta", "0.01,0.02", "--format", "json"],
+        ))
+        assert [(r["R"], r["delta"]) for r in doc["rows"]] == [("", 0.01), ("", 0.02)]
+        assert {r["skip_reason"] for r in doc["rows"]} == {"DomainError: need gcd(k, n) = 1, got n=6, k=2"}
+        # k = 1 with one displacement past sin(pi/n): 25 radii, then the refusal
+        doc = json.loads(run(
+            tmp_path,
+            "cap1.json",
+            ["stability", "--n", "5", "--k", "1", "--delta", "0.01,0.7", "--format", "json"],
+        ))
+        rows = doc["rows"]
+        assert len(rows) == 26 and not any(r["skip_reason"] for r in rows[:25])
+        assert rows[25]["R"] == "" and rows[25]["delta"] == 0.7
+        assert rows[25]["skip_reason"].startswith("DomainError: need 0 <= delta < sin(pi/n)")
+
     def test_json_schema(self, tmp_path):
         text = run(
             tmp_path,

@@ -149,3 +149,18 @@ def test_truncation_drops_degree_four():
     x = Jet2.variable(0.0, 0)
     f = (x * x) * (x * x)  # x^4 truncates to zero
     assert np.allclose(f.c, 0.0)
+
+
+def test_equality_is_one_bool_for_single_and_batched_jets():
+    from annular_billiards.birkhoff import ReducedMap, taylor_jet
+
+    assert Jet2(np.zeros(10)) == Jet2(np.zeros(10))
+    assert Jet2.variable(0.3, 0) != Jet2.variable(0.3, 1)
+    batch = Jet2.variable(np.array([0.1, 0.2]), 0)
+    assert batch == Jet2.variable(np.array([0.1, 0.2]), 0)
+    assert batch != Jet2.variable(np.array([0.1, 0.25]), 0)
+    assert batch != Jet2.variable(0.1, 0)  # a batch of two is not one jet
+    assert Jet2.constant(1.0) != 1.0
+    rmap = ReducedMap(4, 0.01)
+    assert taylor_jet(rmap) == taylor_jet(rmap)
+    assert taylor_jet(rmap) != taylor_jet(ReducedMap(4, 0.02))
