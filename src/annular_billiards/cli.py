@@ -140,7 +140,7 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def write_csv(spec: ScanSpec, columns: list[str], rows: list[dict], summary: dict) -> None:
+def write_csv(spec: ScanSpec, columns: dict[str, list], summary: dict) -> None:
     lines = [
         f"# annular-billiards {__version__}",
         f"# spec: {json.dumps(spec.echo(), sort_keys=True)}",
@@ -148,8 +148,7 @@ def write_csv(spec: ScanSpec, columns: list[str], rows: list[dict], summary: dic
     for key, val in sorted(summary.items()):
         lines.append(f"# summary {key}: {_fmt(val)}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(c, "")) for c in columns))
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns.values(), strict=True))
     _write_text(spec.out, "\n".join(lines) + "\n")
 
 
@@ -158,13 +157,14 @@ def write_json(spec: ScanSpec, rows: list[dict], summary: dict) -> None:
     _write_text(spec.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def write_table(spec: ScanSpec, columns: list[str], rows: list[dict], summary: dict) -> int:
-    """Write a scan in the requested text format (svg is refused at parse
-    time for commands without a renderer)."""
+def write_table(spec: ScanSpec, columns: dict[str, list], summary: dict) -> int:
+    """Write a table of named, equally long columns in the requested text
+    format (svg is refused at parse time for commands without a renderer)."""
     if spec.fmt == "json":
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values(), strict=True)]
         write_json(spec, rows, summary)
     else:
-        write_csv(spec, columns, rows, summary)
+        write_csv(spec, columns, summary)
     return 0
 
 
@@ -218,65 +218,46 @@ def region_svg(deltas, r_min, r_delta) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scan workers: one row per grid point
+# scan workers: one outcome per grid point
 # ---------------------------------------------------------------------------
 
 
-def _stability_rows(rows: list[dict], tables: list[TableParams], refusals: list) -> None:
-    """Fill the rows of a stability scan.  ``refusals[i]`` is the
-    ``BilliardError`` that refused row i's table, or None where the row's
+def _stability_outcomes(points: list[tuple], tables: list[TableParams], refusals: list) -> list[tuple]:
+    """(trace_closed, trace_numeric, classification, skip_reason) of each
+    (n, k, R, delta) point of a stability scan.  ``refusals[i]`` is the
+    ``BilliardError`` that refused point i's table, or None where the point's
     table is next in ``tables``; every such table is built, checked and
-    linearised in one batch, and a row refused on the way gets the refusal
+    linearised in one batch, and a point refused on the way gets the refusal
     as its ``skip_reason``."""
     matrices, errors = monodromy(build_type_a(tables)) if tables else ((), ())
     outcomes = iter(zip(matrices, errors))
-    for row, refusal in zip(rows, refusals):
+    out = []
+    for (n, k, R, delta), refusal in zip(points, refusals):
         M, error = next(outcomes) if refusal is None else (None, refusal)
         try:
             if error is not None:
                 raise error
-            closed = trace_closed_form(row["n"], row["k"], row["R"], row["delta"])
-            row.update(
-                trace_closed=closed,
-                trace_numeric=float(np.trace(M)),
-                classification=classify(closed).value,
-                skip_reason="",
-            )
+            closed = trace_closed_form(n, k, R, delta)
+            out.append((closed, float(np.trace(M)), classify(closed).value, ""))
         except BilliardError as exc:
-            row.update(
-                trace_closed="",
-                trace_numeric="",
-                classification="",
-                skip_reason=f"{type(exc).__name__}: {exc}",
-            )
+            out.append(("", "", "", f"{type(exc).__name__}: {exc}"))
+    return out
 
 
-def _birkhoff_point(n: int, eps: float, jet) -> dict:
-    """One twist-scan row from the point's Taylor data, or from the
-    ``BilliardError`` that refused the point."""
-    row = {"n": n, "eps": eps}
+def _birkhoff_point(n: int, eps: float, jet) -> tuple:
+    """(mu, A_numeric, A_closed_leading, skip_reason) of one twist-scan point
+    from its Taylor data, or from the ``BilliardError`` that refused it."""
     try:
         if isinstance(jet, BilliardError):
             raise jet
         report = birkhoff_A(jet)
-        row.update(
-            mu=report.mu,
-            A_numeric=report.A,
-            A_closed_leading=closed_form_A(n, eps),
-            skip_reason="",
-        )
+        return report.mu, report.A, closed_form_A(n, eps), ""
     except BilliardError as exc:
         try:
             closed = closed_form_A(n, eps)
         except BilliardError:
             closed = ""
-        row.update(
-            mu="",
-            A_numeric="",
-            A_closed_leading=closed,
-            skip_reason=f"{type(exc).__name__}: {exc}",
-        )
-    return row
+        return "", "", closed, f"{type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +267,7 @@ def _birkhoff_point(n: int, eps: float, jet) -> dict:
 
 def cmd_stability(spec: ScanSpec) -> int:
     p = spec.params
-    rows, tables, refusals = [], [], []
+    points, tables, refusals = [], [], []
     for n in p["n"]:
         for k in p["k"]:
             for delta in p["delta"]:
@@ -295,21 +276,25 @@ def cmd_stability(spec: ScanSpec) -> int:
                     try:
                         cap = max_radius(n, k, delta)
                     except BilliardError as exc:
-                        rows.append({"n": n, "k": k, "R": "", "delta": delta})
+                        points.append((n, k, "", delta))
                         refusals.append(exc)
                         continue
                     rs = list(np.linspace(0.05 * cap, cap, 25))
                 for R in rs:
-                    rows.append({"n": n, "k": k, "R": R, "delta": delta})
+                    points.append((n, k, R, delta))
                     try:
                         tables.append(TableParams.type_a(n, k, R, delta))
                         refusals.append(None)
                     except BilliardError as exc:
                         refusals.append(exc)
-    _stability_rows(rows, tables, refusals)
-    summary = {"points": len(rows), "skipped": sum(1 for r in rows if r["skip_reason"])}
-    cols = ["n", "k", "R", "delta", "trace_closed", "trace_numeric", "classification", "skip_reason"]
-    return write_table(spec, cols, rows, summary)
+    ns, ks, radii, deltas = zip(*points)
+    closed, numeric, kinds, reasons = zip(*_stability_outcomes(points, tables, refusals))
+    columns = {
+        "n": ns, "k": ks, "R": radii, "delta": deltas,
+        "trace_closed": closed, "trace_numeric": numeric, "classification": kinds, "skip_reason": reasons,
+    }
+    summary = {"points": len(points), "skipped": sum(map(bool, reasons))}
+    return write_table(spec, columns, summary)
 
 
 def cmd_region(spec: ScanSpec) -> int:
@@ -320,15 +305,14 @@ def cmd_region(spec: ScanSpec) -> int:
     deltas = list(np.linspace(0.0, min(1.25 * dstar, 0.999 * math.sin(math.pi / n)), count))
     r_min = [bifurcation_radius(n, 1, d) for d in deltas]
     r_del = [max_radius_delta(n, d) for d in deltas]
-    rows = [
-        {"delta": d, "R_min": rm, "R_delta": rd, "stable_window": rd > rm}
-        for d, rm, rd in zip(deltas, r_min, r_del)
-    ]
-    summary = {"n": n, "delta_star": dstar}
     if spec.fmt == "svg":
         _write_text(spec.out, region_svg(deltas, r_min, r_del))
         return 0
-    return write_table(spec, ["delta", "R_min", "R_delta", "stable_window"], rows, summary)
+    columns = {
+        "delta": deltas, "R_min": r_min, "R_delta": r_del,
+        "stable_window": [rd > rm for rm, rd in zip(r_min, r_del)],
+    }
+    return write_table(spec, columns, {"n": n, "delta_star": dstar})
 
 
 def _extrapolate_ladder(eps: list[float], vals: list[float]) -> float | None:
@@ -363,26 +347,24 @@ def cmd_birkhoff(spec: ScanSpec) -> int:
         except BilliardError as exc:
             rmaps.append(exc)
     jets = iter(taylor_jet([m for m in rmaps if isinstance(m, ReducedMap)]))
-    rows = [
+    mu, a_numeric, a_leading, reasons = zip(*(
         _birkhoff_point(n, eps, m if isinstance(m, BilliardError) else next(jets))
         for (n, eps), m in zip(points, rmaps)
-    ]
-    summary: dict = {"points": len(rows)}
+    ))
+    summary: dict = {"points": len(points)}
+    a_tilde = {}
     for n in p["n"]:
-        sub = [r for r in rows if r["n"] == n]
-        at = _extrapolate_ladder(
-            [r["eps"] for r in sub],
-            [r["A_numeric"] for r in sub],
-        )
-        for r in sub:
-            r["A_tilde"] = at if at is not None else ""
-        summary[f"A_tilde_n{n}"] = at if at is not None else ""
+        at = _extrapolate_ladder(p["eps"], [a for (m, _), a in zip(points, a_numeric) if m == n])
+        a_tilde[n] = summary[f"A_tilde_n{n}"] = at if at is not None else ""
         try:
             summary[f"A_tilde_closed_n{n}"] = twist_limit(n)
         except BilliardError:
             summary[f"A_tilde_closed_n{n}"] = ""
-    cols = ["n", "eps", "mu", "A_numeric", "A_closed_leading", "A_tilde", "skip_reason"]
-    return write_table(spec, cols, rows, summary)
+    columns = {
+        "n": [n for n, _ in points], "eps": [e for _, e in points], "mu": mu, "A_numeric": a_numeric,
+        "A_closed_leading": a_leading, "A_tilde": [a_tilde[n] for n, _ in points], "skip_reason": reasons,
+    }
+    return write_table(spec, columns, summary)
 
 
 def cmd_orbit(spec: ScanSpec) -> int:
@@ -400,12 +382,11 @@ def cmd_orbit(spec: ScanSpec) -> int:
         orbit = build_type_a(TableParams.type_a(n, k, R, delta))
     if spec.fmt == "svg":
         _write_text(spec.out, orbit_svg(orbit))
-    elif spec.fmt == "csv":
-        rows = [{"x": x, "y": y} for x, y in orbit.polyline()]
-        write_csv(spec, ["x", "y"], rows, {"closure_residual": verify_closure(orbit)})
-    else:
-        write_json(spec, [orbit.to_json_dict()], {})
-    return 0
+        return 0
+    if spec.fmt == "csv":
+        x, y = orbit.polyline().T.tolist()
+        return write_table(spec, {"x": x, "y": y}, {"closure_residual": verify_closure(orbit)})
+    return write_table(spec, {key: [value] for key, value in orbit.to_json_dict().items()}, {})
 
 
 def cmd_section(spec: ScanSpec) -> int:
@@ -418,7 +399,6 @@ def cmd_section(spec: ScanSpec) -> int:
     report, cloud = island_sampler(
         n, eps, radius, iters, seeds=seeds, seed=spec.seed, collect=True
     )
-    rows = [{"s": float(s), "r": float(r)} for s, r in cloud]
     summary = {
         "n": n,
         "eps": eps,
@@ -429,29 +409,20 @@ def cmd_section(spec: ScanSpec) -> int:
         "escape_seed": report.escape_seed if report.escaped else "",
         "escape_iteration": report.escape_iteration if report.escaped else "",
     }
-    return write_table(spec, ["s", "r"], rows, summary)
+    return write_table(spec, {"s": cloud[:, 0].tolist(), "r": cloud[:, 1].tolist()}, summary)
 
 
 def cmd_lemma(spec: ScanSpec) -> int:
     p = spec.params
-    xs = p.get("x") or list(np.geomspace(1.01, 1e4, 400))
-    rows = []
-    prev = None
-    monotone = True
-    for x in xs:
-        fx = lemma_f(float(x))
-        if prev is not None and fx <= prev:
-            monotone = False
-        prev = fx
-        rows.append({"x": float(x), "f": fx, "max_k": math.floor(fx)})
-    nk = {k: min_period_for_k(k) for k in range(2, 8)}
+    xs = [float(x) for x in (p.get("x") or np.geomspace(1.01, 1e4, 400))]
+    fs = [lemma_f(x) for x in xs]
     summary = {
-        "monotone_on_grid": monotone,
-        "sup_f_on_grid": max(r["f"] for r in rows),
+        "monotone_on_grid": all(b > a for a, b in zip(fs, fs[1:])),
+        "sup_f_on_grid": max(fs),
         "bound_two_pi": 2.0 * math.pi,
-        **{f"n_{k}": (v if v is not None else "none") for k, v in nk.items()},
+        **{f"n_{k}": min_period_for_k(k) or "none" for k in range(2, 8)},
     }
-    return write_table(spec, ["x", "f", "max_k"], rows, summary)
+    return write_table(spec, {"x": xs, "f": fs, "max_k": [math.floor(f) for f in fs]}, summary)
 
 
 # ---------------------------------------------------------------------------
