@@ -1,10 +1,13 @@
 """Command-line surface: stability scans, bifurcation regions, twist-coefficient
 curves, orbit rendering, section clouds, and the winding-number bound.
 
-Every emitted table is reproducible from its own header: the tool version,
-the full parameter spec, and the RNG seed are echoed in comment lines (CSV)
-or the ``spec`` object (JSON).  Numbers are printed with 17 significant
-digits so a round trip through text is exact.
+Each subcommand states its contract once, in ``COMMANDS``: the flags it
+reads, with their types and defaults, and its output formats.  A flag it
+does not read is a usage error.  Every emitted table is reproducible from its
+own header: the tool version and the value of every flag the subcommand
+reads (the RNG seed among them, for ``section``) are echoed in comment lines
+(CSV) or the ``spec`` object (JSON).  Numbers are printed with 17
+significant digits so a round trip through text is exact.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -56,13 +60,13 @@ JSON_SCHEMA = {
 
 @dataclass
 class ScanSpec:
-    """Parsed command description, echoed verbatim into every output."""
+    """A parsed request: the subcommand and the values of the flags it reads,
+    echoed verbatim into every output, then where and how to write."""
 
     command: str
-    params: dict = field(default_factory=dict)
-    fmt: str = "csv"
-    out: str | None = None
-    seed: int = 0
+    params: dict
+    fmt: str
+    out: str | None
 
     def echo(self) -> dict:
         return {
@@ -70,7 +74,6 @@ class ScanSpec:
             "version": __version__,
             "command": self.command,
             "params": self.params,
-            "seed": self.seed,
         }
 
 
@@ -133,6 +136,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cell(value) -> str:
+    """One CSV cell as ``_fmt`` writes it, quoted where it holds a comma, a
+    quote or a newline; a float never does, so it is formatted first."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_text(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -140,7 +154,7 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def write_csv(spec: ScanSpec, columns: dict[str, list], summary: dict) -> None:
+def write_csv(spec: ScanSpec, columns: dict[str, Sequence], summary: dict) -> None:
     lines = [
         f"# annular-billiards {__version__}",
         f"# spec: {json.dumps(spec.echo(), sort_keys=True)}",
@@ -148,7 +162,7 @@ def write_csv(spec: ScanSpec, columns: dict[str, list], summary: dict) -> None:
     for key, val in sorted(summary.items()):
         lines.append(f"# summary {key}: {_fmt(val)}")
     lines.append(",".join(columns))
-    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns.values(), strict=True))
+    lines.extend(map(",".join, zip(*[map(_cell, column) for column in columns.values()], strict=True)))
     _write_text(spec.out, "\n".join(lines) + "\n")
 
 
@@ -157,7 +171,7 @@ def write_json(spec: ScanSpec, rows: list[dict], summary: dict) -> None:
     _write_text(spec.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def write_table(spec: ScanSpec, columns: dict[str, list], summary: dict) -> int:
+def write_table(spec: ScanSpec, columns: dict[str, Sequence], summary: dict) -> int:
     """Write a table of named, equally long columns in the requested text
     format (svg is refused at parse time for commands without a renderer)."""
     if spec.fmt == "json":
@@ -272,7 +286,7 @@ def cmd_stability(spec: ScanSpec) -> int:
         for k in p["k"]:
             for delta in p["delta"]:
                 rs = p["R"]
-                if not rs:
+                if rs is None:
                     try:
                         cap = max_radius(n, k, delta)
                     except BilliardError as exc:
@@ -300,9 +314,8 @@ def cmd_stability(spec: ScanSpec) -> int:
 def cmd_region(spec: ScanSpec) -> int:
     p = spec.params
     n = p["n"][0]
-    count = int(p.get("count", 400))
     dstar = delta_star(n)
-    deltas = list(np.linspace(0.0, min(1.25 * dstar, 0.999 * math.sin(math.pi / n)), count))
+    deltas = list(np.linspace(0.0, min(1.25 * dstar, 0.999 * math.sin(math.pi / n)), p["count"]))
     r_min = [bifurcation_radius(n, 1, d) for d in deltas]
     r_del = [max_radius_delta(n, d) for d in deltas]
     if spec.fmt == "svg":
@@ -370,15 +383,11 @@ def cmd_birkhoff(spec: ScanSpec) -> int:
 def cmd_orbit(spec: ScanSpec) -> int:
     p = spec.params
     n = p["n"][0]
-    if p["eps"]:
+    if p["eps"] is not None:
         orbit = build_type_b(n, p["eps"][0])
     else:
-        k = p["k"][0]
-        delta = p["delta"][0] if p["delta"] else 0.0
-        if p["R"]:
-            R = p["R"][0]
-        else:
-            R = 0.5 * max_radius(n, k, delta)
+        k, delta = p["k"][0], p["delta"][0]
+        R = p["R"][0] if p["R"] is not None else 0.5 * max_radius(n, k, delta)
         orbit = build_type_a(TableParams.type_a(n, k, R, delta))
     if spec.fmt == "svg":
         _write_text(spec.out, orbit_svg(orbit))
@@ -393,12 +402,8 @@ def cmd_section(spec: ScanSpec) -> int:
     p = spec.params
     n = p["n"][0]
     eps = p["eps"][0]
-    radius = p.get("radius", 1e-4)
-    iters = int(p.get("iterations", 10000))
-    seeds = int(p.get("seeds", 8))
-    report, cloud = island_sampler(
-        n, eps, radius, iters, seeds=seeds, seed=spec.seed, collect=True
-    )
+    radius, iters = p["radius"], p["iterations"]
+    report, cloud = island_sampler(n, eps, radius, iters, seeds=p["seeds"], seed=p["seed"], collect=True)
     summary = {
         "n": n,
         "eps": eps,
@@ -414,7 +419,7 @@ def cmd_section(spec: ScanSpec) -> int:
 
 def cmd_lemma(spec: ScanSpec) -> int:
     p = spec.params
-    xs = [float(x) for x in (p.get("x") or np.geomspace(1.01, 1e4, 400))]
+    xs = [float(x) for x in (p["x"] or np.geomspace(1.01, 1e4, 400))]
     fs = [lemma_f(x) for x in xs]
     summary = {
         "monotone_on_grid": all(b > a for a, b in zip(fs, fs[1:])),
@@ -430,28 +435,62 @@ def cmd_lemma(spec: ScanSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: subcommands with an svg renderer
-SVG_COMMANDS = ("region", "orbit")
-
-#: flags of which a subcommand reads only one value
-SINGLE_VALUE_FLAGS = {
-    "region": ("n",),
-    "orbit": ("n", "k", "R", "delta", "eps"),
-    "section": ("n", "eps"),
-}
-
 _INTS = partial(parse_values, cast=int)
 
 
-def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    sub.add_argument("--n", type=_INTS, default=[], help="value, list, or start:stop:count")
-    sub.add_argument("--k", type=_INTS, default=[1])
-    sub.add_argument("--R", type=parse_values, default=[])
-    sub.add_argument("--delta", type=parse_values, default=[0.0])
-    sub.add_argument("--eps", type=parse_values, default=[])
-    sub.add_argument("--format", dest="fmt", choices=formats, default="csv")
-    sub.add_argument("--out", type=str, default=None, help="output path ('-' = stdout)")
-    sub.add_argument("--seed", type=int, default=0)
+@dataclass(frozen=True)
+class Flag:
+    """A flag that a subcommand reads: its argparse ``type`` and default.
+
+    A ``single`` flag parses a list but takes one value; a ``required`` flag
+    has no default.
+    """
+
+    type: Callable
+    default: object = None
+    single: bool = False
+    required: bool = False
+
+
+@dataclass(frozen=True)
+class Contract:
+    """A subcommand: what runs it, the flags it reads and its formats."""
+
+    run: Callable[[ScanSpec], int]
+    help: str
+    flags: dict[str, Flag]
+    formats: tuple[str, ...] = ("csv", "json")
+
+
+_N = Flag(_INTS, required=True)
+_ONE_N = Flag(_INTS, single=True, required=True)
+_SVG = ("csv", "json", "svg")
+
+#: every subcommand's contract; the parser, the checks in ``_spec_error`` and
+#: the echoed params all come from it
+COMMANDS = {
+    "stability": Contract(cmd_stability, "trace scan over (n, k, R, delta) tables", {
+        "n": _N, "k": Flag(_INTS, [1]), "R": Flag(parse_values), "delta": Flag(parse_values, [0.0]),
+    }),
+    "region": Contract(cmd_region, "stable-radius window versus displacement (k = 1)", {
+        "n": _ONE_N, "count": Flag(positive_int, 400),
+    }, _SVG),
+    "birkhoff": Contract(cmd_birkhoff, "twist coefficient over (n, eps) with ladder extrapolation", {
+        "n": _N, "eps": Flag(parse_values, required=True),
+    }),
+    "orbit": Contract(cmd_orbit, "construct and render one periodic orbit", {
+        "n": _ONE_N, "k": Flag(_INTS, [1], single=True), "R": Flag(parse_values, single=True),
+        "delta": Flag(parse_values, [0.0], single=True), "eps": Flag(parse_values, single=True),
+    }, _SVG),
+    "section": Contract(cmd_section, "iterate the period map near the tangent orbit", {
+        "n": _ONE_N, "eps": Flag(parse_values, single=True, required=True),
+        "radius": Flag(nonnegative_float, 1e-4), "iterations": Flag(positive_int, 10000),
+        "seeds": Flag(positive_int, 8), "seed": Flag(int, 0),
+    }),
+    "lemma": Contract(cmd_lemma, "winding-number bound function f and the n_k table", {
+        "x": Flag(parse_values),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,63 +500,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("stability", "trace scan over (n, k, R, delta) tables"),
-        ("region", "stable-radius window versus displacement (k = 1)"),
-        ("birkhoff", "twist coefficient over (n, eps) with ladder extrapolation"),
-        ("orbit", "construct and render one periodic orbit"),
-        ("section", "iterate the period map near the tangent orbit"),
-        ("lemma", "winding-number bound function f and the n_k table"),
-    ):
-        sub = subs.add_parser(name, help=helptext)
-        _add_common(sub, ("csv", "json", "svg") if name in SVG_COMMANDS else ("csv", "json"))
-        if name == "section":
-            sub.add_argument("--radius", type=nonnegative_float, default=1e-4)
-            sub.add_argument("--iterations", type=positive_int, default=10000)
-            sub.add_argument("--seeds", type=positive_int, default=8)
-        if name == "region":
-            sub.add_argument("--count", type=positive_int, default=400)
-        if name == "lemma":
-            sub.add_argument("--x", type=parse_values, default=None)
+    for name, contract in COMMANDS.items():
+        sub = subs.add_parser(
+            name, help=contract.help, epilog="numeric flags take a value, a comma list, or start:stop:count"
+        )
+        for flag, spec in contract.flags.items():
+            sub.add_argument(f"--{flag}", type=spec.type, default=spec.default)
+        sub.add_argument("--format", dest="fmt", choices=contract.formats, default="csv")
+        sub.add_argument("--out", type=str, default=None, help="output path ('-' = stdout)")
     return parser
-
-
-def spec_from_args(args: argparse.Namespace) -> ScanSpec:
-    params: dict = {flag: getattr(args, flag) for flag in ("n", "k", "R", "delta", "eps")}
-    for extra in ("radius", "iterations", "seeds", "count"):
-        if hasattr(args, extra):
-            params[extra] = getattr(args, extra)
-    if getattr(args, "x", None):
-        params["x"] = args.x
-    return ScanSpec(
-        command=args.command,
-        params=params,
-        fmt=args.fmt,
-        out=args.out,
-        seed=args.seed,
-    )
-
-
-_COMMANDS = {
-    "stability": cmd_stability,
-    "region": cmd_region,
-    "birkhoff": cmd_birkhoff,
-    "orbit": cmd_orbit,
-    "section": cmd_section,
-    "lemma": cmd_lemma,
-}
 
 
 def _spec_error(spec: ScanSpec) -> str | None:
     """Why a parsed request cannot run as given, or None."""
-    p = spec.params
-    if spec.command != "lemma" and not p["n"]:
-        return "--n is required"
-    if spec.command == "section" and not p["eps"]:
-        return "section needs --eps"
-    for flag in SINGLE_VALUE_FLAGS.get(spec.command, ()):
-        if len(p[flag]) > 1:
-            return f"{spec.command} takes a single --{flag} value, got {len(p[flag])}"
+    p, flags = spec.params, COMMANDS[spec.command].flags
+    for name, flag in flags.items():
+        if flag.required and p[name] is None:
+            return f"{spec.command} needs --{name}"
+        if flag.single and p[name] is not None and len(p[name]) > 1:
+            return f"{spec.command} takes a single --{name} value, got {len(p[name])}"
+    if spec.command == "orbit" and p["eps"] is not None:
+        mixed = [f"--{name}" for name in ("k", "R", "delta") if p[name] != flags[name].default]
+        if mixed:
+            return f"orbit --eps builds the tangent-table orbit, which takes no {', '.join(mixed)}"
     if spec.command == "birkhoff":
         # the ladder extrapolation divides by differences of detunings, and a
         # repeated n would pool two ladders into one
@@ -529,13 +534,14 @@ def _spec_error(spec: ScanSpec) -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    spec = spec_from_args(args)
+    params = {name: getattr(args, name) for name in COMMANDS[args.command].flags}
+    spec = ScanSpec(args.command, params, args.fmt, args.out)
     error = _spec_error(spec)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[spec.command](spec)
+        return COMMANDS[spec.command].run(spec)
     except BilliardError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

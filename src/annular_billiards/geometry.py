@@ -137,6 +137,8 @@ class TableParams:
              collision point indexed n-1 (type (a) only)
     epsilon  reflection-angle detuning (type (b) only)
     config   TYPE_A or TYPE_B
+
+    Construction runs ``validate``, so every instance is an admissible table.
     """
 
     n: int
@@ -146,20 +148,19 @@ class TableParams:
     epsilon: float
     config: TableConfig
 
+    def __post_init__(self):
+        self.validate()
+
     @staticmethod
     def type_a(n: int, k: int, R: float, delta: float = 0.0) -> "TableParams":
-        p = TableParams(n=n, k=k, R=R, delta=delta, epsilon=0.0, config=TableConfig.TYPE_A)
-        p.validate()
-        return p
+        return TableParams(n=n, k=k, R=R, delta=delta, epsilon=0.0, config=TableConfig.TYPE_A)
 
     @staticmethod
     def type_b(n: int, epsilon: float) -> "TableParams":
         if epsilon <= 0.0:
             raise InvalidTableError(f"type (b) needs epsilon > 0, got {epsilon}")
         r = tangency_radius_b(n, epsilon)
-        p = TableParams(n=n, k=1, R=r, delta=0.0, epsilon=epsilon, config=TableConfig.TYPE_B)
-        p.validate()
-        return p
+        return TableParams(n=n, k=1, R=r, delta=0.0, epsilon=epsilon, config=TableConfig.TYPE_B)
 
     @property
     def theta0(self) -> float:
@@ -193,6 +194,11 @@ class TableParams:
                 f"R={self.R:.6g} exceeds the admissible maximum {cap:.6g} "
                 f"for n={n}, k={k}, delta={self.delta:.6g}"
             )
+        if k > 1 and self.R >= max_radius_star(n, k, self.delta):
+            raise InvalidTableError(
+                f"R={self.R:.6g} touches another chord of the orbit "
+                f"for n={n}, k={k}, delta={self.delta:.6g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -222,7 +228,6 @@ def scatterer_pose(params: TableParams) -> ScattererPose:
     Type (b): center on the negative x-axis at distance 1 - R_b (tangent to
     the unit circle at (-1, 0)).
     """
-    params.validate()
     if params.config is TableConfig.TYPE_B:
         pose = ScattererPose(center=(-(1.0 - params.R), 0.0), radius=params.R)
     else:

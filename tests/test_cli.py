@@ -1,12 +1,15 @@
 """End-to-end runs of every subcommand with reproducibility checks."""
 
+import csv
 import json
 import math
+import warnings
 
 import jsonschema
 import pytest
 
 from annular_billiards.cli import JSON_SCHEMA, main, parse_values
+from annular_billiards.errors import TangencyWarning
 
 
 def run(tmp_path, name, args):
@@ -14,6 +17,12 @@ def run(tmp_path, name, args):
     rc = main(args + ["--out", str(out)])
     assert rc == 0
     return out.read_text()
+
+
+def csv_table(text):
+    """Header and rows of a CLI CSV, read as any CSV reader reads them."""
+    header, *rows = csv.reader(l for l in text.splitlines() if not l.startswith("#"))
+    return header, rows
 
 
 class TestParsing:
@@ -60,6 +69,62 @@ class TestParsing:
         assert main(args + ["--out", str(tmp_path / "x")]) == 2
         assert "single" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["region", "--n", "7", "--k", "2"],
+            ["region", "--n", "7", "--delta", "0.01"],
+            ["birkhoff", "--n", "3", "--eps", "0.01", "--R", "0.1"],
+            ["stability", "--n", "5", "--eps", "0.1"],
+            ["stability", "--n", "5", "--seed", "3"],
+            ["section", "--n", "3", "--eps", "0.02", "--k", "2"],
+            ["orbit", "--n", "5", "--seed", "3"],
+            ["lemma", "--n", "5"],
+        ],
+    )
+    def test_unread_flags_exit_with_usage(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "args,params",
+        [
+            (["stability", "--n", "5", "--R", "0.1"], {"n", "k", "R", "delta"}),
+            (["region", "--n", "5", "--count", "3"], {"n", "count"}),
+            (["birkhoff", "--n", "3", "--eps", "0.01"], {"n", "eps"}),
+            (["orbit", "--n", "5"], {"n", "k", "R", "delta", "eps"}),
+            (["section", "--n", "3", "--eps", "0.02", "--iterations", "2"],
+             {"n", "eps", "radius", "iterations", "seeds", "seed"}),
+            (["lemma", "--x", "2"], {"x"}),
+        ],
+    )
+    def test_spec_echoes_the_flags_read(self, tmp_path, args, params):
+        doc = json.loads(run(tmp_path, "spec.json", args + ["--format", "json"]))
+        assert set(doc["spec"]) == {"tool", "version", "command", "params"}
+        assert set(doc["spec"]["params"]) == params
+
+    @pytest.mark.parametrize(
+        "args,mixed",
+        [
+            (["--k", "2", "--R", "0.1"], "--k, --R"),
+            (["--delta", "0.01"], "--delta"),
+        ],
+    )
+    def test_orbit_refuses_mixed_families(self, tmp_path, capsys, args, mixed):
+        assert main(["orbit", "--n", "3", "--eps", "0.01", *args, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: orbit --eps builds the tangent-table orbit, which takes no {mixed}")
+        assert not (tmp_path / "x").exists()
+        # the default values of the type (a) flags may be given
+        assert main(["orbit", "--n", "3", "--eps", "0.01", "--k", "1", "--delta", "0", "--out", str(tmp_path / "y")]) == 0
+
+    def test_birkhoff_needs_eps(self, capsys):
+        assert main(["birkhoff", "--n", "3"]) == 2
+        assert "--eps" in capsys.readouterr().err
 
     def test_section_needs_eps(self, capsys):
         assert main(["section", "--n", "3"]) == 2
@@ -219,6 +284,20 @@ class TestStability:
         assert rows[25]["R"] == "" and rows[25]["delta"] == 0.7
         assert rows[25]["skip_reason"].startswith("DomainError: need 0 <= delta < sin(pi/n)")
 
+    def test_default_grid_refuses_a_scatterer_touching_another_chord(self, tmp_path):
+        # the default grid ends at max_radius, where for k >= 2 the scatterer
+        # touches another chord of the orbit: a skip row, and no grazing ray
+        from annular_billiards.geometry import max_radius
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TangencyWarning)
+            doc = json.loads(run(tmp_path, "touch.json", ["stability", "--n", "5", "--k", "2", "--delta", "0.01", "--format", "json"]))
+        rows = doc["rows"]
+        assert len(rows) == 25 and doc["summary"] == {"points": 25, "skipped": 1}
+        assert rows[-1]["R"] == max_radius(5, 2, 0.01) == 0.20401492639946961
+        assert rows[-1]["skip_reason"].startswith("InvalidTableError: R=0.204015 touches another chord")
+        assert rows[-1]["classification"] == "" and not any(r["skip_reason"] for r in rows[:-1])
+
     def test_json_schema(self, tmp_path):
         text = run(
             tmp_path,
@@ -248,6 +327,28 @@ class TestStability:
         rows = [l.split(",") for l in text.splitlines() if l and not l.startswith("#")][1:]
         assert len(rows) == 1
         assert rows[0][6] == "" and rows[0][7].startswith("ClassificationError")
+
+
+class TestTables:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # the last two rows are refused with messages that hold commas
+            ["stability", "--n", "5,6", "--k", "2", "--delta", "0.01", "--R", "0.1,0.2"],
+            ["birkhoff", "--n", "3,40", "--eps", "0.001,0.0005"],
+            ["region", "--n", "5", "--count", "7"],
+            ["section", "--n", "3", "--eps", "0.02", "--iterations", "20", "--seeds", "3"],
+            ["lemma", "--x", "1.5,2,1e3"],
+        ],
+    )
+    def test_csv_and_json_carry_the_same_table(self, tmp_path, args):
+        header, rows = csv_table(run(tmp_path, "t.csv", args))
+        doc = json.loads(run(tmp_path, "t.json", args + ["--format", "json"]))
+        assert rows and all(len(row) == len(header) for row in rows)
+        cells = [[f"{r[c]:.17g}" if isinstance(r[c], float) else str(r[c]) for c in header] for r in doc["rows"]]
+        assert rows == cells
+        if args[0] == "stability":
+            assert "," in rows[-1][-1]
 
 
 class TestRegion:
@@ -296,7 +397,7 @@ class TestBirkhoffCommand:
         # at n = 3, eps >= pi - pi/n puts theta0 = pi/n + eps past pi; that
         # point alone is refused, before any jet push
         text = run(tmp_path, "bk_far.csv", ["birkhoff", "--n", "3", "--eps", "0.001,2.9,0.0005"])
-        rows = [l.split(",", 6) for l in text.splitlines() if l and not l.startswith("#")][1:]
+        _, rows = csv_table(text)
         assert [r[1] for r in rows] == ["0.001", "2.8999999999999999", "0.00050000000000000001"]
         assert rows[1][6].startswith("DomainError: need epsilon < pi - pi/n") and rows[1][3] == ""
         for r in (rows[0], rows[2]):

@@ -215,3 +215,26 @@ class TestTableParams:
             TableParams.type_a(3, 1, 0.0, 0.0)
         with pytest.raises(InvalidTableError):
             TableParams.type_a(3, 1, 0.75, 0.0)  # past the cusp radius
+
+    def test_star_radius_touching_another_chord_is_refused(self):
+        # at max_radius_star the scatterer touches the nearest other chord
+        # of the orbit; k = 1 has no such chord and keeps its disk cap
+        for n, k, delta in [(5, 2, 0.0), (5, 2, 0.01), (7, 3, 0.002)]:
+            cap = max_radius_star(n, k, delta)
+            with pytest.raises(InvalidTableError, match="touches another chord"):
+                TableParams.type_a(n, k, cap, delta)
+            TableParams.type_a(n, k, math.nextafter(cap, 0.0), delta)
+        TableParams.type_a(5, 1, max_radius(5, 1, 0.01), 0.01)
+
+    def test_direct_construction_is_validated(self):
+        with pytest.raises(InvalidTableError):
+            TableParams(n=6, k=2, R=0.05, delta=0.0, epsilon=0.0, config=TableConfig.TYPE_A)
+
+    def test_validated_once_per_table(self, monkeypatch):
+        calls = []
+        validate = TableParams.validate
+        monkeypatch.setattr(TableParams, "validate", lambda self: calls.append(self) or validate(self))
+        params = TableParams.type_a(5, 2, 0.1, 0.01)
+        scatterer_pose(params)
+        TableParams.type_b(4, 0.01)
+        assert len(calls) == 2

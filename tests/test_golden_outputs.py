@@ -44,28 +44,28 @@ SVG = ("region_readme", "orbit_star_readme")
 
 #: sha256 of each output
 GOLDEN = {
-    "birkhoff_readme.csv": "2bca8fe479b8c2f40cd96a993015c54a2bcdabdbbb141410c078ece7880c7bf6",
-    "birkhoff_readme.json": "7d09be99025420d00f6bb32f7301a09ae6a073638e2cd64e80d6316e425994df",
-    "island_section.csv": "bf2500b0edb395a5454a4beb169e1d7e7cec224f74b7f544ba9bfb206018f5e0",
-    "island_section.json": "8b954081cfc4ebb3af9141e5b07a815dced891bcb024c3d2b15e6d34bdb14c3b",
-    "lemma_readme.csv": "99ca5fe43d7dd746cc7fa81fe0a982e6ec6bd947b3a1bfc9d122d25f026f7bc8",
-    "lemma_readme.json": "2dbc900a5f58446be9d8dd7640c0d1aae4c50cafac0a84247904b2924382f110",
-    "orbit_star_readme.csv": "e12853f80468ce41823d88b17da1c7371764bed196ba3a0b0a29f5eebe249347",
-    "orbit_star_readme.json": "cbc6e2c7a9013ae52a71b3f879fba15465cc77eec821a5619f304dcc701893f0",
+    "birkhoff_readme.csv": "bcda506151efdef983feec61fd3467d43fba53e8a14979a1592919e20089b22b",
+    "birkhoff_readme.json": "4fe6034775afa1e51411bdbad93f21ec56f111437e246fcc7c286af0ac458942",
+    "island_section.csv": "e3e81106383fa0e090acb6bb3785b0792980b9a2a7048746f55d8abdabb5a409",
+    "island_section.json": "3aa85d92bb5d2ebe6ea656b90b81a4739c2df3c8483296031473c6ab4ae192fb",
+    "lemma_readme.csv": "161a0298f4ddcacd888242b919eddf4b757836f9d7b209aa36c1f171f6eb6b0f",
+    "lemma_readme.json": "7547e27e1d340d2978f83e25b420aa0253b5f850b853dcbd6aeceff0645afc58",
+    "orbit_star_readme.csv": "45e3d2ed17e3f6ddcf4b6346115c25a82aa4ef46c4fa6f3a40e4bd2ee265426b",
+    "orbit_star_readme.json": "145e0bd9bc021b7816980abcc1eab9f1c1bfcd4bf9725d1d8f924f224f6c32d2",
     "orbit_star_readme.svg": "a34c96a3b3bef7c02ef2e0e5b3deee7697273bd358d3501e1876d0bd45d17da6",
-    "orbit_tangent_readme.csv": "b877c3706eca07f78c43e56204ada63c903b6386e530b80a334b830dc84d658d",
-    "orbit_tangent_readme.json": "59f5769d1f4a89685406dc35f9e443d633e6a123521bf7b7833cc9b8fb4e2d2e",
-    "region_readme.csv": "52604b95a66b24ba8462dc08a5e2ff752c56efe9e98f718c3454d4eb10426487",
-    "region_readme.json": "38e7d661eac66d98f0bd45a203c62744391c968f75faef89a68cf731e1766a76",
+    "orbit_tangent_readme.csv": "2d9ad59fee8fcdc1c243107bbfbd18c8059deb9399137726ba015b5379468a65",
+    "orbit_tangent_readme.json": "b7570a7b6f5bdf6fc33c78482426752a5551a98264b3ca1d9b15281ec0fe15b1",
+    "region_readme.csv": "a348dd963b27a5438763e5334c53b4d1db108d00d7c150815baeb29fcfcedbec",
+    "region_readme.json": "f518a907473a47a32b22baf8bb9ee288135158f20eb1f1801f00a0744476a6d1",
     "region_readme.svg": "396c9bee7fc299a5b32cee8eedabd824027ef6cfcfbc35de5f81d79725123bc5",
-    "section_readme.csv": "91373beb7716df37ea6b1bc4bf4b329bc199e7b72c565e003ce9878cdda72d3c",
-    "section_readme.json": "78d97e1c6793e8d962364e62af38ea2bd7d9eb4c296d3fdcd05313d674188394",
-    "stability_readme.csv": "960190627f66413a52c60a5b265389ed72654887e7cdb84ccffd125f686eb39d",
-    "stability_readme.json": "a8ff7bc49bf5569ff2d9debd9e64e23201172c3b91e4d1da3c72acb5d06dcac8",
-    "stability_scan.csv": "c09f65d41eda10740c4d73181d02b9830086cc3bda4f4ff45651fa34fc81fea2",
-    "stability_scan.json": "1b3f79aeb710bdb1446efb595d3b4bed4696a16cc7da2b125f57d262f2858c9c",
-    "twist_scan.csv": "401e1b437f96c3ef54a6ed1998013b60ac8b5ae4b3dd06ed3fc7072742b12cf2",
-    "twist_scan.json": "d41d01ad53d3dda78da297fa1fd2a3e49f36b076387d49cb898d81897b2d0d77",
+    "section_readme.csv": "dba83906a165c828bb31e79a17341d3d040999d49776327aa670596bf0f5b63e",
+    "section_readme.json": "441c2f9a82bd2be4c1545aa4e5048acf7b16a67e6fe798283e863dbd451724a7",
+    "stability_readme.csv": "30e689e0c78dc7cacd9c73ec889ca22c45b6f6e548425679bbb144a1ee756ff9",
+    "stability_readme.json": "e961452c128eb52334b90aee86e9c49f0f902257647ff1a72f3d7918e12ba32a",
+    "stability_scan.csv": "48fb5182139ebaeb517e63971b21c4a083ba7244f823509ed5425ff156c2e19e",
+    "stability_scan.json": "ceefe86a068ad884b30c8ecd2bfbbdea1ebdcbac5a69b49330307cb4b5c6d5dc",
+    "twist_scan.csv": "15b67ecf2bb476aa1cf8346a8c8dd764d72fa4f92caeb85f74fe3ca4a0b2913f",
+    "twist_scan.json": "c1cbe3e7bb9070f2bca8ec2bf7aa12973ce604cad3ad6e7abe5cf56f32d4ea62",
 }
 
 
