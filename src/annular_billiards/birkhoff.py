@@ -7,8 +7,9 @@ detuned orbit's initial state.  The twist pipeline is
 
     reduced map --(jet arithmetic)--> TaylorJet3 --(c-terms)--> A,
 
-with a high-precision central-difference oracle auditing every Taylor
-coefficient, and the closed-form leading order of A available independently.
+with a least-squares cubic fit to the map, in 50-digit arithmetic, auditing
+every Taylor coefficient, and the closed-form leading order of A available
+independently.
 
 Rotation-number convention: the twist formula and reports use
 mu = arctan(v/u) with lambda = u + i*v the upper eigenvalue of the linearized
@@ -19,6 +20,7 @@ argument of lambda itself sits near pi; both are reported.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,8 +54,8 @@ RESONANCE_TOL = 1e-8
 #: voids the extraction
 CROSS_CHECK_TOL = 1e-5
 
-#: base step and working precision of the finite-difference audit
-FD_STEP = 1e-6
+#: grid spacing and working precision of the finite-difference audit
+FD_STEP = 1e-12
 FD_DPS = 50
 
 
@@ -138,9 +140,10 @@ def taylor_jet(
     """Order-3 Taylor data of the reduced map at its fixed point.
 
     Primary extraction pushes degree-3 truncated polynomials through the map
-    composition (exact up to rounding).  With ``cross_check`` the
-    high-precision central-difference oracle re-derives every coefficient and
-    a disagreement beyond 1e-5 relative raises ``PrecisionError``.
+    composition (exact up to rounding).  With ``cross_check`` the audit
+    ``fd_taylor_jet``, a least-squares cubic fit in 50-digit arithmetic,
+    re-derives every coefficient and a disagreement beyond 1e-5 relative
+    raises ``PrecisionError``.
 
     Given a list of maps, pushes all their fixed points through one batched
     jet evaluation and returns, map by map, its Taylor data or the
@@ -192,71 +195,43 @@ def _checked_jet(rmap, jet: TaylorJet3, cross_check: bool) -> TaylorJet3:
     return jet
 
 
-# five-point central stencils: first/second derivatives at O(h^4),
-# third at O(h^2) (one Richardson level pushes it to O(h^4))
-_STENCILS = {
-    0: (0.0, 0.0, 1.0, 0.0, 0.0),
-    1: (1.0, -8.0, 0.0, 8.0, -1.0),
-    2: (-1.0, 16.0, -30.0, 16.0, -1.0),
-    3: (-1.0, 2.0, 0.0, -2.0, 1.0),
-}
-_STENCIL_SCALE = {0: 1.0, 1: 12.0, 2: 12.0, 3: 2.0}
+#: the audit's sample offsets, in units of ``FD_STEP``, about the fixed point
+_GRID = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
 
 
-def _fd_partials(rmap: ReducedMap, h, mp) -> dict:
-    lib = MPBackend(mp)
-    fp = rmap.fixed_point
-    s0, r0 = mp.mpf(fp.s), mp.mpf(fp.r)
-    grid = {}
-    for i in range(-2, 3):
-        for j in range(-2, 3):
-            grid[(i, j)] = rmap.apply(s0 + i * h, r0 + j * h, lib)
-    out = {}
-    for (di, dj) in MONOMIALS:
-        acc = [mp.mpf(0), mp.mpf(0)]
-        for p in range(5):
-            wp = _STENCILS[di][p]
-            if wp == 0.0:
-                continue
-            for q in range(5):
-                wq = _STENCILS[dj][q]
-                if wq == 0.0:
-                    continue
-                for comp in (0, 1):
-                    acc[comp] += wp * wq * grid[(p - 2, q - 2)][comp]
-        denom = (
-            _STENCIL_SCALE[di]
-            * _STENCIL_SCALE[dj]
-            * h ** di
-            * h ** dj
-        )
-        out[(di, dj)] = (acc[0] / denom, acc[1] / denom)
-    return out
-
-
-def fd_taylor_jet(rmap: ReducedMap) -> TaylorJet3:
-    """Audit oracle: central differences with one Richardson level, evaluated
-    in high-precision arithmetic on the bit-identical map at its fixed point.
-
-    The base step follows the local curvature scale of the chart (the maps
-    stay analytic at O(1) distances from the fixed point, so ``FD_STEP`` =
-    1e-6 puts the truncation error near 1e-12 while the working precision
-    removes the cancellation noise that double-precision differencing would
-    suffer).  The constant terms are the map's value at the point.
-    """
+@functools.cache
+def _fit_matrix() -> list:
+    """Rows of the least-squares cubic fit (X^T X)^-1 X^T on the unit 5 x 5
+    grid, one per monomial, in ``FD_DPS`` digits: float rows would not sum to
+    exactly zero, and h^-3 would lift the constant term's residue to 1e19."""
     from mpmath import mp
 
     with mp.workdps(FD_DPS):
-        coarse = _fd_partials(rmap, mp.mpf(FD_STEP), mp)
-        fine = _fd_partials(rmap, mp.mpf(FD_STEP) / 2, mp)
-        sides = ([], [])
-        for key in MONOMIALS:
-            order = 4 if max(key) < 3 else 2
-            w = 2**order
-            fact = math.factorial(key[0]) * math.factorial(key[1])
-            for side, f, c in zip(sides, fine[key], coarse[key]):
-                side.append(float((w * f - c) / (w - 1)) / fact)
-    return TaylorJet3(*(Jet2(np.array(side)) for side in sides))
+        X = mp.matrix([[i**a * j**b for a, b in MONOMIALS] for i, j in _GRID])
+        return ((X.T * X) ** -1 * X.T).tolist()
+
+
+def fd_taylor_jet(rmap: ReducedMap) -> TaylorJet3:
+    """Audit oracle: a least-squares cubic fit, in 50-digit arithmetic, to the
+    bit-identical map sampled on a 5 x 5 grid of spacing ``FD_STEP`` about
+    its fixed point.
+
+    The precision absorbs the cancellation of so small a step, at which the
+    terms beyond cubic reach a coefficient only through factors h^2 = 1e-24.
+    The constant terms are the map's value at the point.
+    """
+    from mpmath import mp
+
+    fit, lib = _fit_matrix(), MPBackend(mp)
+    with mp.workdps(FD_DPS):
+        h = mp.mpf(FD_STEP)
+        s0, r0 = (mp.mpf(x) for x in rmap.fixed_point)
+        samples = [rmap.apply(s0 + i * h, r0 + j * h, lib) for i, j in _GRID]
+        sides = (
+            [float(mp.fdot(row, side) / h ** (a + b)) for row, (a, b) in zip(fit, MONOMIALS)]
+            for side in zip(*samples)
+        )
+        return TaylorJet3(*(Jet2(np.array(side)) for side in sides))
 
 
 # ---------------------------------------------------------------------------

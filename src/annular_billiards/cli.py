@@ -493,13 +493,23 @@ COMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reports a flag its subcommand does not read with that subcommand's usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="annular-billiards",
         description="Stability toolkit for annular billiards with a chord-mounted scatterer.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     for name, contract in COMMANDS.items():
         sub = subs.add_parser(
             name, help=contract.help, epilog="numeric flags take a value, a comma list, or start:stop:count"

@@ -173,15 +173,38 @@ class TestTaylorJet:
             jet = taylor_jet(ReducedMap(n, eps))
             assert symplectic_defect(jet.linear()) < 1e-8
 
-    @pytest.mark.parametrize("n,eps", [(3, 0.01), (4, 0.005), (5, 1e-3), (10, 1e-4)])
+    @pytest.mark.parametrize(
+        "n,eps",
+        [(3, 0.01), (4, 0.005), (5, 1e-3), (10, 1e-4), (36, 1.4e-5), (38, 3e-6), (40, 1e-7), (40, 1e-5)],
+    )
     def test_matches_high_precision_differences(self, n, eps):
         rmap = ReducedMap(n, eps)
         jet = taylor_jet(rmap)
         audit = fd_taylor_jet(rmap)
         assert jet.max_rel_disagreement(audit) < 1e-6
 
-    def test_cross_check_passes_on_good_map(self):
-        taylor_jet(ReducedMap(3, 0.01), cross_check=True)
+    @pytest.mark.parametrize("n,eps", [(3, 0.01), (40, 1e-5)])
+    def test_cross_check_passes_on_good_map(self, n, eps):
+        taylor_jet(ReducedMap(n, eps), cross_check=True)
+
+    def test_audit_ignores_and_keeps_the_callers_precision(self):
+        import annular_billiards.birkhoff as bk
+        from mpmath import mp
+
+        # the cached fit matrix, built under one caller precision, serves another
+        rmap = ReducedMap(7, 1e-3)
+        saved, results = mp.dps, []
+        try:
+            for dps, rebuild_fit in [(15, True), (80, False), (80, True), (15, False)]:
+                mp.dps = dps
+                if rebuild_fit:
+                    bk._fit_matrix.cache_clear()
+                results.append(np.concatenate([side.c for side in fd_taylor_jet(rmap)]))
+                assert mp.dps == dps
+        finally:
+            mp.dps = saved
+        for other in results[1:]:
+            np.testing.assert_array_equal(other, results[0])
 
     def test_cross_check_detects_corruption(self, monkeypatch):
         import annular_billiards.birkhoff as bk

@@ -89,6 +89,7 @@ class TestParsing:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and "unrecognized arguments" in err
+        assert f"usage: annular-billiards {args[0]} " in err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
