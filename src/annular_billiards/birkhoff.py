@@ -442,10 +442,13 @@ def twist_limit(n: int) -> float:
 
 
 def closed_form_A(n: int, epsilon: float) -> float:
-    """Leading-order twist coefficient, twist_limit(n)/epsilon^2."""
-    if epsilon == 0.0:
-        raise DomainError("epsilon must be nonzero")
-    return twist_limit(n) / (epsilon * epsilon)
+    """Leading-order twist coefficient, twist_limit(n)/epsilon^2; refused
+    where epsilon^2 underflows to 0 or the quotient overflows."""
+    eps2 = epsilon * epsilon
+    A = twist_limit(n) / eps2 if eps2 else math.inf
+    if not math.isfinite(A):
+        raise DomainError(f"twist_limit(n)/epsilon^2 is not finite at epsilon = {epsilon!r}")
+    return A
 
 
 def closed_form_A_large_n(n: int, epsilon: float) -> float:

@@ -130,15 +130,10 @@ def nonnegative_float(text: str) -> float:
     return value
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _cell(value) -> str:
-    """One CSV cell as ``_fmt`` writes it, quoted where it holds a comma, a
-    quote or a newline; a float never does, so it is formatted first."""
+    """One CSV cell or summary value: a float to 17 significant digits, any
+    other value as ``str`` writes it, quoted where it holds a comma, a quote
+    or a newline (a float never does, so it is formatted first)."""
     if isinstance(value, float):
         return f"{value:.17g}"
     text = str(value)
@@ -160,7 +155,7 @@ def write_csv(spec: ScanSpec, columns: dict[str, Sequence], summary: dict) -> No
         f"# spec: {json.dumps(spec.echo(), sort_keys=True)}",
     ]
     for key, val in sorted(summary.items()):
-        lines.append(f"# summary {key}: {_fmt(val)}")
+        lines.append(f"# summary {key}: {_cell(val)}")
     lines.append(",".join(columns))
     lines.extend(map(",".join, zip(*[map(_cell, column) for column in columns.values()], strict=True)))
     _write_text(spec.out, "\n".join(lines) + "\n")

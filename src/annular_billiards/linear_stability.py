@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +28,8 @@ from .orbits import OrbitBatch, OrbitRecord
 #: half-width of the parabolic dead zone around |trace| = 2
 CLASSIFY_TOL = 1e-9
 
-#: closed-form trace samples that ``admissible_interval`` checks for ellipticity
-ADMISSIBLE_GRID = 1000
-
 #: largest n that ``min_period_for_k`` tries
 MIN_PERIOD_SCAN_LIMIT = 10**6
-
-#: tolerance of ``delta_star``: its bisection stops once the bracket is
-#: narrower than half of it
-DELTA_STAR_TOL = 1e-6
 
 
 class Classification(enum.Enum):
@@ -127,7 +121,7 @@ def bounce_jacobian_birkhoff(tau, kappa, kappa1, theta, theta1) -> np.ndarray:
     return _diag(1.0, st1) @ J @ _diag(1.0, 1.0 / st)
 
 
-def monodromy(orbit, birkhoff_frame: bool = False):
+def monodromy(orbit):
     """Ordered product of the per-bounce Jacobians around a periodic orbit.
 
     For an ``OrbitBatch`` of m orbits, all bounce matrices come from one
@@ -139,18 +133,17 @@ def monodromy(orbit, birkhoff_frame: bool = False):
     one: it returns the matrix and raises its refusal.
     """
     if isinstance(orbit, OrbitBatch):
-        return _monodromies(orbit, birkhoff_frame)
-    return only_column(*_monodromies(OrbitBatch.of(orbit), birkhoff_frame))
+        return _monodromies(orbit)
+    return only_column(*_monodromies(OrbitBatch.of(orbit)))
 
 
-def _monodromies(batch: OrbitBatch, birkhoff_frame: bool):
+def _monodromies(batch: OrbitBatch):
     theta = batch.points.theta
     theta1 = np.roll(theta, -1, axis=0)
     errors = tuple(g if e is None else e for e, g in zip(batch.errors, _grazing(np.sin(theta1))))
     live = np.flatnonzero([e is None for e in errors])
     kappa = batch.curvatures[:, live]
-    factory = bounce_jacobian_birkhoff if birkhoff_frame else bounce_jacobian
-    bounces = factory(
+    bounces = bounce_jacobian(
         batch.flights[:, live],
         kappa,
         np.roll(kappa, -1, axis=0),
@@ -219,31 +212,23 @@ def bifurcation_radius(n: int, k: int, delta: float) -> float:
 def admissible_interval(n: int, k: int, delta: float) -> tuple[float, float] | None:
     """Radius interval on which the orbit is linearly stable, or None.
 
-    Candidate range is (bifurcation radius, admissible maximum].  Ellipticity
-    is then verified by evaluating the closed-form trace at ``ADMISSIBLE_GRID``
-    radii; if the trace leaves (-2, 2) inside the candidate range, the
-    interval is trimmed to the verified part (bisection on trace = -2).
+    For delta > 0 the closed-form trace strictly decreases in R, so the
+    elliptic radii are exactly (bifurcation radius, R_-2), where the trace
+    reaches -2 at
+
+        R_-2 = 2 n delta^2 / (2 n delta - sin(k pi/n))
+
+    if 2 n delta > sin(k pi/n), and never otherwise.  The window ends at the
+    admissible maximum or at R_-2, whichever comes first.  At delta = 0 the
+    trace is 2 for every R: no window.
     """
+    cap = max_radius(n, k, delta)
+    if delta == 0.0:
+        return None
     lo = bifurcation_radius(n, k, delta)
-    hi = max_radius(n, k, delta)
-    if not lo < hi:
-        return None
-    rs = np.linspace(lo, hi, ADMISSIBLE_GRID + 1)[1:]
-    traces = np.array([trace_closed_form(n, k, R, delta) for R in rs])
-    inside = np.abs(traces) < 2.0
-    if not inside.any() or not inside[0]:
-        return None
-    if inside.all():
-        return (lo, hi)
-    first_exit = int(np.argmin(inside))  # first False
-    a, b = rs[first_exit - 1], rs[first_exit]
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        if abs(trace_closed_form(n, k, m, delta)) < 2.0:
-            a = m
-        else:
-            b = m
-    return (lo, a)
+    excess = 2.0 * n * delta - math.sin(k * math.pi / n)
+    hi = min(cap, 2.0 * n * delta * delta / excess) if excess > 0.0 else cap
+    return (lo, hi) if lo < hi else None
 
 
 def lemma_f(x: float) -> float:
@@ -251,7 +236,10 @@ def lemma_f(x: float) -> float:
     (1, inf) with limit 2*pi, which bounds the admissible winding numbers."""
     if x <= 1.0:
         raise DomainError(f"need x > 1, got {x}")
-    return (x / math.pi) * math.atan(2.0 * x * math.sin(math.pi / x) ** 2)
+    s2 = math.sin(math.pi / x) ** 2
+    if s2 < sys.float_info.min:
+        raise DomainError(f"sin^2(pi/x) = {s2!r} is below the normal floats at x = {x!r}")
+    return (x / math.pi) * math.atan(2.0 * x * s2)
 
 
 def star_inequality(n: int, k: int) -> bool:
@@ -317,24 +305,21 @@ def epsilon_star_large_n(n: int) -> float:
 
 def delta_star(n: int) -> float:
     """Displacement where the bifurcation radius meets the admissible maximum
-    (k = 1), closing the window of stable radii; solved by bisection."""
-    from .geometry import max_radius_delta
+    (k = 1), closing the window of stable radii.
 
-    def g(d: float) -> float:
-        return bifurcation_radius(n, 1, d) - max_radius_delta(n, d)
+    With s = sin(pi/n) and c = cos(pi/n), the cap R = 1 - sqrt(delta^2 + c^2)
+    solves n R^2 - R s - n delta^2 = 0 at R* = n s^2 / (2n - s), so
+    delta*^2 = (1 - R*)^2 - c^2.  That difference cancels for large n; it is
+    evaluated as the product
 
-    lo, hi = 0.0, math.sin(math.pi / n) * 0.999999
-    if g(lo) >= 0.0:
-        raise DomainError(f"no crossing: stability window empty already at delta=0 (n={n})")
-    if g(hi) <= 0.0:
-        raise DomainError(f"no crossing below delta = sin(pi/n) for n={n}")
-    while hi - lo > DELTA_STAR_TOL * 0.5:
-        m = 0.5 * (lo + hi)
-        if g(m) < 0.0:
-            lo = m
-        else:
-            hi = m
-    return 0.5 * (lo + hi)
+        delta*^2 = s^3 (n s/(1 + c) - 1) (1 - R* + c) / ((1 + c) (2n - s)).
+    """
+    if n < 3:
+        raise DomainError(f"need n >= 3, got {n}")
+    s, c = math.sin(math.pi / n), math.cos(math.pi / n)
+    r_star = n * s * s / (2.0 * n - s)
+    num = s**3 * (n * s / (1.0 + c) - 1.0) * (1.0 - r_star + c)
+    return math.sqrt(num / ((1.0 + c) * (2.0 * n - s)))
 
 
 def symplectic_defect(M: np.ndarray) -> float:

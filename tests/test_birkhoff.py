@@ -354,6 +354,12 @@ class TestTwistValues:
         with pytest.raises(DomainError):
             closed_form_A(2, 1e-3)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-170, 1e-160])
+    def test_closed_form_refuses_underflowing_eps(self, eps):
+        # eps^2 underflows to 0 at 1e-170; at 1e-160 the quotient overflows
+        with pytest.raises(DomainError):
+            closed_form_A(3, eps)
+
     @pytest.mark.parametrize("n", [3, 5, 10])
     def test_pipeline_extrapolates_to_closed_form(self, n):
         ladder = scaled_ladder(n)

@@ -208,6 +208,7 @@ class TestParsing:
             (["orbit", "--n", "5", "--k", "4"], "DomainError"),
             (["region", "--n", "2"], "DomainError"),
             (["section", "--n", "3", "--eps", "2.9"], "DomainError"),
+            (["lemma", "--x", "1e200"], "DomainError"),
         ],
     )
     def test_refused_single_result_exits_2(self, tmp_path, capsys, args, error):
@@ -355,7 +356,7 @@ class TestTables:
 class TestRegion:
     def test_window_csv(self, tmp_path):
         text = run(tmp_path, "region.csv", ["region", "--n", "5", "--count", "80"])
-        assert "# summary delta_star: 0.110040" in text
+        assert "# summary delta_star: 0.1100404919738873" in text
         rows = [l.split(",") for l in text.splitlines() if l and not l.startswith("#")][1:]
         first = rows[0]
         assert float(first[1]) == pytest.approx(math.sin(math.pi / 5) / 5, abs=1e-12)
@@ -403,6 +404,14 @@ class TestBirkhoffCommand:
         assert rows[1][6].startswith("DomainError: need epsilon < pi - pi/n") and rows[1][3] == ""
         for r in (rows[0], rows[2]):
             assert r[6] == "" and float(r[3]) > 0.0
+
+    def test_underflowing_eps_leaves_closed_form_empty(self, tmp_path):
+        # eps^2 is 0 at 1e-170 and twist_limit/eps^2 overflows at 1e-160
+        text = run(tmp_path, "bk_tiny.csv", ["birkhoff", "--n", "3", "--eps", "1e-170,1e-160"])
+        header, rows = csv_table(text)
+        assert len(rows) == 2
+        assert [r[header.index("A_closed_leading")] for r in rows] == ["", ""]
+        assert "inf" not in text
 
     def test_resonant_or_hyperbolic_points_flagged(self, tmp_path):
         from annular_billiards.linear_stability import epsilon_star

@@ -55,9 +55,9 @@ GOLDEN = {
     "orbit_star_readme.svg": "a34c96a3b3bef7c02ef2e0e5b3deee7697273bd358d3501e1876d0bd45d17da6",
     "orbit_tangent_readme.csv": "2d9ad59fee8fcdc1c243107bbfbd18c8059deb9399137726ba015b5379468a65",
     "orbit_tangent_readme.json": "b7570a7b6f5bdf6fc33c78482426752a5551a98264b3ca1d9b15281ec0fe15b1",
-    "region_readme.csv": "a348dd963b27a5438763e5334c53b4d1db108d00d7c150815baeb29fcfcedbec",
-    "region_readme.json": "f518a907473a47a32b22baf8bb9ee288135158f20eb1f1801f00a0744476a6d1",
-    "region_readme.svg": "396c9bee7fc299a5b32cee8eedabd824027ef6cfcfbc35de5f81d79725123bc5",
+    "region_readme.csv": "5adbc8454bfcaae0b5de1240101cf2416471c69553fc533dede17b53adf1de19",
+    "region_readme.json": "00251be061eeefd7b05d185e6e5fc19d5baad3b3fbc8a23147db9d4a61c1cf55",
+    "region_readme.svg": "763893d883c13bf9b02f88440af1dd4f2f1a6c01afe94d6b4992d028bb5e9492",
     "section_readme.csv": "dba83906a165c828bb31e79a17341d3d040999d49776327aa670596bf0f5b63e",
     "section_readme.json": "441c2f9a82bd2be4c1545aa4e5048acf7b16a67e6fe798283e863dbd451724a7",
     "stability_readme.csv": "30e689e0c78dc7cacd9c73ec889ca22c45b6f6e548425679bbb144a1ee756ff9",

@@ -106,12 +106,26 @@ class TestMonodromy:
         assert tr == pytest.approx(trace_closed_form(4, 1, 0.25, 0.05), abs=1e-9)
 
     def test_birkhoff_frame_same_trace(self):
+        # the unit-determinant (s, cos theta) bounces multiply to a conjugate
+        # of the monodromy around the closed orbit
         orbit = build_type_a(TableParams.type_a(5, 2, 0.08, 0.01))
-        t1 = float(np.trace(monodromy(orbit)))
-        t2 = float(np.trace(monodromy(orbit, birkhoff_frame=True)))
-        assert t1 == pytest.approx(t2, abs=1e-9)
-        for bf in (False, True):
-            assert symplectic_defect(monodromy(orbit, birkhoff_frame=bf)) < 1e-9
+        M = monodromy(orbit)
+        B = np.eye(2)
+        for i in range(orbit.period):
+            j = (i + 1) % orbit.period
+            B = (
+                bounce_jacobian_birkhoff(
+                    orbit.flights[i],
+                    orbit.curvatures[i],
+                    orbit.curvatures[j],
+                    orbit.points[i].theta,
+                    orbit.points[j].theta,
+                )
+                @ B
+            )
+        assert float(np.trace(M)) == pytest.approx(float(np.trace(B)), abs=1e-9)
+        assert symplectic_defect(M) < 1e-9
+        assert symplectic_defect(B) < 1e-9
 
     def test_tangent_orbit_elliptic_at_small_detuning(self):
         orbit = build_type_b(3, 0.01)
@@ -137,7 +151,7 @@ def _per_bounce_jacobian(tau, kappa, kappa1, theta, theta1, birkhoff_frame):
     return J
 
 
-def _per_bounce_monodromy(orbit, birkhoff_frame=False):
+def _per_bounce_monodromy(orbit):
     m = orbit.period
     M = np.eye(2)
     for i in range(m):
@@ -148,7 +162,7 @@ def _per_bounce_monodromy(orbit, birkhoff_frame=False):
             orbit.curvatures[j],
             orbit.points[i].theta,
             orbit.points[j].theta,
-            birkhoff_frame,
+            False,
         )
         M = J @ M
     return M
@@ -187,9 +201,7 @@ class TestStackedBounces:
                     R = r_frac * max_radius(n, k, delta)
                     orbits.append(build_type_a(TableParams.type_a(n, k, R, delta)))
         for orbit in orbits:
-            for bf in (False, True):
-                M = monodromy(orbit, birkhoff_frame=bf)
-                assert np.array_equal(M, _per_bounce_monodromy(orbit, bf)), orbit.params
+            assert np.array_equal(monodromy(orbit), _per_bounce_monodromy(orbit)), orbit.params
 
 
 class TestTraceClosedForm:
@@ -231,6 +243,11 @@ class TestBifurcationRadius:
     def test_window_crossings(self):
         assert delta_star(5) == pytest.approx(0.11004, abs=1e-4)
         assert delta_star(20) == pytest.approx(0.00740, abs=1e-4)
+        # at delta* the bifurcation radius meets the cap to rounding
+        for n in (3, 4, 5, 7, 20, 53, 200):
+            d = delta_star(n)
+            cap = max_radius_delta(n, d)
+            assert abs(bifurcation_radius(n, 1, d) - cap) <= 1e-12 * cap, n
 
     def test_classification_flip_across_root(self):
         n, k, delta = 5, 1, 0.05
@@ -254,6 +271,17 @@ class TestAdmissibleInterval:
 
     def test_large_displacement_empty(self):
         assert admissible_interval(5, 1, 0.2) is None
+
+    def test_window_ends_where_trace_reaches_minus_two(self):
+        # for k >= 2 the -2 crossing can come before the cap
+        n, k, delta = 11, 2, 0.045
+        lo, hi = admissible_interval(n, k, delta)
+        s = math.sin(k * math.pi / n)
+        assert hi == pytest.approx(2 * n * delta**2 / (2 * n * delta - s), rel=1e-15)
+        assert hi < max_radius(n, k, delta)
+        assert abs(trace_closed_form(n, k, hi, delta) + 2.0) <= 1e-12
+        assert lo == bifurcation_radius(n, k, delta)
+        assert type(lo) is float and type(hi) is float
 
 
 class TestWindingNumberBound:
@@ -300,8 +328,10 @@ class TestLemmaFunction:
             assert min(math.floor(lemma_f(n)), n // 2) == direct or direct == 1
 
     def test_domain_guard(self):
-        with pytest.raises(DomainError):
-            lemma_f(1.0)
+        # past x ~ 2.1e154, sin^2(pi/x) is no longer a normal float
+        for x in (1.0, 1e160, 1e200, 1e308):
+            with pytest.raises(DomainError):
+                lemma_f(x)
 
 
 class TestTangentTrace:
