@@ -141,8 +141,9 @@ class ArrayBackend:
 
     ``np.cos``/``np.sin`` agree with ``math.cos``/``math.sin``; ``np.arccos``
     does not (it differs in the last bit on ~9% of arguments), so ``acos``
-    maps ``math.acos`` over the clamped arguments.  An argument the float
-    path would refuse with ``NoCollisionError`` becomes NaN.
+    maps ``math.acos`` over the arguments, and over the clamped arguments
+    only when one leaves [-1, 1].  An argument the float path would refuse
+    with ``NoCollisionError`` becomes NaN, and NaN stays NaN.
     """
 
     pi = math.pi
@@ -152,6 +153,10 @@ class ArrayBackend:
     @staticmethod
     def acos(u):
         u = np.asarray(u, dtype=float)
+        try:
+            return np.fromiter(map(math.acos, u.ravel().tolist()), float, u.size).reshape(u.shape)
+        except ValueError:  # math.acos refuses an argument outside [-1, 1]
+            pass
         clamped = np.minimum(np.maximum(u, -1.0), 1.0).ravel().tolist()
         out = np.fromiter(map(math.acos, clamped), float, u.size).reshape(u.shape)
         out[np.abs(u) - 1.0 > ACOS_CLAMP_TOL] = np.nan

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -441,23 +442,29 @@ def twist_limit(n: int) -> float:
     return num / den * tail
 
 
-def closed_form_A(n: int, epsilon: float) -> float:
-    """Leading-order twist coefficient, twist_limit(n)/epsilon^2; refused
-    where epsilon^2 underflows to 0 or the quotient overflows."""
+def _over_eps_squared(limit: float, epsilon: float) -> float:
+    """limit/epsilon^2, refused where epsilon^2 underflows to 0 or the
+    quotient overflows."""
     eps2 = epsilon * epsilon
-    A = twist_limit(n) / eps2 if eps2 else math.inf
+    A = limit / eps2 if eps2 else math.inf
     if not math.isfinite(A):
-        raise DomainError(f"twist_limit(n)/epsilon^2 is not finite at epsilon = {epsilon!r}")
+        raise DomainError(f"the twist limit over epsilon^2 is not finite at epsilon = {epsilon!r}")
     return A
 
 
+def closed_form_A(n: int, epsilon: float) -> float:
+    """Leading-order twist coefficient, twist_limit(n)/epsilon^2; refused
+    where epsilon^2 underflows to 0 or the quotient overflows."""
+    return _over_eps_squared(twist_limit(n), epsilon)
+
+
 def closed_form_A_large_n(n: int, epsilon: float) -> float:
-    """Large-n expansion 5/(24 eps^2) * ((pi-2)/pi^2 + (pi-1)/(6 n^2))."""
-    return (
-        5.0
-        / (24.0 * epsilon * epsilon)
-        * ((math.pi - 2.0) / math.pi**2 + (math.pi - 1.0) / (6.0 * n * n))
-    )
+    """Large-n expansion 5/(24 eps^2) * ((pi-2)/pi^2 + (pi-1)/(6 n^2)),
+    refused as ``closed_form_A`` is."""
+    if n < 3:
+        raise DomainError(f"undefined for n < 3, got {n}")
+    limit = 5.0 / 24.0 * ((math.pi - 2.0) / math.pi**2 + (math.pi - 1.0) / (6.0 * n * n))
+    return _over_eps_squared(limit, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +497,8 @@ def island_sampler(
     """Iterate the full period map from a ring of initial conditions.
 
     Starts ``seeds`` points on a circle of the given radius around the fixed
-    point in (s, r), applies the squared reduced map ``iterations`` times and
+    point in (s, r), at phases 2 pi * ``random.Random(seed).random()`` drawn
+    in seed order, applies the squared reduced map ``iterations`` times and
     tracks the maximal distance from the fixed point.  Leaving the chart (a
     ray missing the scatterer) is recorded as an escape; the reported seed is
     the lowest-numbered one that escaped.  With ``collect`` the visited (s, r)
@@ -498,45 +506,46 @@ def island_sampler(
 
     All seeds advance together, one array step per half period: the array
     backend gives each seed the same bits as iterating it alone on floats.
+    A seed off the chart is NaN from then on, so every iterate is stored and
+    each seed's escape is its first non-finite one; the loop stops early once
+    every seed has escaped.
     """
     if iterations < 1 or seeds < 1:
         raise DomainError(f"need iterations >= 1 and seeds >= 1, got {iterations}, {seeds}")
     if not radius >= 0.0:
         raise DomainError(f"need radius >= 0, got {radius}")
+    if seed < 0:
+        raise DomainError(f"need seed >= 0, got {seed}")
     rmap = ReducedMap(n, epsilon)
-    fp = np.array(rmap.fixed_point)
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=seeds) if radius > 0.0 else [0.0]
-    start = fp + radius * np.array([[math.cos(ph), math.sin(ph)] for ph in phases])
-    s, r = start[:, 0], start[:, 1]
-    live = np.arange(len(phases))  # indices of the seeds still on the chart
-    done = np.full(len(phases), iterations)  # iterations each seed completed
-    cloud = np.empty((iterations, len(phases), 2)) if collect else None
-    max_exc = 0.0
+    s0, r0 = rmap.fixed_point
+    rng = random.Random(seed)
+    phases = [2.0 * math.pi * rng.random() for _ in range(seeds)] if radius > 0.0 else [0.0]
+    s = np.array([s0 + radius * math.cos(ph) for ph in phases])
+    r = np.array([r0 + radius * math.sin(ph) for ph in phases])
+    cloud = np.empty((iterations, 2, len(phases)))  # iterate, (s, r), seed
     for it in range(iterations):
         s, r = rmap.apply(*rmap.apply(s, r, ARRAY_BACKEND), ARRAY_BACKEND)
-        on_chart = np.isfinite(s) & np.isfinite(r)
-        if not on_chart.all():
-            done[live[~on_chart]] = it
-            live, s, r = live[on_chart], s[on_chart], r[on_chart]
-            if not live.size:
-                break
-        max_exc = max(max_exc, float(np.hypot(s - fp[0], r - fp[1]).max()))
-        if collect:
-            cloud[it, live, 0] = s
-            cloud[it, live, 1] = r
+        cloud[it, 0] = s
+        cloud[it, 1] = r
+        if not np.isfinite(cloud[it]).any():
+            break
+    cloud = cloud[: it + 1]
+    finite = np.isfinite(cloud).all(axis=1)
+    # iterations each seed completed: all of them, or up to its first escape
+    done = np.where(finite.all(axis=0), iterations, finite.argmin(axis=0))
+    kept = np.arange(it + 1)[:, None] < done
+    excursion = np.hypot(cloud[:, 0] - s0, cloud[:, 1] - r0)
     escaped = np.flatnonzero(done < iterations)
     esc_seed = int(escaped[0]) if escaped.size else None
-    esc_iter = int(done[esc_seed]) if escaped.size else None
     report = IslandReport(
-        max_excursion=max_exc,
+        max_excursion=float(excursion[kept].max(initial=0.0)),
         iterations_run=iterations,
         escaped=esc_seed is not None,
         escape_seed=esc_seed,
-        escape_iteration=esc_iter,
+        escape_iteration=int(done[esc_seed]) if escaped.size else None,
         seeds=len(phases),
         radius=radius,
     )
     if collect:
-        return report, cloud.swapaxes(0, 1)[np.arange(iterations) < done[:, None]]
+        return report, cloud.transpose(2, 0, 1)[kept.T]
     return report

@@ -19,6 +19,7 @@ import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -108,15 +109,21 @@ def parse_values(text: str, cast=float) -> list:
     return values
 
 
-def positive_int(text: str) -> int:
-    """argparse ``type`` of a count flag: a whole number >= 1."""
+def whole_number(text: str, lowest: int) -> int:
+    """A whole number >= ``lowest``; as an argparse ``type``, anything else
+    exits with usage."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    if value < lowest:
+        raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {text!r}")
     return value
+
+
+#: argparse ``type`` of a count flag, and of the RNG seed
+positive_int = partial(whole_number, lowest=1)
+nonnegative_int = partial(whole_number, lowest=0)
 
 
 def nonnegative_float(text: str) -> float:
@@ -150,6 +157,9 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def write_csv(spec: ScanSpec, columns: dict[str, Sequence], summary: dict) -> None:
+    """Write the header lines, then every row through one %-format of the
+    whole body: ``%.17g`` for a column of plain floats (the text ``_cell``
+    gives a float), ``%s`` over the ``_cell`` text of any other column."""
     lines = [
         f"# annular-billiards {__version__}",
         f"# spec: {json.dumps(spec.echo(), sort_keys=True)}",
@@ -157,8 +167,14 @@ def write_csv(spec: ScanSpec, columns: dict[str, Sequence], summary: dict) -> No
     for key, val in sorted(summary.items()):
         lines.append(f"# summary {key}: {_cell(val)}")
     lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*[map(_cell, column) for column in columns.values()], strict=True)))
-    _write_text(spec.out, "\n".join(lines) + "\n")
+    formats, cells = [], []
+    for column in columns.values():
+        floats = set(map(type, column)) == {float}
+        formats.append("%.17g" if floats else "%s")
+        cells.append(column if floats else list(map(_cell, column)))
+    flat = tuple(chain.from_iterable(zip(*cells, strict=True)))
+    body = (",".join(formats) + "\n") * (len(flat) // len(cells)) % flat
+    _write_text(spec.out, "\n".join(lines) + "\n" + body)
 
 
 def write_json(spec: ScanSpec, rows: list[dict], summary: dict) -> None:
@@ -480,7 +496,7 @@ COMMANDS = {
     "section": Contract(cmd_section, "iterate the period map near the tangent orbit", {
         "n": _ONE_N, "eps": Flag(parse_values, single=True, required=True),
         "radius": Flag(nonnegative_float, 1e-4), "iterations": Flag(positive_int, 10000),
-        "seeds": Flag(positive_int, 8), "seed": Flag(int, 0),
+        "seeds": Flag(positive_int, 8), "seed": Flag(nonnegative_int, 0),
     }),
     "lemma": Contract(cmd_lemma, "winding-number bound function f and the n_k table", {
         "x": Flag(parse_values),

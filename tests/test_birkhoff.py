@@ -1,6 +1,7 @@
 """Twist-coefficient pipeline: jets, c-terms, closed forms, island evidence."""
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from annular_billiards.billiard_map import (
     generic_step,
     wrap_pi,
 )
+from annular_billiards import birkhoff
 from annular_billiards.birkhoff import (
     BirkhoffReport,
     IslandReport,
@@ -359,6 +361,12 @@ class TestTwistValues:
         # eps^2 underflows to 0 at 1e-170; at 1e-160 the quotient overflows
         with pytest.raises(DomainError):
             closed_form_A(3, eps)
+        with pytest.raises(DomainError):
+            closed_form_A_large_n(3, eps)
+
+    def test_large_n_form_refuses_n_below_3(self):
+        with pytest.raises(DomainError):
+            closed_form_A_large_n(0, 1e-3)
 
     @pytest.mark.parametrize("n", [3, 5, 10])
     def test_pipeline_extrapolates_to_closed_form(self, n):
@@ -444,7 +452,10 @@ class TestIslandSampler:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(iterations=0), dict(iterations=-1), dict(seeds=0), dict(seeds=-2), dict(radius=-1e-4)],
+        [
+            dict(iterations=0), dict(iterations=-1), dict(seeds=0), dict(seeds=-2),
+            dict(radius=-1e-4), dict(seed=-1),
+        ],
     )
     def test_bad_sizes_refused(self, kwargs):
         args = dict(n=3, epsilon=0.02, radius=1e-4, iterations=10) | kwargs
@@ -457,8 +468,8 @@ def _reference_sampler(n, epsilon, radius, iterations, seeds=8, seed=0):
     ``NoCollisionError``: the scalar reference for ``island_sampler``."""
     rmap = ReducedMap(n, epsilon)
     fp = np.array(rmap.fixed_point)
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=seeds) if radius > 0.0 else [0.0]
+    rng = random.Random(seed)
+    phases = [2.0 * math.pi * rng.random() for _ in range(seeds)] if radius > 0.0 else [0.0]
     max_exc, escape, cloud = 0.0, None, []
     for si, phase in enumerate(phases):
         z = fp + radius * np.array([math.cos(phase), math.sin(phase)])
@@ -492,6 +503,11 @@ class TestArrayPathMatchesFloatPath:
             ((3, 0.02, 0.1, 50), dict(seeds=8), True),
             ((6, 0.002, 0.05, 300), dict(seeds=16), True),
             ((3, 0.02, 0.0, 100), dict(), False),
+            # every seed leaves the chart within a few hundred iterations
+            ((3, 0.02, 0.5, 10_000), dict(seeds=8), True),
+            ((6, 0.002, 0.2, 10_000), dict(seeds=16), True),
+            ((3, 0.02, 0.15, 10_000), dict(seeds=8, seed=4), True),
+            ((3, 0.02, 2.0, 10_000), dict(seeds=3, seed=5), True),
         ],
     )
     def test_sampler_identical_to_seed_by_seed_floats(self, args, kwargs, escapes):
@@ -503,8 +519,33 @@ class TestArrayPathMatchesFloatPath:
         assert cloud.shape == ref_cloud.shape
         assert np.array_equal(cloud, ref_cloud)
 
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [((3, 0.02, 0.5, 10_000), dict(seeds=8)), ((3, 0.02, 0.15, 10_000), dict(seeds=8, seed=4))],
+    )
+    def test_sampler_stops_once_every_seed_left_the_chart(self, monkeypatch, args, kwargs):
+        # the loop runs until the last seed escapes, so it makes at most two
+        # map calls per kept iterate plus the escaping one, not 2 * 10_000
+        calls = []
+        original = birkhoff.half_period_formula
+
+        def counted(*a):
+            calls.append(1)
+            return original(*a)
+
+        monkeypatch.setattr(birkhoff, "half_period_formula", counted)
+        report, cloud = island_sampler(*args, **kwargs, collect=True)
+        assert report.escaped
+        assert 0 < len(calls) <= 2 * (len(cloud) + 1)
+        assert len(calls) % 2 == 0
+
     def test_acos_bit_equal_and_refusals_become_nan(self):
         u = np.random.default_rng(0).uniform(-1.0, 1.0, 100_000)
+        # inside [-1, 1], and with NaN, math.acos maps every argument at once
+        inside = np.append(u, [-1.0, 1.0, np.nan])
+        assert np.array_equal(
+            ARRAY_BACKEND.acos(inside), [math.acos(x) for x in inside.tolist()], equal_nan=True
+        )
         u = np.concatenate([u, [-1.0, 1.0, 1.0 + ACOS_CLAMP_TOL / 2, -1.0 - ACOS_CLAMP_TOL / 2]])
         assert np.array_equal(ARRAY_BACKEND.acos(u), [FLOAT_BACKEND.acos(x) for x in u.tolist()])
         far = np.array([1.0 + 2 * ACOS_CLAMP_TOL, -1.0 - 2 * ACOS_CLAMP_TOL])

@@ -3,12 +3,20 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from annular_billiards.cli import JSON_SCHEMA, main, parse_values
+import annular_billiards
+from annular_billiards import cli
+from annular_billiards.birkhoff import island_sampler
+from annular_billiards.cli import JSON_SCHEMA, ScanSpec, _cell, main, parse_values
 from annular_billiards.errors import TangencyWarning
 
 
@@ -17,6 +25,13 @@ def run(tmp_path, name, args):
     rc = main(args + ["--out", str(out)])
     assert rc == 0
     return out.read_text()
+
+
+def _former_csv_body(columns):
+    """The CSV body as the writer built it before one format served the whole
+    table: one ``_cell`` call per cell, one string per row."""
+    rows = map(",".join, zip(*[map(_cell, column) for column in columns.values()], strict=True))
+    return "".join(row + "\n" for row in rows)
 
 
 def csv_table(text):
@@ -159,6 +174,8 @@ class TestParsing:
             ["section", "--n", "3", "--eps", "0.02", "--radius", "nan"],
             # the process pool and its flag are gone
             ["stability", "--n", "5", "--jobs", "2"],
+            # random.Random would silently take a negative seed's absolute value
+            ["section", "--n", "3", "--eps", "0.02", "--iterations", "5", "--seed", "-1"],
         ],
     )
     def test_bad_sizes_exit_with_usage(self, tmp_path, capsys, args):
@@ -352,6 +369,34 @@ class TestTables:
         if args[0] == "stability":
             assert "," in rows[-1][-1]
 
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {
+                "x": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e22, 2.0**-1074 * 3],
+                "f64": [np.float64(v) for v in (math.nan, -0.0, 5e-324, 1 / 3, 1e300, 7.0, -2.5, 0.0)],
+                "mixed": [1.5, np.float64(0.1), 3, True, False, "", None, 2**70],
+                "k": [0, -1, 2**70, 7, 8, 9, 10, 11],
+                "text": ["a,b", 'say "hi"', "two\nlines", "100%", "%s %d", "plain", "", ",\""],
+            },
+            {"empty": [], "also": []},
+            "section",
+        ],
+        ids=["mixed", "empty", "section"],
+    )
+    def test_csv_body_matches_the_per_cell_writer(self, monkeypatch, columns):
+        if columns == "section":
+            _, cloud = island_sampler(3, 0.02, 1e-4, 200, seeds=4, seed=1, collect=True)
+            columns = {"s": cloud[:, 0].tolist(), "r": cloud[:, 1].tolist()}
+        written = []
+        monkeypatch.setattr(cli, "_write_text", lambda out, text: written.append(text))
+        cli.write_csv(ScanSpec("lemma", {}, "csv", None), columns, {"note": "a,b"})
+        (text,) = written
+        assert isinstance(text, str)
+        head, body = text.split(",".join(columns) + "\n", 1)
+        assert head.count("\n") == 3
+        assert body == _former_csv_body(columns)
+
 
 class TestRegion:
     def test_window_csv(self, tmp_path):
@@ -504,6 +549,18 @@ class TestSectionCommand:
         )
         assert "# summary escaped: True" in text
         assert "# summary escape_seed: " in text
+
+    def test_section_leaves_numpy_random_unloaded(self, tmp_path):
+        # the ring is drawn with the standard library's random.Random
+        src = Path(annular_billiards.__file__).resolve().parent.parent
+        argv = ["section", "--n", "3", "--eps", "0.02", "--iterations", "5", "--out", str(tmp_path / "s.csv")]
+        code = f"import sys; from annular_billiards.cli import main; main({argv!r}); print(sorted(sys.modules))"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert "'numpy.random'" not in done.stdout
+        assert (tmp_path / "s.csv").read_text().count("\n") == 11 + 8 * 5
 
 
 class TestLemmaCommand:

@@ -46,8 +46,8 @@ SVG = ("region_readme", "orbit_star_readme")
 GOLDEN = {
     "birkhoff_readme.csv": "bcda506151efdef983feec61fd3467d43fba53e8a14979a1592919e20089b22b",
     "birkhoff_readme.json": "4fe6034775afa1e51411bdbad93f21ec56f111437e246fcc7c286af0ac458942",
-    "island_section.csv": "e3e81106383fa0e090acb6bb3785b0792980b9a2a7048746f55d8abdabb5a409",
-    "island_section.json": "3aa85d92bb5d2ebe6ea656b90b81a4739c2df3c8483296031473c6ab4ae192fb",
+    "island_section.csv": "f90047d099e7e925d47081019cc30930de847475d836afe027740e9815899143",
+    "island_section.json": "bbef8ee98407963abfbec342fba178b729c7cda2c550b03e3dbe092bc4296aed",
     "lemma_readme.csv": "161a0298f4ddcacd888242b919eddf4b757836f9d7b209aa36c1f171f6eb6b0f",
     "lemma_readme.json": "7547e27e1d340d2978f83e25b420aa0253b5f850b853dcbd6aeceff0645afc58",
     "orbit_star_readme.csv": "45e3d2ed17e3f6ddcf4b6346115c25a82aa4ef46c4fa6f3a40e4bd2ee265426b",
@@ -58,8 +58,8 @@ GOLDEN = {
     "region_readme.csv": "5adbc8454bfcaae0b5de1240101cf2416471c69553fc533dede17b53adf1de19",
     "region_readme.json": "00251be061eeefd7b05d185e6e5fc19d5baad3b3fbc8a23147db9d4a61c1cf55",
     "region_readme.svg": "763893d883c13bf9b02f88440af1dd4f2f1a6c01afe94d6b4992d028bb5e9492",
-    "section_readme.csv": "dba83906a165c828bb31e79a17341d3d040999d49776327aa670596bf0f5b63e",
-    "section_readme.json": "441c2f9a82bd2be4c1545aa4e5048acf7b16a67e6fe798283e863dbd451724a7",
+    "section_readme.csv": "7122f63c4156ee94f6972f81480d15ac15fe38dfe460b35f9fc88e4e7de0bdfc",
+    "section_readme.json": "be3f018b69f1f17971ba3264555e18f77f59b1c9262f0dbd4ff25e3dae4b7df2",
     "stability_readme.csv": "30e689e0c78dc7cacd9c73ec889ca22c45b6f6e548425679bbb144a1ee756ff9",
     "stability_readme.json": "e961452c128eb52334b90aee86e9c49f0f902257647ff1a72f3d7918e12ba32a",
     "stability_scan.csv": "48fb5182139ebaeb517e63971b21c4a083ba7244f823509ed5425ff156c2e19e",
