@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -83,8 +82,7 @@ class TaylorJet3(NamedTuple):
         return float((np.abs(mine - theirs) / scale).max())
 
 
-@dataclass(frozen=True)
-class BirkhoffReport:
+class BirkhoffReport(NamedTuple):
     """First twist coefficient and the quantities entering it."""
 
     A: float
@@ -472,8 +470,7 @@ def closed_form_A_large_n(n: int, epsilon: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IslandReport:
+class IslandReport(NamedTuple):
     """Outcome of iterating the full period map near the fixed point."""
 
     max_excursion: float

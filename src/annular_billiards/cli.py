@@ -13,38 +13,48 @@ significant digits so a round trip through text is exact.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .birkhoff import (
-    ReducedMap,
-    birkhoff_A,
-    closed_form_A,
-    island_sampler,
-    taylor_jet,
-    twist_limit,
-)
 from .errors import BilliardError
-from .geometry import TableParams, max_radius, max_radius_delta
-from .linear_stability import (
-    bifurcation_radius,
-    classify,
-    delta_star,
-    lemma_f,
-    min_period_for_k,
-    monodromy,
-    trace_closed_form,
-)
-from .orbits import build_type_a, build_type_b, verify_closure
+
+#: the submodule that defines each library name a subcommand calls.  A name is
+#: imported on its first lookup as an attribute of this module (PEP 562) and
+#: kept in its globals, so a request loads only the modules its subcommand
+#: runs.  The subcommands call these names as attributes of ``_cli``, this
+#: module, so a patched attribute intercepts the call.
+_LIBRARY = {
+    name: module
+    for module, names in {
+        "birkhoff": "ReducedMap birkhoff_A closed_form_A island_sampler taylor_jet twist_limit",
+        "geometry": "TableParams max_radius max_radius_delta",
+        "linear_stability": "bifurcation_radius classify delta_star lemma_f min_period_for_k monodromy trace_closed_form",
+        "orbits": "build_type_a build_type_b verify_closure",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_LIBRARY[name]}", __package__), name)
+    return value
+
+
+#: this module, as ``python -m`` runs it (``__main__``) or as it is imported
+_cli = sys.modules[__name__]
+
 
 #: JSON document layout for scan output (validated in the test suite)
 JSON_SCHEMA = {
@@ -59,8 +69,7 @@ JSON_SCHEMA = {
 }
 
 
-@dataclass
-class ScanSpec:
+class ScanSpec(NamedTuple):
     """A parsed request: the subcommand and the values of the flags it reads,
     echoed verbatim into every output, then where and how to write."""
 
@@ -254,7 +263,7 @@ def _stability_outcomes(points: list[tuple], tables: list[TableParams], refusals
     table is next in ``tables``; every such table is built, checked and
     linearised in one batch, and a point refused on the way gets the refusal
     as its ``skip_reason``."""
-    matrices, errors = monodromy(build_type_a(tables)) if tables else ((), ())
+    matrices, errors = _cli.monodromy(_cli.build_type_a(tables)) if tables else ((), ())
     outcomes = iter(zip(matrices, errors))
     out = []
     for (n, k, R, delta), refusal in zip(points, refusals):
@@ -262,8 +271,8 @@ def _stability_outcomes(points: list[tuple], tables: list[TableParams], refusals
         try:
             if error is not None:
                 raise error
-            closed = trace_closed_form(n, k, R, delta)
-            out.append((closed, float(np.trace(M)), classify(closed).value, ""))
+            closed = _cli.trace_closed_form(n, k, R, delta)
+            out.append((closed, float(np.trace(M)), _cli.classify(closed).value, ""))
         except BilliardError as exc:
             out.append(("", "", "", f"{type(exc).__name__}: {exc}"))
     return out
@@ -275,11 +284,11 @@ def _birkhoff_point(n: int, eps: float, jet) -> tuple:
     try:
         if isinstance(jet, BilliardError):
             raise jet
-        report = birkhoff_A(jet)
-        return report.mu, report.A, closed_form_A(n, eps), ""
+        report = _cli.birkhoff_A(jet)
+        return report.mu, report.A, _cli.closed_form_A(n, eps), ""
     except BilliardError as exc:
         try:
-            closed = closed_form_A(n, eps)
+            closed = _cli.closed_form_A(n, eps)
         except BilliardError:
             closed = ""
         return "", "", closed, f"{type(exc).__name__}: {exc}"
@@ -299,7 +308,7 @@ def cmd_stability(spec: ScanSpec) -> int:
                 rs = p["R"]
                 if rs is None:
                     try:
-                        cap = max_radius(n, k, delta)
+                        cap = _cli.max_radius(n, k, delta)
                     except BilliardError as exc:
                         points.append((n, k, "", delta))
                         refusals.append(exc)
@@ -308,7 +317,7 @@ def cmd_stability(spec: ScanSpec) -> int:
                 for R in rs:
                     points.append((n, k, R, delta))
                     try:
-                        tables.append(TableParams.type_a(n, k, R, delta))
+                        tables.append(_cli.TableParams.type_a(n, k, R, delta))
                         refusals.append(None)
                     except BilliardError as exc:
                         refusals.append(exc)
@@ -325,10 +334,10 @@ def cmd_stability(spec: ScanSpec) -> int:
 def cmd_region(spec: ScanSpec) -> int:
     p = spec.params
     n = p["n"][0]
-    dstar = delta_star(n)
+    dstar = _cli.delta_star(n)
     deltas = list(np.linspace(0.0, min(1.25 * dstar, 0.999 * math.sin(math.pi / n)), p["count"]))
-    r_min = [bifurcation_radius(n, 1, d) for d in deltas]
-    r_del = [max_radius_delta(n, d) for d in deltas]
+    r_min = [_cli.bifurcation_radius(n, 1, d) for d in deltas]
+    r_del = [_cli.max_radius_delta(n, d) for d in deltas]
     if spec.fmt == "svg":
         _write_text(spec.out, region_svg(deltas, r_min, r_del))
         return 0
@@ -367,10 +376,10 @@ def cmd_birkhoff(spec: ScanSpec) -> int:
     rmaps = []
     for n, eps in points:
         try:
-            rmaps.append(ReducedMap(n, eps))
+            rmaps.append(_cli.ReducedMap(n, eps))
         except BilliardError as exc:
             rmaps.append(exc)
-    jets = iter(taylor_jet([m for m in rmaps if isinstance(m, ReducedMap)]))
+    jets = iter(_cli.taylor_jet([m for m in rmaps if isinstance(m, _cli.ReducedMap)]))
     mu, a_numeric, a_leading, reasons = zip(*(
         _birkhoff_point(n, eps, m if isinstance(m, BilliardError) else next(jets))
         for (n, eps), m in zip(points, rmaps)
@@ -381,7 +390,7 @@ def cmd_birkhoff(spec: ScanSpec) -> int:
         at = _extrapolate_ladder(p["eps"], [a for (m, _), a in zip(points, a_numeric) if m == n])
         a_tilde[n] = summary[f"A_tilde_n{n}"] = at if at is not None else ""
         try:
-            summary[f"A_tilde_closed_n{n}"] = twist_limit(n)
+            summary[f"A_tilde_closed_n{n}"] = _cli.twist_limit(n)
         except BilliardError:
             summary[f"A_tilde_closed_n{n}"] = ""
     columns = {
@@ -395,17 +404,17 @@ def cmd_orbit(spec: ScanSpec) -> int:
     p = spec.params
     n = p["n"][0]
     if p["eps"] is not None:
-        orbit = build_type_b(n, p["eps"][0])
+        orbit = _cli.build_type_b(n, p["eps"][0])
     else:
         k, delta = p["k"][0], p["delta"][0]
-        R = p["R"][0] if p["R"] is not None else 0.5 * max_radius(n, k, delta)
-        orbit = build_type_a(TableParams.type_a(n, k, R, delta))
+        R = p["R"][0] if p["R"] is not None else 0.5 * _cli.max_radius(n, k, delta)
+        orbit = _cli.build_type_a(_cli.TableParams.type_a(n, k, R, delta))
     if spec.fmt == "svg":
         _write_text(spec.out, orbit_svg(orbit))
         return 0
     if spec.fmt == "csv":
         x, y = orbit.polyline().T.tolist()
-        return write_table(spec, {"x": x, "y": y}, {"closure_residual": verify_closure(orbit)})
+        return write_table(spec, {"x": x, "y": y}, {"closure_residual": _cli.verify_closure(orbit)})
     return write_table(spec, {key: [value] for key, value in orbit.to_json_dict().items()}, {})
 
 
@@ -414,7 +423,7 @@ def cmd_section(spec: ScanSpec) -> int:
     n = p["n"][0]
     eps = p["eps"][0]
     radius, iters = p["radius"], p["iterations"]
-    report, cloud = island_sampler(n, eps, radius, iters, seeds=p["seeds"], seed=p["seed"], collect=True)
+    report, cloud = _cli.island_sampler(n, eps, radius, iters, seeds=p["seeds"], seed=p["seed"], collect=True)
     summary = {
         "n": n,
         "eps": eps,
@@ -431,12 +440,12 @@ def cmd_section(spec: ScanSpec) -> int:
 def cmd_lemma(spec: ScanSpec) -> int:
     p = spec.params
     xs = [float(x) for x in (p["x"] or np.geomspace(1.01, 1e4, 400))]
-    fs = [lemma_f(x) for x in xs]
+    fs = [_cli.lemma_f(x) for x in xs]
     summary = {
         "monotone_on_grid": all(b > a for a, b in zip(fs, fs[1:])),
         "sup_f_on_grid": max(fs),
         "bound_two_pi": 2.0 * math.pi,
-        **{f"n_{k}": min_period_for_k(k) or "none" for k in range(2, 8)},
+        **{f"n_{k}": _cli.min_period_for_k(k) or "none" for k in range(2, 8)},
     }
     return write_table(spec, {"x": xs, "f": fs, "max_k": [math.floor(f) for f in fs]}, summary)
 
@@ -449,8 +458,7 @@ def cmd_lemma(spec: ScanSpec) -> int:
 _INTS = partial(parse_values, cast=int)
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """A flag that a subcommand reads: its argparse ``type`` and default.
 
     A ``single`` flag parses a list but takes one value; a ``required`` flag
@@ -463,8 +471,7 @@ class Flag:
     required: bool = False
 
 
-@dataclass(frozen=True)
-class Contract:
+class Contract(NamedTuple):
     """A subcommand: what runs it, the flags it reads and its formats."""
 
     run: Callable[[ScanSpec], int]

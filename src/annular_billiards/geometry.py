@@ -49,17 +49,13 @@ def tangency_radius_simple(n: int) -> float:
 
 
 def max_radius_delta(n: int, delta: float) -> float:
-    """Largest admissible radius for a k=1 scatterer displaced by delta.
-
-    The displaced center sits at distance sqrt(delta^2 + cos^2(pi/n)) from
-    the origin; interiority of the scatterer gives
-    R_delta = 1 - sqrt(delta^2 + cos^2(pi/n)).
-    """
+    """Largest admissible radius for a k=1 scatterer displaced by delta: the
+    disk bound ``max_radius_delta_star_disk(n, 1, delta)``."""
     if n < 3:
         raise DomainError(f"need n >= 3, got {n}")
     if not 0.0 <= delta < math.sin(math.pi / n):
         raise DomainError(f"need 0 <= delta < sin(pi/n), got delta={delta}")
-    return 1.0 - math.sqrt(delta * delta + math.cos(math.pi / n) ** 2)
+    return max_radius_delta_star_disk(n, 1, delta)
 
 
 def max_radius_star(n: int, k: int, delta: float) -> float:
@@ -90,8 +86,18 @@ def max_radius(n: int, k: int, delta: float) -> float:
 
 
 def max_radius_delta_star_disk(n: int, k: int, delta: float) -> float:
-    """Interiority bound for a star-orbit scatterer (usually not binding)."""
-    return 1.0 - math.sqrt(delta * delta + math.cos(k * math.pi / n) ** 2)
+    """Interiority bound of a scatterer displaced by delta along the chord of
+    angle k*pi/n (for k >= 2 usually not binding).
+
+    The center sits at distance sqrt(delta^2 + cos^2(k pi/n)) from the
+    origin, so the bound is 1 - sqrt(delta^2 + cos^2(k pi/n)).  That
+    difference cancels at large n, so the same number is evaluated as
+    (sin^2(k pi/n) - delta^2) / (1 + sqrt(delta^2 + cos^2(k pi/n))), which
+    keeps full precision.  A NumPy-scalar delta gives a float too.
+    """
+    angle = k * math.pi / n
+    s = math.sin(angle)
+    return float((s - delta) * (s + delta) / (1.0 + math.sqrt(delta * delta + math.cos(angle) ** 2)))
 
 
 def caustic_radius(n: int, k: int) -> float:

@@ -24,7 +24,6 @@ unbatched jets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,16 +55,18 @@ for _a, (_i, _j) in enumerate(MONOMIALS):
 _IA, _IB, _IO = (np.array(_col) for _col in zip(*_MUL_TABLE))
 
 
-@dataclass(frozen=True)
 class Jet2:
     """Degree-3 truncated Taylor expansion of a scalar function of two
     variables, or a batch of them (coefficients ``(10,)`` or ``(10, m)``)."""
 
-    c: np.ndarray
+    __slots__ = ("c",)
 
     # an ndarray operand defers to the jet, so ``array * jet`` scales column i
     # of a batch by element i of the array
     __array_ufunc__ = None
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
 
     def __eq__(self, other):
         """Equal coefficients (and batch shape), as one bool."""

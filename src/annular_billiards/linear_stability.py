@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ def classify(trace: float) -> Classification:
     raise ClassificationError(f"non-finite trace {trace!r}")
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Monodromy trace, classification, eigenvalue pair and rotation number.
 
     ``mu`` is the principal eigenvalue argument in (0, pi) (trace = 2 cos mu),

@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand with reproducibility checks."""
 
+import ast
 import csv
 import json
 import math
@@ -550,17 +551,64 @@ class TestSectionCommand:
         assert "# summary escaped: True" in text
         assert "# summary escape_seed: " in text
 
-    def test_section_leaves_numpy_random_unloaded(self, tmp_path):
-        # the ring is drawn with the standard library's random.Random
+
+class TestStartUp:
+    #: the library modules, each loaded only by a request that runs it
+    LIBRARY = {f"annular_billiards.{name}" for name in (
+        "billiard_map", "birkhoff", "geometry", "jets", "linear_stability", "orbits",
+    )}
+
+    @pytest.mark.parametrize(
+        "argv,loaded,unloaded",
+        [
+            (
+                ["birkhoff", "--n", "3", "--eps", "0.001"],
+                {"annular_billiards.birkhoff", "annular_billiards.jets"},
+                {"annular_billiards.orbits", "annular_billiards.linear_stability"},
+            ),
+            (
+                # the ring is drawn with the standard library's random.Random
+                ["section", "--n", "3", "--eps", "0.02", "--iterations", "5"],
+                {"annular_billiards.birkhoff"},
+                {"annular_billiards.orbits", "annular_billiards.linear_stability", "numpy.random"},
+            ),
+            (
+                ["stability", "--n", "5", "--delta", "0.02", "--R", "0.1"],
+                {"annular_billiards.orbits", "annular_billiards.linear_stability"},
+                {"annular_billiards.birkhoff"},
+            ),
+            (["--version"], {"annular_billiards.errors"}, LIBRARY),
+        ],
+        ids=["birkhoff", "section", "stability", "version"],
+    )
+    def test_request_loads_only_the_modules_it_runs(self, tmp_path, argv, loaded, unloaded):
+        # a fresh interpreter that imports cli, as the console script does
         src = Path(annular_billiards.__file__).resolve().parent.parent
-        argv = ["section", "--n", "3", "--eps", "0.02", "--iterations", "5", "--out", str(tmp_path / "s.csv")]
-        code = f"import sys; from annular_billiards.cli import main; main({argv!r}); print(sorted(sys.modules))"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        version = argv == ["--version"]
+        out = [] if version else ["--out", str(tmp_path / "import.csv")]
+        code = (
+            "import sys\nfrom annular_billiards.cli import main\n"
+            f"try:\n    main({argv + out!r})\nfinally:\n    print(sorted(sys.modules))"
+        )
         done = subprocess.run(
-            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        modules = set(ast.literal_eval(done.stdout.splitlines()[-1]))
+        assert loaded <= modules
+        assert not unloaded & modules
+        # ``python -m`` runs cli as __main__, which resolves the same names
+        out = [] if version else ["--out", str(tmp_path / "main.csv")]
+        ran = subprocess.run(
+            [sys.executable, "-m", "annular_billiards.cli", *argv, *out], env=env,
             capture_output=True, text=True, timeout=60, check=True,
         )
-        assert "'numpy.random'" not in done.stdout
-        assert (tmp_path / "s.csv").read_text().count("\n") == 11 + 8 * 5
+        if version:
+            assert done.stdout.splitlines()[0] == ran.stdout.strip() == annular_billiards.__version__
+        else:
+            assert (tmp_path / "import.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+        if argv[0] == "section":
+            assert (tmp_path / "main.csv").read_text().count("\n") == 11 + 8 * 5
 
 
 class TestLemmaCommand:

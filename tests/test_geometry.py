@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from annular_billiards.errors import DomainError, InvalidTableError
 from annular_billiards.geometry import (
@@ -14,6 +15,7 @@ from annular_billiards.geometry import (
     clearance_from_other_chords,
     max_radius,
     max_radius_delta,
+    max_radius_delta_star_disk,
     max_radius_star,
     scatterer_pose,
     tangency_radius_b,
@@ -62,6 +64,18 @@ class TestMaxRadiusDelta:
         assert max_radius_delta(3, math.sin(math.pi / 3) - eps) == pytest.approx(0.0, abs=1e-8)
         with pytest.raises(DomainError):
             max_radius_delta(3, math.sin(math.pi / 3))
+
+    @pytest.mark.parametrize("n", [200, 10_000, 1_000_000])
+    @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["delta0", "delta_half_sin"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_large_n_cap_keeps_its_digits(self, n, shift, k):
+        # oracle: 1 - sqrt(delta^2 + cos^2(k pi/n)) in 40-digit arithmetic; in
+        # floats that difference cancels (relative error 1.3e-5 at n = 1e6)
+        delta = shift * math.sin(k * math.pi / n)
+        got = max_radius_delta(n, delta) if k == 1 else max_radius_delta_star_disk(n, k, delta)
+        with mp.workdps(40):
+            want = 1 - mp.sqrt(mp.mpf(delta) ** 2 + mp.cos(k * mp.pi / n) ** 2)
+            assert abs(got - want) <= 1e-15 * want
 
 
 class TestMaxRadiusStar:

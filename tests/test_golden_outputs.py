@@ -55,8 +55,8 @@ GOLDEN = {
     "orbit_star_readme.svg": "a34c96a3b3bef7c02ef2e0e5b3deee7697273bd358d3501e1876d0bd45d17da6",
     "orbit_tangent_readme.csv": "2d9ad59fee8fcdc1c243107bbfbd18c8059deb9399137726ba015b5379468a65",
     "orbit_tangent_readme.json": "b7570a7b6f5bdf6fc33c78482426752a5551a98264b3ca1d9b15281ec0fe15b1",
-    "region_readme.csv": "5adbc8454bfcaae0b5de1240101cf2416471c69553fc533dede17b53adf1de19",
-    "region_readme.json": "00251be061eeefd7b05d185e6e5fc19d5baad3b3fbc8a23147db9d4a61c1cf55",
+    "region_readme.csv": "ff335a96292a231759e05c8ea29276117ec2ab67de2b389a3f4e1d3994b03465",
+    "region_readme.json": "7de5f314d6fe40f27bfe1ecd91ba5cd9ad72512d10a8fe606de0cdd7dc9a4e7f",
     "region_readme.svg": "763893d883c13bf9b02f88440af1dd4f2f1a6c01afe94d6b4992d028bb5e9492",
     "section_readme.csv": "7122f63c4156ee94f6972f81480d15ac15fe38dfe460b35f9fc88e4e7de0bdfc",
     "section_readme.json": "be3f018b69f1f17971ba3264555e18f77f59b1c9262f0dbd4ff25e3dae4b7df2",
