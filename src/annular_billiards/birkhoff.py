@@ -16,6 +16,9 @@ mu = arctan(v/u) with lambda = u + i*v the upper eigenvalue of the linearized
 half-period map.  For the near-parabolic tangent orbits u < 0, so mu is a
 small *negative* angle tending to 0 with the detuning, while the principal
 argument of lambda itself sits near pi; both are reported.
+
+NumPy and ``jets`` are imported inside the Taylor-data functions that use
+them, so ``island_sampler``, which iterates the float map, runs without them.
 """
 
 from __future__ import annotations
@@ -25,10 +28,7 @@ import math
 import random
 from typing import NamedTuple
 
-import numpy as np
-
 from .billiard_map import (
-    ARRAY_BACKEND,
     FLOAT_BACKEND,
     JET_BACKEND,
     BirkhoffCoords,
@@ -45,7 +45,6 @@ from .errors import (
     ResonanceError,
 )
 from .geometry import tangency_radius_b
-from .jets import MONOMIALS, Jet2, jet_acos, jet_cos, polyval2
 
 #: tolerance on |lambda^m - 1| below which a low-order resonance is declared
 RESONANCE_TOL = 1e-8
@@ -71,12 +70,16 @@ class TaylorJet3(NamedTuple):
     r: Jet2
 
     def linear(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.s.c[1:3], self.r.c[1:3]])
 
     def trace(self) -> float:
         return float(self.s.c[1] + self.r.c[2])
 
     def max_rel_disagreement(self, other: "TaylorJet3") -> float:
+        import numpy as np
+
         mine, theirs = (np.array([jet.s.c, jet.r.c]) for jet in (self, other))
         scale = np.maximum(np.maximum(np.abs(mine), np.abs(theirs)), 1.0)
         return float((np.abs(mine - theirs) / scale).max())
@@ -159,6 +162,10 @@ def taylor_jet(
 
 def _taylor_jets(rmaps, cross_check) -> list[TaylorJet3 | BilliardError]:
     """One batched push of every map's fixed point, with n and R as arrays."""
+    import numpy as np
+
+    from .jets import Jet2
+
     if not rmaps:
         return []
     s0, r0 = np.array([rmap.fixed_point for rmap in rmaps]).T
@@ -179,6 +186,8 @@ def _taylor_jets(rmaps, cross_check) -> list[TaylorJet3 | BilliardError]:
 def _checked_jet(rmap, jet: TaylorJet3, cross_check: bool) -> TaylorJet3:
     """One point's Taylor data, refused if the push left the arccos domain
     (NaN), the point is not fixed, or the audit disagrees."""
+    import numpy as np
+
     if not (np.isfinite(jet.s.c).all() and np.isfinite(jet.r.c).all()):
         raise NoCollisionError("an arccos argument of the jet push leaves (-1, 1)")
     fp = rmap.fixed_point
@@ -205,6 +214,8 @@ def _fit_matrix() -> list:
     exactly zero, and h^-3 would lift the constant term's residue to 1e19."""
     from mpmath import mp
 
+    from .jets import MONOMIALS
+
     with mp.workdps(FD_DPS):
         X = mp.matrix([[i**a * j**b for a, b in MONOMIALS] for i, j in _GRID])
         return ((X.T * X) ** -1 * X.T).tolist()
@@ -219,7 +230,10 @@ def fd_taylor_jet(rmap: ReducedMap) -> TaylorJet3:
     terms beyond cubic reach a coefficient only through factors h^2 = 1e-24.
     The constant terms are the map's value at the point.
     """
+    import numpy as np
     from mpmath import mp
+
+    from .jets import MONOMIALS, Jet2
 
     fit, lib = _fit_matrix(), MPBackend(mp)
     with mp.workdps(FD_DPS):
@@ -243,6 +257,8 @@ def theta_taylor_jet(rmap: ReducedMap) -> tuple[Jet2, Jet2]:
     (s, r): returns (s_out, theta_out) as degree-3 jets in the displacements
     (ds0, dtheta0).  The reflected output angle is pi - theta3 =
     arccos(-cos theta3), the arccos of the map's r output."""
+    from .jets import Jet2, jet_acos, jet_cos
+
     s_jet = Jet2.variable(rmap.s0, 0)
     th_jet = Jet2.variable(rmap.theta0, 1)
     s_out, r_out = rmap.apply(s_jet, jet_cos(th_jet), JET_BACKEND)
@@ -252,6 +268,8 @@ def theta_taylor_jet(rmap: ReducedMap) -> tuple[Jet2, Jet2]:
 def _substitute(jet: Jet2, dx: Jet2, dy: Jet2) -> Jet2:
     """Re-expand ``jet`` in new displacement variables: its polynomial part
     evaluated at the zero-constant jets (dx, dy), plus its constant term."""
+    from .jets import polyval2
+
     return polyval2(jet.displacement(), dx, dy) + jet.value
 
 
@@ -262,6 +280,8 @@ def theta_jet_to_birkhoff(s_jet: Jet2, th_jet: Jet2, theta0: float) -> TaylorJet
     takes r = cos(theta) on the output side, by jet composition.  Used as a
     cross-check against the jets computed directly in (s, r).
     """
+    from .jets import Jet2, jet_acos, jet_cos
+
     ds = Jet2.variable(0.0, 0)
     dth = jet_acos(Jet2.variable(math.cos(theta0), 1)).displacement()
     s_out = _substitute(s_jet, ds, dth)
@@ -273,6 +293,8 @@ def birkhoff_jet_to_theta(jet: TaylorJet3, theta0: float, theta_out: float) -> t
     """Reverse conversion: rebuild the angle-parametrized jets from (s, r)
     Taylor data by substituting r0 = cos(theta0 + dtheta) and composing the
     output with arccos."""
+    from .jets import Jet2, jet_acos, jet_cos
+
     ds = Jet2.variable(0.0, 0)
     dr = jet_cos(Jet2.variable(theta0, 1)).displacement()
     s_out = _substitute(jet.s.displacement(), ds, dr)
@@ -290,6 +312,8 @@ def c_terms(jet: TaylorJet3) -> tuple[float, float, float]:
 
     Requires a01*b10 < 0 so the normalization square roots are real.
     """
+    from .jets import MONOMIALS
+
     a, b = (dict(zip(MONOMIALS, side.c.tolist())) for side in jet)
     a10, a01 = a[(1, 0)], a[(0, 1)]
     b10 = b[(1, 0)]
@@ -490,7 +514,7 @@ def island_sampler(
     seeds: int = 8,
     seed: int = 0,
     collect: bool = False,
-) -> IslandReport | tuple[IslandReport, np.ndarray]:
+) -> IslandReport | tuple[IslandReport, list[tuple[float, float]]]:
     """Iterate the full period map from a ring of initial conditions.
 
     Starts ``seeds`` points on a circle of the given radius around the fixed
@@ -499,13 +523,14 @@ def island_sampler(
     tracks the maximal distance from the fixed point.  Leaving the chart (a
     ray missing the scatterer) is recorded as an escape; the reported seed is
     the lowest-numbered one that escaped.  With ``collect`` the visited (s, r)
-    iterates are returned for plotting, seed by seed, each up to its escape.
+    iterates are returned for plotting as a list of pairs, seed by seed, each
+    up to its escape.
 
-    All seeds advance together, one array step per half period: the array
-    backend gives each seed the same bits as iterating it alone on floats.
-    A seed off the chart is NaN from then on, so every iterate is stored and
-    each seed's escape is its first non-finite one; the loop stops early once
-    every seed has escaped.
+    Each seed is iterated alone on Python floats, two calls of the float
+    ``half_period_formula`` per iteration, and stops at its first
+    ``NoCollisionError``.  At the widths a request asks for (up to a few
+    hundred seeds) this costs no more than stepping them together as arrays,
+    and it needs no NumPy.
     """
     if iterations < 1 or seeds < 1:
         raise DomainError(f"need iterations >= 1 and seeds >= 1, got {iterations}, {seeds}")
@@ -517,32 +542,31 @@ def island_sampler(
     s0, r0 = rmap.fixed_point
     rng = random.Random(seed)
     phases = [2.0 * math.pi * rng.random() for _ in range(seeds)] if radius > 0.0 else [0.0]
-    s = np.array([s0 + radius * math.cos(ph) for ph in phases])
-    r = np.array([r0 + radius * math.sin(ph) for ph in phases])
-    cloud = np.empty((iterations, 2, len(phases)))  # iterate, (s, r), seed
-    for it in range(iterations):
-        s, r = rmap.apply(*rmap.apply(s, r, ARRAY_BACKEND), ARRAY_BACKEND)
-        cloud[it, 0] = s
-        cloud[it, 1] = r
-        if not np.isfinite(cloud[it]).any():
-            break
-    cloud = cloud[: it + 1]
-    finite = np.isfinite(cloud).all(axis=1)
-    # iterations each seed completed: all of them, or up to its first escape
-    done = np.where(finite.all(axis=0), iterations, finite.argmin(axis=0))
-    kept = np.arange(it + 1)[:, None] < done
-    excursion = np.hypot(cloud[:, 0] - s0, cloud[:, 1] - r0)
-    escaped = np.flatnonzero(done < iterations)
-    esc_seed = int(escaped[0]) if escaped.size else None
+    # the module global, looked up per request, so a patched map is the one called
+    half, R, lib = half_period_formula, rmap.R, FLOAT_BACKEND
+    max_excursion, escape, cloud = 0.0, None, []
+    for index, phase in enumerate(phases):
+        point = (s0 + radius * math.cos(phase), r0 + radius * math.sin(phase))
+        orbit = []
+        try:
+            for it in range(iterations):
+                point = half(*half(*point, n, R, lib), n, R, lib)
+                orbit.append(point)
+        except NoCollisionError:
+            if escape is None:
+                escape = (index, it)
+        excursion = max((math.hypot(s - s0, r - r0) for s, r in orbit), default=0.0)
+        max_excursion = max(max_excursion, excursion)
+        if collect:
+            cloud += orbit
+    escape_seed, escape_iteration = escape or (None, None)
     report = IslandReport(
-        max_excursion=float(excursion[kept].max(initial=0.0)),
+        max_excursion=max_excursion,
         iterations_run=iterations,
-        escaped=esc_seed is not None,
-        escape_seed=esc_seed,
-        escape_iteration=int(done[esc_seed]) if escaped.size else None,
+        escaped=escape is not None,
+        escape_seed=escape_seed,
+        escape_iteration=escape_iteration,
         seeds=len(phases),
         radius=radius,
     )
-    if collect:
-        return report, cloud.transpose(2, 0, 1)[kept.T]
-    return report
+    return (report, cloud) if collect else report

@@ -23,8 +23,6 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .errors import BilliardError
 
@@ -32,7 +30,9 @@ from .errors import BilliardError
 #: imported on its first lookup as an attribute of this module (PEP 562) and
 #: kept in its globals, so a request loads only the modules its subcommand
 #: runs.  The subcommands call these names as attributes of ``_cli``, this
-#: module, so a patched attribute intercepts the call.
+#: module, so a patched attribute intercepts the call.  NumPy is imported
+#: inside the functions that build arrays, so ``section`` and ``--version``
+#: run without it.
 _LIBRARY = {
     name: module
     for module, names in {
@@ -100,6 +100,8 @@ def parse_values(text: str, cast=float) -> list:
                 raise argparse.ArgumentTypeError(
                     f"range must be start:stop:count, got {text!r}"
                 )
+            import numpy as np
+
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
                 raise argparse.ArgumentTypeError(f"range count must be >= 1, got {text!r}")
@@ -263,6 +265,8 @@ def _stability_outcomes(points: list[tuple], tables: list[TableParams], refusals
     table is next in ``tables``; every such table is built, checked and
     linearised in one batch, and a point refused on the way gets the refusal
     as its ``skip_reason``."""
+    import numpy as np
+
     matrices, errors = _cli.monodromy(_cli.build_type_a(tables)) if tables else ((), ())
     outcomes = iter(zip(matrices, errors))
     out = []
@@ -300,6 +304,8 @@ def _birkhoff_point(n: int, eps: float, jet) -> tuple:
 
 
 def cmd_stability(spec: ScanSpec) -> int:
+    import numpy as np
+
     p = spec.params
     points, tables, refusals = [], [], []
     for n in p["n"]:
@@ -332,6 +338,8 @@ def cmd_stability(spec: ScanSpec) -> int:
 
 
 def cmd_region(spec: ScanSpec) -> int:
+    import numpy as np
+
     p = spec.params
     n = p["n"][0]
     dstar = _cli.delta_star(n)
@@ -434,10 +442,12 @@ def cmd_section(spec: ScanSpec) -> int:
         "escape_seed": report.escape_seed if report.escaped else "",
         "escape_iteration": report.escape_iteration if report.escaped else "",
     }
-    return write_table(spec, {"s": cloud[:, 0].tolist(), "r": cloud[:, 1].tolist()}, summary)
+    return write_table(spec, {"s": [s for s, _ in cloud], "r": [r for _, r in cloud]}, summary)
 
 
 def cmd_lemma(spec: ScanSpec) -> int:
+    import numpy as np
+
     p = spec.params
     xs = [float(x) for x in (p["x"] or np.geomspace(1.01, 1e4, 400))]
     fs = [_cli.lemma_f(x) for x in xs]

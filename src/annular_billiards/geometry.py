@@ -15,8 +15,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, InvalidTableError, SingularConfigurationError
 
 #: absolute tolerance for interiority/tangency comparisons on the unit disk
@@ -209,16 +207,21 @@ class TableParams:
 
 @dataclass(frozen=True)
 class ScattererPose:
-    """Scatterer circle in the unit-disk Cartesian frame."""
+    """Scatterer circle in the unit-disk Cartesian frame; ``center`` is kept
+    as a NumPy array, which the ray tracer reads."""
 
     center: np.ndarray = field(repr=False)
     radius: float
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
     @property
     def center_distance(self) -> float:
+        import numpy as np
+
         return float(np.hypot(self.center[0], self.center[1]))
 
     def interiority_defect(self) -> float:

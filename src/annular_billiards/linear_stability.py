@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import ClassificationError, DomainError, GrazingError, only_column
 from .geometry import max_radius
-from .orbits import OrbitBatch, OrbitRecord
 
 #: half-width of the parabolic dead zone around |trace| = 2
 CLASSIFY_TOL = 1e-9
@@ -131,6 +130,9 @@ def monodromy(orbit):
     column's first grazing bounce added.  An ``OrbitRecord`` is the batch of
     one: it returns the matrix and raises its refusal.
     """
+    # imported here: the closed forms below need no orbit
+    from .orbits import OrbitBatch
+
     if isinstance(orbit, OrbitBatch):
         return _monodromies(orbit)
     return only_column(*_monodromies(OrbitBatch.of(orbit)))

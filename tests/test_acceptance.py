@@ -17,7 +17,6 @@ import pytest
 from annular_billiards.billiard_map import (
     PhasePoint,
     Wall,
-    generic_step,
     reflection,
     wrap_pi,
 )
@@ -50,7 +49,7 @@ from annular_billiards.linear_stability import (
     trace_b_coefficient,
     trace_closed_form,
 )
-from annular_billiards.orbits import build_type_a, build_type_b, verify_closure
+from annular_billiards.orbits import build_type_a, build_type_b, generic_step, verify_closure
 
 GRID_PAIRS = [(n, 1) for n in range(3, 11)] + [(5, 2), (7, 2), (7, 3), (9, 2), (9, 4)]
 GRID_DELTAS = [0.0, 0.01, 0.05]

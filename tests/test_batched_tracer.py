@@ -21,15 +21,7 @@ import numpy as np
 import pytest
 
 from annular_billiards import cli
-from annular_billiards.billiard_map import (
-    MIN_FLIGHT,
-    PhaseColumns,
-    PhasePoint,
-    ScattererColumns,
-    Wall,
-    generic_step,
-    wrap_pi,
-)
+from annular_billiards.billiard_map import PhasePoint, Wall, wrap_pi
 from annular_billiards.errors import (
     BilliardError,
     GrazingError,
@@ -45,7 +37,16 @@ from annular_billiards.geometry import (
     scatterer_pose,
 )
 from annular_billiards.linear_stability import bounce_jacobian, classify, monodromy, trace_closed_form
-from annular_billiards.orbits import CLOSURE_TOL, build_type_a, build_type_b, verify_closure
+from annular_billiards.orbits import (
+    CLOSURE_TOL,
+    MIN_FLIGHT,
+    PhaseColumns,
+    ScattererColumns,
+    build_type_a,
+    build_type_b,
+    generic_step,
+    verify_closure,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

