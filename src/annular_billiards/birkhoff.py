@@ -17,8 +17,10 @@ half-period map.  For the near-parabolic tangent orbits u < 0, so mu is a
 small *negative* angle tending to 0 with the detuning, while the principal
 argument of lambda itself sits near pi; both are reported.
 
-NumPy and ``jets`` are imported inside the Taylor-data functions that use
-them, so ``island_sampler``, which iterates the float map, runs without them.
+The pipeline runs on Python floats: ``jets`` is pure Python and is imported
+inside the Taylor-data functions that use it, so ``island_sampler``, which
+iterates the float map, runs without it, and neither needs NumPy (only
+``TaylorJet3.linear`` builds an array).
 """
 
 from __future__ import annotations
@@ -75,14 +77,13 @@ class TaylorJet3(NamedTuple):
         return np.array([self.s.c[1:3], self.r.c[1:3]])
 
     def trace(self) -> float:
-        return float(self.s.c[1] + self.r.c[2])
+        return self.s.c[1] + self.r.c[2]
 
     def max_rel_disagreement(self, other: "TaylorJet3") -> float:
-        import numpy as np
-
-        mine, theirs = (np.array([jet.s.c, jet.r.c]) for jet in (self, other))
-        scale = np.maximum(np.maximum(np.abs(mine), np.abs(theirs)), 1.0)
-        return float((np.abs(mine - theirs) / scale).max())
+        return max(
+            abs(a - b) / max(abs(a), abs(b), 1.0)
+            for a, b in zip(self.s.c + self.r.c, other.s.c + other.r.c)
+        )
 
 
 class BirkhoffReport(NamedTuple):
@@ -147,51 +148,43 @@ def taylor_jet(
     re-derives every coefficient and a disagreement beyond 1e-5 relative
     raises ``PrecisionError``.
 
-    Given a list of maps, pushes all their fixed points through one batched
-    jet evaluation and returns, map by map, its Taylor data or the
+    Given a list of maps, returns, map by map, its Taylor data or the
     ``BilliardError`` that refuses it, so one refused point does not stop the
-    others.  A single map is the batch of one.
+    others.  A single map is the list of one.
     """
-    if not isinstance(rmap, ReducedMap):
-        return _taylor_jets(rmap, cross_check)
-    (jet,) = _taylor_jets([rmap], cross_check)
-    if isinstance(jet, BilliardError):
-        raise jet
-    return jet
+    if isinstance(rmap, ReducedMap):
+        return _checked_jet(rmap, cross_check)
+    return _taylor_jets(rmap, cross_check)
 
 
 def _taylor_jets(rmaps, cross_check) -> list[TaylorJet3 | BilliardError]:
-    """One batched push of every map's fixed point, with n and R as arrays."""
-    import numpy as np
-
-    from .jets import Jet2
-
-    if not rmaps:
-        return []
-    s0, r0 = np.array([rmap.fixed_point for rmap in rmaps]).T
-    n = np.array([rmap.n for rmap in rmaps])
-    R = np.array([rmap.R for rmap in rmaps])
-    s_out, r_out = half_period_formula(
-        Jet2.variable(s0, 0), Jet2.variable(r0, 1), n, R, JET_BACKEND
-    )
+    """Each map's Taylor data, or the ``BilliardError`` that refuses it."""
     jets: list[TaylorJet3 | BilliardError] = []
-    for rmap, s_col, r_col in zip(rmaps, s_out.c.T, r_out.c.T):
+    for rmap in rmaps:
         try:
-            jets.append(_checked_jet(rmap, TaylorJet3(Jet2(s_col), Jet2(r_col)), cross_check))
+            jets.append(_checked_jet(rmap, cross_check))
         except BilliardError as exc:
             jets.append(exc)
     return jets
 
 
-def _checked_jet(rmap, jet: TaylorJet3, cross_check: bool) -> TaylorJet3:
-    """One point's Taylor data, refused if the push left the arccos domain
-    (NaN), the point is not fixed, or the audit disagrees."""
-    import numpy as np
+def _checked_jet(rmap, cross_check: bool) -> TaylorJet3:
+    """One jet push of the map's fixed point, refused if it leaves the arccos
+    domain or a coefficient is not finite, the point is not fixed, or the
+    audit disagrees."""
+    from .jets import Jet2
 
-    if not (np.isfinite(jet.s.c).all() and np.isfinite(jet.r.c).all()):
+    s0, r0 = rmap.fixed_point
+    try:
+        # the module global, looked up per push, so a patched map is the one called
+        jet = TaylorJet3(*half_period_formula(
+            Jet2.variable(s0, 0), Jet2.variable(r0, 1), rmap.n, rmap.R, JET_BACKEND
+        ))
+    except NoCollisionError:
+        jet = None
+    if jet is None or not all(map(math.isfinite, jet.s.c + jet.r.c)):
         raise NoCollisionError("an arccos argument of the jet push leaves (-1, 1)")
-    fp = rmap.fixed_point
-    residual = max(abs(jet.s.value - fp.s), abs(jet.r.value - fp.r))
+    residual = max(abs(jet.s.value - s0), abs(jet.r.value - r0))
     if residual > 1e-9:
         raise DomainError(f"point is not fixed (residual {residual:.3g})")
     if cross_check:
@@ -230,7 +223,6 @@ def fd_taylor_jet(rmap: ReducedMap) -> TaylorJet3:
     terms beyond cubic reach a coefficient only through factors h^2 = 1e-24.
     The constant terms are the map's value at the point.
     """
-    import numpy as np
     from mpmath import mp
 
     from .jets import MONOMIALS, Jet2
@@ -244,7 +236,7 @@ def fd_taylor_jet(rmap: ReducedMap) -> TaylorJet3:
             [float(mp.fdot(row, side) / h ** (a + b)) for row, (a, b) in zip(fit, MONOMIALS)]
             for side in zip(*samples)
         )
-        return TaylorJet3(*(Jet2(np.array(side)) for side in sides))
+        return TaylorJet3(*(Jet2(tuple(side)) for side in sides))
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +304,8 @@ def c_terms(jet: TaylorJet3) -> tuple[float, float, float]:
 
     Requires a01*b10 < 0 so the normalization square roots are real.
     """
-    from .jets import MONOMIALS
-
-    a, b = (dict(zip(MONOMIALS, side.c.tolist())) for side in jet)
-    a10, a01 = a[(1, 0)], a[(0, 1)]
-    b10 = b[(1, 0)]
+    _, a10, a01, a20, a11, a02, a30, a21, a12, a03 = jet.s.c
+    _, b10, b01, b20, b11, b02, b30, b21, b12, b03 = jet.r.c
     if not a01 * b10 < 0.0:
         raise NonEllipticNormalizationError(
             f"need a01*b10 < 0, got a01={a01!r}, b10={b10!r}"
@@ -324,25 +313,25 @@ def c_terms(jet: TaylorJet3) -> tuple[float, float, float]:
     im_c21 = (
         a10
         * (
-            -a[(1, 2)]
-            + 3.0 * b10 * a[(0, 3)] / a01
-            - 3.0 * a01 * b[(3, 0)] / b10
-            + b[(1, 2)]
+            -a12
+            + 3.0 * b10 * a03 / a01
+            - 3.0 * a01 * b30 / b10
+            + b12
         )
         - b10
         * (
-            a[(1, 2)]
-            - 3.0 * a01 * a[(3, 0)] / b10
-            - a01 * b[(2, 1)] / b10
-            + 3.0 * b[(0, 3)]
+            a12
+            - 3.0 * a01 * a30 / b10
+            - a01 * b21 / b10
+            + 3.0 * b03
         )
     ) / 8.0
     sq_ab = math.sqrt(-a01 / b10)
     sq_ba = math.sqrt(-b10 / a01)
-    plus_a = (b10 / a01) * a[(0, 2)] + a[(2, 0)] + b[(1, 1)]
-    plus_b = (a01 / b10) * b[(2, 0)] + b[(0, 2)] + a[(1, 1)]
-    minus_a = (b10 / a01) * a[(0, 2)] + a[(2, 0)] - b[(1, 1)]
-    minus_b = (a01 / b10) * b[(2, 0)] + b[(0, 2)] - a[(1, 1)]
+    plus_a = (b10 / a01) * a02 + a20 + b11
+    plus_b = (a01 / b10) * b20 + b02 + a11
+    minus_a = (b10 / a01) * a02 + a20 - b11
+    minus_b = (a01 / b10) * b20 + b02 - a11
     abs_c20_sq = (sq_ab * plus_a**2 + sq_ba * plus_b**2) / 16.0
     abs_c02_sq = (sq_ab * minus_a**2 + sq_ba * minus_b**2) / 16.0
     return im_c21, abs_c20_sq, abs_c02_sq

@@ -31,8 +31,8 @@ from .errors import BilliardError
 #: kept in its globals, so a request loads only the modules its subcommand
 #: runs.  The subcommands call these names as attributes of ``_cli``, this
 #: module, so a patched attribute intercepts the call.  NumPy is imported
-#: inside the functions that build arrays, so ``section`` and ``--version``
-#: run without it.
+#: inside the functions that build arrays, so ``birkhoff``, ``section`` and
+#: ``--version`` run without it.
 _LIBRARY = {
     name: module
     for module, names in {
@@ -87,6 +87,21 @@ class ScanSpec(NamedTuple):
         }
 
 
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """``count`` evenly spaced floats from ``start`` to ``stop``, bit for bit
+    those of ``numpy.linspace``: i * step + start with step = (stop - start)
+    / (count - 1), or i / (count - 1) * (stop - start) where step is 0 (an
+    underflow), and ``stop`` itself last."""
+    delta = stop - start
+    if count == 1:
+        return [0.0 * delta + start]
+    div = count - 1
+    step = delta / div
+    if step == 0:
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
+
+
 def parse_values(text: str, cast=float) -> list:
     """Parse a flag value: a single number, a comma list, or start:stop:count.
 
@@ -100,16 +115,14 @@ def parse_values(text: str, cast=float) -> list:
                 raise argparse.ArgumentTypeError(
                     f"range must be start:stop:count, got {text!r}"
                 )
-            import numpy as np
-
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
                 raise argparse.ArgumentTypeError(f"range count must be >= 1, got {text!r}")
             if not (math.isfinite(start) and math.isfinite(stop)):
                 raise argparse.ArgumentTypeError(f"range bounds must be finite, got {text!r}")
-            grid = np.linspace(start, stop, count)
+            grid = _linspace(start, stop, count)
             values = [cast(v) for v in grid]
-            if values != list(grid):
+            if values != grid:
                 raise argparse.ArgumentTypeError(f"range {text!r} is not exact in {cast.__name__}")
         else:
             values = [cast(v) for v in text.split(",")]
@@ -304,8 +317,6 @@ def _birkhoff_point(n: int, eps: float, jet) -> tuple:
 
 
 def cmd_stability(spec: ScanSpec) -> int:
-    import numpy as np
-
     p = spec.params
     points, tables, refusals = [], [], []
     for n in p["n"]:
@@ -319,7 +330,7 @@ def cmd_stability(spec: ScanSpec) -> int:
                         points.append((n, k, "", delta))
                         refusals.append(exc)
                         continue
-                    rs = list(np.linspace(0.05 * cap, cap, 25))
+                    rs = _linspace(0.05 * cap, cap, 25)
                 for R in rs:
                     points.append((n, k, R, delta))
                     try:
@@ -338,12 +349,10 @@ def cmd_stability(spec: ScanSpec) -> int:
 
 
 def cmd_region(spec: ScanSpec) -> int:
-    import numpy as np
-
     p = spec.params
     n = p["n"][0]
     dstar = _cli.delta_star(n)
-    deltas = list(np.linspace(0.0, min(1.25 * dstar, 0.999 * math.sin(math.pi / n)), p["count"]))
+    deltas = _linspace(0.0, min(1.25 * dstar, 0.999 * math.sin(math.pi / n)), p["count"])
     r_min = [_cli.bifurcation_radius(n, 1, d) for d in deltas]
     r_del = [_cli.max_radius_delta(n, d) for d in deltas]
     if spec.fmt == "svg":

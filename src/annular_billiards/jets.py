@@ -6,26 +6,21 @@ through the elementary operations of a map yields the map's Taylor
 coefficients exactly (up to rounding), which is what the twist-coefficient
 pipeline needs: no finite-difference truncation error, no symbolic algebra.
 
-Coefficients are stored densely in the monomial order
+Coefficients are stored as a tuple of ten Python floats in the monomial order
 
     1, x, y, x^2, xy, y^2, x^3, x^2 y, x y^2, y^3
 
 and are plain Taylor *coefficients* (factorials included), so the partial
 derivative d^(i+j) f / dx^i dy^j equals ``coeff(i, j) * i! * j!``.
 
-A jet may also carry a trailing batch axis: coefficients of shape ``(10, m)``
-hold m expansions about m base points, one per column.  The arithmetic
-operators (with jets of the same batch, scalars, or length-m arrays) and
-``jet_sin``/``jet_cos``/``jet_acos`` act on each column as they would on that
-column alone, with the same bits.  Coefficient access and ``polyval2`` take
-unbatched jets.
+The module is pure Python: it imports only ``math`` and ``operator``, so the
+twist pipeline runs without NumPy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from operator import add, sub
 
 from .errors import NoCollisionError
 
@@ -44,120 +39,153 @@ MONOMIALS: tuple[tuple[int, int], ...] = (
 )
 
 _INDEX = {m: i for i, m in enumerate(MONOMIALS)}
-_N = len(MONOMIALS)
 
-# Precomputed (ia, ib, iout) triples for truncated polynomial multiplication.
+#: (ia, ib, iout) triples of truncated polynomial multiplication, in the
+#: order ``Jet2.__mul__`` adds each output's products
 _MUL_TABLE: list[tuple[int, int, int]] = []
 for _a, (_i, _j) in enumerate(MONOMIALS):
     for _b, (_p, _q) in enumerate(MONOMIALS):
         if _i + _j + _p + _q <= 3:
             _MUL_TABLE.append((_a, _b, _INDEX[(_i + _p, _j + _q)]))
-_IA, _IB, _IO = (np.array(_col) for _col in zip(*_MUL_TABLE))
 
 
 class Jet2:
     """Degree-3 truncated Taylor expansion of a scalar function of two
-    variables, or a batch of them (coefficients ``(10,)`` or ``(10, m)``)."""
+    variables: ``c`` is the tuple of its ten coefficients."""
 
     __slots__ = ("c",)
 
-    # an ndarray operand defers to the jet, so ``array * jet`` scales column i
-    # of a batch by element i of the array
-    __array_ufunc__ = None
-
-    def __init__(self, c: np.ndarray):
+    def __init__(self, c: tuple[float, ...]):
         self.c = c
 
     def __eq__(self, other):
-        """Equal coefficients (and batch shape), as one bool."""
         if not isinstance(other, Jet2):
             return NotImplemented
-        return np.array_equal(self.c, other.c)
+        return self.c == other.c
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def constant(value: float) -> "Jet2":
-        c = np.zeros(_N)
-        c[0] = value
-        return Jet2(c)
+        return Jet2((float(value),) + (0.0,) * 9)
 
     @staticmethod
-    def variable(value, index: int) -> "Jet2":
-        """Jet of the coordinate function ``value + dx_index``; an array of m
-        values gives a batch of m jets."""
+    def variable(value: float, index: int) -> "Jet2":
+        """Jet of the coordinate function ``value + dx_index``."""
         if index not in (0, 1):
             raise ValueError("variable index must be 0 or 1")
-        c = np.zeros((_N,) + np.shape(value))
-        c[0] = value
-        c[1 + index] = 1.0
-        return Jet2(c)
+        linear = (1.0, 0.0) if index == 0 else (0.0, 1.0)
+        return Jet2((float(value),) + linear + (0.0,) * 7)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.c + other.c)
-        c = self.c.copy()
-        c[0] += other
-        return Jet2(c)
+            return Jet2(tuple(map(add, self.c, other.c)))
+        c = self.c
+        return Jet2((c[0] + other,) + c[1:])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.c)
+        return Jet2(tuple([-x for x in self.c]))
 
+    # a - b is a + (-b) in IEEE arithmetic, bit for bit
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, Jet2):
+            return Jet2(tuple(map(sub, self.c, other.c)))
+        c = self.c
+        return Jet2((c[0] - other,) + c[1:])
 
     def __rsub__(self, other):
-        return (-self) + other
+        c = self.c
+        return Jet2((other - c[0],) + tuple([-x for x in c[1:]]))
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(self.c * other)
-        # gather every product, then scatter-add them by output coefficient:
-        # bincount sums each bin in input order from 0.0, which is table
-        # order, so every column gets the bits of the former loop over it
-        prod = self.c[_IA] * other.c[_IB]
-        m = prod[0].size
-        bins = (_IO[:, None] * m + np.arange(m)).ravel()
-        return Jet2(np.bincount(bins, prod.ravel(), _N * m).reshape(self.c.shape))
+            return Jet2(tuple([x * other for x in self.c]))
+        # each output coefficient sums its products from 0.0 in
+        # ``_MUL_TABLE`` order, so every bit (signed zeros included) is that
+        # of a loop over the table
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.c
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.c
+        return Jet2((
+            0.0 + a0 * b0,
+            0.0 + a0 * b1 + a1 * b0,
+            0.0 + a0 * b2 + a2 * b0,
+            0.0 + a0 * b3 + a1 * b1 + a3 * b0,
+            0.0 + a0 * b4 + a1 * b2 + a2 * b1 + a4 * b0,
+            0.0 + a0 * b5 + a2 * b2 + a5 * b0,
+            0.0 + a0 * b6 + a1 * b3 + a3 * b1 + a6 * b0,
+            0.0 + a0 * b7 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a7 * b0,
+            0.0 + a0 * b8 + a1 * b5 + a2 * b4 + a4 * b2 + a5 * b1 + a8 * b0,
+            0.0 + a0 * b9 + a2 * b5 + a5 * b2 + a9 * b0,
+        ))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             return self * other._reciprocal()
-        return Jet2(self.c / other)
+        return Jet2(tuple([x / other for x in self.c]))
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
 
     def _reciprocal(self) -> "Jet2":
-        return _compose_each(self, _reciprocal_derivs)
+        u = self.c[0]
+        if u == 0.0:
+            raise ZeroDivisionError("jet with zero constant term")
+        return self.compose_univariate((1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4))
 
     # -- composition with univariate functions ------------------------------
 
     def compose_univariate(self, derivs: tuple[float, float, float, float]) -> "Jet2":
         """Compose ``f(self)`` given ``f`` and its first three derivatives at
-        the jet's constant term."""
+        the jet's constant term.
+
+        This is ``f0 + f1*h + (f2/2)*h*h + (f3/6)*h*h*h`` in the displacement
+        h, summed coefficient by coefficient in that order, with the products
+        of h unrolled as ``__mul__`` has them.  h's constant term is 0.0, so
+        the products with it are signed zeros; they are left out of the
+        powers, which leaves their bits alone for a finite jet (a sum that
+        starts from 0.0 is never -0.0).
+        """
         f0, f1, f2, f3 = derivs
-        h = self.displacement()
-        h2 = h * h
-        h3 = h2 * h
-        return f0 + f1 * h + (f2 / 2.0) * h2 + (f3 / 6.0) * h3
+        g2, g3 = f2 / 2.0, f3 / 6.0
+        _, h1, h2, h3, h4, h5, h6, h7, h8, h9 = self.c
+        # h*h from its x^2 coefficient on; below that it is 0.0
+        q3 = 0.0 + h1 * h1
+        q4 = 0.0 + h1 * h2 + h2 * h1
+        q5 = 0.0 + h2 * h2
+        q6 = 0.0 + h1 * h3 + h3 * h1
+        q7 = 0.0 + h1 * h4 + h2 * h3 + h3 * h2 + h4 * h1
+        q8 = 0.0 + h1 * h5 + h2 * h4 + h4 * h2 + h5 * h1
+        q9 = 0.0 + h2 * h5 + h5 * h2
+        # the 0.0 coefficients of h*h and h*h*h, scaled
+        z2, z3 = 0.0 * g2, 0.0 * g3
+        return Jet2((
+            0.0 * f1 + f0 + z2 + z3,
+            h1 * f1 + z2 + z3,
+            h2 * f1 + z2 + z3,
+            h3 * f1 + q3 * g2 + z3,
+            h4 * f1 + q4 * g2 + z3,
+            h5 * f1 + q5 * g2 + z3,
+            # h*h*h, which starts at x^3
+            h6 * f1 + q6 * g2 + (0.0 + q3 * h1) * g3,
+            h7 * f1 + q7 * g2 + (0.0 + q3 * h2 + q4 * h1) * g3,
+            h8 * f1 + q8 * g2 + (0.0 + q4 * h2 + q5 * h1) * g3,
+            h9 * f1 + q9 * g2 + (0.0 + q5 * h2) * g3,
+        ))
 
     def displacement(self) -> "Jet2":
         """The jet minus its constant term."""
-        c = self.c.copy()
-        c[0] = 0.0
-        return Jet2(c)
+        return Jet2((0.0,) + self.c[1:])
 
     # -- coefficient access --------------------------------------------------
 
     def coeff(self, i: int, j: int) -> float:
-        return float(self.c[_INDEX[(i, j)]])
+        return self.c[_INDEX[(i, j)]]
 
     def partial(self, i: int, j: int) -> float:
         """Partial derivative d^(i+j)/dx^i dy^j at the base point."""
@@ -165,54 +193,31 @@ class Jet2:
 
     @property
     def value(self) -> float:
-        return float(self.c[0])
-
-
-def _compose_each(x: Jet2, derivs) -> Jet2:
-    """Compose ``f(x)`` where ``derivs(u)`` gives f and its first three
-    derivatives at one constant term in Python float arithmetic, evaluated
-    one constant at a time (NumPy's ``power`` and ``arccos`` differ from
-    Python's ``**`` and ``math.acos`` in the last bit on some arguments)."""
-    u = x.c[0]
-    table = np.array([derivs(v) for v in np.ravel(u).tolist()])
-    return x.compose_univariate(tuple(table.T.reshape((4,) + u.shape)))
-
-
-def _reciprocal_derivs(u: float) -> tuple[float, float, float, float]:
-    if u == 0.0:
-        raise ZeroDivisionError("jet with zero constant term")
-    return 1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4
-
-
-def _acos_derivs(u: float) -> tuple[float, float, float, float]:
-    if not -1.0 < u < 1.0:
-        return (math.nan,) * 4
-    w = 1.0 - u * u
-    return math.acos(u), -w**-0.5, -u * w**-1.5, -(1.0 + 2.0 * u * u) * w**-2.5
+        return self.c[0]
 
 
 def jet_sin(x: Jet2) -> Jet2:
     u = x.c[0]
-    s, c = np.sin(u), np.cos(u)
+    s, c = math.sin(u), math.cos(u)
     return x.compose_univariate((s, c, -s, -c))
 
 
 def jet_cos(x: Jet2) -> Jet2:
     u = x.c[0]
-    s, c = np.sin(u), np.cos(u)
+    s, c = math.sin(u), math.cos(u)
     return x.compose_univariate((c, -s, -c, s))
 
 
 def jet_acos(x: Jet2) -> Jet2:
-    """arccos of a jet whose constant term lies in (-1, 1).
-
-    An unbatched jet outside raises ``NoCollisionError`` (the ray the map
-    follows misses its wall); in a batch that column becomes NaN instead, so
-    the other points go on.
-    """
-    if x.c.ndim == 1 and not -1.0 < x.c[0] < 1.0:
-        raise NoCollisionError(f"jet_acos needs |constant term| < 1, got {x.value!r}")
-    return _compose_each(x, _acos_derivs)
+    """arccos of a jet whose constant term lies in (-1, 1); elsewhere
+    ``NoCollisionError`` (the ray the map follows misses its wall)."""
+    u = x.c[0]
+    if not -1.0 < u < 1.0:
+        raise NoCollisionError(f"jet_acos needs |constant term| < 1, got {u!r}")
+    w = 1.0 - u * u
+    return x.compose_univariate(
+        (math.acos(u), -w**-0.5, -u * w**-1.5, -(1.0 + 2.0 * u * u) * w**-2.5)
+    )
 
 
 def polyval2(jet: Jet2, x: Jet2, y: Jet2) -> Jet2:
@@ -226,8 +231,7 @@ def polyval2(jet: Jet2, x: Jet2, y: Jet2) -> Jet2:
     xp = [Jet2.constant(1.0), x, x * x, x * x * x]
     yp = [Jet2.constant(1.0), y, y * y, y * y * y]
     out = Jet2.constant(0.0)
-    for idx, (i, j) in enumerate(MONOMIALS):
-        coef = jet.c[idx]
+    for coef, (i, j) in zip(jet.c, MONOMIALS):
         if coef != 0.0:
             out = out + coef * (xp[i] * yp[j])
     return out

@@ -210,9 +210,8 @@ class TestTaylorJet:
         import annular_billiards.birkhoff as bk
 
         good = fd_taylor_jet(ReducedMap(3, 0.01))
-        s = good.s.c.copy()
-        s[1:] *= 1.0 + 1e-3
-        bad = TaylorJet3(Jet2(s), good.r)
+        s = good.s.c
+        bad = TaylorJet3(Jet2(s[:1] + tuple(x * (1.0 + 1e-3) for x in s[1:])), good.r)
         monkeypatch.setattr(bk, "fd_taylor_jet", lambda *a, **kw: bad)
         with pytest.raises(PrecisionError):
             taylor_jet(ReducedMap(3, 0.01), cross_check=True)
@@ -273,7 +272,7 @@ def make_jet(a_extra=None, b_extra=None, a10=0.0, a01=1.0, b10=-1.0, b01=0.0):
     a = {(1, 0): a10, (0, 1): a01} | (a_extra or {})
     b = {(1, 0): b10, (0, 1): b01} | (b_extra or {})
     return TaylorJet3(
-        *(Jet2(np.array([side.get(k, 0.0) for k in MONOMIALS])) for side in (a, b))
+        *(Jet2(tuple(side.get(k, 0.0) for k in MONOMIALS)) for side in (a, b))
     )
 
 
@@ -551,23 +550,23 @@ class TestSamplerMatchesSeedBySeedReference:
 
 
 # ---------------------------------------------------------------------------
-# the batched jet push against the former per-point route
+# the unrolled jet push against the former per-point route
 # ---------------------------------------------------------------------------
 
 
 def _former_mul(self, other):
     """``Jet2.__mul__`` as it was: a Python loop over the product table."""
     if not isinstance(other, Jet2):
-        return Jet2(self.c * other)
+        return Jet2(tuple((np.array(self.c) * other).tolist()))
     out = np.zeros(len(MONOMIALS))
     a, b = self.c, other.c
     for ia, ib, io in _MUL_TABLE:
         out[io] += a[ia] * b[ib]
-    return Jet2(out)
+    return Jet2(tuple(out.tolist()))
 
 
 def _former_compose(x, f0, f1, f2, f3):
-    h = Jet2(np.concatenate(([0.0], x.c[1:])))
+    h = Jet2((0.0,) + x.c[1:])
     h2 = _former_mul(h, h)
     h3 = _former_mul(h2, h)
     return f0 + f1 * h + (f2 / 2.0) * h2 + (f3 / 6.0) * h3
@@ -605,7 +604,7 @@ class _FormerJetBackend:
 
 
 def _former_taylor_jet(rmap):
-    """``taylor_jet`` as it was: one unbatched push per point."""
+    """``taylor_jet`` as it was: one push per point through the former route."""
     fp = rmap.fixed_point
     s_out, r_out = rmap.apply(Jet2.variable(fp.s, 0), Jet2.variable(fp.r, 1), _FormerJetBackend)
     residual = max(abs(s_out.value - fp.s), abs(r_out.value - fp.r))
@@ -616,7 +615,7 @@ def _former_taylor_jet(rmap):
 
 def _bits(jet: TaylorJet3) -> bytes:
     """All 20 coefficients, constant terms included."""
-    return np.concatenate([jet.s.c, jet.r.c]).tobytes()
+    return np.array(jet.s.c + jet.r.c).tobytes()
 
 
 def _use_former_products(monkeypatch):
@@ -625,41 +624,45 @@ def _use_former_products(monkeypatch):
     monkeypatch.setattr(Jet2, "__rmul__", _former_mul)
 
 
-class TestBatchedPushMatchesFormerRoute:
-    @pytest.mark.parametrize("m", [None, 1, 7, 64])
-    def test_random_jets_bit_equal_per_column(self, monkeypatch, m):
-        rng = np.random.default_rng(0 if m is None else m)
-        shape = (10,) if m is None else (10, m)
-        a, b = rng.normal(size=shape), rng.normal(size=shape)
-        a[0] = rng.uniform(-0.95, 0.95, size=shape[1:])  # inside the arccos domain
-        a[4], b[7] = -0.0, 0.0  # signed zeros must survive as before
-        ja, jb = Jet2(a), Jet2(b)
-        got = {
-            "mul": ja * jb,
-            "scale": 0.37 * ja,
-            "sin": jet_sin(ja),
-            "cos": jet_cos(ja),
-            "acos": jet_acos(ja),
-            "reciprocal": 1.0 / ja,
+class TestPushMatchesFormerRoute:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 64])
+    def test_random_jets_bit_equal(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, 16, 10))
+        a[:, 0] = rng.uniform(-0.95, 0.95, size=16)  # inside the arccos domain
+        # signed zeros must survive as before, in the products and in the
+        # powers of the displacement that a composition forms
+        a[:, 4], b[:, 7], a[::2, 1], a[1::2, 5] = -0.0, 0.0, -0.0, 0.0
+        b[:4, 0] = 0.0, -0.0, 0.0, -0.0
+        pairs = [(Jet2(tuple(x.tolist())), Jet2(tuple(y.tolist()))) for x, y in zip(a, b)]
+        ops = {
+            "mul": lambda x, y: x * y,
+            "scale": lambda x, y: 0.37 * x,
+            "difference": lambda x, y: (x - y) - 0.25 + (0.5 - x),
+            "sin": lambda x, y: jet_sin(x),
+            "cos": lambda x, y: jet_cos(x),
+            "sin of b": lambda x, y: jet_sin(y),
+            "acos": lambda x, y: jet_acos(x),
+            "reciprocal": lambda x, y: 1.0 / x,
         }
+        got = [{key: op(x, y) for key, op in ops.items()} for x, y in pairs]
         _use_former_products(monkeypatch)
-        columns = [(a, b)] if m is None else list(zip(a.T, b.T))
-        for i, (ca, cb) in enumerate(columns):
-            x, y = Jet2(ca.copy()), Jet2(cb.copy())
+        for (x, y), jets in zip(pairs, got):
             want = {
                 "mul": _former_mul(x, y),
                 "scale": 0.37 * x,
+                "difference": (x + (-y)) + (-0.25) + ((-x) + 0.5),
                 "sin": _FormerJetBackend.sin(x),
                 "cos": _FormerJetBackend.cos(x),
+                "sin of b": _FormerJetBackend.sin(y),
                 "acos": _FormerJetBackend.acos(x),
                 "reciprocal": _FormerJetBackend.reciprocal(x),
             }
-            for key, jet in got.items():
-                col = jet.c if m is None else jet.c[:, i]
-                assert col.shape == (10,)
-                assert col.tobytes() == want[key].c.tobytes(), (key, i)
+            for key, jet in jets.items():
+                assert all(type(v) is float for v in jet.c) and len(jet.c) == 10
+                assert np.array(jet.c).tobytes() == np.array(want[key].c).tobytes(), key
 
-    def test_grid_with_skips_bit_equal_to_per_point_pushes(self, monkeypatch):
+    def test_grid_with_skips_bit_equal_to_former_pushes(self, monkeypatch):
         grid = [(n, eps) for n in (2, 3, 4, 5, 7, 12, 20) for eps in (1e-4, 3e-3, 0.3, 1.2, 2.9, 2.95)]
         rmaps, refused = [], {}
         for n, eps in grid:
@@ -672,19 +675,20 @@ class TestBatchedPushMatchesFormerRoute:
         # arccos domain
         rmaps[3:3] = [ShiftedMap(3, 0.01, 0.01, 0.0)]
         rmaps[9:9] = [ShiftedMap(5, 1e-3, 0.0, 2.0), ShiftedMap(7, 3e-3, 0.0, -1.5)]
-        batched = taylor_jet(rmaps)
+        pushed = taylor_jet(rmaps)
         _use_former_products(monkeypatch)
         kinds = set()
-        for rmap, got in zip(rmaps, batched, strict=True):
+        for rmap, got in zip(rmaps, pushed, strict=True):
             try:
                 want = _former_taylor_jet(rmap)
             except DomainError as exc:
                 kinds.add("not fixed")
                 assert type(got) is DomainError and str(got) == str(exc)
             except ValueError:
-                # the former push ended the scan here; the batch refuses the point
+                # the former push stopped here; the list refuses the point
                 kinds.add("off domain")
-                assert isinstance(got, NoCollisionError), (rmap.n, rmap.epsilon)
+                assert type(got) is NoCollisionError, (rmap.n, rmap.epsilon)
+                assert str(got) == "an arccos argument of the jet push leaves (-1, 1)"
             else:
                 kinds.add("jet")
                 assert isinstance(got, TaylorJet3), (rmap.n, rmap.epsilon, got)
@@ -692,13 +696,13 @@ class TestBatchedPushMatchesFormerRoute:
         assert kinds == {"jet", "not fixed", "off domain"}
         assert len(rmaps) - 3 < len(grid)  # some points never reach the push
 
-    def test_single_map_is_the_batch_of_one(self):
+    def test_single_map_matches_the_list_of_one(self):
         rmaps = [ReducedMap(n, eps) for n, eps in ((3, 0.01), (5, 1e-3), (10, 1e-4))]
         for rmap, jet in zip(rmaps, taylor_jet(rmaps)):
             assert _bits(taylor_jet(rmap)) == _bits(jet)
         with pytest.raises(DomainError, match=r"pi - pi/n"):
             ReducedMap(3, 2.9)
-        with pytest.raises(NoCollisionError):
+        with pytest.raises(NoCollisionError, match=r"leaves \(-1, 1\)"):
             taylor_jet(ShiftedMap(3, 0.01, 0.0, 2.0))
         assert taylor_jet([]) == []
 
@@ -723,7 +727,7 @@ class _DictTaylorJet3:
     def from_jets(s_jet: Jet2, r_jet: Jet2) -> "_DictTaylorJet3":
         keys = MONOMIALS[1:]
         return _DictTaylorJet3(
-            a=dict(zip(keys, s_jet.c[1:].tolist())), b=dict(zip(keys, r_jet.c[1:].tolist()))
+            a=dict(zip(keys, s_jet.c[1:])), b=dict(zip(keys, r_jet.c[1:]))
         )
 
 

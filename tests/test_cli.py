@@ -52,6 +52,20 @@ class TestParsing:
         vals = parse_values("0:1:5", float)
         assert vals == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
+    def test_ranges_are_numpy_linspace_bit_for_bit(self):
+        # one count, a zero span, reversed spans, signed zeros and steps that
+        # underflow to 0, against numpy.linspace
+        rng = np.random.default_rng(5)
+        tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.2e-308, -1e-310]
+        ends = tiny + (rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-320, 300, 300)).tolist()
+        cases = [(a, b, count) for a, b in zip(ends, rng.permutation(ends).tolist())
+                 for count in (1, 2, 3, 7, 25, 400)]
+        cases += [(a, a, count) for a in ends for count in (1, 5)]
+        cases += [(a, -a, 4) for a in ends] + [(0.0, 5e-324, 3), (5e-324, 0.0, 9), (1e-3, 4e-3, 4)]
+        for start, stop, count in cases:
+            want = np.linspace(start, stop, count).tobytes()
+            assert np.array(cli._linspace(start, stop, count)).tobytes() == want, (start, stop, count)
+
     def test_bad_range(self):
         import argparse
 
@@ -558,8 +572,8 @@ class TestStartUp:
         "billiard_map", "birkhoff", "geometry", "jets", "linear_stability", "orbits",
     )}
 
-    #: what the float-only requests leave unloaded: NumPy, the jets and the audit
-    NO_ARRAYS = {"numpy", "annular_billiards.jets", "mpmath"}
+    #: what the requests without arrays leave unloaded: NumPy and the audit
+    NO_NUMPY = {"numpy", "mpmath"}
 
     #: the modules the closed forms of ``region`` and ``lemma`` do not need
     NO_ORBITS = {"annular_billiards.orbits", "annular_billiards.billiard_map", "annular_billiards.jets"}
@@ -568,16 +582,24 @@ class TestStartUp:
         "argv,loaded,unloaded",
         [
             (
+                # the jets hold Python floats
                 ["birkhoff", "--n", "3", "--eps", "0.001"],
                 {"annular_billiards.birkhoff", "annular_billiards.jets"},
-                {"annular_billiards.orbits", "annular_billiards.linear_stability"},
+                {"annular_billiards.orbits", "annular_billiards.linear_stability"} | NO_NUMPY,
+            ),
+            (
+                # a start:stop:count range is spaced on Python floats
+                ["birkhoff", "--n", "3,4", "--eps", "1e-3:4e-3:4"],
+                {"annular_billiards.birkhoff", "annular_billiards.jets"},
+                {"annular_billiards.orbits", "annular_billiards.linear_stability"} | NO_NUMPY,
             ),
             (
                 # the seeds are iterated on floats, and the ring is drawn with
                 # the standard library's random.Random
                 ["section", "--n", "3", "--eps", "0.02", "--iterations", "5"],
                 {"annular_billiards.birkhoff"},
-                {"annular_billiards.orbits", "annular_billiards.linear_stability"} | NO_ARRAYS,
+                {"annular_billiards.orbits", "annular_billiards.linear_stability", "annular_billiards.jets"}
+                | NO_NUMPY,
             ),
             (
                 ["stability", "--n", "5", "--delta", "0.02", "--R", "0.1"],
@@ -590,9 +612,9 @@ class TestStartUp:
                 NO_ORBITS,
             ),
             (["lemma", "--x", "1.5,2"], {"annular_billiards.linear_stability"}, NO_ORBITS),
-            (["--version"], {"annular_billiards.errors"}, LIBRARY | NO_ARRAYS),
+            (["--version"], {"annular_billiards.errors"}, LIBRARY | NO_NUMPY),
         ],
-        ids=["birkhoff", "section", "stability", "region", "lemma", "version"],
+        ids=["birkhoff", "birkhoff-range", "section", "stability", "region", "lemma", "version"],
     )
     def test_request_loads_only_the_modules_it_runs(self, tmp_path, argv, loaded, unloaded):
         # a fresh interpreter that imports cli, as the console script does
