@@ -12,23 +12,22 @@ left) and the outgoing velocity.
 
 The closed-form maps ``map_disk``, ``map_in`` and ``map_out`` apply to the
 tangent configuration (scatterer center on the negative x-axis at distance
-1 - R).  Their independent oracle, the batched Cartesian ray tracer
+1 - R).  Their independent oracle, the Cartesian ray tracer
 ``generic_step``, lives in ``orbits``, its one caller; the two routes are
 cross-checked in the test suite.
 
 The wall-to-wall formulas are written once, generically over a small math
 backend, so the float map, the truncated-Taylor-jet map and the
 high-precision audit map are guaranteed to be the same function.  This module
-imports only the standard library: the jet backend loads ``jets`` (and with
-it NumPy) on its first use, so a program that iterates the float map, such
-as ``section``, loads neither.
+imports only the standard library: the jet backend loads ``jets`` on its
+first use, so a program that iterates the float map, such as ``section``,
+does not load it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, NoCollisionError
@@ -42,22 +41,26 @@ class Wall(enum.Enum):
     INNER = "inner"
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Collision state (wall, arc length, reflection angle)."""
-
+class _PhaseFields(NamedTuple):
     wall: Wall
     s: float
     theta: float
 
-    def __post_init__(self):
-        if not 0.0 < self.theta < math.pi:
-            raise DomainError(f"reflection angle must lie in (0, pi), got {self.theta}")
 
-    @property
-    def inner(self) -> bool:
-        """True on the scatterer, as the ``inner`` field of ``orbits.PhaseColumns``."""
-        return self.wall is Wall.INNER
+class PhasePoint(_PhaseFields):
+    """Collision state (wall, arc length, reflection angle); construction
+    (``_replace`` too) checks the angle."""
+
+    __slots__ = ()
+
+    def __new__(cls, wall: Wall, s: float, theta: float):
+        if not 0.0 < theta < math.pi:
+            raise DomainError(f"reflection angle must lie in (0, pi), got {theta}")
+        return tuple.__new__(cls, (wall, s, theta))
+
+    @classmethod
+    def _make(cls, iterable) -> "PhasePoint":
+        return cls(*iterable)
 
 
 class BirkhoffCoords(NamedTuple):

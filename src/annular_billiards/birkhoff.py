@@ -19,8 +19,7 @@ argument of lambda itself sits near pi; both are reported.
 
 The pipeline runs on Python floats: ``jets`` is pure Python and is imported
 inside the Taylor-data functions that use it, so ``island_sampler``, which
-iterates the float map, runs without it, and neither needs NumPy (only
-``TaylorJet3.linear`` builds an array).
+iterates the float map, runs without it, and neither needs NumPy.
 """
 
 from __future__ import annotations
@@ -71,10 +70,9 @@ class TaylorJet3(NamedTuple):
     s: Jet2
     r: Jet2
 
-    def linear(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.s.c[1:3], self.r.c[1:3]])
+    def linear(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The Jacobian at the point, as a pair of rows."""
+        return self.s.c[1:3], self.r.c[1:3]
 
     def trace(self) -> float:
         return self.s.c[1] + self.r.c[2]

@@ -30,9 +30,8 @@ from .errors import BilliardError
 #: imported on its first lookup as an attribute of this module (PEP 562) and
 #: kept in its globals, so a request loads only the modules its subcommand
 #: runs.  The subcommands call these names as attributes of ``_cli``, this
-#: module, so a patched attribute intercepts the call.  NumPy is imported
-#: inside the functions that build arrays, so ``birkhoff``, ``section`` and
-#: ``--version`` run without it.
+#: module, so a patched attribute intercepts the call.  No subcommand
+#: imports NumPy.
 _LIBRARY = {
     name: module
     for module, names in {
@@ -271,28 +270,21 @@ def region_svg(deltas, r_min, r_delta) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _stability_outcomes(points: list[tuple], tables: list[TableParams], refusals: list) -> list[tuple]:
-    """(trace_closed, trace_numeric, classification, skip_reason) of each
-    (n, k, R, delta) point of a stability scan.  ``refusals[i]`` is the
-    ``BilliardError`` that refused point i's table, or None where the point's
-    table is next in ``tables``; every such table is built, checked and
-    linearised in one batch, and a point refused on the way gets the refusal
-    as its ``skip_reason``."""
-    import numpy as np
+def _refused(exc: BilliardError) -> tuple:
+    """The outcome columns of a stability row that ``exc`` refused."""
+    return "", "", "", f"{type(exc).__name__}: {exc}"
 
-    matrices, errors = _cli.monodromy(_cli.build_type_a(tables)) if tables else ((), ())
-    outcomes = iter(zip(matrices, errors))
-    out = []
-    for (n, k, R, delta), refusal in zip(points, refusals):
-        M, error = next(outcomes) if refusal is None else (None, refusal)
-        try:
-            if error is not None:
-                raise error
-            closed = _cli.trace_closed_form(n, k, R, delta)
-            out.append((closed, float(np.trace(M)), _cli.classify(closed).value, ""))
-        except BilliardError as exc:
-            out.append(("", "", "", f"{type(exc).__name__}: {exc}"))
-    return out
+
+def _stability_row(n: int, k: int, R: float, delta: float) -> tuple:
+    """(trace_closed, trace_numeric, classification, skip_reason) of one
+    table: built, ray-traced and linearised, or refused on the way with the
+    refusal as its ``skip_reason``."""
+    try:
+        (a, _), (_, d) = _cli.monodromy(_cli.build_type_a(_cli.TableParams.type_a(n, k, R, delta)))
+        closed = _cli.trace_closed_form(n, k, R, delta)
+        return closed, a + d, _cli.classify(closed).value, ""
+    except BilliardError as exc:
+        return _refused(exc)
 
 
 def _birkhoff_point(n: int, eps: float, jet) -> tuple:
@@ -318,7 +310,7 @@ def _birkhoff_point(n: int, eps: float, jet) -> tuple:
 
 def cmd_stability(spec: ScanSpec) -> int:
     p = spec.params
-    points, tables, refusals = [], [], []
+    rows = []
     for n in p["n"]:
         for k in p["k"]:
             for delta in p["delta"]:
@@ -327,24 +319,13 @@ def cmd_stability(spec: ScanSpec) -> int:
                     try:
                         cap = _cli.max_radius(n, k, delta)
                     except BilliardError as exc:
-                        points.append((n, k, "", delta))
-                        refusals.append(exc)
+                        rows.append((n, k, "", delta, *_refused(exc)))
                         continue
                     rs = _linspace(0.05 * cap, cap, 25)
-                for R in rs:
-                    points.append((n, k, R, delta))
-                    try:
-                        tables.append(_cli.TableParams.type_a(n, k, R, delta))
-                        refusals.append(None)
-                    except BilliardError as exc:
-                        refusals.append(exc)
-    ns, ks, radii, deltas = zip(*points)
-    closed, numeric, kinds, reasons = zip(*_stability_outcomes(points, tables, refusals))
-    columns = {
-        "n": ns, "k": ks, "R": radii, "delta": deltas,
-        "trace_closed": closed, "trace_numeric": numeric, "classification": kinds, "skip_reason": reasons,
-    }
-    summary = {"points": len(points), "skipped": sum(map(bool, reasons))}
+                rows.extend((n, k, R, delta, *_stability_row(n, k, R, delta)) for R in rs)
+    names = ("n", "k", "R", "delta", "trace_closed", "trace_numeric", "classification", "skip_reason")
+    columns = dict(zip(names, zip(*rows)))
+    summary = {"points": len(rows), "skipped": sum(map(bool, columns["skip_reason"]))}
     return write_table(spec, columns, summary)
 
 
@@ -430,7 +411,7 @@ def cmd_orbit(spec: ScanSpec) -> int:
         _write_text(spec.out, orbit_svg(orbit))
         return 0
     if spec.fmt == "csv":
-        x, y = orbit.polyline().T.tolist()
+        x, y = zip(*orbit.polyline())
         return write_table(spec, {"x": x, "y": y}, {"closure_residual": _cli.verify_closure(orbit)})
     return write_table(spec, {key: [value] for key, value in orbit.to_json_dict().items()}, {})
 
@@ -455,10 +436,10 @@ def cmd_section(spec: ScanSpec) -> int:
 
 
 def cmd_lemma(spec: ScanSpec) -> int:
-    import numpy as np
-
     p = spec.params
-    xs = [float(x) for x in (p["x"] or np.geomspace(1.01, 1e4, 400))]
+    # 400 points from 1.01 to 1e4 evenly spaced in log10, both ends exact, as
+    # numpy.geomspace spaces them
+    xs = p["x"] or [1.01, *(10.0**y for y in _linspace(math.log10(1.01), 4.0, 400)[1:-1]), 1e4]
     fs = [_cli.lemma_f(x) for x in xs]
     summary = {
         "monotone_on_grid": all(b > a for a, b in zip(fs, fs[1:])),

@@ -48,13 +48,3 @@ class PrecisionError(BilliardError):
 class TangencyWarning(UserWarning):
     """A ray grazed a wall tangentially; the intersection was skipped."""
 
-
-def only_column(values, errors):
-    """Column 0 of a batch of one: its value, or its refusal raised.
-
-    Batched routines return their values beside an ``errors`` tuple that
-    holds, per column, the ``BilliardError`` refusing it or None.
-    """
-    if errors[0] is not None:
-        raise errors[0]
-    return values[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError, InvalidTableError, SingularConfigurationError
 
@@ -130,8 +130,16 @@ def tangency_radius_b(n: int, epsilon: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class TableParams:
+class _TableFields(NamedTuple):
+    n: int
+    k: int
+    R: float
+    delta: float
+    epsilon: float
+    config: TableConfig
+
+
+class TableParams(_TableFields):
     """Full parametrization of one annular table / orbit family.
 
     n        number of outer-wall reflection slots (n >= 3)
@@ -142,18 +150,20 @@ class TableParams:
     epsilon  reflection-angle detuning (type (b) only)
     config   TYPE_A or TYPE_B
 
-    Construction runs ``validate``, so every instance is an admissible table.
+    Construction runs ``validate`` (``_replace`` too), so every instance is
+    an admissible table.
     """
 
-    n: int
-    k: int
-    R: float
-    delta: float
-    epsilon: float
-    config: TableConfig
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, k: int, R: float, delta: float, epsilon: float, config: TableConfig):
+        self = tuple.__new__(cls, (n, k, R, delta, epsilon, config))
         self.validate()
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "TableParams":
+        return cls(*iterable)
 
     @staticmethod
     def type_a(n: int, k: int, R: float, delta: float = 0.0) -> "TableParams":
@@ -205,24 +215,16 @@ class TableParams:
             )
 
 
-@dataclass(frozen=True)
-class ScattererPose:
-    """Scatterer circle in the unit-disk Cartesian frame; ``center`` is kept
-    as a NumPy array, which the ray tracer reads."""
+class ScattererPose(NamedTuple):
+    """Scatterer circle in the unit-disk Cartesian frame; ``center`` is an
+    (x, y) pair of floats."""
 
-    center: np.ndarray = field(repr=False)
+    center: tuple[float, float]
     radius: float
-
-    def __post_init__(self):
-        import numpy as np
-
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
     @property
     def center_distance(self) -> float:
-        import numpy as np
-
-        return float(np.hypot(self.center[0], self.center[1]))
+        return math.hypot(*self.center)
 
     def interiority_defect(self) -> float:
         """|center| + radius - 1; <= 0 means interior, 0 means tangent."""

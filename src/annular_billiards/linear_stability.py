@@ -10,6 +10,9 @@ and J the raw derivative of the wall-to-wall maps, so any product around a
 conjugations telescope).  Individual bounce matrices have determinant
 sin(theta)/sin(theta1); ``bounce_jacobian_birkhoff`` rescales to the
 (s, cos theta) normalization where every bounce has determinant 1.
+
+A 2x2 matrix is a pair of rows of Python floats, and ``monodromy`` multiplies
+one orbit's bounces in plain float arithmetic.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .errors import ClassificationError, DomainError, GrazingError, only_column
+from .errors import ClassificationError, DomainError, GrazingError
 from .geometry import max_radius
+
+if TYPE_CHECKING:
+    from .orbits import OrbitRecord
 
 #: half-width of the parabolic dead zone around |trace| = 2
 CLASSIFY_TOL = 1e-9
@@ -66,102 +70,53 @@ class StabilityReport(NamedTuple):
     mu: float | None
 
 
-def bounce_jacobian(tau, kappa, kappa1, theta, theta1) -> np.ndarray:
+#: a 2x2 matrix as a pair of rows of floats
+Matrix2 = tuple[tuple[float, float], tuple[float, float]]
+
+
+def bounce_jacobian(tau, kappa, kappa1, theta, theta1) -> Matrix2:
     """Derivative of one bounce: flight tau, signed wall curvatures kappa at
     the launch point and kappa1 at the arrival point (-1 on the outer circle,
-    +1/R on the scatterer), reflection angles theta -> theta1.
-
-    Scalars give one (2, 2) matrix; arrays of m bounces give an (m, 2, 2)
-    stack of the same matrices (``np.sin`` equals ``math.sin`` bit for bit).
-    """
-    st1 = np.sin(theta1)
-    (error,) = _grazing(np.reshape(st1, (-1, 1)))
-    if error is not None:
-        raise error
-    st = np.sin(theta)
-    entries = -np.array(
-        [
-            (tau * kappa + st) / st1,
-            tau / st1,
-            (tau * kappa * kappa1 + kappa1 * st) / st1 + kappa,
-            tau * kappa1 / st1 + 1.0,
-        ]
-    )
-    return entries.reshape(4, -1).T.reshape(entries.shape[1:] + (2, 2))
+    +1/R on the scatterer), reflection angles theta -> theta1."""
+    return _bounce(tau, kappa, kappa1, math.sin(theta), math.sin(theta1))
 
 
-def _grazing(st1: np.ndarray) -> tuple[GrazingError | None, ...]:
-    """Per column of st1 = sin(theta1), shape (bounces, m): the
-    ``GrazingError`` of its first bounce too close to tangential, or None."""
-    grazing = np.abs(st1) < 1e-12
-    if not grazing.any():
-        return (None,) * st1.shape[1]
-    first = np.argmax(grazing, axis=0)
-    return tuple(
-        GrazingError(f"sin(theta1) = {float(st1[i, j])!r} too close to zero") if hit else None
-        for j, (i, hit) in enumerate(zip(first.tolist(), grazing.any(axis=0).tolist()))
+def _bounce(tau, kappa, kappa1, st, st1) -> Matrix2:
+    """``bounce_jacobian`` from st = sin(theta) and st1 = sin(theta1); a
+    bounce arriving too close to tangential raises ``GrazingError``."""
+    if abs(st1) < 1e-12:
+        raise GrazingError(f"sin(theta1) = {st1!r} too close to zero")
+    return (
+        (-((tau * kappa + st) / st1), -(tau / st1)),
+        (-((tau * kappa * kappa1 + kappa1 * st) / st1 + kappa), -(tau * kappa1 / st1 + 1.0)),
     )
 
 
-def _diag(a, b) -> np.ndarray:
-    """diag(a, b), stacked over the broadcast shape of a and b."""
-    a, b = np.broadcast_arrays(a, b)
-    D = np.zeros(a.shape + (2, 2))
-    D[..., 0, 0] = a
-    D[..., 1, 1] = b
-    return D
+def bounce_jacobian_birkhoff(tau, kappa, kappa1, theta, theta1) -> Matrix2:
+    """Same bounce derivative rescaled to (s, cos theta), diag(1, sin theta1)
+    J diag(1, 1/sin theta); determinant 1."""
+    st, st1 = math.sin(theta), math.sin(theta1)
+    (a, b), (c, d) = _bounce(tau, kappa, kappa1, st, st1)
+    scale = 1.0 / st
+    return (a, b * scale), (st1 * c, st1 * d * scale)
 
 
-def bounce_jacobian_birkhoff(tau, kappa, kappa1, theta, theta1) -> np.ndarray:
-    """Same bounce derivative rescaled to (s, cos theta); determinant 1."""
-    J = bounce_jacobian(tau, kappa, kappa1, theta, theta1)
-    st, st1 = np.sin(theta), np.sin(theta1)
-    return _diag(1.0, st1) @ J @ _diag(1.0, 1.0 / st)
+def monodromy(orbit: OrbitRecord) -> Matrix2:
+    """Ordered product of the per-bounce Jacobians around a periodic orbit,
+    in orbit order, on floats.  The first bounce that arrives too close to
+    tangential refuses the orbit with ``GrazingError``."""
+    points = orbit.points
+    sines = [math.sin(p.theta) for p in points]
+    kappa = orbit.curvatures
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for tau, k0, k1, st, st1 in zip(orbit.flights, kappa, kappa[1:] + kappa[:1], sines, sines[1:] + sines[:1]):
+        (j00, j01), (j10, j11) = _bounce(tau, k0, k1, st, st1)
+        a, b, c, d = j00 * a + j01 * c, j00 * b + j01 * d, j10 * a + j11 * c, j10 * b + j11 * d
+    return (a, b), (c, d)
 
 
-def monodromy(orbit):
-    """Ordered product of the per-bounce Jacobians around a periodic orbit.
-
-    For an ``OrbitBatch`` of m orbits, all bounce matrices come from one
-    stacked call, shape (period, m, 2, 2), and the product is taken one
-    stacked ``@`` per bounce, in orbit order, each column over its own
-    period.  It returns the (m, 2, 2) monodromies (NaN where refused)
-    beside the batch's ``errors`` with the ``GrazingError`` of each
-    column's first grazing bounce added.  An ``OrbitRecord`` is the batch of
-    one: it returns the matrix and raises its refusal.
-    """
-    # imported here: the closed forms below need no orbit
-    from .orbits import OrbitBatch
-
-    if isinstance(orbit, OrbitBatch):
-        return _monodromies(orbit)
-    return only_column(*_monodromies(OrbitBatch.of(orbit)))
-
-
-def _monodromies(batch: OrbitBatch):
-    theta = batch.points.theta
-    theta1 = np.roll(theta, -1, axis=0)
-    errors = tuple(g if e is None else e for e, g in zip(batch.errors, _grazing(np.sin(theta1))))
-    live = np.flatnonzero([e is None for e in errors])
-    kappa = batch.curvatures[:, live]
-    bounces = bounce_jacobian(
-        batch.flights[:, live],
-        kappa,
-        np.roll(kappa, -1, axis=0),
-        theta[:, live],
-        theta1[:, live],
-    )
-    periods = batch.periods[live][:, None, None]
-    M = np.tile(np.eye(2), (live.size, 1, 1))
-    for i, J in enumerate(bounces):
-        M = np.where(i < periods, J @ M, M)
-    out = np.full((len(errors), 2, 2), math.nan)
-    out[live] = M
-    return out, errors
-
-
-def stability_report(M: np.ndarray) -> StabilityReport:
-    tr = float(np.trace(M))
+def stability_report(M: Matrix2) -> StabilityReport:
+    tr = float(M[0][0] + M[1][1])
     cls = classify(tr)
     half = tr / 2.0
     disc = half * half - 1.0
@@ -323,6 +278,7 @@ def delta_star(n: int) -> float:
     return math.sqrt(num / ((1.0 + c) * (2.0 * n - s)))
 
 
-def symplectic_defect(M: np.ndarray) -> float:
+def symplectic_defect(M: Matrix2) -> float:
     """|det(M) - 1|, the deviation from area preservation."""
-    return abs(float(np.linalg.det(M)) - 1.0)
+    (a, b), (c, d) = M
+    return abs(float(a * d - b * c) - 1.0)

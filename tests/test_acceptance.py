@@ -244,7 +244,7 @@ def test_criterion_09_property_suite():
     worst_ct = 0.0
     for (n, k) in [(4, 1), (7, 1), (5, 2), (9, 4)]:
         orbit = build_type_a(TableParams.type_a(n, k, 0.5 * max_radius(n, k, 0.0), 0.0))
-        pts = orbit.cartesian_points()
+        pts = np.array(orbit.cartesian_points())
         want = caustic_radius(n, k)
         for i in range(n - 1):
             a, b = pts[i], pts[i + 1]

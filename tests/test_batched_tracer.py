@@ -1,12 +1,13 @@
-"""The batched ray tracer, closure check and monodromy against the
-one-orbit-at-a-time route they replaced.
+"""The scalar ray tracer, closure check and monodromy against the
+references they must agree with.
 
-The reference here is that route, kept inline on plain floats:
-``_scalar_step`` is the former ``generic_step``, ``_scalar_closure`` the
-former ``verify_closure`` and ``_scalar_monodromy`` the former
-``monodromy``.  A ``stability`` row's ``trace_numeric`` and ``skip_reason``
-must come out with the same bits and the same text either way, and a column
-that the batch refuses must be refused as that orbit alone would be.
+The tracer's reference is the plain-float route, kept inline:
+``_scalar_step`` is a ray-tracing step and ``_scalar_closure`` the closure
+check.  Every step, residual, refusal and ``TangencyWarning`` count must come
+out with the same bits and the same text either way.  The monodromy's
+reference is NumPy's stacked product, ``_stacked_monodromy``: the float
+product rounds apart from it, so a ``stability`` row's ``trace_numeric``
+must agree with it to 1e-13 relative, and its ``skip_reason`` exactly.
 """
 
 import importlib.util
@@ -14,7 +15,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,19 +29,11 @@ from annular_billiards.errors import (
     NoCollisionError,
     TangencyWarning,
 )
-from annular_billiards.geometry import (
-    ScattererPose,
-    TableConfig,
-    TableParams,
-    max_radius,
-    scatterer_pose,
-)
-from annular_billiards.linear_stability import bounce_jacobian, classify, monodromy, trace_closed_form
+from annular_billiards.geometry import TableConfig, TableParams, max_radius, scatterer_pose
+from annular_billiards.linear_stability import classify, monodromy, trace_closed_form
 from annular_billiards.orbits import (
     CLOSURE_TOL,
     MIN_FLIGHT,
-    PhaseColumns,
-    ScattererColumns,
     build_type_a,
     build_type_b,
     generic_step,
@@ -50,9 +42,12 @@ from annular_billiards.orbits import (
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+#: relative agreement of the float monodromy's trace with NumPy's
+TRACE_RTOL = 1e-13
+
 
 # ---------------------------------------------------------------------------
-# the former plain-float route
+# the references: the plain-float tracer and NumPy's stacked monodromy
 # ---------------------------------------------------------------------------
 
 
@@ -61,7 +56,7 @@ def _scalar_cartesian(p, pose):
         ang = p.s + p.theta
         return (math.cos(p.s), math.sin(p.s)), (-math.sin(ang), math.cos(ang))
     R = pose.radius
-    cx, cy = pose.center.tolist()
+    cx, cy = pose.center
     gamma = math.pi - (p.s - math.pi) / R
     ang = gamma + p.theta
     return (cx + R * math.cos(gamma), cy + R * math.sin(gamma)), (math.sin(ang), -math.cos(ang))
@@ -89,7 +84,7 @@ def _scalar_step(p, pose):
     t, wall = (times[0], Wall.OUTER) if times else (math.inf, None)
     if pose is not None:
         R = pose.radius
-        cx, cy = center = pose.center.tolist()
+        cx, cy = center = pose.center
         times = _scalar_times(pos, vel, center, R)
         if times and times[0] < t:
             t, wall = times[0], Wall.INNER
@@ -134,7 +129,8 @@ def _scalar_closure(orbit):
 
 
 def _scalar_type_a(params):
-    """Former ``build_type_a``: closed-form orbit, then the closure check."""
+    """``build_type_a`` on the references: closed-form orbit, then the
+    closure check."""
     if params.config is not TableConfig.TYPE_A:
         raise InvalidTableError("build_type_a needs a type (a) table")
     n, k, R, delta = params.n, params.k, params.R, params.delta
@@ -163,28 +159,48 @@ class _Orbit:
         self.points, self.flights, self.curvatures, self.pose = points, flights, curvatures, pose
 
 
-def _scalar_monodromy(orbit):
-    theta = [p.theta for p in orbit.points]
-    kappa = list(orbit.curvatures)
-    bounces = bounce_jacobian(
-        np.array(orbit.flights),
-        np.array(kappa),
-        np.array(kappa[1:] + kappa[:1]),
-        np.array(theta),
-        np.array(theta[1:] + theta[:1]),
+def _stacked_monodromy(orbit):
+    """NumPy's monodromy: every bounce matrix from one stacked evaluation,
+    multiplied in orbit order with a stacked ``@``; the first grazing bounce
+    refuses the orbit."""
+    theta = np.array([p.theta for p in orbit.points])
+    kappa = np.array(orbit.curvatures)
+    tau = np.array(orbit.flights)
+    kappa1 = np.roll(kappa, -1)
+    st, st1 = np.sin(theta), np.sin(np.roll(theta, -1))
+    grazing = np.flatnonzero(np.abs(st1) < 1e-12)
+    if grazing.size:
+        raise GrazingError(f"sin(theta1) = {float(st1[grazing[0]])!r} too close to zero")
+    entries = -np.array(
+        [
+            (tau * kappa + st) / st1,
+            tau / st1,
+            (tau * kappa * kappa1 + kappa1 * st) / st1 + kappa,
+            tau * kappa1 / st1 + 1.0,
+        ]
     )
-    M = np.eye(2)
-    for J in bounces:
+    M = np.eye(2)[None]
+    for J in entries.T.reshape(-1, 1, 2, 2):
         M = J @ M
-    return M
+    return M[0]
+
+
+def _close(M, want):
+    """Whether the float monodromy M agrees with NumPy's to ``TRACE_RTOL``
+    of its largest entry, and its trace to ``TRACE_RTOL`` relative."""
+    M = np.array(M)
+    return (
+        np.abs(M - want).max() <= TRACE_RTOL * np.abs(want).max()
+        and abs(np.trace(M) - np.trace(want)) <= TRACE_RTOL * abs(np.trace(want))
+    )
 
 
 def _scalar_row(n, k, R, delta):
-    """(trace_numeric, skip_reason) of one stability row by the former route."""
+    """(trace_numeric, skip_reason) of one stability row by the references."""
     try:
         orbit = _scalar_type_a(TableParams.type_a(n, k, R, delta))
         closed = trace_closed_form(n, k, R, delta)
-        numeric = float(np.trace(_scalar_monodromy(orbit)))
+        numeric = float(np.trace(_stacked_monodromy(orbit)))
         classify(closed)
         return numeric, ""
     except BilliardError as exc:
@@ -239,30 +255,46 @@ GRIDS = {
 }
 
 
+def _counted(fn, *args):
+    """The result of ``fn`` and the number of ``TangencyWarning``s it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, sum(issubclass(w.category, TangencyWarning) for w in caught)
+
+
 def _rows(argv, tmp_path):
     out = tmp_path / "rows.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TangencyWarning)
-        assert cli.main(argv + ["--format", "json", "--out", str(out)]) == 0
+    assert cli.main(argv + ["--format", "json", "--out", str(out)]) == 0
     return json.loads(out.read_text())["rows"]
+
+
+def _reference_rows(rows):
+    """(trace_numeric, skip_reason) of each row by the references."""
+    out = []
+    for row in rows:
+        if row["R"] == "":
+            # no radius grid: max_radius refused this (n, k, delta)
+            error, text = _outcome(max_radius, row["n"], row["k"], row["delta"])
+            out.append(("", f"{error.__name__}: {text}"))
+        else:
+            out.append(_scalar_row(row["n"], row["k"], row["R"], row["delta"]))
+    return out
 
 
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_stability_rows_match_the_scalar_route(grid, tmp_path):
-    rows = _rows(GRIDS[grid], tmp_path)
+    rows, warned = _counted(_rows, GRIDS[grid], tmp_path)
+    want, want_warned = _counted(_reference_rows, rows)
+    assert warned == want_warned
     reasons = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TangencyWarning)
-        for row in rows:
-            if row["R"] == "":
-                # no radius grid: max_radius refused this (n, k, delta)
-                error, text = _outcome(max_radius, row["n"], row["k"], row["delta"])
-                numeric, reason = "", f"{error.__name__}: {text}"
-            else:
-                numeric, reason = _scalar_row(row["n"], row["k"], row["R"], row["delta"])
-            assert row["trace_numeric"] == numeric, row
-            assert row["skip_reason"] == reason, row
-            reasons.append(reason)
+    for row, (numeric, reason) in zip(rows, want, strict=True):
+        assert row["skip_reason"] == reason, row
+        if reason:
+            assert row["trace_numeric"] == "", row
+        else:
+            assert abs(row["trace_numeric"] - numeric) <= TRACE_RTOL * abs(numeric), row
+        reasons.append(reason)
     # each grid reaches the refusals it is here for
     closure = sum("closure residual" in r for r in reasons)
     if grid == "n53_k6":
@@ -297,21 +329,21 @@ def test_type_b_orbit_matches_the_scalar_route(n):
             assert q == orbit.points[i + 1]
         p = q
     assert verify_closure(orbit) == _scalar_closure(orbit)
-    assert np.array_equal(monodromy(orbit), _scalar_monodromy(orbit))
+    assert _close(monodromy(orbit), _stacked_monodromy(orbit))
 
 
 def _grazing_state(pose, s):
     """An outer-wall state at arc length s whose ray passes the scatterer at
     distance sqrt(R^2 - 5e-15), a skipped grazing contact."""
     R = pose.radius
-    cx, cy = pose.center.tolist()
+    cx, cy = pose.center
     dx, dy = cx - math.cos(s), cy - math.sin(s)
     off = math.asin(math.sqrt(R * R - 5e-15) / math.hypot(dx, dy))
     theta = math.atan2(dy, dx) + off - s - math.pi / 2.0
     return PhasePoint(Wall.OUTER, s, theta % (2.0 * math.pi))
 
 
-def _column_states(pose, rng, count):
+def _states(pose, rng, count):
     """Outer and inner states: ordinary, near-tangent launches (some refused
     with NoCollisionError or GrazingError) and grazing contacts."""
     R = pose.radius
@@ -324,127 +356,84 @@ def _column_states(pose, rng, count):
     return outer + inner + [_grazing_state(pose, s) for s in (0.9, 1.0, 1.1)]
 
 
-def _counted(fn, *args):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn(*args)
-    return result, sum(issubclass(w.category, TangencyWarning) for w in caught)
-
-
-def test_batched_step_matches_the_scalar_step_column_by_column():
+def test_step_matches_the_scalar_step_state_by_state():
     rng = np.random.default_rng(5)
-    tables = [build_type_b(4, 0.01), build_type_a(TableParams.type_a(5, 1, 0.15, 0.02))]
-    states, centers, radii = [], [], []
-    for orbit in tables:
-        batch = _column_states(orbit.pose, rng, 300) + list(orbit.points)
-        states += batch
-        centers += [orbit.pose.center] * len(batch)
-        radii += [orbit.pose.radius] * len(batch)
-    pose = ScattererColumns(np.array(centers).T, np.array(radii))
-    res, warned = _counted(generic_step, PhaseColumns.of(states), pose)
-    assert len(res.errors) == len(states)
-
-    def reference():
-        return [_outcome(_scalar_step, p, ScattererPose(c, r)) for p, c, r in zip(states, centers, radii)]
-
-    want, want_warned = _counted(reference)
-    assert warned == want_warned >= 6
     seen = set()
-    for j, expected in enumerate(want):
-        if isinstance(expected[0], type):
-            exc = res.errors[j]
-            assert (type(exc), str(exc)) == expected, states[j]
-            seen.add(expected[0])
-            continue
-        assert res.errors[j] is None, states[j]
-        assert res.point.point(j) == expected[0], states[j]
-        assert res.flight[j] == expected[1], states[j]
-        seen.add(expected[0].wall)
+    warnings_seen = 0
+    for orbit in (build_type_b(4, 0.01), build_type_a(TableParams.type_a(5, 1, 0.15, 0.02))):
+        for p in _states(orbit.pose, rng, 300) + list(orbit.points):
+            got, warned = _counted(_outcome, generic_step, p, orbit.pose)
+            want, want_warned = _counted(_outcome, _scalar_step, p, orbit.pose)
+            assert warned == want_warned, p
+            warnings_seen += warned
+            if isinstance(want[0], type):
+                assert got == want, p
+                seen.add(want[0])
+                continue
+            assert (got.point, got.flight) == want, p
+            seen.add(want[0].wall)
+    assert warnings_seen >= 6
     assert seen == {NoCollisionError, GrazingError, Wall.OUTER, Wall.INNER}
 
 
-def test_a_grazing_column_warns_once_per_skipped_contact():
+def test_a_grazing_contact_warns_once_per_step():
     orbit = build_type_b(4, 0.01)
-    graze = [_grazing_state(orbit.pose, s) for s in (0.9, 1.0, 1.1)]
-    for p in graze:
-        _, warned = _counted(_outcome, _scalar_step, p, orbit.pose)
-        assert warned == 1
-    cols = PhaseColumns.of(graze + list(orbit.points) + graze[:1])
-    res, warned = _counted(generic_step, cols, orbit.pose)
-    assert warned == 4
-    assert res.errors == (None,) * len(cols.s)
-    for p in graze:
-        assert _counted(generic_step, p, orbit.pose) == _counted(_scalar_step, p, orbit.pose)
+    for s in (0.9, 1.0, 1.1):
+        p = _grazing_state(orbit.pose, s)
+        got, warned = _counted(_outcome, generic_step, p, orbit.pose)
+        want, want_warned = _counted(_outcome, _scalar_step, p, orbit.pose)
+        assert warned == want_warned == 1
+        assert (got.point, got.flight) == want
 
 
 # ---------------------------------------------------------------------------
-# batch refusals
+# refusals
 # ---------------------------------------------------------------------------
 
 
-def test_closure_refuses_columns_as_the_scalar_route_does():
-    params = [TableParams.type_a(5, 1, R, 0.02) for R in np.linspace(0.05, 0.15, 12).tolist()]
-    batch = build_type_a(params)
-    assert batch.period == 12 and batch.errors == (None,) * 12
-    # knock the start state of most columns off the orbit: small kicks leave
-    # a finite residual, larger ones miss the scatterer (a wrong wall, then
-    # further steps), and a launch almost along the wall finds no wall
+def _kicked(orbit, theta):
+    """``orbit`` with its first state's reflection angle set to ``theta``."""
+    return orbit._replace(points=(orbit.points[0]._replace(theta=theta),) + orbit.points[1:])
+
+
+def test_closure_refuses_as_the_scalar_route_does():
+    orbits = [build_type_a(TableParams.type_a(5, 1, R, 0.02)) for R in np.linspace(0.05, 0.15, 12).tolist()]
+    # knock the start state off the orbit: small kicks leave a finite
+    # residual, larger ones miss the scatterer (a wrong wall, then further
+    # steps), and a launch almost along the wall finds no wall
     kicks = [0.0, 1e-9, 1e-6, 1e-3, 1e-2, 0.05, 0.1, 0.2, 0.4, -0.2, -0.4]
-    theta = batch.points.theta.copy()
-    theta[0, : len(kicks)] += kicks
-    theta[0, -1] = 1e-13
-    kicked = replace(batch, points=batch.points._replace(theta=theta))
-    (residuals, errors), warned = _counted(verify_closure, kicked)
-
-    def reference():
-        return [_outcome(_scalar_closure, kicked.orbit(j)) for j in range(len(params))]
-
-    want, want_warned = _counted(reference)
+    kicked = [_kicked(o, o.points[0].theta + kick) for o, kick in zip(orbits, kicks)]
+    kicked.append(_kicked(orbits[-1], 1e-13))
+    got, warned = _counted(lambda: [_outcome(verify_closure, o) for o in kicked])
+    want, want_warned = _counted(lambda: [_outcome(_scalar_closure, o) for o in kicked])
     assert warned == want_warned
-    got = [(type(e), str(e)) if e is not None else r for e, r in zip(errors, residuals.tolist())]
     assert got == want
     assert math.inf in got and any(0.0 < g < math.inf for g in want if not isinstance(g, tuple))
     assert (NoCollisionError, "ray escapes both walls") in want
-    assert all(math.isnan(r) for e, r in zip(errors, residuals.tolist()) if e is not None)
-    # a column the batch already refuses is not traced again
-    refused = replace(kicked, errors=(InvalidTableError("refused"),) + kicked.errors[1:])
-    residuals, errors = verify_closure(refused)
-    assert str(errors[0]) == "refused" and math.isnan(residuals[0])
 
 
-def test_monodromy_refuses_a_grazing_column_alone():
-    params = [TableParams.type_a(7, 2, R, 0.0) for R in (0.02, 0.03, 0.04)]
-    batch = build_type_a(params)
-    theta = batch.points.theta.copy()
-    theta[5, 1] = 1e-13
-    grazing = replace(batch, points=batch.points._replace(theta=theta))
-    matrices, errors = monodromy(grazing)
-    for j, (M, error) in enumerate(zip(matrices, errors)):
-        want = _outcome(_scalar_monodromy, grazing.orbit(j))
+def test_monodromy_refuses_a_grazing_bounce_as_numpy_does():
+    orbits = [build_type_a(TableParams.type_a(7, 2, R, 0.0)) for R in (0.02, 0.03, 0.04)]
+    points = list(orbits[1].points)
+    points[5] = points[5]._replace(theta=1e-13)
+    orbits[1] = orbits[1]._replace(points=tuple(points))
+    for j, orbit in enumerate(orbits):
+        got, want = _outcome(monodromy, orbit), _outcome(_stacked_monodromy, orbit)
         if j == 1:
-            assert (type(error), str(error)) == want == (GrazingError, "sin(theta1) = 1e-13 too close to zero")
-            assert np.isnan(M).all()
+            assert got == want == (GrazingError, "sin(theta1) = 1e-13 too close to zero")
         else:
-            assert error is None and np.array_equal(M, want)
-    with pytest.raises(GrazingError, match=r"sin\(theta1\) = 1e-13 "):
-        monodromy(grazing.orbit(1))
+            assert _close(got, want)
 
 
-def test_a_batch_of_many_periods_matches_each_orbit_alone():
+def test_orbits_of_many_periods_match_the_scalar_route():
     tables = [
         TableParams.type_a(n, k, f * max_radius(n, k, delta), delta)
         for n, k, delta, f in [(5, 2, 0.01, 0.5), (3, 1, 0.0, 0.3), (21, 4, 0.02, 0.7), (4, 1, 0.03, 0.9), (5, 1, 0.0, 0.2)]
     ]
-    batch = build_type_a(tables)
-    assert batch.periods.tolist() == [12, 8, 44, 10, 12] and batch.period == 44
-    assert batch.errors == (None,) * len(tables)
-    residuals, _ = verify_closure(batch)
-    matrices, errors = monodromy(batch)
-    assert errors == batch.errors
-    for j, table in enumerate(tables):
-        alone = _scalar_type_a(table)
-        orbit = batch.orbit(j)
+    for table in tables:
+        orbit, alone = build_type_a(table), _scalar_type_a(table)
+        assert orbit.period == 2 * table.n + 2
         assert (orbit.points, orbit.flights, orbit.curvatures) == (alone.points, alone.flights, alone.curvatures)
-        assert np.array_equal(orbit.pose.center, alone.pose.center) and orbit.pose.radius == alone.pose.radius
-        assert residuals[j] == _scalar_closure(alone)
-        assert np.array_equal(matrices[j], _scalar_monodromy(alone))
+        assert orbit.pose == alone.pose
+        assert verify_closure(orbit) == _scalar_closure(alone)
+        assert _close(monodromy(orbit), _stacked_monodromy(alone))

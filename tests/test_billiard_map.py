@@ -287,18 +287,16 @@ class TestGenericStep:
         assert res.point.wall is Wall.OUTER
 
     def test_grazing_contact_warns_and_skips(self):
-        from annular_billiards.orbits import _ray_circle_times
+        from annular_billiards.orbits import _ray_circle_time
         from annular_billiards.errors import TangencyWarning
 
         R = 0.2
         h = math.sqrt(R * R - 5e-15)
-        # one ray per column: (x, y) of the launch points and velocities
-        pos = (np.array([0.0]), np.array([0.0]))
-        vel = (np.array([1.0]), np.array([0.0]))
-        center = (2.0, h)
+        # a ray from the origin along +x passes the circle about (2, h) at
+        # distance h, just inside its radius
         with pytest.warns(TangencyWarning):
-            times = _ray_circle_times(pos, vel, center, R)
-        assert times.tolist() == [math.inf]
+            t = _ray_circle_time(0.0, 0.0, 1.0, 0.0, 2.0, h, R)
+        assert t == math.inf
 
 
 def _vector_step(p: PhasePoint, pose):

@@ -572,8 +572,12 @@ class TestStartUp:
         "billiard_map", "birkhoff", "geometry", "jets", "linear_stability", "orbits",
     )}
 
-    #: what the requests without arrays leave unloaded: NumPy and the audit
+    #: what every request leaves unloaded: NumPy and the audit
     NO_NUMPY = {"numpy", "mpmath"}
+
+    #: no record class is a dataclass, so no request pays for importing
+    #: ``dataclasses`` and, with it, ``inspect``
+    NO_DATACLASSES = {"dataclasses", "inspect"}
 
     #: the modules the closed forms of ``region`` and ``lemma`` do not need
     NO_ORBITS = {"annular_billiards.orbits", "annular_billiards.billiard_map", "annular_billiards.jets"}
@@ -602,19 +606,28 @@ class TestStartUp:
                 | NO_NUMPY,
             ),
             (
+                # one orbit at a time on floats: a scalar ray tracer and a
+                # 2x2 float monodromy
                 ["stability", "--n", "5", "--delta", "0.02", "--R", "0.1"],
                 {"annular_billiards.orbits", "annular_billiards.linear_stability"},
-                {"annular_billiards.birkhoff", "annular_billiards.jets"},
+                {"annular_billiards.birkhoff", "annular_billiards.jets"} | NO_NUMPY,
+            ),
+            (
+                # the polyline is a list of float pairs
+                ["orbit", "--n", "5", "--k", "2"],
+                {"annular_billiards.orbits", "annular_billiards.geometry"},
+                {"annular_billiards.birkhoff", "annular_billiards.jets", "annular_billiards.linear_stability"}
+                | NO_NUMPY,
             ),
             (
                 ["region", "--n", "5", "--count", "5"],
                 {"annular_billiards.linear_stability", "annular_billiards.geometry"},
-                NO_ORBITS,
+                NO_ORBITS | NO_NUMPY,
             ),
-            (["lemma", "--x", "1.5,2"], {"annular_billiards.linear_stability"}, NO_ORBITS),
+            (["lemma", "--x", "1.5,2"], {"annular_billiards.linear_stability"}, NO_ORBITS | NO_NUMPY),
             (["--version"], {"annular_billiards.errors"}, LIBRARY | NO_NUMPY),
         ],
-        ids=["birkhoff", "birkhoff-range", "section", "stability", "region", "lemma", "version"],
+        ids=["birkhoff", "birkhoff-range", "section", "stability", "orbit", "region", "lemma", "version"],
     )
     def test_request_loads_only_the_modules_it_runs(self, tmp_path, argv, loaded, unloaded):
         # a fresh interpreter that imports cli, as the console script does
@@ -631,7 +644,7 @@ class TestStartUp:
         )
         modules = set(ast.literal_eval(done.stdout.splitlines()[-1]))
         assert loaded <= modules
-        assert not unloaded & modules
+        assert not (unloaded | self.NO_DATACLASSES) & modules
         # ``python -m`` runs cli as __main__, which resolves the same names
         out = [] if version else ["--out", str(tmp_path / "main.csv")]
         ran = subprocess.run(

@@ -123,7 +123,7 @@ class TestCausticRadius:
         for (n, k) in [(4, 1), (5, 2), (7, 3)]:
             params = TableParams.type_a(n, k, 0.4 * max_radius(n, k, 0.0), 0.0)
             orbit = build_type_a(params)
-            pts = orbit.cartesian_points()
+            pts = np.array(orbit.cartesian_points())
             a, b = pts[0], pts[1]
             t = b - a
             t /= np.hypot(*t)

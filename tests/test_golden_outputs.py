@@ -48,8 +48,8 @@ GOLDEN = {
     "birkhoff_readme.json": "4fe6034775afa1e51411bdbad93f21ec56f111437e246fcc7c286af0ac458942",
     "island_section.csv": "f90047d099e7e925d47081019cc30930de847475d836afe027740e9815899143",
     "island_section.json": "bbef8ee98407963abfbec342fba178b729c7cda2c550b03e3dbe092bc4296aed",
-    "lemma_readme.csv": "161a0298f4ddcacd888242b919eddf4b757836f9d7b209aa36c1f171f6eb6b0f",
-    "lemma_readme.json": "7547e27e1d340d2978f83e25b420aa0253b5f850b853dcbd6aeceff0645afc58",
+    "lemma_readme.csv": "80c43d932210cee531adbc2c1d64dee514218dd211ea18ffd627fcbc5cea879c",
+    "lemma_readme.json": "a43608ba7f2c877e7e3e016efb75e26bcbc1731ff500c857ea5b2d0ac8392b5a",
     "orbit_star_readme.csv": "45e3d2ed17e3f6ddcf4b6346115c25a82aa4ef46c4fa6f3a40e4bd2ee265426b",
     "orbit_star_readme.json": "145e0bd9bc021b7816980abcc1eab9f1c1bfcd4bf9725d1d8f924f224f6c32d2",
     "orbit_star_readme.svg": "a34c96a3b3bef7c02ef2e0e5b3deee7697273bd358d3501e1876d0bd45d17da6",
@@ -60,10 +60,10 @@ GOLDEN = {
     "region_readme.svg": "763893d883c13bf9b02f88440af1dd4f2f1a6c01afe94d6b4992d028bb5e9492",
     "section_readme.csv": "7122f63c4156ee94f6972f81480d15ac15fe38dfe460b35f9fc88e4e7de0bdfc",
     "section_readme.json": "be3f018b69f1f17971ba3264555e18f77f59b1c9262f0dbd4ff25e3dae4b7df2",
-    "stability_readme.csv": "30e689e0c78dc7cacd9c73ec889ca22c45b6f6e548425679bbb144a1ee756ff9",
-    "stability_readme.json": "e961452c128eb52334b90aee86e9c49f0f902257647ff1a72f3d7918e12ba32a",
-    "stability_scan.csv": "48fb5182139ebaeb517e63971b21c4a083ba7244f823509ed5425ff156c2e19e",
-    "stability_scan.json": "ceefe86a068ad884b30c8ecd2bfbbdea1ebdcbac5a69b49330307cb4b5c6d5dc",
+    "stability_readme.csv": "f18b5b9c4ae38a9b5aa643f35bbcc70677bd204fb832e808947b867fb6cdaac1",
+    "stability_readme.json": "bf906756ba833fa7bfbb6ddd422f0d9ffb9ea2af8ae328f841321651ef0bb925",
+    "stability_scan.csv": "84230ba2093201f36daa67aceb809f27fe408c109933f99bc7b219861874b0c8",
+    "stability_scan.json": "59c0a2ff8d174d03d5c71a29c4f1bcc08bea3fde8342e9c88010bdb00eefaab5",
     "twist_scan.csv": "15b67ecf2bb476aa1cf8346a8c8dd764d72fa4f92caeb85f74fe3ca4a0b2913f",
     "twist_scan.json": "c1cbe3e7bb9070f2bca8ec2bf7aa12973ce604cad3ad6e7abe5cf56f32d4ea62",
 }

@@ -68,7 +68,7 @@ class TestTypeA:
     def test_caustic_tangency_of_every_chord(self):
         for (n, k) in [(4, 1), (5, 2), (9, 4)]:
             orbit = build_type_a(TableParams.type_a(n, k, 0.4 * max_radius(n, k, 0.0), 0.0))
-            pts = orbit.cartesian_points()
+            pts = np.array(orbit.cartesian_points())
             want = caustic_radius(n, k)
             for i in range(n - 1):
                 a, b = pts[i], pts[i + 1]
@@ -101,7 +101,7 @@ class TestTypeB:
             orbit = build_type_b(n, eps)
             gap = max(
                 np.hypot(*(a - b))
-                for a, b in zip(orbit.cartesian_points(), cusp.cartesian_points())
+                for a, b in zip(np.array(orbit.cartesian_points()), np.array(cusp.cartesian_points()))
             )
             if prev is not None:
                 assert gap < 0.5 * prev
@@ -110,7 +110,7 @@ class TestTypeB:
 
     def test_reflection_symmetry_of_point_set(self):
         orbit = build_type_b(4, 0.015)
-        pts = orbit.cartesian_points()
+        pts = np.array(orbit.cartesian_points())
         mirrored = pts * np.array([1.0, -1.0])
         for q in mirrored:
             assert min(np.hypot(*(q - p)) for p in pts) < 1e-9
@@ -161,7 +161,7 @@ class TestSerialization:
 
     def test_polyline_closes(self):
         orbit = build_type_a(TableParams.type_a(5, 2, 0.05, 0.0))
-        line = orbit.polyline()
+        line = np.array(orbit.polyline())
         assert line.shape == (13, 2)
         np.testing.assert_allclose(line[0], line[-1], atol=1e-15)
         assert np.all(np.hypot(line[:, 0], line[:, 1]) <= 1.0 + 1e-12)
