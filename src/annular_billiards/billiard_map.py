@@ -10,18 +10,17 @@ polar angle of the collision point about the scatterer center.  theta in
 (0, pi) is the angle between the positively oriented tangent (domain on the
 left) and the outgoing velocity.
 
-The closed-form maps ``map_disk``, ``map_in`` and ``map_out`` apply to the
-tangent configuration (scatterer center on the negative x-axis at distance
-1 - R).  Their independent oracle, the Cartesian ray tracer
-``generic_step``, lives in ``orbits``, its one caller; the two routes are
-cross-checked in the test suite.
+The half-period map of the tangent configuration (scatterer center on the
+negative x-axis at distance 1 - R) is one straight-line formula,
+``half_period_formula``, written generically over a small math backend: the
+float map, the truncated-Taylor-jet map and the high-precision audit map run
+the same operations in the same order.  Its independent oracle, the
+Cartesian ray tracer ``generic_step``, lives in ``orbits``, its one caller;
+the two routes are cross-checked in the test suite.
 
-The wall-to-wall formulas are written once, generically over a small math
-backend, so the float map, the truncated-Taylor-jet map and the
-high-precision audit map are guaranteed to be the same function.  This module
-imports only the standard library: the jet backend loads ``jets`` on its
-first use, so a program that iterates the float map, such as ``section``,
-does not load it.
+This module imports only the standard library: the jet backend loads
+``jets`` on its first use, so a program that iterates the float map, such as
+``section``, does not load it.
 """
 
 from __future__ import annotations
@@ -101,6 +100,9 @@ class FloatBackend:
 
     @staticmethod
     def acos(u):
+        if -1.0 <= u <= 1.0:
+            return math.acos(u)
+        # out of range, or NaN, which passes through as NaN
         if u > 1.0:
             if u - 1.0 > ACOS_CLAMP_TOL:
                 raise NoCollisionError(f"arccos argument {u!r} exceeds 1")
@@ -147,34 +149,6 @@ FLOAT_BACKEND = FloatBackend()
 JET_BACKEND = JetBackend()
 
 
-def disk_formula(s, theta, bounces: int, lib=FLOAT_BACKEND):
-    """bounces successive reflections inside the unit disk (no scatterer)."""
-    return s + 2.0 * bounces * theta, theta
-
-
-def scatterer_entry_formula(s, theta, R: float, lib=FLOAT_BACKEND):
-    """Outer wall to scatterer, tangent configuration.
-
-    theta1 = arccos((-cos(theta) - (1-R) cos(theta + s)) / R) and the new arc
-    length follows from gamma1 = -pi + s + theta + theta1 through the
-    clockwise parametrization s1 = pi + R*(pi - gamma1).
-    """
-    u = (-lib.cos(theta) - (1.0 - R) * lib.cos(theta + s)) / R
-    theta1 = lib.acos(u)
-    s1 = lib.pi + R * (2.0 * lib.pi - theta1 - theta - s)
-    return s1, theta1
-
-
-def scatterer_exit_formula(s, theta, R: float, lib=FLOAT_BACKEND):
-    """Scatterer back to the outer wall, tangent configuration (time reverse
-    of ``scatterer_entry_formula``)."""
-    a = (s - lib.pi) / R
-    w = -R * lib.cos(theta) - (1.0 - R) * lib.cos(theta - a)
-    theta1 = lib.acos(w)
-    s1 = theta + theta1 - a
-    return s1, theta1
-
-
 def half_period_formula(s, r, n: int, R: float, lib=FLOAT_BACKEND):
     """Reflection-composed half-period map in Birkhoff coordinates.
 
@@ -182,44 +156,25 @@ def half_period_formula(s, r, n: int, R: float, lib=FLOAT_BACKEND):
     symmetry (s, r) -> (-s, -r).  Its square is the full period map of the
     tangent table.  Works unwrapped: near the reference orbit no angle
     reduction is ever required, which keeps the formulas smooth.
+
+    The n-1 bounces advance s by 2 theta each.  The entry angle theta2 is
+    arccos((-cos(theta) - (1-R) cos(theta + s1)) / R), and the entry point
+    sits at the polar angle gamma = -pi + s1 + theta + theta2 about the
+    scatterer center, at the clockwise arc length pi + R*(pi - gamma); the
+    exit is the time reverse of the entry, from a = pi - gamma.
     """
-    theta = lib.acos(r)
-    s1, theta1 = disk_formula(s, theta, n - 1, lib)
-    s2, theta2 = scatterer_entry_formula(s1, theta1, R, lib)
-    s3, theta3 = scatterer_exit_formula(s2, theta2, R, lib)
-    return -s3, -lib.cos(theta3)
+    cos, acos, pi = lib.cos, lib.acos, lib.pi
+    theta = acos(r)
+    s1 = s + 2.0 * (n - 1) * theta
+    theta2 = acos((-cos(theta) - (1.0 - R) * cos(theta + s1)) / R)
+    a = (pi + R * (2.0 * pi - theta2 - theta - s1) - pi) / R
+    theta3 = acos(-R * cos(theta2) - (1.0 - R) * cos(theta2 - a))
+    return -(theta2 + theta3 - a), -cos(theta3)
 
 
 # ---------------------------------------------------------------------------
-# public phase-space maps (wrapped, validated)
+# mirror symmetry
 # ---------------------------------------------------------------------------
-
-
-def map_disk(p: PhasePoint, bounces: int) -> PhasePoint:
-    """Iterate the unit-disk billiard map: (s, theta) -> (s + 2*bounces*theta, theta)."""
-    if p.wall is not Wall.OUTER:
-        raise DomainError("map_disk needs an outer-wall state")
-    s1, th1 = disk_formula(p.s, p.theta, bounces)
-    return PhasePoint(Wall.OUTER, wrap_pi(s1), th1)
-
-
-def map_in(p: PhasePoint, R: float) -> PhasePoint:
-    """Outer wall to scatterer for the tangent configuration of radius R."""
-    if p.wall is not Wall.OUTER:
-        raise DomainError("map_in needs an outer-wall state")
-    s1, th1 = scatterer_entry_formula(p.s, p.theta, R)
-    # reduce gamma to (0, 2*pi) so s lands in the fundamental arc interval
-    gamma = math.pi - (s1 - math.pi) / R
-    gamma %= 2.0 * math.pi
-    return PhasePoint(Wall.INNER, math.pi + R * (math.pi - gamma), th1)
-
-
-def map_out(p: PhasePoint, R: float) -> PhasePoint:
-    """Scatterer back to the outer wall for the tangent configuration."""
-    if p.wall is not Wall.INNER:
-        raise DomainError("map_out needs an inner-wall state")
-    s1, th1 = scatterer_exit_formula(p.s, p.theta, R)
-    return PhasePoint(Wall.OUTER, wrap_pi(s1), th1)
 
 
 def reflection(p: PhasePoint) -> PhasePoint:

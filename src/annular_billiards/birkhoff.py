@@ -513,11 +513,13 @@ def island_sampler(
     iterates are returned for plotting as a list of pairs, seed by seed, each
     up to its escape.
 
-    Each seed is iterated alone on Python floats, two calls of the float
-    ``half_period_formula`` per iteration, and stops at its first
-    ``NoCollisionError``.  At the widths a request asks for (up to a few
-    hundred seeds) this costs no more than stepping them together as arrays,
-    and it needs no NumPy.
+    Each seed is iterated alone on a pair of Python floats, two calls of the
+    float ``half_period_formula`` per iteration, and stops at its first
+    ``NoCollisionError``.  The map is the one straight-line formula that the
+    jet push and the audit also run, called through this module's global
+    name, so a patched map sees every half period.  At the widths a request
+    asks for (up to a few hundred seeds) this costs no more than stepping
+    them together as arrays, and it needs no NumPy.
     """
     if iterations < 1 or seeds < 1:
         raise DomainError(f"need iterations >= 1 and seeds >= 1, got {iterations}, {seeds}")
@@ -533,12 +535,13 @@ def island_sampler(
     half, R, lib = half_period_formula, rmap.R, FLOAT_BACKEND
     max_excursion, escape, cloud = 0.0, None, []
     for index, phase in enumerate(phases):
-        point = (s0 + radius * math.cos(phase), r0 + radius * math.sin(phase))
+        s, r = s0 + radius * math.cos(phase), r0 + radius * math.sin(phase)
         orbit = []
         try:
             for it in range(iterations):
-                point = half(*half(*point, n, R, lib), n, R, lib)
-                orbit.append(point)
+                s, r = half(s, r, n, R, lib)
+                s, r = half(s, r, n, R, lib)
+                orbit.append((s, r))
         except NoCollisionError:
             if escape is None:
                 escape = (index, it)

@@ -38,7 +38,7 @@ _LIBRARY = {
         "birkhoff": "ReducedMap birkhoff_A closed_form_A island_sampler taylor_jet twist_limit",
         "geometry": "TableParams max_radius max_radius_delta",
         "linear_stability": "bifurcation_radius classify delta_star lemma_f min_period_for_k monodromy trace_closed_form",
-        "orbits": "build_type_a build_type_b verify_closure",
+        "orbits": "build_type_a build_type_b",
     }.items()
     for name in names.split()
 }
@@ -412,7 +412,7 @@ def cmd_orbit(spec: ScanSpec) -> int:
         return 0
     if spec.fmt == "csv":
         x, y = zip(*orbit.polyline())
-        return write_table(spec, {"x": x, "y": y}, {"closure_residual": _cli.verify_closure(orbit)})
+        return write_table(spec, {"x": x, "y": y}, {"closure_residual": orbit.closure_residual})
     return write_table(spec, {key: [value] for key, value in orbit.to_json_dict().items()}, {})
 
 

@@ -5,17 +5,18 @@ Both families close after 2n+2 collisions: n on the outer circle, one
 perpendicular hit on the scatterer (index n), the n outer collisions of the
 reversed path, and the second perpendicular hit (index 2n+1).
 
-The ray tracer ``generic_step`` is independent of the closed-form maps in
+The ray tracer ``generic_step`` is independent of the closed-form map in
 ``billiard_map``: it works in the plane for any scatterer pose, and steps
 one collision state on Python floats.  ``build_type_a`` builds an orbit from
 its closed-form geometry and ``verify_closure`` traces it for one period,
-one ``generic_step`` per collision.
+one ``generic_step`` per collision; ``build_type_b`` traces the period as it
+builds.  Either way the orbit keeps its closure residual.
 """
 
 from __future__ import annotations
 
 import warnings
-from math import atan2, cos, inf, pi, sin, sqrt
+from math import atan2, cos, inf, nan, pi, sin, sqrt
 from typing import NamedTuple
 
 from .billiard_map import PhasePoint, Wall, wrap_pi
@@ -139,6 +140,8 @@ class OrbitRecord(NamedTuple):
     points[i] is the i-th collision state, flights[i] the free flight from
     points[i] to points[i+1] (cyclically), and curvatures[i] the signed wall
     curvature at points[i] (-1 on the outer circle, +1/R on the scatterer).
+    closure_residual is the ray tracer's closure residual over one period,
+    recorded when the orbit is built (``verify_closure``).
     """
 
     params: TableParams
@@ -146,6 +149,7 @@ class OrbitRecord(NamedTuple):
     flights: tuple[float, ...]
     curvatures: tuple[float, ...]
     pose: ScattererPose
+    closure_residual: float
 
     @property
     def period(self) -> int:
@@ -176,7 +180,7 @@ class OrbitRecord(NamedTuple):
             ],
             "flights": list(self.flights),
             "curvatures": list(self.curvatures),
-            "closure_residual": verify_closure(self),
+            "closure_residual": self.closure_residual,
         }
 
 
@@ -220,11 +224,11 @@ def build_type_a(params: TableParams) -> OrbitRecord:
     flights = (side,) * (n - 1) + (near, near) + (side,) * (n - 1) + (far, far)
     kappa = 1.0 / R
     curvatures = (-1.0,) * n + (kappa,) + (-1.0,) * n + (kappa,)
-    orbit = OrbitRecord(params, points, flights, curvatures, pose)
+    orbit = OrbitRecord(params, points, flights, curvatures, pose, nan)
     residual = verify_closure(orbit)
     if residual > CLOSURE_TOL:
         raise InvalidTableError(f"orbit closure residual {residual:.3g} exceeds {CLOSURE_TOL}")
-    return orbit
+    return orbit._replace(closure_residual=residual)
 
 
 def build_type_b(n: int, epsilon: float) -> OrbitRecord:
@@ -247,7 +251,9 @@ def build_type_b(n: int, epsilon: float) -> OrbitRecord:
         flights.append(res.flight)
         pts.append(res.point)
         p = res.point
-    gap = _phase_gap(pts[0], pts[-1])
+    # the last step's gap, as ``verify_closure`` measures it: every earlier
+    # step retraces a recorded point exactly
+    gap = _phase_gap(pts[-1], pts[0])
     if gap > CLOSURE_TOL:
         raise InvalidTableError(f"type (b) orbit did not close (residual {gap:.3g})")
     pts = pts[:-1]
@@ -257,7 +263,7 @@ def build_type_b(n: int, epsilon: float) -> OrbitRecord:
         raise InvalidTableError("scatterer hits are not perpendicular")
 
     curv = [-1.0 if q.wall is OUTER else 1.0 / params.R for q in pts]
-    return OrbitRecord(params, tuple(pts), tuple(flights), tuple(curv), pose)
+    return OrbitRecord(params, tuple(pts), tuple(flights), tuple(curv), pose, gap)
 
 
 def verify_closure(orbit: OrbitRecord) -> float:

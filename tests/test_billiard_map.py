@@ -1,19 +1,24 @@
-"""Wall-to-wall maps against the Cartesian ray-tracing oracle."""
+"""Phase-space conventions, the Cartesian ray tracer, and the half-period map
+against the three-leg composition it was written from."""
 
 import math
+import random
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from annular_billiards.billiard_map import (
+    ACOS_CLAMP_TOL,
+    FLOAT_BACKEND,
+    JET_BACKEND,
     BirkhoffCoords,
+    MPBackend,
     PhasePoint,
     Wall,
     from_birkhoff,
-    map_disk,
-    map_in,
-    map_out,
+    half_period_formula,
     reflection,
     reflection_birkhoff,
     to_birkhoff,
@@ -26,7 +31,9 @@ from annular_billiards.errors import (
     NoCollisionError,
     TangencyWarning,
 )
+from annular_billiards.birkhoff import FD_DPS, FD_STEP, ReducedMap
 from annular_billiards.geometry import TableParams, max_radius
+from annular_billiards.jets import Jet2
 from annular_billiards.linear_stability import bounce_jacobian
 from annular_billiards.orbits import MIN_FLIGHT, build_type_a, build_type_b, generic_step, phase_to_cartesian
 
@@ -45,101 +52,21 @@ def fd_jacobian(step, p: PhasePoint, h=1e-7, outer_out=True):
     return J
 
 
-class TestDiskMap:
-    def test_identity_at_zero_bounces(self):
-        p = PhasePoint(Wall.OUTER, 0.4, 1.1)
-        assert map_disk(p, 0) == p
-
-    def test_polygon_advance(self):
-        n = 6
-        p = PhasePoint(Wall.OUTER, 0.2, math.pi / n)
-        q = map_disk(p, n - 1)
-        assert q.s == pytest.approx(wrap_pi(0.2 + 2 * (n - 1) * math.pi / n), abs=1e-14)
-        assert q.theta == p.theta
-
-    def test_against_ray_tracer(self):
-        p = PhasePoint(Wall.OUTER, 0.3, 0.7)
-        q = map_disk(p, 5)
-        r = p
-        for _ in range(5):
-            r = generic_step(r, None).point
-        assert wrap_pi(q.s - r.s) == pytest.approx(0.0, abs=1e-10)
-        assert q.theta == pytest.approx(r.theta, abs=1e-10)
-
-    def test_wall_guard(self):
-        with pytest.raises(DomainError):
-            map_disk(PhasePoint(Wall.INNER, math.pi, 1.0), 1)
-
-
 class TestScattererMaps:
     @pytest.fixture()
     def tangent_table(self):
         orbit = build_type_b(3, 0.01)
         return orbit
 
-    def test_perpendicular_entry_at_orbit(self, tangent_table):
-        z = tangent_table.points[2]  # last outer point before the scatterer
-        q = map_in(z, tangent_table.params.R)
-        assert q.wall is Wall.INNER
-        assert q.theta == pytest.approx(math.pi / 2, abs=1e-12)
-
     def test_symmetric_entry_is_perpendicular(self):
         # symmetric chord-mounted scatterer: normal incidence at the hit
         params = TableParams.type_a(4, 1, 0.2, 0.0)
         orbit = build_type_a(params)
         z = orbit.points[3]
-        q = map_in(z, 0.2)
         # the tangent-pose closed form only covers the tangent table, so use
         # the ray tracer for the general pose
         res = generic_step(z, orbit.pose)
         assert res.point.theta == pytest.approx(math.pi / 2, abs=1e-12)
-
-    def test_entry_against_ray_tracer(self, tangent_table):
-        rng = np.random.default_rng(3)
-        pose = tangent_table.pose
-        R = tangent_table.params.R
-        z = tangent_table.points[2]
-        checked = 0
-        for _ in range(1000):
-            ds, dth = rng.normal(scale=2e-2, size=2)
-            p = PhasePoint(Wall.OUTER, z.s + ds, z.theta + dth)
-            want = generic_step(p, pose).point
-            if want.wall is not Wall.INNER:
-                continue
-            got = map_in(p, R)
-            assert got.s == pytest.approx(want.s, abs=1e-10)
-            assert got.theta == pytest.approx(want.theta, abs=1e-10)
-            checked += 1
-        assert checked > 900
-
-    def test_exit_against_ray_tracer(self, tangent_table):
-        rng = np.random.default_rng(4)
-        pose = tangent_table.pose
-        R = tangent_table.params.R
-        z = tangent_table.points[3]
-        for _ in range(1000):
-            ds, dth = rng.normal(scale=1e-2, size=2)
-            p = PhasePoint(Wall.INNER, z.s + ds * R, z.theta + dth)
-            want = generic_step(p, pose).point
-            assert want.wall is Wall.OUTER
-            got = map_out(p, R)
-            assert wrap_pi(got.s - want.s) == pytest.approx(0.0, abs=1e-10)
-            assert got.theta == pytest.approx(want.theta, abs=1e-10)
-
-    def test_exit_reverses_perpendicular_entry(self, tangent_table):
-        R = tangent_table.params.R
-        z = tangent_table.points[2]
-        inner = map_in(z, R)
-        back = map_out(inner, R)
-        assert wrap_pi(back.s - z.s) == pytest.approx(0.0, abs=1e-10)
-        assert back.theta == pytest.approx(math.pi - z.theta, abs=1e-10)
-
-    def test_no_collision_error(self, tangent_table):
-        # a chord from (1, 0) heading down-left passes well under the scatterer
-        R = tangent_table.params.R
-        p = PhasePoint(Wall.OUTER, 0.0, 2.6)
-        with pytest.raises(NoCollisionError):
-            map_in(p, R)
 
     def test_tangent_map_matches_bounce_jacobian(self, tangent_table):
         # finite differences of the maps equal the per-bounce matrix up to
@@ -242,8 +169,6 @@ class TestBirkhoffCoords:
     def test_composed_map_area_preservation(self):
         # finite-difference determinant of the half-period map in (s, r)
         rm_params = (4, 0.01)
-        from annular_billiards.birkhoff import ReducedMap
-
         rmap = ReducedMap(*rm_params)
         fp = rmap.fixed_point
         rng = np.random.default_rng(9)
@@ -422,3 +347,133 @@ class TestPlainFloatTracerMatchesVectorTracer:
         assert compared >= 1000
         assert seen["launch"] == seen["hit"] == {Wall.OUTER, Wall.INNER}
         assert seen["refused"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the straight-line half-period map against the former three-leg composition
+# ---------------------------------------------------------------------------
+
+
+def _former_acos(u):
+    """``FloatBackend.acos`` as it was: the clamp's comparisons first."""
+    if u > 1.0:
+        if u - 1.0 > ACOS_CLAMP_TOL:
+            raise NoCollisionError(f"arccos argument {u!r} exceeds 1")
+        u = 1.0
+    elif u < -1.0:
+        if -1.0 - u > ACOS_CLAMP_TOL:
+            raise NoCollisionError(f"arccos argument {u!r} below -1")
+        u = -1.0
+    return math.acos(u)
+
+
+class _FormerFloatBackend:
+    pi = math.pi
+    cos = staticmethod(math.cos)
+    acos = staticmethod(_former_acos)
+
+
+def _disk_leg(s, theta, bounces, lib):
+    return s + 2.0 * bounces * theta, theta
+
+
+def _entry_leg(s, theta, R, lib):
+    u = (-lib.cos(theta) - (1.0 - R) * lib.cos(theta + s)) / R
+    theta1 = lib.acos(u)
+    return lib.pi + R * (2.0 * lib.pi - theta1 - theta - s), theta1
+
+
+def _exit_leg(s, theta, R, lib):
+    a = (s - lib.pi) / R
+    w = -R * lib.cos(theta) - (1.0 - R) * lib.cos(theta - a)
+    theta1 = lib.acos(w)
+    return theta + theta1 - a, theta1
+
+
+def _three_leg_half_period(s, r, n, R, lib):
+    """The half-period map composed of its three legs, as it was written:
+    the bit-for-bit reference for the straight-line ``half_period_formula``."""
+    theta = lib.acos(r)
+    s1, theta1 = _disk_leg(s, theta, n - 1, lib)
+    s2, theta2 = _entry_leg(s1, theta1, R, lib)
+    s3, theta3 = _exit_leg(s2, theta2, R, lib)
+    return -s3, -lib.cos(theta3)
+
+
+def _float_outcome(fn, *args):
+    """The map's two outputs as bytes, or its refusal's type and text."""
+    try:
+        return struct.pack("<2d", *fn(*args))
+    except BilliardError as exc:
+        return type(exc), str(exc)
+
+
+#: tangent tables of the twist and section scans
+_TABLES = [(3, 0.01), (3, 0.02), (4, 0.01), (5, 0.002), (7, 1e-3), (12, 1e-4)]
+
+
+class TestHalfPeriodFormulaMatchesThreeLegs:
+    def test_floats_bit_equal_over_seeded_points(self):
+        rng = random.Random(17)
+        refused = 0
+        for n, eps in _TABLES:
+            rmap = ReducedMap(n, eps)
+            for scale in (1e-6, 1e-3, 3e-2, 0.3):
+                for _ in range(250):
+                    s = rmap.s0 + rng.gauss(0.0, scale)
+                    r = rmap.r0 + rng.gauss(0.0, scale)
+                    got = _float_outcome(half_period_formula, s, r, n, rmap.R)
+                    want = _float_outcome(_three_leg_half_period, s, r, n, rmap.R, _FormerFloatBackend)
+                    assert got == want, (n, eps, s, r)
+                    refused += isinstance(want, tuple)
+        # the wide offsets leave the chart, so refusals are compared too
+        assert refused > 100
+
+    def test_floats_bit_equal_at_the_clamp_edges(self):
+        tol = ACOS_CLAMP_TOL
+        edges = [1.0 + tol / 2, 1.0 - tol / 2, -1.0 + tol / 2, -1.0 - tol / 2, 1.0, -1.0,
+                 1.0 + 2 * tol, -1.0 - 2 * tol, math.nan]
+        # the edge arguments into the first arccos; a grazing ray from near
+        # (-1, 0), where the scatterer touches the wall, takes the entry and
+        # exit arccos to their edges too, and comes out with values
+        radii = (ReducedMap(3, 0.01).R, 0.1, 0.3)
+        values = 0
+        for r in edges:
+            for s in (-2.0, 0.0, 1.0, 3.0, math.pi - 1e-6, math.pi):
+                for R in radii:
+                    got = _float_outcome(half_period_formula, s, r, 3, R)
+                    want = _float_outcome(_three_leg_half_period, s, r, 3, R, _FormerFloatBackend)
+                    assert got == want, (s, r, R)
+                    values += isinstance(want, bytes)
+        assert values >= 12
+        # and into the acos itself, where NaN still passes through as NaN
+        for u in edges:
+            got = _float_outcome(lambda x: (FLOAT_BACKEND.acos(x), 0.0), u)
+            assert got == _float_outcome(lambda x: (_former_acos(x), 0.0), u), u
+
+    def test_jets_bit_equal_in_all_ten_coefficients(self):
+        rng = random.Random(18)
+        for n, eps in _TABLES:
+            rmap = ReducedMap(n, eps)
+            for _ in range(5):
+                s = Jet2.variable(rmap.s0 + rng.gauss(0.0, 1e-4), 0)
+                r = Jet2.variable(rmap.r0 + rng.gauss(0.0, 1e-4), 1)
+                got = half_period_formula(s, r, n, rmap.R, JET_BACKEND)
+                want = _three_leg_half_period(s, r, n, rmap.R, JET_BACKEND)
+                for a, b in zip(got, want):
+                    assert len(a.c) == 10
+                    assert struct.pack("<10d", *a.c) == struct.pack("<10d", *b.c)
+
+    def test_audit_backend_bit_equal(self):
+        from mpmath import mp
+
+        lib = MPBackend(mp)
+        for n, eps in _TABLES:
+            rmap = ReducedMap(n, eps)
+            with mp.workdps(FD_DPS):
+                h = mp.mpf(FD_STEP)
+                s0, r0 = (mp.mpf(x) for x in rmap.fixed_point)
+                for i, j in ((0, 0), (-2, 1), (2, -2)):
+                    got = half_period_formula(s0 + i * h, r0 + j * h, n, rmap.R, lib)
+                    want = _three_leg_half_period(s0 + i * h, r0 + j * h, n, rmap.R, lib)
+                    assert got[0] == want[0] and got[1] == want[1]

@@ -97,9 +97,11 @@ class TestReducedMap:
         assert out.s == pytest.approx(rmap.s0, abs=1e-10)
         assert out.r == pytest.approx(rmap.r0, abs=1e-10)
 
-    def test_square_equals_full_period(self):
-        rmap = ReducedMap(4, 0.01)
-        orbit = build_type_b(4, 0.01)
+    @pytest.mark.parametrize("n,eps", [(3, 0.01), (4, 0.01), (5, 0.002), (7, 1e-3)])
+    def test_square_equals_full_period(self, n, eps):
+        # the composed map against the ray tracer, over whole periods
+        rmap = ReducedMap(n, eps)
+        orbit = build_type_b(n, eps)
         rng = np.random.default_rng(11)
         for _ in range(20):
             ds, dr = rng.normal(scale=1e-3, size=2)
@@ -110,6 +112,23 @@ class TestReducedMap:
                 p = generic_step(p, orbit.pose).point
             assert wrap_pi(got.s - p.s) == pytest.approx(0.0, abs=1e-10)
             assert got.r == pytest.approx(math.cos(p.theta), abs=1e-10)
+
+    def test_a_chord_that_misses_the_scatterer_is_refused(self):
+        # after n-1 disk bounces the chord from (1, 0) at angle 2.6 heads
+        # down-left and passes well under the scatterer: the ray tracer's
+        # next wall is the outer one, and the map refuses the point
+        n, theta = 3, 2.6
+        rmap = ReducedMap(n, 0.01)
+        pose = build_type_b(n, 0.01).pose
+        s = -2.0 * (n - 1) * theta
+        p = PhasePoint(Wall.OUTER, wrap_pi(s), theta)
+        walls = []
+        for _ in range(n):
+            p = generic_step(p, pose).point
+            walls.append(p.wall)
+        assert walls == [Wall.OUTER] * n
+        with pytest.raises(NoCollisionError):
+            rmap.apply(s, math.cos(theta))
 
     def test_linear_trace_against_monodromy(self):
         # trace of the full-period product equals t^2 - 2 for the half map

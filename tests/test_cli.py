@@ -501,6 +501,25 @@ class TestOrbitCommand:
         assert doc["rows"][0]["closure_residual"] < 1e-9
         assert doc["rows"][0]["params"]["config"] == "type_b"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("table,traces", [(["--eps", "0.01"], 0), (["--k", "1", "--R", "0.2"], 1)])
+    def test_reports_the_residual_its_builder_measured(self, tmp_path, monkeypatch, fmt, table, traces):
+        # build_type_b traces the period as it builds and build_type_a checks
+        # closure once; the output reads the recorded residual, no new trace
+        from annular_billiards import orbits
+
+        calls = []
+        original = orbits.verify_closure
+
+        def counted(orbit):
+            calls.append(1)
+            return original(orbit)
+
+        monkeypatch.setattr(orbits, "verify_closure", counted)
+        text = run(tmp_path, f"orbit.{fmt}", ["orbit", "--n", "4", *table, "--format", fmt])
+        assert len(calls) == traces
+        assert "closure_residual" in text
+
     def test_csv_polyline(self, tmp_path):
         text = run(
             tmp_path,

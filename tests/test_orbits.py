@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from annular_billiards.billiard_map import PhasePoint, Wall
-from annular_billiards.errors import InvalidTableError
+from annular_billiards.errors import BilliardError, InvalidTableError
 from annular_billiards.geometry import (
     TableParams,
     caustic_radius,
@@ -133,17 +133,31 @@ class TestVerifyClosure:
         bad = PhasePoint(p0.wall, p0.s, p0.theta + 1e-3)
         pts = list(orbit.points)
         pts[0] = bad
-        hacked = type(orbit)(
-            params=orbit.params,
-            points=tuple(pts),
-            flights=orbit.flights,
-            curvatures=orbit.curvatures,
-            pose=orbit.pose,
-        )
+        hacked = orbit._replace(points=tuple(pts))
         assert verify_closure(hacked) > 1e-6
 
     def test_type_b_closure(self):
         assert verify_closure(build_type_b(4, 0.02)) < 1e-9
+
+    def test_recorded_residual_is_the_closure_check(self):
+        # each builder keeps the residual it measured, bit for bit the one
+        # verify_closure measures again
+        built = 0
+        for n in range(3, 30):
+            for eps in (1e-4, 1e-3, 0.01, 0.02):
+                try:
+                    orbit = build_type_b(n, eps)
+                except BilliardError:
+                    continue
+                assert orbit.closure_residual == verify_closure(orbit), (n, eps)
+                built += 1
+        for n, k in ((4, 1), (5, 2), (13, 4), (53, 6)):
+            for delta_frac in (0.0, 0.05):
+                delta = delta_frac * max_radius(n, k, 0.0)
+                orbit = build_type_a(TableParams.type_a(n, k, 0.5 * max_radius(n, k, delta), delta))
+                assert orbit.closure_residual == verify_closure(orbit), (n, k, delta)
+                built += 1
+        assert built >= 80
 
 
 class TestSerialization:
