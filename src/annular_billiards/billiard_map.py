@@ -92,7 +92,15 @@ def from_birkhoff(bc: BirkhoffCoords, wall: Wall = Wall.OUTER) -> PhasePoint:
 
 
 class FloatBackend:
-    """Plain double-precision math."""
+    """Plain double-precision math, with an ``acos`` that clamps a rounding
+    excess of at most ``ACOS_CLAMP_TOL`` onto [-1, 1] and refuses a larger
+    one with ``NoCollisionError`` (a missed wall).
+
+    Inside [-1, 1], and for NaN, it computes what the ``math`` module does,
+    so a caller may run a formula on ``math`` itself, whose ``acos`` raises
+    ``ValueError`` exactly where this one clamps or refuses, and evaluate
+    again with this backend only then; ``island_sampler`` does.
+    """
 
     pi = math.pi
     cos = staticmethod(math.cos)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from itertools import repeat
 from typing import NamedTuple
 
 from .billiard_map import (
@@ -513,13 +514,17 @@ def island_sampler(
     iterates are returned for plotting as a list of pairs, seed by seed, each
     up to its escape.
 
-    Each seed is iterated alone on a pair of Python floats, two calls of the
-    float ``half_period_formula`` per iteration, and stops at its first
+    Each seed is iterated alone on a pair of Python floats, two calls of
+    ``half_period_formula`` per iteration, and stops at its first
     ``NoCollisionError``.  The map is the one straight-line formula that the
     jet push and the audit also run, called through this module's global
-    name, so a patched map sees every half period.  At the widths a request
-    asks for (up to a few hundred seeds) this costs no more than stepping
-    them together as arrays, and it needs no NumPy.
+    name, so a patched map sees every half period.  Each half period runs on
+    the ``math`` module, C builtins only; where ``math.acos`` raises
+    ``ValueError`` (a grazing or missing ray) that half period runs again on
+    ``FLOAT_BACKEND``, which clamps or refuses it, so the iterates are
+    FLOAT_BACKEND's bit for bit.  At the widths a request asks for (up to a
+    few hundred seeds) this costs no more than stepping them together as
+    arrays, and it needs no NumPy.
     """
     if iterations < 1 or seeds < 1:
         raise DomainError(f"need iterations >= 1 and seeds >= 1, got {iterations}, {seeds}")
@@ -531,21 +536,29 @@ def island_sampler(
     s0, r0 = rmap.fixed_point
     rng = random.Random(seed)
     phases = [2.0 * math.pi * rng.random() for _ in range(seeds)] if radius > 0.0 else [0.0]
-    # the module global, looked up per request, so a patched map is the one called
-    half, R, lib = half_period_formula, rmap.R, FLOAT_BACKEND
+    # the module global, looked up per request, so a patched map is the one
+    # called; math.acos raises ValueError only where FLOAT_BACKEND clamps or
+    # refuses, so only those half periods run again on the fallback
+    half, R, lib, fallback = half_period_formula, rmap.R, math, FLOAT_BACKEND
     max_excursion, escape, cloud = 0.0, None, []
     for index, phase in enumerate(phases):
         s, r = s0 + radius * math.cos(phase), r0 + radius * math.sin(phase)
         orbit = []
         try:
             for it in range(iterations):
-                s, r = half(s, r, n, R, lib)
-                s, r = half(s, r, n, R, lib)
+                try:
+                    s, r = half(s, r, n, R, lib)
+                except ValueError:
+                    s, r = half(s, r, n, R, fallback)
+                try:
+                    s, r = half(s, r, n, R, lib)
+                except ValueError:
+                    s, r = half(s, r, n, R, fallback)
                 orbit.append((s, r))
         except NoCollisionError:
             if escape is None:
                 escape = (index, it)
-        excursion = max((math.hypot(s - s0, r - r0) for s, r in orbit), default=0.0)
+        excursion = max(map(math.dist, orbit, repeat(rmap.fixed_point)), default=0.0)
         max_excursion = max(max_excursion, excursion)
         if collect:
             cloud += orbit

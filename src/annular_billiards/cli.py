@@ -432,7 +432,9 @@ def cmd_section(spec: ScanSpec) -> int:
         "escape_seed": report.escape_seed if report.escaped else "",
         "escape_iteration": report.escape_iteration if report.escaped else "",
     }
-    return write_table(spec, {"s": [s for s, _ in cloud], "r": [r for _, r in cloud]}, summary)
+    # every seed can escape in its first iteration, leaving the cloud empty
+    s, r = zip(*cloud) if cloud else ((), ())
+    return write_table(spec, {"s": s, "r": r}, summary)
 
 
 def cmd_lemma(spec: ScanSpec) -> int:

@@ -5,6 +5,7 @@ import math
 import random
 import struct
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -411,45 +412,94 @@ def _float_outcome(fn, *args):
 #: tangent tables of the twist and section scans
 _TABLES = [(3, 0.01), (3, 0.02), (4, 0.01), (5, 0.002), (7, 1e-3), (12, 1e-4)]
 
+#: arguments at and about the ends of the arccos domain
+_EDGES = [
+    1.0 + ACOS_CLAMP_TOL / 2, 1.0 - ACOS_CLAMP_TOL / 2, -1.0 + ACOS_CLAMP_TOL / 2, -1.0 - ACOS_CLAMP_TOL / 2,
+    1.0, -1.0, 1.0 + 2 * ACOS_CLAMP_TOL, -1.0 - 2 * ACOS_CLAMP_TOL, math.nan,
+]
+
+
+def _seeded_points():
+    """Map arguments (s, r, n, R) about each table's fixed point, at offsets
+    from 1e-6 to 0.3: the wide ones leave the chart."""
+    rng = random.Random(17)
+    for n, eps in _TABLES:
+        rmap = ReducedMap(n, eps)
+        for scale in (1e-6, 1e-3, 3e-2, 0.3):
+            for _ in range(250):
+                yield rmap.s0 + rng.gauss(0.0, scale), rmap.r0 + rng.gauss(0.0, scale), n, rmap.R
+
+
+def _edge_points():
+    """Map arguments (s, r, 3, R) with r at the clamp edges; a grazing ray
+    from near (-1, 0), where the scatterer touches the wall, takes the entry
+    and exit arccos to their edges too, and comes out with values."""
+    for r in _EDGES:
+        for s in (-2.0, 0.0, 1.0, 3.0, math.pi - 1e-6, math.pi):
+            for R in (ReducedMap(3, 0.01).R, 0.1, 0.3):
+                yield s, r, 3, R
+
+
+class _ClampWatch:
+    """``FLOAT_BACKEND`` that notes an arccos argument off [-1, 1] (NaN is
+    not off it: it passes through)."""
+
+    pi = math.pi
+    cos = staticmethod(math.cos)
+
+    def __init__(self):
+        self.off = False
+
+    def acos(self, u):
+        self.off |= u > 1.0 or u < -1.0
+        return FLOAT_BACKEND.acos(u)
+
 
 class TestHalfPeriodFormulaMatchesThreeLegs:
     def test_floats_bit_equal_over_seeded_points(self):
-        rng = random.Random(17)
         refused = 0
-        for n, eps in _TABLES:
-            rmap = ReducedMap(n, eps)
-            for scale in (1e-6, 1e-3, 3e-2, 0.3):
-                for _ in range(250):
-                    s = rmap.s0 + rng.gauss(0.0, scale)
-                    r = rmap.r0 + rng.gauss(0.0, scale)
-                    got = _float_outcome(half_period_formula, s, r, n, rmap.R)
-                    want = _float_outcome(_three_leg_half_period, s, r, n, rmap.R, _FormerFloatBackend)
-                    assert got == want, (n, eps, s, r)
-                    refused += isinstance(want, tuple)
+        for point in _seeded_points():
+            got = _float_outcome(half_period_formula, *point)
+            want = _float_outcome(_three_leg_half_period, *point, _FormerFloatBackend)
+            assert got == want, point
+            refused += isinstance(want, tuple)
         # the wide offsets leave the chart, so refusals are compared too
         assert refused > 100
 
     def test_floats_bit_equal_at_the_clamp_edges(self):
-        tol = ACOS_CLAMP_TOL
-        edges = [1.0 + tol / 2, 1.0 - tol / 2, -1.0 + tol / 2, -1.0 - tol / 2, 1.0, -1.0,
-                 1.0 + 2 * tol, -1.0 - 2 * tol, math.nan]
-        # the edge arguments into the first arccos; a grazing ray from near
-        # (-1, 0), where the scatterer touches the wall, takes the entry and
-        # exit arccos to their edges too, and comes out with values
-        radii = (ReducedMap(3, 0.01).R, 0.1, 0.3)
         values = 0
-        for r in edges:
-            for s in (-2.0, 0.0, 1.0, 3.0, math.pi - 1e-6, math.pi):
-                for R in radii:
-                    got = _float_outcome(half_period_formula, s, r, 3, R)
-                    want = _float_outcome(_three_leg_half_period, s, r, 3, R, _FormerFloatBackend)
-                    assert got == want, (s, r, R)
-                    values += isinstance(want, bytes)
+        for point in _edge_points():
+            got = _float_outcome(half_period_formula, *point)
+            want = _float_outcome(_three_leg_half_period, *point, _FormerFloatBackend)
+            assert got == want, point
+            values += isinstance(want, bytes)
         assert values >= 12
         # and into the acos itself, where NaN still passes through as NaN
-        for u in edges:
+        for u in _EDGES:
             got = _float_outcome(lambda x: (FLOAT_BACKEND.acos(x), 0.0), u)
             assert got == _float_outcome(lambda x: (_former_acos(x), 0.0), u), u
+
+    def test_math_then_float_retry_bit_equal_to_float(self):
+        # the island sampler evaluates each half period on `math`, and again
+        # on FLOAT_BACKEND only where `math.acos` raises ValueError: that
+        # gives FLOAT_BACKEND's value bits or its refusal, and `math` raises
+        # exactly where FLOAT_BACKEND clamps or refuses
+        outcomes = {"math": 0, "clamped": 0, "refused": 0}
+        for point in chain(_seeded_points(), _edge_points()):
+            want = _float_outcome(half_period_formula, *point, FLOAT_BACKEND)
+            watch = _ClampWatch()
+            _float_outcome(half_period_formula, *point, watch)
+            try:
+                got = _float_outcome(half_period_formula, *point, math)
+            except ValueError:
+                assert watch.off, point
+                got = _float_outcome(half_period_formula, *point, FLOAT_BACKEND)
+                outcomes["refused" if isinstance(got, tuple) else "clamped"] += 1
+            else:
+                assert not watch.off, point
+                outcomes["math"] += 1
+            assert got == want, point
+        assert outcomes["math"] > 4000 and outcomes["clamped"] >= 12 and outcomes["refused"] > 1000, outcomes
 
     def test_jets_bit_equal_in_all_ten_coefficients(self):
         rng = random.Random(18)

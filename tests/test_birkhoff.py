@@ -538,24 +538,33 @@ class TestSamplerMatchesSeedBySeedReference:
 
     @pytest.mark.parametrize(
         "args,kwargs",
-        [((3, 0.02, 0.5, 10_000), dict(seeds=8)), ((3, 0.02, 0.15, 10_000), dict(seeds=8, seed=4))],
+        [
+            ((3, 0.02, 0.5, 10_000), dict(seeds=8)),
+            ((3, 0.02, 0.15, 10_000), dict(seeds=8, seed=4)),
+            ((6, 0.002, 0.2, 10_000), dict(seeds=16)),
+            ((3, 0.02, 2.0, 10_000), dict(seeds=3, seed=5)),
+        ],
     )
     def test_sampler_stops_once_every_seed_left_the_chart(self, monkeypatch, args, kwargs):
-        # every seed escapes, and each stops at its escape: two map calls per
-        # kept iterate, then one or two for the escaping iteration (a seed
-        # can leave the chart in either half period), not 2 * 10_000 a seed
+        # every seed escapes, and each stops at its escape: two map calls on
+        # `math` per kept iterate, then one or two for the escaping iteration
+        # (a seed can leave the chart in either half period), not 2 * 10_000
+        # a seed; the refused half period alone runs again on FLOAT_BACKEND
         calls = []
         original = birkhoff.half_period_formula
 
         def counted(*a):
-            calls.append(1)
+            calls.append(a[-1])
             return original(*a)
 
         monkeypatch.setattr(birkhoff, "half_period_formula", counted)
         report, cloud = island_sampler(*args, **kwargs, collect=True)
         assert report.escaped
         escaped = report.seeds
-        assert 2 * len(cloud) + escaped <= len(calls) <= 2 * len(cloud) + 2 * escaped
+        on_math = calls.count(math)
+        assert 2 * len(cloud) + escaped <= on_math <= 2 * len(cloud) + 2 * escaped
+        assert calls.count(FLOAT_BACKEND) == escaped
+        assert on_math + escaped == len(calls)
 
     def test_acos_clamps_rounding_and_refuses_the_rest(self):
         u = np.random.default_rng(0).uniform(-1.0, 1.0, 100_000).tolist() + [-1.0, 1.0]

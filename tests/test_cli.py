@@ -584,6 +584,14 @@ class TestSectionCommand:
         assert "# summary escaped: True" in text
         assert "# summary escape_seed: " in text
 
+    def test_every_seed_escaping_at_once_leaves_an_empty_table(self, tmp_path):
+        args = ["section", "--n", "3", "--eps", "0.02", "--radius", "2.0", "--seeds", "3", "--seed", "5"]
+        text = run(tmp_path, "sec_empty.csv", args)
+        assert "# summary escape_iteration: 0" in text
+        assert text.endswith("\ns,r\n")
+        doc = json.loads(run(tmp_path, "sec_empty.json", args + ["--format", "json"]))
+        assert doc["rows"] == [] and doc["summary"]["escaped"] is True
+
 
 class TestStartUp:
     #: the library modules, each loaded only by a request that runs it
