@@ -432,8 +432,10 @@ def cmd_section(spec: ScanSpec) -> int:
         "escape_seed": report.escape_seed if report.escaped else "",
         "escape_iteration": report.escape_iteration if report.escaped else "",
     }
-    # every seed can escape in its first iteration, leaving the cloud empty
-    s, r = zip(*cloud) if cloud else ((), ())
+    # two comprehensions split the pairs faster than zip(*cloud), and give
+    # empty columns when every seed escaped in its first iteration
+    s = [p[0] for p in cloud]
+    r = [p[1] for p in cloud]
     return write_table(spec, {"s": s, "r": r}, summary)
 
 

@@ -12,7 +12,9 @@ sin(theta)/sin(theta1); ``bounce_jacobian_birkhoff`` rescales to the
 (s, cos theta) normalization where every bounce has determinant 1.
 
 A 2x2 matrix is a pair of rows of Python floats, and ``monodromy`` multiplies
-one orbit's bounces in plain float arithmetic.
+one orbit's bounces in plain float arithmetic.  It forms each distinct bounce
+once: a run of equal bounces, such as the n - 1 chords of a polygon side,
+reuses one matrix.
 """
 
 from __future__ import annotations
@@ -104,13 +106,20 @@ def bounce_jacobian_birkhoff(tau, kappa, kappa1, theta, theta1) -> Matrix2:
 def monodromy(orbit: OrbitRecord) -> Matrix2:
     """Ordered product of the per-bounce Jacobians around a periodic orbit,
     in orbit order, on floats.  The first bounce that arrives too close to
-    tangential refuses the orbit with ``GrazingError``."""
-    points = orbit.points
-    sines = [math.sin(p.theta) for p in points]
+    tangential refuses the orbit with ``GrazingError``.
+
+    Each distinct bounce is formed once: a bounce whose inputs equal the
+    previous bounce's reuses its matrix, which has the same bits.  A type (a)
+    orbit has six distinct bounces whatever its period.
+    """
+    sines = [math.sin(theta) for _, _, theta in orbit.points]
     kappa = orbit.curvatures
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for tau, k0, k1, st, st1 in zip(orbit.flights, kappa, kappa[1:] + kappa[:1], sines, sines[1:] + sines[:1]):
-        (j00, j01), (j10, j11) = _bounce(tau, k0, k1, st, st1)
+    last = None
+    for bounce in zip(orbit.flights, kappa, kappa[1:] + kappa[:1], sines, sines[1:] + sines[:1]):
+        if bounce != last:
+            (j00, j01), (j10, j11) = _bounce(*bounce)
+            last = bounce
         a, b, c, d = j00 * a + j01 * c, j00 * b + j01 * d, j10 * a + j11 * c, j10 * b + j11 * d
     return (a, b), (c, d)
 

@@ -10,7 +10,10 @@ The ray tracer ``generic_step`` is independent of the closed-form map in
 one collision state on Python floats.  ``build_type_a`` builds an orbit from
 its closed-form geometry and ``verify_closure`` traces it for one period,
 one ``generic_step`` per collision; ``build_type_b`` traces the period as it
-builds.  Either way the orbit keeps its closure residual.
+builds.  Either way the orbit keeps its closure residual.  The step and
+``build_type_a`` check each reflection angle where it is computed, so they
+build their ``PhasePoint``s as plain tuples, without the constructor's second
+check; ``linear_stability.monodromy`` then forms each distinct bounce once.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ MIN_FLIGHT = 1e-12
 # about ten times as much, and the ray tracer reads one on every step
 OUTER, INNER = Wall.OUTER, Wall.INNER
 
+# builds a record from a tuple of already-checked fields, skipping its
+# ``__new__``
+_new = tuple.__new__
+
 
 # ---------------------------------------------------------------------------
 # Cartesian resolution and the generic ray-tracing oracle
@@ -44,22 +51,21 @@ class StepResult(NamedTuple):
     flight: float
 
 
-def phase_to_cartesian(p: PhasePoint, pose: ScattererPose | None):
-    """Collision point ``(px, py)`` and outgoing unit velocity ``(vx, vy)``
-    of a phase state; ``pose`` may be None for an outer-wall state."""
+def phase_to_cartesian(p: PhasePoint, pose: ScattererPose | None) -> tuple[float, float, float, float]:
+    """Collision point and outgoing unit velocity ``(px, py, vx, vy)`` of a
+    phase state; ``pose`` may be None for an outer-wall state."""
     wall, s, theta = p
     if wall is OUTER:
         # tangent (-sin s, cos s); direction = cos(theta)*t + sin(theta)*(-normal)
         ang = s + theta
-        return (cos(s), sin(s)), (-sin(ang), cos(ang))
+        return cos(s), sin(s), -sin(ang), cos(ang)
     if pose is None:
         raise DomainError("inner-wall state needs a scatterer pose")
-    R = pose.radius
-    cx, cy = pose.center
+    (cx, cy), R = pose
     gamma = pi - (s - pi) / R
     # positively oriented (clockwise) tangent (sin g, -cos g), outward normal (cos g, sin g)
     ang = gamma + theta
-    return (cx + R * cos(gamma), cy + R * sin(gamma)), (sin(ang), -cos(ang))
+    return cx + R * cos(gamma), cy + R * sin(gamma), sin(ang), -cos(ang)
 
 
 def _ray_circle_time(px, py, vx, vy, cx, cy, radius) -> float:
@@ -98,12 +104,11 @@ def generic_step(p: PhasePoint, pose: ScattererPose | None) -> StepResult:
     collision.  A ray that escapes both walls raises ``NoCollisionError``,
     a degenerate reflection ``GrazingError``.
     """
-    (px, py), (vx, vy) = phase_to_cartesian(p, pose)
+    px, py, vx, vy = phase_to_cartesian(p, pose)
     t = _ray_circle_time(px, py, vx, vy, 0.0, 0.0, 1.0)
     inner = False
     if pose is not None:
-        R = pose.radius
-        cx, cy = pose.center
+        (cx, cy), R = pose
         t_in = _ray_circle_time(px, py, vx, vy, cx, cy, R)
         if t_in < t:
             t, inner = t_in, True
@@ -126,7 +131,9 @@ def generic_step(p: PhasePoint, pose: ScattererPose | None) -> StepResult:
     theta1 = atan2(wx * nx + wy * ny, wx * ny + wy * -nx)
     if not 0.0 < theta1 < pi:
         raise GrazingError(f"degenerate reflection angle {theta1!r}")
-    return StepResult(PhasePoint(INNER if inner else OUTER, s1, theta1), t)
+    # the check above is the one ``PhasePoint`` makes, so both records are
+    # built as plain tuples
+    return _new(StepResult, (_new(PhasePoint, (INNER if inner else OUTER, s1, theta1)), t))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +164,7 @@ class OrbitRecord(NamedTuple):
 
     def cartesian_points(self) -> list[tuple[float, float]]:
         """Collision points in the plane, 2n+2 (x, y) pairs."""
-        return [phase_to_cartesian(p, self.pose)[0] for p in self.points]
+        return [phase_to_cartesian(p, self.pose)[:2] for p in self.points]
 
     def polyline(self) -> list[tuple[float, float]]:
         """Closed polygonal trajectory for rendering, 2n+3 (x, y) pairs."""
@@ -186,12 +193,14 @@ class OrbitRecord(NamedTuple):
 
 def _phase_gap(a: PhasePoint, b: PhasePoint) -> float:
     """Chart distance between two states; inf on different walls."""
-    if a.wall is not b.wall:
+    wall, s, theta = a
+    wall_b, s_b, theta_b = b
+    if wall is not wall_b:
         return inf
-    ds = a.s - b.s
-    if a.wall is OUTER:
+    ds = s - s_b
+    if wall is OUTER:
         ds = wrap_pi(ds)
-    return max(abs(ds), abs(a.theta - b.theta))
+    return max(abs(ds), abs(theta - theta_b))
 
 
 def build_type_a(params: TableParams) -> OrbitRecord:
@@ -210,13 +219,19 @@ def build_type_a(params: TableParams) -> OrbitRecord:
     pose = scatterer_pose(params)
     n, k, R, delta = params.n, params.k, params.R, params.delta
     theta = k * pi / n
+    back = pi - theta
+    # every point repeats one of these angles, or pi/2: check them once and
+    # build the points as plain tuples
+    PhasePoint(OUTER, 0.0, theta)
+    PhasePoint(OUTER, 0.0, back)
     s0 = -pi + theta
-    outer = [PhasePoint(OUTER, wrap_pi(s0 + 2.0 * j * theta), theta) for j in range(n)]
-    back = [PhasePoint(OUTER, p.s, pi - theta) for p in reversed(outer)]
+    arcs = [wrap_pi(s0 + 2.0 * j * theta) for j in range(n)]
     half = pi / 2.0
     points = (
-        *outer, PhasePoint(INNER, pi + R * pi / 2.0, half),
-        *back, PhasePoint(INNER, pi - R * pi / 2.0, half),
+        *[_new(PhasePoint, (OUTER, s, theta)) for s in arcs],
+        _new(PhasePoint, (INNER, pi + R * pi / 2.0, half)),
+        *[_new(PhasePoint, (OUTER, s, back)) for s in reversed(arcs)],
+        _new(PhasePoint, (INNER, pi - R * pi / 2.0, half)),
     )
     side = 2.0 * sin(theta)
     near = sin(theta) - R - delta
@@ -279,7 +294,7 @@ def verify_closure(orbit: OrbitRecord) -> float:
     p = points[0]
     worst = 0.0
     for target in points[1:] + points[:1]:
-        p = step(p, pose).point
+        p = step(p, pose)[0]
         gap = _phase_gap(p, target)
         if gap > worst:
             worst = gap

@@ -142,8 +142,8 @@ class TestReflection:
         orbit = build_type_b(3, 0.02)
         z = orbit.points[3]
         m = reflection(z)
-        pos, _ = phase_to_cartesian(z, orbit.pose)
-        mpos, _ = phase_to_cartesian(m, orbit.pose)
+        pos = phase_to_cartesian(z, orbit.pose)[:2]
+        mpos = phase_to_cartesian(m, orbit.pose)[:2]
         assert mpos[0] == pytest.approx(pos[0], abs=1e-12)
         assert mpos[1] == pytest.approx(-pos[1], abs=1e-12)
 

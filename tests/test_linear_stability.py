@@ -1,13 +1,16 @@
 """Traces, classifications, bifurcation loci and the winding-number bound."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from annular_billiards.errors import ClassificationError, DomainError, GrazingError
-from annular_billiards.geometry import TableParams, max_radius, max_radius_delta
+from annular_billiards import linear_stability
+from annular_billiards.errors import BilliardError, ClassificationError, DomainError, GrazingError
+from annular_billiards.geometry import TableConfig, TableParams, max_radius, max_radius_delta
 from annular_billiards.linear_stability import (
+    _bounce,
     Classification,
     admissible_interval,
     bifurcation_radius,
@@ -29,6 +32,9 @@ from annular_billiards.linear_stability import (
     trace_closed_form,
 )
 from annular_billiards.orbits import build_type_a, build_type_b
+
+#: the (n, k) cases of the stability-scan benchmark, periods 12 to 108
+BENCH_CASES = ((5, 1), (5, 2), (10, 3), (13, 4), (21, 5), (53, 6))
 
 #: the verification grid: every coprime pair exercised by the closed forms
 GRID_PAIRS = [(n, 1) for n in range(3, 11)] + [(5, 2), (7, 2), (7, 3), (9, 2), (9, 4)]
@@ -205,6 +211,69 @@ class TestPerBounceProducts:
         for orbit in orbits:
             M, want = np.array(monodromy(orbit)), _per_bounce_monodromy(orbit)
             assert np.abs(M - want).max() <= 1e-13 * np.abs(want).max(), orbit.params
+
+
+def _bounce_by_bounce_monodromy(orbit):
+    """The float product with one ``_bounce`` per collision, none reused."""
+    sines = [math.sin(p.theta) for p in orbit.points]
+    kappa = orbit.curvatures
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for tau, k0, k1, st, st1 in zip(orbit.flights, kappa, kappa[1:] + kappa[:1], sines, sines[1:] + sines[:1]):
+        (j00, j01), (j10, j11) = _bounce(tau, k0, k1, st, st1)
+        a, b, c, d = j00 * a + j01 * c, j00 * b + j01 * d, j10 * a + j11 * c, j10 * b + j11 * d
+    return (a, b), (c, d)
+
+
+def _bits(M):
+    return [x.hex() for row in M for x in row]
+
+
+class TestRepeatedBounces:
+    """``monodromy`` forms a bounce only where its inputs change, with the
+    bits of forming every bounce."""
+
+    @staticmethod
+    def _orbits():
+        rng = random.Random(19)
+        for n, k in BENCH_CASES:
+            for _ in range(12):
+                delta = rng.choice((0.0, rng.uniform(0.0, 0.1))) * max_radius(n, k, 0.0)
+                R = rng.uniform(0.02, 0.98) * max_radius(n, k, delta)
+                try:
+                    yield build_type_a(TableParams.type_a(n, k, R, delta))
+                except BilliardError:
+                    continue
+        for n in range(3, 13):
+            yield build_type_b(n, 0.3 * epsilon_star(n))
+
+    def test_monodromy_equals_the_bounce_by_bounce_product_bit_for_bit(self, monkeypatch):
+        formed = []
+        monkeypatch.setattr(linear_stability, "_bounce", lambda *args: formed.append(args) or _bounce(*args))
+        type_a = []
+        for orbit in self._orbits():
+            formed.clear()
+            assert _bits(monodromy(orbit)) == _bits(_bounce_by_bounce_monodromy(orbit)), orbit.params
+            assert len(formed) <= orbit.period
+            if orbit.params.config is TableConfig.TYPE_A:
+                # one run of n - 1 disk bounces each way and the four at the scatterer
+                assert len(formed) == 6, orbit.params
+                type_a.append(orbit.params.n)
+        assert len(type_a) >= 50 and set(type_a) == {n for n, _ in BENCH_CASES}
+
+    @pytest.mark.parametrize("grazing", [[3], [2, 3, 4]], ids=["one", "several"])
+    def test_grazing_bounce_inside_a_run_is_refused(self, grazing):
+        # points 0..6 are the outer collisions of one side, so bounces 0..5
+        # repeat one input until a grazing point breaks the run
+        orbit = build_type_a(TableParams.type_a(7, 2, 0.03, 0.0))
+        points = list(orbit.points)
+        for i in grazing:
+            points[i] = points[i]._replace(theta=1e-13)
+        orbit = orbit._replace(points=tuple(points))
+        with pytest.raises(GrazingError) as want:
+            _bounce_by_bounce_monodromy(orbit)
+        with pytest.raises(GrazingError) as got:
+            monodromy(orbit)
+        assert str(got.value) == str(want.value) == f"sin(theta1) = {math.sin(1e-13)!r} too close to zero"
 
 
 class TestTraceClosedForm:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from annular_billiards.billiard_map import PhasePoint, Wall
+from annular_billiards.billiard_map import PhasePoint, Wall, wrap_pi
 from annular_billiards.errors import BilliardError, InvalidTableError
 from annular_billiards.geometry import (
     TableParams,
@@ -16,7 +16,17 @@ from annular_billiards.geometry import (
     tangency_radius_b,
     tangency_radius_simple,
 )
-from annular_billiards.orbits import build_type_a, build_type_b, verify_closure
+from annular_billiards.orbits import StepResult, build_type_a, build_type_b, generic_step, verify_closure
+
+#: the (n, k) cases of the stability-scan benchmark, periods 12 to 108
+BENCH_CASES = ((5, 1), (5, 2), (10, 3), (13, 4), (21, 5), (53, 6))
+
+
+def _bench_orbits():
+    for n, k in BENCH_CASES:
+        for delta_frac in (0.0, 0.05):
+            delta = delta_frac * max_radius(n, k, 0.0)
+            yield build_type_a(TableParams.type_a(n, k, 0.5 * max_radius(n, k, delta), delta))
 
 
 class TestTypeA:
@@ -158,6 +168,35 @@ class TestVerifyClosure:
                 assert orbit.closure_residual == verify_closure(orbit), (n, k, delta)
                 built += 1
         assert built >= 80
+
+
+class TestRecords:
+    """The tracer and ``build_type_a`` build their records without running
+    ``PhasePoint``'s check on each point; the records are the same."""
+
+    def test_step_returns_a_step_result_holding_a_phase_point(self):
+        for orbit in [*_bench_orbits(), build_type_b(5, 0.002)]:
+            for p in orbit.points:
+                res = generic_step(p, orbit.pose)
+                assert type(res) is StepResult and type(res.point) is PhasePoint
+                assert type(res.point.wall) is Wall and type(res.point.s) is float
+                assert type(res.point.theta) is float and type(res.flight) is float
+                assert res == StepResult(PhasePoint(*res.point), res.flight)
+
+    def test_type_a_points_are_the_checked_points(self):
+        for orbit in _bench_orbits():
+            n, k, R = orbit.params.n, orbit.params.k, orbit.params.R
+            theta = k * math.pi / n
+            outer = [PhasePoint(Wall.OUTER, wrap_pi(-math.pi + theta + 2.0 * j * theta), theta) for j in range(n)]
+            back = [PhasePoint(Wall.OUTER, p.s, math.pi - theta) for p in reversed(outer)]
+            half = math.pi / 2.0
+            want = (
+                *outer, PhasePoint(Wall.INNER, math.pi + R * math.pi / 2.0, half),
+                *back, PhasePoint(Wall.INNER, math.pi - R * math.pi / 2.0, half),
+            )
+            assert orbit.points == want
+            assert [type(p) for p in orbit.points] == [PhasePoint] * orbit.period
+            assert [x.hex() for p in orbit.points for x in p[1:]] == [x.hex() for p in want for x in p[1:]]
 
 
 class TestSerialization:
