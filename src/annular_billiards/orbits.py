@@ -8,17 +8,26 @@ reversed path, and the second perpendicular hit (index 2n+1).
 The ray tracer ``generic_step`` is independent of the closed-form map in
 ``billiard_map``: it works in the plane for any scatterer pose, and steps
 one collision state on Python floats.  ``build_type_a`` builds an orbit from
-its closed-form geometry and ``verify_closure`` traces it for one period,
-one ``generic_step`` per collision; ``build_type_b`` traces the period as it
-builds.  Either way the orbit keeps its closure residual.  The step and
-``build_type_a`` check each reflection angle where it is computed, so they
-build their ``PhasePoint``s as plain tuples, without the constructor's second
-check; ``linear_stability.monodromy`` then forms each distinct bounce once.
+its closed-form geometry and ``verify_closure`` traces it for one period;
+``build_type_b`` traces the period as it builds.  Either way the orbit keeps
+its closure residual.  The step and ``build_type_a`` check each reflection
+angle where it is computed, so they build their ``PhasePoint``s as plain
+tuples, without the constructor's second check;
+``linear_stability.monodromy`` then forms each distinct bounce once.
+
+Every table of one (n, k) shares its polygon's outer collisions and the
+opening of its period: until the ray reaches the scatterer's chord, the
+orbit runs as in the empty disk.  ``build_type_a`` takes the outer points
+from a small cache keyed on (n, k), and ``verify_closure`` reads those
+opening steps from a small cache of empty-disk chains (``_disk_chain``),
+testing each against the table's own scatterer; every other step is one
+``generic_step``.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 from math import atan2, cos, inf, nan, pi, sin, sqrt
 from typing import NamedTuple
 
@@ -39,6 +48,10 @@ OUTER, INNER = Wall.OUTER, Wall.INNER
 # builds a record from a tuple of already-checked fields, skipping its
 # ``__new__``
 _new = tuple.__new__
+
+#: (n, k) polygons and empty-disk chains kept across calls; a stability scan
+#: builds all tables of one (n, k) in a row
+_SHARED_POLYGONS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +216,25 @@ def _phase_gap(a: PhasePoint, b: PhasePoint) -> float:
     return max(abs(ds), abs(theta - theta_b))
 
 
+@lru_cache(maxsize=_SHARED_POLYGONS)
+def _polygon(n: int, k: int) -> tuple[tuple[PhasePoint, ...], tuple[PhasePoint, ...]]:
+    """The n outer collisions of the (n, k) polygon orbit, forward with
+    reflection angle k*pi/n and reversed with pi - k*pi/n.  They do not
+    depend on the scatterer, so every table of one (n, k) shares them."""
+    theta = k * pi / n
+    back = pi - theta
+    # every point repeats one of these angles: check them once and build the
+    # points as plain tuples
+    PhasePoint(OUTER, 0.0, theta)
+    PhasePoint(OUTER, 0.0, back)
+    s0 = -pi + theta
+    arcs = [wrap_pi(s0 + 2.0 * j * theta) for j in range(n)]
+    return (
+        tuple([_new(PhasePoint, (OUTER, s, theta)) for s in arcs]),
+        tuple([_new(PhasePoint, (OUTER, s, back)) for s in reversed(arcs)]),
+    )
+
+
 def build_type_a(params: TableParams) -> OrbitRecord:
     """Construct the polygon-with-scatterer orbit from its closed-form geometry.
 
@@ -218,21 +250,15 @@ def build_type_a(params: TableParams) -> OrbitRecord:
         raise InvalidTableError("build_type_a needs a type (a) table")
     pose = scatterer_pose(params)
     n, k, R, delta = params.n, params.k, params.R, params.delta
-    theta = k * pi / n
-    back = pi - theta
-    # every point repeats one of these angles, or pi/2: check them once and
-    # build the points as plain tuples
-    PhasePoint(OUTER, 0.0, theta)
-    PhasePoint(OUTER, 0.0, back)
-    s0 = -pi + theta
-    arcs = [wrap_pi(s0 + 2.0 * j * theta) for j in range(n)]
+    forward, reverse = _polygon(n, k)
     half = pi / 2.0
     points = (
-        *[_new(PhasePoint, (OUTER, s, theta)) for s in arcs],
+        *forward,
         _new(PhasePoint, (INNER, pi + R * pi / 2.0, half)),
-        *[_new(PhasePoint, (OUTER, s, back)) for s in reversed(arcs)],
+        *reverse,
         _new(PhasePoint, (INNER, pi - R * pi / 2.0, half)),
     )
+    theta = k * pi / n
     side = 2.0 * sin(theta)
     near = sin(theta) - R - delta
     far = sin(theta) - R + delta
@@ -281,6 +307,27 @@ def build_type_b(n: int, epsilon: float) -> OrbitRecord:
     return OrbitRecord(params, tuple(pts), tuple(flights), tuple(curv), pose, gap)
 
 
+@lru_cache(maxsize=_SHARED_POLYGONS)
+def _disk_chain(start: PhasePoint, steps: int) -> tuple[tuple, ...]:
+    """Up to ``steps`` ray-tracing steps from an outer-wall state in the
+    empty disk, one ``(px, py, vx, vy, flight, state)`` per step: the launch
+    ray as ``phase_to_cartesian`` gives it, the flight to the outer wall and
+    the state reached.
+
+    Ends early at a non-outer state or at a step the tracer refuses.
+    """
+    chain = []
+    p = start
+    while len(chain) < steps and p[0] is OUTER:
+        try:
+            q, flight = generic_step(p, None)
+        except (GrazingError, NoCollisionError):
+            break
+        chain.append((*phase_to_cartesian(p, None), flight, q))
+        p = q
+    return tuple(chain)
+
+
 def verify_closure(orbit: OrbitRecord) -> float:
     """Residual of one full period of the Cartesian ray tracer.
 
@@ -288,14 +335,50 @@ def verify_closure(orbit: OrbitRecord) -> float:
     distance between the stepped trajectory and the recorded points,
     including the return to points[0].  A step that the tracer refuses
     raises its ``BilliardError``.
+
+    The opening steps are read from the empty-disk chain of points[0]
+    (``_disk_chain``), which every type (a) orbit of one (n, k) shares.
+    Each is kept only while the orbit's own scatterer, tested on that
+    step's ray with the call ``generic_step`` makes, is not hit before the
+    outer wall: then it is the step ``generic_step`` takes, bit for bit,
+    grazing warning included.  From the first step the scatterer intercepts
+    on, ``generic_step`` traces every step.
     """
-    step = generic_step  # bound from the module global, so a patch of it sees every step
     points, pose = orbit.points, orbit.pose
-    p = points[0]
-    worst = 0.0
-    for target in points[1:] + points[:1]:
+    (cx, cy), R = pose
+    start = points[0]
+    _, s, theta = start
+    steps = len(points) // 2 - 1
+    # a cache key compares floats by value: 0.0 == -0.0 and nan != nan, so
+    # such starts are traced afresh
+    if 0.0 != s == s and 0.0 != theta == theta:
+        chain = _disk_chain(start, steps)
+    else:
+        chain = _disk_chain.__wrapped__(start, steps)
+    traced = []
+    p = start
+    for px, py, vx, vy, flight, q in chain:
+        if _ray_circle_time(px, py, vx, vy, cx, cy, R) < flight:
+            break
+        traced.append(q)
+        p = q
+    step = generic_step  # bound from the module global, so a patch of it sees every step
+    for _ in range(len(points) - len(traced)):
         p = step(p, pose)[0]
-        gap = _phase_gap(p, target)
+        traced.append(p)
+    worst = 0.0
+    for (wall, s, theta), (wall_b, s_b, theta_b) in zip(traced, points[1:] + points[:1]):
+        # the chart distance, inf on different walls
+        if wall is not wall_b:
+            gap = inf
+        else:
+            ds = s - s_b
+            if wall is OUTER and not -pi <= ds < pi:
+                ds = wrap_pi(ds)
+            ds = abs(ds)
+            gap = abs(theta - theta_b)
+            if not gap > ds:  # max(ds, gap), NaN included
+                gap = ds
         if gap > worst:
             worst = gap
     return worst

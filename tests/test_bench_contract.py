@@ -81,30 +81,35 @@ def test_section_maps_each_seed_once_per_half_period(tracer_module, pkg, tmp_pat
 
 def test_stability_layers_count_every_step_and_monodromy(tracer_module, pkg, tmp_path):
     # two n = 5 orbits of 12 collisions: one build, one closure check and
-    # one monodromy per table, one ray-trace step per collision; the
-    # collision counter sees both periods
+    # one monodromy per table.  The closure checks share the empty-disk
+    # chain of their start, n steps traced once; each table then traces its
+    # last n + 3 steps, from the chord the scatterer sits on.  The collision
+    # counter sees both periods
+    orbits._disk_chain.cache_clear()
     tracer = tracer_module.Tracer()
     argv = ["stability", "--n", "5", "--delta", "0.02", "--R", "0.1:0.15:2"]
     with tracer.installed(pkg):
         assert cli.main(argv + ["--out", str(tmp_path / "stab.csv")]) == 0
     assert tracer.calls("orbits.build_type_a") == 2
     assert tracer.calls("orbits.verify_closure") == 2
-    assert tracer.calls("billiard_map.generic_step") == 2 * 12
+    assert tracer.calls("billiard_map.generic_step") == 5 + 2 * 8
     assert tracer.calls("linear_stability.monodromy") == 2
     assert tracer.counts["orbits.collisions"] == 2 * 12
 
 
 def test_stability_scan_over_several_periods_counts_per_table(tracer_module, pkg, tmp_path):
     # four orbits of two periods, 12 collisions at n = 5 and 16 at n = 7:
-    # each table is built, traced and linearised alone, so the tracer
-    # steps as often as the periods sum to
+    # each table is built, traced and linearised alone.  Each (n, k) traces
+    # its empty-disk chain of n steps once, then each table its last n + 3
+    # steps; the collision counter still sees every period
+    orbits._disk_chain.cache_clear()
     tracer = tracer_module.Tracer()
     argv = ["stability", "--n", "5,7", "--k", "1,2", "--delta", "0.01", "--R", "0.02"]
     with tracer.installed(pkg):
         assert cli.main(argv + ["--out", str(tmp_path / "stab.csv")]) == 0
     assert tracer.calls("orbits.build_type_a") == 4
     assert tracer.calls("orbits.verify_closure") == 4
-    assert tracer.calls("billiard_map.generic_step") == 12 + 12 + 16 + 16
+    assert tracer.calls("billiard_map.generic_step") == (5 + 5 + 7 + 7) + (8 + 8 + 10 + 10)
     assert tracer.calls("linear_stability.monodromy") == 4
     assert tracer.counts["orbits.collisions"] == 12 + 12 + 16 + 16
 

@@ -3,11 +3,13 @@ references they must agree with.
 
 The tracer's reference is the plain-float route, kept inline:
 ``_scalar_step`` is a ray-tracing step and ``_scalar_closure`` the closure
-check.  Every step, residual, refusal and ``TangencyWarning`` count must come
-out with the same bits and the same text either way.  The monodromy's
-reference is NumPy's stacked product, ``_stacked_monodromy``: the float
-product rounds apart from it, so a ``stability`` row's ``trace_numeric``
-must agree with it to 1e-13 relative, and its ``skip_reason`` exactly.
+check, which traces every step of the period.  Every step, residual, refusal
+and ``TangencyWarning`` count must come out with the same bits and the same
+text either way, whether ``verify_closure`` reads its opening steps from a
+cold or a warm empty-disk chain cache.  The monodromy's reference is NumPy's
+stacked product, ``_stacked_monodromy``: the float product rounds apart from
+it, so a ``stability`` row's ``trace_numeric`` must agree with it to 1e-13
+relative, and its ``skip_reason`` exactly.
 """
 
 import importlib.util
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annular_billiards import cli
+from annular_billiards import cli, orbits
 from annular_billiards.billiard_map import PhasePoint, Wall, wrap_pi
 from annular_billiards.errors import (
     BilliardError,
@@ -29,7 +31,7 @@ from annular_billiards.errors import (
     NoCollisionError,
     TangencyWarning,
 )
-from annular_billiards.geometry import TableConfig, TableParams, max_radius, scatterer_pose
+from annular_billiards.geometry import ScattererPose, TableConfig, TableParams, max_radius, scatterer_pose
 from annular_billiards.linear_stability import classify, monodromy, trace_closed_form
 from annular_billiards.orbits import (
     CLOSURE_TOL,
@@ -128,9 +130,9 @@ def _scalar_closure(orbit):
     return worst
 
 
-def _scalar_type_a(params):
-    """``build_type_a`` on the references: closed-form orbit, then the
-    closure check."""
+def _scalar_orbit(params):
+    """The closed-form type (a) orbit of ``params``, built point by point
+    through ``PhasePoint``."""
     if params.config is not TableConfig.TYPE_A:
         raise InvalidTableError("build_type_a needs a type (a) table")
     n, k, R, delta = params.n, params.k, params.R, params.delta
@@ -147,7 +149,13 @@ def _scalar_type_a(params):
     far = math.sin(theta) - R + delta
     flights = [side] * (n - 1) + [near, near] + [side] * (n - 1) + [far, far]
     curv = [-1.0 if p.wall is Wall.OUTER else 1.0 / R for p in pts]
-    orbit = _Orbit(tuple(pts), tuple(flights), tuple(curv), pose)
+    return _Orbit(tuple(pts), tuple(flights), tuple(curv), pose)
+
+
+def _scalar_type_a(params):
+    """``build_type_a`` on the references: closed-form orbit, then the
+    closure check."""
+    orbit = _scalar_orbit(params)
     res = _scalar_closure(orbit)
     if res > CLOSURE_TOL:
         raise InvalidTableError(f"orbit closure residual {res:.3g} exceeds {CLOSURE_TOL}")
@@ -220,13 +228,17 @@ def _outcome(fn, *args):
 # ---------------------------------------------------------------------------
 
 
-def _scan_requests(seed):
+def _workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up by name
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return [list(r.argv) for r in module.requests_for("stability-scan", seed)]
+    return module
+
+
+def _scan_requests(seed):
+    return [list(r.argv) for r in _workloads().requests_for("stability-scan", seed)]
 
 
 def _pose_grid():
@@ -437,3 +449,120 @@ def test_orbits_of_many_periods_match_the_scalar_route():
         assert orbit.pose == alone.pose
         assert verify_closure(orbit) == _scalar_closure(alone)
         assert _close(monodromy(orbit), _stacked_monodromy(alone))
+
+
+# ---------------------------------------------------------------------------
+# the shared empty-disk prefix of the closure check
+# ---------------------------------------------------------------------------
+
+
+def _bits(outcome):
+    """A closure outcome with a residual's exact bits."""
+    return outcome.hex() if isinstance(outcome, float) else outcome
+
+
+def _assert_closures_match(orbit_list):
+    """``verify_closure`` gives each orbit the reference's residual bits or
+    refusal, and its ``TangencyWarning`` count, on a cold chain cache and
+    again on a warm one; returns the reference outcomes and counts."""
+    want = [_counted(_outcome, _scalar_closure, o) for o in orbit_list]
+    cold = []
+    for o in orbit_list:
+        orbits._disk_chain.cache_clear()
+        cold.append(_counted(_outcome, verify_closure, o))
+    warm = [_counted(_outcome, verify_closure, o) for o in orbit_list]
+    for got in (cold, warm):
+        assert [(_bits(r), w) for r, w in got] == [(_bits(r), w) for r, w in want]
+    return want
+
+
+def test_shared_prefix_matches_the_scalar_closure_on_the_benchmark_cases():
+    wl = _workloads()
+    rng = np.random.default_rng(21)
+    tables = []
+    for n, k in wl.STABILITY_CASES:
+        for f in rng.uniform(0.0, 0.5, 6).tolist():
+            delta = f * wl.delta_cap(n, k)
+            R = 10.0 ** rng.uniform(-2.0, -0.01) * wl.radius_cap(n, k, delta)
+            tables.append(TableParams.type_a(n, k, R, delta))
+    want = _assert_closures_match([_scalar_orbit(t) for t in tables])
+    # the sample reaches both verdicts of the closure check
+    assert any(r <= CLOSURE_TOL for r, _ in want) and any(r > CLOSURE_TOL for r, _ in want)
+    # the built orbits, from cold and warm polygon caches, are the reference's
+    orbits._polygon.cache_clear()
+    for _ in range(2):
+        for t in tables:
+            got, alone = _outcome(build_type_a, t), _scalar_orbit(t)
+            if isinstance(got, orbits.OrbitRecord):
+                assert (got.points, got.flights, got.curvatures, got.pose) == (
+                    alone.points, alone.flights, alone.curvatures, alone.pose,
+                )
+                assert got.closure_residual.hex() == _scalar_closure(alone).hex()
+            else:
+                assert got == _outcome(_scalar_type_a, t)
+
+
+def _moved(orbit, j, offset, R):
+    """``orbit`` with a scatterer of radius R centred ``offset`` off the
+    middle of chord j, the chord launched from points[j]."""
+    (px, py), (vx, vy) = _scalar_cartesian(orbit.points[j], orbit.pose)
+    mx, my = px + 0.5 * orbit.flights[j] * vx, py + 0.5 * orbit.flights[j] * vy
+    return orbit._replace(pose=ScattererPose((mx - offset * vy, my + offset * vx), R))
+
+
+def test_a_scatterer_on_an_opening_chord_is_found_by_the_closure_check():
+    # the closure check hits a scatterer moved onto, near or past each
+    # chord of the shared prefix, grazes one at distance sqrt(R^2 - 5e-15)
+    # with the reference's warnings, and passes one clear of it
+    orbit = build_type_a(TableParams.type_a(7, 2, 0.05, 0.01))
+    R = 0.02
+    offsets = [0.0, 0.5 * R, -0.9 * R, 1.5 * R, math.sqrt(R * R - 5e-15)]
+    moved = [_moved(orbit, j, off, R) for j in range(orbit.params.n - 1) for off in offsets]
+    want = _assert_closures_match(moved)
+    assert sum(w for _, w in want) >= orbit.params.n - 1
+    assert any(r == math.inf for r, _ in want)
+
+
+def test_a_start_refused_within_the_prefix_is_refused_as_the_scalar_route_does():
+    orbit = build_type_a(TableParams.type_a(7, 1, 0.05, 0.01))
+    kicked = [_kicked(orbit, theta) for theta in (1e-300, 1e-250, 5e-324, math.pi - 1e-13)]
+    want = _assert_closures_match(kicked)
+    assert (NoCollisionError, "ray escapes both walls") in [r for r, _ in want]
+    # the empty disk refuses the tiny launches before their chain ends
+    assert len(orbits._disk_chain(kicked[0].points[0], orbit.params.n)) < orbit.params.n
+
+
+def _raw_point(wall, s, theta):
+    """A state built without ``PhasePoint``'s angle check."""
+    return tuple.__new__(PhasePoint, (wall, s, theta))
+
+
+def test_signed_zero_and_nan_starts_share_no_chain():
+    # 0.0 == -0.0 and nan != nan as cache keys: such starts are traced
+    # afresh, bit for bit, and leave no cache entry
+    orbit = build_type_a(TableParams.type_a(5, 1, 0.1, 0.02))
+    starts = [(0.0, orbit.points[0].theta), (-0.0, orbit.points[0].theta), (math.nan, 1.0), (1.0, math.nan)]
+    moved = [orbit._replace(points=(_raw_point(Wall.OUTER, s, theta),) + orbit.points[1:]) for s, theta in starts]
+    _assert_closures_match(moved)
+    assert orbits._disk_chain.cache_info().currsize == 0
+
+
+def test_the_gap_is_the_larger_of_arc_and_angle_nan_included():
+    # a recorded point off the orbit, in arc, angle or both, some of them
+    # NaN: the residual is ``max(abs(ds), abs(dtheta))`` as the reference
+    # takes it, which keeps the arc distance where the angle one is NaN
+    orbit = build_type_a(TableParams.type_a(5, 1, 0.1, 0.02))
+    offsets = [(1e-3, math.nan), (math.nan, 1e-3), (1e-3, 2e-3), (2e-3, 1e-3), (math.nan, math.nan), (-7.0, 0.0)]
+    moved = []
+    for j in (2, orbit.params.n, 8):
+        wall, s, theta = orbit.points[j]
+        for ds, dtheta in offsets:
+            points = list(orbit.points)
+            points[j] = _raw_point(wall, s + ds, theta + dtheta)
+            moved.append(orbit._replace(points=tuple(points)))
+    want = _assert_closures_match(moved)
+    residuals = [r for r, _ in want]
+    # the NaN angles leave their 1e-3 arc offsets standing; the outer-wall
+    # arc offset of -7 is wrapped, the scatterer's is not
+    assert all(abs(residuals[i] - 1e-3) < 1e-12 for i in (0, 6, 12))
+    assert residuals[5] == residuals[17] == 7.0 - 2.0 * math.pi and residuals[11] == 7.0
