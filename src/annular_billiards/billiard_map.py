@@ -76,16 +76,6 @@ def wrap_pi(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def to_birkhoff(p: PhasePoint) -> BirkhoffCoords:
-    return BirkhoffCoords(p.s, math.cos(p.theta))
-
-
-def from_birkhoff(bc: BirkhoffCoords, wall: Wall = Wall.OUTER) -> PhasePoint:
-    if not -1.0 < bc.r < 1.0:
-        raise DomainError(f"|r| must be < 1, got {bc.r}")
-    return PhasePoint(wall, bc.s, math.acos(bc.r))
-
-
 # ---------------------------------------------------------------------------
 # backend-generic wall-to-wall formulas
 # ---------------------------------------------------------------------------
@@ -195,7 +185,3 @@ def reflection(p: PhasePoint) -> PhasePoint:
     if p.wall is Wall.OUTER:
         return PhasePoint(Wall.OUTER, wrap_pi(-p.s), math.pi - p.theta)
     return PhasePoint(Wall.INNER, 2.0 * math.pi - p.s, math.pi - p.theta)
-
-
-def reflection_birkhoff(bc: BirkhoffCoords) -> BirkhoffCoords:
-    return BirkhoffCoords(-bc.s, -bc.r)

@@ -8,14 +8,16 @@ detuned orbit's initial state.  The twist pipeline is
     reduced map --(jet arithmetic)--> TaylorJet3 --(c-terms)--> A,
 
 with a least-squares cubic fit to the map, in 50-digit arithmetic, auditing
-every Taylor coefficient, and the closed-form leading order of A available
-independently.
+every Taylor coefficient (``fd_taylor_jet``), and the closed-form leading
+order of A available independently.  ``island_sampler`` iterates the float
+full-period map from a ring of seeds and returns its report with the cloud.
 
-Rotation-number convention: the twist formula and reports use
-mu = arctan(v/u) with lambda = u + i*v the upper eigenvalue of the linearized
-half-period map.  For the near-parabolic tangent orbits u < 0, so mu is a
-small *negative* angle tending to 0 with the detuning, while the principal
-argument of lambda itself sits near pi; both are reported.
+Rotation-number convention: the twist formula uses mu = arctan(v/u) with
+lambda = u + i*v the upper eigenvalue of the linearized half-period map.
+For the near-parabolic tangent orbits u < 0, so mu is a small *negative*
+angle tending to 0 with the detuning, while the principal argument of lambda
+itself sits near pi.  ``BirkhoffReport`` holds both, and the ``birkhoff``
+subcommand prints mu.
 
 The pipeline runs on Python floats: ``jets`` is pure Python and is imported
 inside the Taylor-data functions that use it, so ``island_sampler``, which
@@ -94,8 +96,6 @@ class BirkhoffReport(NamedTuple):
     abs_c02_sq: float
     mu: float  # arctan-convention rotation number used in the twist formula
     mu_arg: float  # principal argument of the upper eigenvalue, in (0, pi)
-    resonant3: bool
-    resonant4: bool
 
 
 class ReducedMap:
@@ -239,61 +239,6 @@ def fd_taylor_jet(rmap: ReducedMap) -> TaylorJet3:
 
 
 # ---------------------------------------------------------------------------
-# angle-parametrized Taylor data and the conversion layer
-# ---------------------------------------------------------------------------
-
-
-def theta_taylor_jet(rmap: ReducedMap) -> tuple[Jet2, Jet2]:
-    """Jets of the half-period map parametrized by (s, theta) instead of
-    (s, r): returns (s_out, theta_out) as degree-3 jets in the displacements
-    (ds0, dtheta0).  The reflected output angle is pi - theta3 =
-    arccos(-cos theta3), the arccos of the map's r output."""
-    from .jets import Jet2, jet_acos, jet_cos
-
-    s_jet = Jet2.variable(rmap.s0, 0)
-    th_jet = Jet2.variable(rmap.theta0, 1)
-    s_out, r_out = rmap.apply(s_jet, jet_cos(th_jet), JET_BACKEND)
-    return s_out, jet_acos(r_out)
-
-
-def _substitute(jet: Jet2, dx: Jet2, dy: Jet2) -> Jet2:
-    """Re-expand ``jet`` in new displacement variables: its polynomial part
-    evaluated at the zero-constant jets (dx, dy), plus its constant term."""
-    from .jets import polyval2
-
-    return polyval2(jet.displacement(), dx, dy) + jet.value
-
-
-def theta_jet_to_birkhoff(s_jet: Jet2, th_jet: Jet2, theta0: float) -> TaylorJet3:
-    """Convert angle-parametrized Taylor data to (s, r = cos theta) data.
-
-    Substitutes dtheta0 = arccos(r0 + dr0) - theta0 on the input side and
-    takes r = cos(theta) on the output side, by jet composition.  Used as a
-    cross-check against the jets computed directly in (s, r).
-    """
-    from .jets import Jet2, jet_acos, jet_cos
-
-    ds = Jet2.variable(0.0, 0)
-    dth = jet_acos(Jet2.variable(math.cos(theta0), 1)).displacement()
-    s_out = _substitute(s_jet, ds, dth)
-    r_out = jet_cos(_substitute(th_jet, ds, dth))
-    return TaylorJet3(s_out, r_out)
-
-
-def birkhoff_jet_to_theta(jet: TaylorJet3, theta0: float, theta_out: float) -> tuple[Jet2, Jet2]:
-    """Reverse conversion: rebuild the angle-parametrized jets from (s, r)
-    Taylor data by substituting r0 = cos(theta0 + dtheta) and composing the
-    output with arccos."""
-    from .jets import Jet2, jet_acos, jet_cos
-
-    ds = Jet2.variable(0.0, 0)
-    dr = jet_cos(Jet2.variable(theta0, 1)).displacement()
-    s_out = _substitute(jet.s.displacement(), ds, dr)
-    theta_jet = jet_acos(_substitute(jet.r.displacement(), ds, dr) + math.cos(theta_out))
-    return s_out, theta_jet
-
-
-# ---------------------------------------------------------------------------
 # twist coefficient
 # ---------------------------------------------------------------------------
 
@@ -369,9 +314,7 @@ def birkhoff_A(jet: TaylorJet3) -> BirkhoffReport:
         )
     mu, mu_arg = _rotation_angles(tr)
     lam = complex(math.cos(mu_arg), math.sin(mu_arg))
-    res3 = abs(lam**3 - 1.0) < RESONANCE_TOL
-    res4 = abs(lam**4 - 1.0) < RESONANCE_TOL
-    if res3 or res4:
+    if abs(lam**3 - 1.0) < RESONANCE_TOL or abs(lam**4 - 1.0) < RESONANCE_TOL:
         raise ResonanceError(
             f"eigenvalue argument {mu_arg!r} sits on a low-order resonance"
         )
@@ -384,33 +327,11 @@ def birkhoff_A(jet: TaylorJet3) -> BirkhoffReport:
         abs_c02_sq=c02_sq,
         mu=mu,
         mu_arg=mu_arg,
-        resonant3=res3,
-        resonant4=res4,
     )
 
 
-def birkhoff_report(n: int, epsilon: float, cross_check: bool = False) -> BirkhoffReport:
-    """Full numeric pipeline: reduced map -> Taylor jet -> twist coefficient."""
-    rmap = ReducedMap(n, epsilon)
-    return birkhoff_A(taylor_jet(rmap, cross_check=cross_check))
-
-
-def rotation_number(n: int, epsilon: float) -> float:
-    """Rotation number (arctan convention) of the linearized reduced map.
-
-    Tends to 0 like -sqrt(epsilon); ``rotation_number_leading`` gives the
-    closed-form coefficient.
-    """
-    rmap = ReducedMap(n, epsilon)
-    jet = taylor_jet(rmap)
-    tr = jet.trace()
-    if abs(tr) >= 2.0:
-        raise ClassificationError(f"not elliptic: reduced trace {tr!r}")
-    return _rotation_angles(tr)[0]
-
-
 def rotation_number_leading(n: int, epsilon: float) -> float:
-    """Leading order of ``rotation_number``:
+    """Leading order of the rotation angle ``mu`` that ``birkhoff_A`` reports:
 
         -sqrt(2 eps)/sin(pi/n) * sqrt(n (n sin(2 pi/n)
             - (1 + 2 cos(pi/n) + cos(2 pi/n))))
@@ -501,8 +422,7 @@ def island_sampler(
     iterations: int,
     seeds: int = 8,
     seed: int = 0,
-    collect: bool = False,
-) -> IslandReport | tuple[IslandReport, list[tuple[float, float]]]:
+) -> tuple[IslandReport, list[tuple[float, float]]]:
     """Iterate the full period map from a ring of initial conditions.
 
     Starts ``seeds`` points on a circle of the given radius around the fixed
@@ -510,9 +430,8 @@ def island_sampler(
     in seed order, applies the squared reduced map ``iterations`` times and
     tracks the maximal distance from the fixed point.  Leaving the chart (a
     ray missing the scatterer) is recorded as an escape; the reported seed is
-    the lowest-numbered one that escaped.  With ``collect`` the visited (s, r)
-    iterates are returned for plotting as a list of pairs, seed by seed, each
-    up to its escape.
+    the lowest-numbered one that escaped.  Returns the report and the visited
+    (s, r) iterates, a list of pairs, seed by seed, each up to its escape.
 
     Each seed is iterated alone on a pair of Python floats, two calls of
     ``half_period_formula`` per iteration, and stops at its first
@@ -560,8 +479,7 @@ def island_sampler(
                 escape = (index, it)
         excursion = max(map(math.dist, orbit, repeat(rmap.fixed_point)), default=0.0)
         max_excursion = max(max_excursion, excursion)
-        if collect:
-            cloud += orbit
+        cloud += orbit
     escape_seed, escape_iteration = escape or (None, None)
     report = IslandReport(
         max_excursion=max_excursion,
@@ -572,4 +490,4 @@ def island_sampler(
         seeds=len(phases),
         radius=radius,
     )
-    return (report, cloud) if collect else report
+    return report, cloud

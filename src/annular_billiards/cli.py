@@ -421,7 +421,7 @@ def cmd_section(spec: ScanSpec) -> int:
     n = p["n"][0]
     eps = p["eps"][0]
     radius, iters = p["radius"], p["iterations"]
-    report, cloud = _cli.island_sampler(n, eps, radius, iters, seeds=p["seeds"], seed=p["seed"], collect=True)
+    report, cloud = _cli.island_sampler(n, eps, radius, iters, seeds=p["seeds"], seed=p["seed"])
     summary = {
         "n": n,
         "eps": eps,

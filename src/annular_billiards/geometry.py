@@ -34,18 +34,6 @@ class TableConfig(enum.Enum):
     TYPE_B = "type_b"
 
 
-def tangency_radius_simple(n: int) -> float:
-    """Scatterer radius at which the symmetric k=1 configuration forms a cusp.
-
-    For the polygonal orbit with reflection angle pi/n, the chord sits at
-    distance cos(pi/n) from the center, so the scatterer centered on the
-    chord midpoint touches the unit circle exactly when R = 1 - cos(pi/n).
-    """
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
-    return 1.0 - math.cos(math.pi / n)
-
-
 def max_radius_delta(n: int, delta: float) -> float:
     """Largest admissible radius for a k=1 scatterer displaced by delta: the
     disk bound ``max_radius_delta_star_disk(n, 1, delta)``."""
@@ -96,15 +84,6 @@ def max_radius_delta_star_disk(n: int, k: int, delta: float) -> float:
     angle = k * math.pi / n
     s = math.sin(angle)
     return float((s - delta) * (s + delta) / (1.0 + math.sqrt(delta * delta + math.cos(angle) ** 2)))
-
-
-def caustic_radius(n: int, k: int) -> float:
-    """Radius cos(k*pi/n) of the circle tangent to every chord of the orbit."""
-    if n < 3 or k < 1 or 2 * k > n:
-        raise DomainError(f"need n >= 3 and 1 <= k <= n/2, got n={n}, k={k}")
-    if math.gcd(k, n) != 1:
-        raise DomainError(f"need gcd(k, n) = 1, got n={n}, k={k}")
-    return math.cos(k * math.pi / n)
 
 
 def tangency_radius_b(n: int, epsilon: float) -> float:

@@ -66,10 +66,6 @@ class Jet2:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(value: float) -> "Jet2":
-        return Jet2((float(value),) + (0.0,) * 9)
-
-    @staticmethod
     def variable(value: float, index: int) -> "Jet2":
         """Jet of the coordinate function ``value + dx_index``."""
         if index not in (0, 1):
@@ -178,10 +174,6 @@ class Jet2:
             h9 * f1 + q9 * g2 + (0.0 + q5 * h2) * g3,
         ))
 
-    def displacement(self) -> "Jet2":
-        """The jet minus its constant term."""
-        return Jet2((0.0,) + self.c[1:])
-
     # -- coefficient access --------------------------------------------------
 
     def coeff(self, i: int, j: int) -> float:
@@ -218,20 +210,3 @@ def jet_acos(x: Jet2) -> Jet2:
     return x.compose_univariate(
         (math.acos(u), -w**-0.5, -u * w**-1.5, -(1.0 + 2.0 * u * u) * w**-2.5)
     )
-
-
-def polyval2(jet: Jet2, x: Jet2, y: Jet2) -> Jet2:
-    """Evaluate the polynomial of ``jet`` at jet-valued arguments.
-
-    ``x`` and ``y`` must have zero constant term (they play the role of the
-    displacement variables), otherwise truncation would lose terms.
-    """
-    if abs(x.value) > 0.0 or abs(y.value) > 0.0:
-        raise ValueError("polyval2 arguments must have zero constant term")
-    xp = [Jet2.constant(1.0), x, x * x, x * x * x]
-    yp = [Jet2.constant(1.0), y, y * y, y * y * y]
-    out = Jet2.constant(0.0)
-    for coef, (i, j) in zip(jet.c, MONOMIALS):
-        if coef != 0.0:
-            out = out + coef * (xp[i] * yp[j])
-    return out

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import ClassificationError, DomainError, GrazingError
 from .geometry import max_radius
@@ -57,19 +57,6 @@ def classify(trace: float) -> Classification:
     if abs(trace) <= 2.0 + CLASSIFY_TOL:
         return Classification.PARABOLIC
     raise ClassificationError(f"non-finite trace {trace!r}")
-
-
-class StabilityReport(NamedTuple):
-    """Monodromy trace, classification, eigenvalue pair and rotation number.
-
-    ``mu`` is the principal eigenvalue argument in (0, pi) (trace = 2 cos mu),
-    present only for elliptic orbits.
-    """
-
-    trace: float
-    classification: Classification
-    eigenvalues: tuple[complex, complex]
-    mu: float | None
 
 
 #: a 2x2 matrix as a pair of rows of floats
@@ -122,26 +109,6 @@ def monodromy(orbit: OrbitRecord) -> Matrix2:
             last = bounce
         a, b, c, d = j00 * a + j01 * c, j00 * b + j01 * d, j10 * a + j11 * c, j10 * b + j11 * d
     return (a, b), (c, d)
-
-
-def stability_report(M: Matrix2) -> StabilityReport:
-    tr = float(M[0][0] + M[1][1])
-    cls = classify(tr)
-    half = tr / 2.0
-    disc = half * half - 1.0
-    if disc < 0.0:
-        im = math.sqrt(-disc)
-        ev = (complex(half, im), complex(half, -im))
-        mu = math.atan2(im, half) if cls is Classification.ELLIPTIC else None
-    else:
-        root = math.sqrt(disc)
-        ev = (complex(half + root), complex(half - root))
-        mu = None
-    return StabilityReport(tr, cls, ev, mu)
-
-
-def orbit_stability(orbit: OrbitRecord) -> StabilityReport:
-    return stability_report(monodromy(orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +209,6 @@ def trace_b_coefficient(n: int) -> float:
         * (math.cos(c) - n * cot + n * math.cos(c) * cot)
         / (math.cos(c) - 1.0)
     )
-
-
-def trace_b_expansion(n: int, epsilon: float) -> float:
-    """First-order trace of the tangent-table orbit: 2 - c1(n)*epsilon."""
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
-    return 2.0 - trace_b_coefficient(n) * epsilon
 
 
 def epsilon_star(n: int) -> float:

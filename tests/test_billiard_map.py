@@ -14,20 +14,15 @@ from annular_billiards.billiard_map import (
     ACOS_CLAMP_TOL,
     FLOAT_BACKEND,
     JET_BACKEND,
-    BirkhoffCoords,
     MPBackend,
     PhasePoint,
     Wall,
-    from_birkhoff,
     half_period_formula,
     reflection,
-    reflection_birkhoff,
-    to_birkhoff,
     wrap_pi,
 )
 from annular_billiards.errors import (
     BilliardError,
-    DomainError,
     GrazingError,
     NoCollisionError,
     TangencyWarning,
@@ -110,9 +105,10 @@ class TestReflection:
         assert q.theta == pytest.approx(math.pi / 2, abs=1e-15)
 
     def test_birkhoff_form(self):
-        bc = BirkhoffCoords(0.7, -0.3)
-        rb = reflection_birkhoff(bc)
-        assert rb == BirkhoffCoords(-0.7, 0.3)
+        # on the outer wall the mirror is (s, r) -> (-s, -r) in r = cos theta
+        q = reflection(PhasePoint(Wall.OUTER, 0.7, math.acos(-0.3)))
+        assert q.s == pytest.approx(-0.7, abs=1e-15)
+        assert math.cos(q.theta) == pytest.approx(0.3, abs=1e-15)
 
     def test_commutes_with_dynamics_on_symmetric_table(self):
         # mirror symmetry of the table: reflecting then stepping equals
@@ -150,22 +146,41 @@ class TestReflection:
 
 class TestBirkhoffCoords:
     def test_normal_incidence(self):
+        # r = cos theta = 0: the ray runs along a diameter and comes back
         p = PhasePoint(Wall.OUTER, 0.3, math.pi / 2)
-        bc = to_birkhoff(p)
-        assert bc.r == pytest.approx(0.0, abs=1e-16)
+        there = generic_step(p, None)
+        assert there.flight == pytest.approx(2.0, abs=1e-15)
+        assert wrap_pi(there.point.s - p.s - math.pi) == pytest.approx(0.0, abs=1e-15)
+        back = generic_step(there.point, None).point
+        assert wrap_pi(back.s - p.s) == pytest.approx(0.0, abs=1e-15)
+        assert math.cos(back.theta) == pytest.approx(0.0, abs=1e-16)
 
     def test_round_trip(self):
+        # time reversal in (s, r): step, flip r, step again, and the start
+        # comes back with r flipped, through either wall
+        orbit = build_type_b(4, 0.01)
         rng = np.random.default_rng(8)
         worst = 0.0
-        for _ in range(1000):
-            p = PhasePoint(Wall.OUTER, rng.uniform(-3, 3), rng.uniform(0.05, math.pi - 0.05))
-            q = from_birkhoff(to_birkhoff(p))
-            worst = max(worst, abs(q.s - p.s), abs(q.theta - p.theta))
-        assert worst < 1e-14
+        legs = set()
+        for _ in range(300):
+            base = orbit.points[rng.integers(len(orbit.points))]
+            p = PhasePoint(base.wall, base.s + rng.normal(scale=0.02), base.theta + rng.normal(scale=0.02))
+            q = generic_step(p, orbit.pose).point
+            back = generic_step(PhasePoint(q.wall, q.s, math.pi - q.theta), orbit.pose).point
+            assert back.wall is p.wall
+            ds = wrap_pi(back.s - p.s) if p.wall is Wall.OUTER else back.s - p.s
+            worst = max(worst, abs(ds), abs(math.cos(back.theta) + math.cos(p.theta)))
+            legs.add((p.wall, q.wall))
+        assert worst < 1e-13
+        assert legs == {(Wall.OUTER, Wall.OUTER), (Wall.OUTER, Wall.INNER), (Wall.INNER, Wall.OUTER)}
 
     def test_domain_guard(self):
-        with pytest.raises(DomainError):
-            from_birkhoff(BirkhoffCoords(0.0, 1.0))
+        # an r = cos theta off [-1, 1] by more than the clamp is refused
+        rmap = ReducedMap(3, 0.01)
+        with pytest.raises(NoCollisionError):
+            rmap((rmap.s0, 1.5))
+        with pytest.raises(NoCollisionError):
+            half_period_formula(rmap.s0, -1.0 - 1e3 * ACOS_CLAMP_TOL, 3, rmap.R)
 
     def test_composed_map_area_preservation(self):
         # finite-difference determinant of the half-period map in (s, r)

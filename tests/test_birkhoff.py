@@ -22,18 +22,13 @@ from annular_billiards.birkhoff import (
     ReducedMap,
     TaylorJet3,
     birkhoff_A,
-    birkhoff_report,
     c_terms,
     closed_form_A,
     closed_form_A_large_n,
     fd_taylor_jet,
     island_sampler,
-    rotation_number,
     rotation_number_leading,
     taylor_jet,
-    theta_jet_to_birkhoff,
-    theta_taylor_jet,
-    birkhoff_jet_to_theta,
     twist_from_c_terms,
     twist_limit,
 )
@@ -261,32 +256,6 @@ class TestTaylorJet:
                     assert side.coeff(*key) == 0.0
 
 
-class TestConversionLayer:
-    @pytest.mark.parametrize("n,eps", [(3, 0.01), (5, 2e-3)])
-    def test_angle_data_converts_to_birkhoff_data(self, n, eps):
-        rmap = ReducedMap(n, eps)
-        direct = taylor_jet(rmap)
-        s_t, th_t = theta_taylor_jet(rmap)
-        converted = theta_jet_to_birkhoff(s_t, th_t, rmap.theta0)
-        assert direct.max_rel_disagreement(converted) < 1e-8
-
-    def test_round_trip_back_to_angle_data(self):
-        rmap = ReducedMap(3, 0.01)
-        direct = taylor_jet(rmap)
-        s_t, th_t = theta_taylor_jet(rmap)
-        s_back, th_back = birkhoff_jet_to_theta(direct, rmap.theta0, th_t.value)
-        for i in range(4):
-            for j in range(4):
-                if not 1 <= i + j <= 3:
-                    continue
-                assert s_back.partial(i, j) == pytest.approx(
-                    s_t.partial(i, j), rel=1e-8, abs=1e-8
-                )
-                assert th_back.partial(i, j) == pytest.approx(
-                    th_t.partial(i, j), rel=1e-8, abs=1e-8
-                )
-
-
 def make_jet(a_extra=None, b_extra=None, a10=0.0, a01=1.0, b10=-1.0, b01=0.0):
     a = {(1, 0): a10, (0, 1): a01} | (a_extra or {})
     b = {(1, 0): b10, (0, 1): b01} | (b_extra or {})
@@ -321,11 +290,10 @@ class TestTwistFormula:
         assert twist_from_c_terms(0.0, 1.0, 0.0, mu) == pytest.approx(want, rel=1e-15)
 
     def test_report_fields(self):
-        rep = birkhoff_report(3, 0.01)
+        rep = birkhoff_A(taylor_jet(ReducedMap(3, 0.01)))
         assert isinstance(rep, BirkhoffReport)
         assert rep.mu < 0.0 and 0.0 < rep.mu_arg < math.pi
         assert rep.mu_arg == pytest.approx(math.pi + rep.mu, abs=1e-12)
-        assert not rep.resonant3 and not rep.resonant4
         assert rep.abs_c20_sq > 0.0 and rep.abs_c02_sq > 0.0
 
     def test_hyperbolic_rejected(self):
@@ -387,7 +355,7 @@ class TestTwistValues:
     @pytest.mark.parametrize("n", [3, 5, 10])
     def test_pipeline_extrapolates_to_closed_form(self, n):
         ladder = scaled_ladder(n)
-        vals = [e * e * birkhoff_report(n, e).A for e in ladder]
+        vals = [e * e * birkhoff_A(taylor_jet(ReducedMap(n, e))).A for e in ladder]
         extrap = richardson(vals)
         assert extrap == pytest.approx(twist_limit(n), rel=2e-3)
 
@@ -396,7 +364,7 @@ class TestTwistValues:
         # eps^2 * A constant within 2% once the detuning sits deep inside
         # the stability window
         ladder = scaled_ladder(n, base=2.5e-5)
-        vals = [e * e * birkhoff_report(n, e).A for e in ladder]
+        vals = [e * e * birkhoff_A(taylor_jet(ReducedMap(n, e))).A for e in ladder]
         spread = (max(vals) - min(vals)) / abs(np.mean(vals))
         assert spread < 0.02, (n, vals)
 
@@ -404,7 +372,7 @@ class TestTwistValues:
         for n in range(3, 60):
             assert twist_limit(n) > 0.0
         for n, eps in [(3, 1e-3), (4, 1e-3), (5, 1e-3), (10, 1e-4)]:
-            rep = birkhoff_report(n, eps)
+            rep = birkhoff_A(taylor_jet(ReducedMap(n, eps)))
             assert rep.A > 1e-6 / eps**2
 
     def test_conclusion_stable_under_detuning_perturbation(self):
@@ -412,7 +380,8 @@ class TestTwistValues:
             base = scaled_ladder(n)[0]
             signs = set()
             for fac in (0.9, 1.0, 1.1):
-                signs.add(math.copysign(1.0, birkhoff_report(n, base * fac).A))
+                rep = birkhoff_A(taylor_jet(ReducedMap(n, base * fac)))
+                signs.add(math.copysign(1.0, rep.A))
             assert signs == {1.0}
 
     def test_limit_curve_decreases_to_asymptote(self):
@@ -424,7 +393,7 @@ class TestTwistValues:
 
 class TestRotationNumber:
     def test_tends_to_zero(self):
-        vals = [abs(rotation_number(3, e)) for e in (1e-2, 1e-3, 1e-4)]
+        vals = [abs(birkhoff_A(taylor_jet(ReducedMap(3, e))).mu) for e in (1e-2, 1e-3, 1e-4)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 0.05
 
@@ -433,7 +402,7 @@ class TestRotationNumber:
         base = min(1e-3, epsilon_star(n) / 500.0)
         ratios = []
         for eps in (base, base / 4):
-            mu = rotation_number(n, eps)
+            mu = birkhoff_A(taylor_jet(ReducedMap(n, eps))).mu
             coeff = rotation_number_leading(n, eps) / math.sqrt(eps)
             ratios.append(mu / math.sqrt(eps) / coeff)
         assert ratios[0] == pytest.approx(1.0, abs=1e-2)
@@ -441,28 +410,30 @@ class TestRotationNumber:
         assert abs(ratios[0] - ratios[1]) < 1e-2
 
     def test_hyperbolic_rejected(self):
-        with pytest.raises(ClassificationError):
-            rotation_number(4, 2.0 * epsilon_star(4))
+        # no rotation angle at 2 epsilon_star, where the orbit is hyperbolic
+        for n in (7, 10):
+            with pytest.raises(ClassificationError):
+                birkhoff_A(taylor_jet(ReducedMap(n, 2.0 * epsilon_star(n))))
 
 
 class TestIslandSampler:
     def test_zero_radius_stays_put(self):
-        rep = island_sampler(3, 0.02, 0.0, 100)
+        rep, _ = island_sampler(3, 0.02, 0.0, 100)
         assert rep.max_excursion < 1e-12
         assert not rep.escaped
 
     def test_bounded_cloud_in_elliptic_regime(self):
-        rep = island_sampler(3, 0.02, 1e-4, 10_000, seed=1)
+        rep, _ = island_sampler(3, 0.02, 1e-4, 10_000, seed=1)
         assert not rep.escaped
         assert rep.max_excursion <= 10.0 * 1e-4
 
     def test_divergence_in_hyperbolic_regime(self):
         eps = 2.0 * epsilon_star(4)
-        rep = island_sampler(4, eps, 1e-4, 1000, seed=1)
+        rep, _ = island_sampler(4, eps, 1e-4, 1000, seed=1)
         assert rep.escaped or rep.max_excursion > 1e3 * 1e-4
 
     def test_collect_returns_cloud(self):
-        rep, cloud = island_sampler(3, 0.02, 1e-4, 200, seeds=2, collect=True)
+        rep, cloud = island_sampler(3, 0.02, 1e-4, 200, seeds=2)
         assert np.asarray(cloud).shape[1] == 2
         assert len(cloud) > 0
 
@@ -476,7 +447,7 @@ class TestIslandSampler:
     def test_bad_sizes_refused(self, kwargs):
         args = dict(n=3, epsilon=0.02, radius=1e-4, iterations=10) | kwargs
         with pytest.raises(DomainError):
-            island_sampler(**args, collect=True)
+            island_sampler(**args)
 
 
 def _reference_sampler(n, epsilon, radius, iterations, seeds=8, seed=0):
@@ -528,10 +499,9 @@ class TestSamplerMatchesSeedBySeedReference:
     )
     def test_sampler_identical_to_seed_by_seed_floats(self, args, kwargs, escapes):
         ref_report, ref_cloud = _reference_sampler(*args, **kwargs)
-        report, cloud = island_sampler(*args, **kwargs, collect=True)
+        report, cloud = island_sampler(*args, **kwargs)
         assert report.escaped is escapes
         assert report == ref_report
-        assert island_sampler(*args, **kwargs) == ref_report
         # the cloud is a seed-major list of (s, r) pairs, empty when every
         # seed escapes in its first iteration
         assert cloud == [tuple(z) for z in ref_cloud.tolist()]
@@ -558,7 +528,7 @@ class TestSamplerMatchesSeedBySeedReference:
             return original(*a)
 
         monkeypatch.setattr(birkhoff, "half_period_formula", counted)
-        report, cloud = island_sampler(*args, **kwargs, collect=True)
+        report, cloud = island_sampler(*args, **kwargs)
         assert report.escaped
         escaped = report.seeds
         on_math = calls.count(math)

@@ -401,7 +401,7 @@ class TestTables:
     )
     def test_csv_body_matches_the_per_cell_writer(self, monkeypatch, columns):
         if columns == "section":
-            _, cloud = island_sampler(3, 0.02, 1e-4, 200, seeds=4, seed=1, collect=True)
+            _, cloud = island_sampler(3, 0.02, 1e-4, 200, seeds=4, seed=1)
             columns = {"s": np.asarray(cloud)[:, 0].tolist(), "r": np.asarray(cloud)[:, 1].tolist()}
         written = []
         monkeypatch.setattr(cli, "_write_text", lambda out, text: written.append(text))

@@ -10,7 +10,6 @@ from annular_billiards.errors import DomainError, InvalidTableError
 from annular_billiards.geometry import (
     TableConfig,
     TableParams,
-    caustic_radius,
     chord_lines,
     clearance_from_other_chords,
     max_radius,
@@ -19,38 +18,41 @@ from annular_billiards.geometry import (
     max_radius_star,
     scatterer_pose,
     tangency_radius_b,
-    tangency_radius_simple,
 )
 
 
 class TestTangencyRadiusSimple:
+    """The symmetric k = 1 scatterer's largest radius, max_radius(n, 1, 0),
+    where it touches the outer circle and the orbit forms a cusp."""
+
     def test_n3_exact(self):
-        assert tangency_radius_simple(3) == pytest.approx(0.5, abs=1e-15)
+        assert max_radius(3, 1, 0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_n4_exact(self):
-        assert tangency_radius_simple(4) == pytest.approx(1.0 - math.sqrt(2) / 2, abs=1e-15)
+        assert max_radius(4, 1, 0.0) == pytest.approx(1.0 - math.sqrt(2) / 2, abs=1e-15)
 
     def test_n10_internal_tangency(self):
-        # oracle: the circle of radius v centered at distance 1 - v is
-        # internally tangent to the unit circle
-        v = tangency_radius_simple(10)
-        center = np.array([1.0 - v, 0.0])
-        assert np.hypot(*center) == pytest.approx(1.0 - v, abs=1e-14)
+        # oracle: the scatterer of radius v centered on the chord at distance
+        # cos(pi/10) from the origin touches the unit circle from inside
+        v = max_radius(10, 1, 0.0)
+        center = np.array([-math.cos(math.pi / 10), 0.0])
         assert np.hypot(*center) + v == pytest.approx(1.0, abs=1e-14)
+        pose = scatterer_pose(TableParams.type_a(10, 1, v, 0.0))
+        assert pose.interiority_defect() == pytest.approx(0.0, abs=1e-14)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            tangency_radius_simple(2)
+            max_radius(2, 1, 0.0)
 
     def test_decreasing_in_n(self):
-        vals = [tangency_radius_simple(n) for n in range(3, 60)]
+        vals = [max_radius(n, 1, 0.0) for n in range(3, 60)]
         assert all(0.0 < v < 1.0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 class TestMaxRadiusDelta:
     def test_delta_zero_reduces_to_tangency(self):
-        assert max_radius_delta(4, 0.0) == pytest.approx(tangency_radius_simple(4), abs=1e-15)
+        assert max_radius_delta(4, 0.0) == pytest.approx(1.0 - math.sqrt(2) / 2, abs=1e-15)
 
     def test_displaced_value(self):
         # oracle: 1 minus the distance from the origin to the displaced center
@@ -112,12 +114,27 @@ class TestMaxRadiusStar:
 
 class TestCausticRadius:
     def test_exact_values(self):
-        assert caustic_radius(4, 1) == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
-        assert caustic_radius(5, 2) == pytest.approx(math.cos(2 * math.pi / 5), abs=1e-15)
+        # every chord line of the reference polygon sits at the caustic
+        # radius cos(k pi/n), and passes through two of its outer vertices
+        for (n, k), want in [((4, 1), math.sqrt(2) / 2), ((5, 2), math.cos(2 * math.pi / 5))]:
+            s0 = -math.pi + k * math.pi / n
+            vertices = [(math.cos(s0 + 2 * j * k * math.pi / n), math.sin(s0 + 2 * j * k * math.pi / n)) for j in range(n)]
+            for j, (ux, uy, c) in enumerate(chord_lines(n, k)):
+                assert c == pytest.approx(want, abs=1e-15)
+                assert math.hypot(ux, uy) == pytest.approx(1.0, abs=1e-15)
+                for x, y in (vertices[j], vertices[(j + 1) % n]):
+                    assert ux * x + uy * y == pytest.approx(c, abs=1e-15)
+
+    def test_gcd_guard(self):
+        # a k sharing a factor with n traces no single star polygon
+        with pytest.raises(DomainError):
+            max_radius(6, 2, 0.0)
+        with pytest.raises(InvalidTableError):
+            TableParams.type_a(9, 3, 0.01, 0.0)
 
     def test_chord_distance_oracle(self):
         # distance from the origin to the line through consecutive collision
-        # points equals the caustic radius
+        # points equals the caustic radius cos(k pi/n)
         from annular_billiards.orbits import build_type_a
 
         for (n, k) in [(4, 1), (5, 2), (7, 3)]:
@@ -128,18 +145,14 @@ class TestCausticRadius:
             t = b - a
             t /= np.hypot(*t)
             dist = abs(a[0] * t[1] - a[1] * t[0])
-            assert dist == pytest.approx(caustic_radius(n, k), abs=1e-12)
-
-    def test_gcd_guard(self):
-        with pytest.raises(DomainError):
-            caustic_radius(6, 2)
+            assert dist == pytest.approx(math.cos(k * math.pi / n), abs=1e-12)
 
 
 class TestTangencyRadiusB:
     def test_zero_detuning_limit(self):
         for n in (3, 4, 7, 20):
             assert tangency_radius_b(n, 0.0) == pytest.approx(
-                tangency_radius_simple(n), abs=1e-14
+                max_radius(n, 1, 0.0), abs=1e-14
             )
 
     @pytest.mark.parametrize("n,eps", [(3, 0.01), (4, 0.005)])
@@ -172,7 +185,7 @@ class TestScattererPose:
 
     def test_cusp_pose_matches_type_b_limit(self):
         n = 5
-        r0 = tangency_radius_simple(n)
+        r0 = max_radius(n, 1, 0.0)
         pose_a = scatterer_pose(TableParams.type_a(n, 1, r0, 0.0))
         assert abs(pose_a.interiority_defect()) < 1e-12
         assert pose_a.center[0] == pytest.approx(-(1.0 - r0), abs=1e-14)

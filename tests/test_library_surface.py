@@ -1,0 +1,119 @@
+"""The package's unreferenced names are exactly a stated allow-list.
+
+A top-level function, class or assignment of ``src/annular_billiards`` that
+no other ``src/`` code refers to is called only by tests.  Each such name
+must earn its place as an oracle, a paper formula or a published contract,
+and say which in ``ALLOWED``; anything else is a second route to a job that
+a command already does, and belongs deleted.  Docstrings and comments do not
+count as references; the name strings of ``cli._LIBRARY`` do, since the CLI
+resolves those names lazily.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "annular_billiards"
+
+#: every top-level name that no other ``src/`` code refers to, with the reason it stays
+ALLOWED = {
+    "reflection": "mirror-symmetry oracle of the ray tracer and the reduced map",
+    "bounce_jacobian": "per-bounce reference for the monodromy product",
+    "bounce_jacobian_birkhoff": "per-bounce reference in (s, cos theta), determinant 1",
+    "clearance_from_other_chords": "oracle of max_radius_star's chord clearance",
+    "rotation_number_leading": "paper formula: leading order of the rotation angle mu",
+    "closed_form_A_large_n": "paper formula: large-n expansion of the twist coefficient",
+    "epsilon_star": "paper formula: detuning scale of the tangent table's elliptic window",
+    "epsilon_star_large_n": "paper formula: large-n asymptote of epsilon_star",
+    "admissible_interval": "elliptic radius window; the k >= 2 region work gives it a caller",
+    "symplectic_defect": "area-preservation health check; output telemetry gives it a caller",
+    "JSON_SCHEMA": "published layout of the JSON scan output",
+}
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    """Names a top-level statement defines, dunders left out (the
+    interpreter, not the package, refers to those)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _referenced(stmt: ast.stmt) -> set[str]:
+    """Names a statement's code refers to: identifiers, attribute names and
+    imported names, plus the names ``cli._LIBRARY`` lists as strings."""
+    refs = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add((node.asname or node.name).split(".")[0])
+    if "_LIBRARY" in _defined(stmt):
+        for node in ast.walk(stmt.value):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.update(node.value.split())
+    return refs
+
+
+def unreferenced_names(sources: list[str] | None = None) -> set[str]:
+    """Top-level names that only their own definition refers to, in the given
+    module sources (by default the package's)."""
+    if sources is None:
+        sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    statements = [stmt for source in sources for stmt in ast.parse(source).body]
+    refs = [_referenced(stmt) for stmt in statements]
+    return {
+        name
+        for i, stmt in enumerate(statements)
+        for name in _defined(stmt)
+        if not any(name in other for j, other in enumerate(refs) if j != i)
+    }
+
+
+def test_unreferenced_names_are_the_allow_list():
+    found = unreferenced_names()
+    assert sorted(found - ALLOWED.keys()) == [], "unreferenced names outside the allow-list"
+    assert sorted(ALLOWED.keys() - found) == [], "allow-listed names that src/ now refers to"
+
+
+def test_every_allowed_name_has_a_reason():
+    assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_scan_flags_a_name_only_its_own_definition_uses():
+    source = (
+        "def used():\n"
+        "    return 1\n"
+        "def lonely(x):\n"
+        "    return lonely(x - 1) if x else used()\n"
+    )
+    assert unreferenced_names([source]) == {"lonely"}
+
+
+def test_docstrings_do_not_count_and_library_strings_do():
+    module = (
+        '"""Mentions helper and spare in prose only."""\n'
+        "def helper():\n"
+        '    """spare is not called here."""\n'
+        "def spare():\n"
+        "    pass\n"
+        "def lazy():\n"
+        "    pass\n"
+    )
+    cli = '_LIBRARY = {"lazy helper": "module"}\ndef main():\n    return _LIBRARY\n'
+    assert unreferenced_names([module]) == {"helper", "spare", "lazy"}
+    assert unreferenced_names([module, cli]) == {"spare", "main"}
+
+
+def test_a_deleted_route_coming_back_is_flagged():
+    # a one-line restatement of a paper number that no command prints
+    restored = "import math\ndef caustic_radius(n, k):\n    return math.cos(k * math.pi / n)\n"
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_names(package + [restored]) == ALLOWED.keys() | {"caustic_radius"}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from annular_billiards import linear_stability
+from annular_billiards.birkhoff import ReducedMap, birkhoff_A, taylor_jet
 from annular_billiards.errors import BilliardError, ClassificationError, DomainError, GrazingError
 from annular_billiards.geometry import TableConfig, TableParams, max_radius, max_radius_delta
 from annular_billiards.linear_stability import (
@@ -23,12 +24,9 @@ from annular_billiards.linear_stability import (
     lemma_f,
     min_period_for_k,
     monodromy,
-    orbit_stability,
-    stability_report,
     star_inequality,
     symplectic_defect,
     trace_b_coefficient,
-    trace_b_expansion,
     trace_closed_form,
 )
 from annular_billiards.orbits import build_type_a, build_type_b
@@ -135,13 +133,9 @@ class TestMonodromy:
         assert symplectic_defect(B) < 1e-9
 
     def test_tangent_orbit_elliptic_at_small_detuning(self):
-        orbit = build_type_b(3, 0.01)
-        report = orbit_stability(orbit)
-        assert abs(report.trace) < 2
-        assert report.classification is Classification.ELLIPTIC
-        assert report.mu is not None
-        lam, lam_inv = report.eigenvalues
-        assert lam * lam_inv == pytest.approx(1.0, abs=1e-9)
+        M = monodromy(build_type_b(3, 0.01))
+        assert classify(M[0][0] + M[1][1]) is Classification.ELLIPTIC
+        assert symplectic_defect(M) < 1e-9
 
 
 def _per_bounce_jacobian(tau, kappa, kappa1, theta, theta1, birkhoff_frame):
@@ -408,7 +402,17 @@ class TestLemmaFunction:
 
 class TestTangentTrace:
     def test_zero_detuning_parabolic(self):
-        assert trace_b_expansion(5, 0.0) == 2.0
+        # at delta = 0 the chord-perpendicular orbit's monodromy is a shear:
+        # trace 2, as the closed form gives, at every admissible radius
+        for (n, k) in [(5, 1), (7, 2), (9, 4)]:
+            for frac in (0.2, 0.6, 0.95):
+                R = frac * max_radius(n, k, 0.0)
+                M = monodromy(build_type_a(TableParams.type_a(n, k, R, 0.0)))
+                tr = M[0][0] + M[1][1]
+                assert tr == pytest.approx(2.0, abs=1e-12)
+                assert trace_closed_form(n, k, R, 0.0) == 2.0
+                assert classify(tr) is Classification.PARABOLIC
+                assert M[1][0] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 10])
     def test_linear_coefficient_against_monodromy(self, n):
@@ -485,9 +489,21 @@ class TestClassification:
         ] or seen == [Classification.HYPERBOLIC, Classification.ELLIPTIC]
 
     def test_stability_report_eigenvalues(self):
-        rep = stability_report(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert rep.classification is Classification.ELLIPTIC
-        assert rep.mu == pytest.approx(math.pi / 2, abs=1e-12)
-        rep_h = stability_report(np.array([[3.0, 0.0], [0.0, 1.0 / 3.0]]))
-        assert rep_h.classification is Classification.HYPERBOLIC
-        assert rep_h.mu is None
+        # elliptic: the eigenvalues are a conjugate pair on the unit circle,
+        # at twice the reduced map's angle, since the period is its square
+        M = np.array(monodromy(build_type_b(3, 0.01)))
+        assert classify(np.trace(M)) is Classification.ELLIPTIC
+        lam = np.linalg.eigvals(M)
+        assert np.abs(lam) == pytest.approx([1.0, 1.0], abs=1e-9)
+        assert lam[0] == pytest.approx(np.conj(lam[1]), abs=1e-12)
+        mu_arg = birkhoff_A(taylor_jet(ReducedMap(3, 0.01))).mu_arg
+        assert abs(np.angle(lam[0])) == pytest.approx(2.0 * math.pi - 2.0 * mu_arg, abs=1e-9)
+        # hyperbolic: a real pair lambda, 1/lambda
+        n, k, delta = 6, 1, 0.03
+        R = 0.5 * bifurcation_radius(n, k, delta)
+        M = np.array(monodromy(build_type_a(TableParams.type_a(n, k, R, delta))))
+        assert classify(np.trace(M)) is Classification.HYPERBOLIC
+        lam = np.linalg.eigvals(M)
+        assert np.isrealobj(lam) or not np.any(lam.imag)
+        assert lam[0] * lam[1] == pytest.approx(1.0, abs=1e-9)
+        assert max(abs(lam)) > 4.0

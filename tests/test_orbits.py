@@ -10,11 +10,9 @@ from annular_billiards.billiard_map import PhasePoint, Wall, wrap_pi
 from annular_billiards.errors import BilliardError, InvalidTableError
 from annular_billiards.geometry import (
     TableParams,
-    caustic_radius,
     max_radius,
     max_radius_star,
     tangency_radius_b,
-    tangency_radius_simple,
 )
 from annular_billiards.orbits import StepResult, build_type_a, build_type_b, generic_step, verify_closure
 
@@ -79,7 +77,7 @@ class TestTypeA:
         for (n, k) in [(4, 1), (5, 2), (9, 4)]:
             orbit = build_type_a(TableParams.type_a(n, k, 0.4 * max_radius(n, k, 0.0), 0.0))
             pts = np.array(orbit.cartesian_points())
-            want = caustic_radius(n, k)
+            want = math.cos(k * math.pi / n)
             for i in range(n - 1):
                 a, b = pts[i], pts[i + 1]
                 t = (b - a) / np.hypot(*(b - a))
@@ -105,7 +103,7 @@ class TestTypeB:
 
     def test_small_detuning_approaches_cusp_orbit(self):
         n = 5
-        cusp = build_type_a(TableParams.type_a(n, 1, tangency_radius_simple(n), 0.0))
+        cusp = build_type_a(TableParams.type_a(n, 1, max_radius(n, 1, 0.0), 0.0))
         prev = None
         for eps in (1e-2, 1e-3, 1e-4):
             orbit = build_type_b(n, eps)
