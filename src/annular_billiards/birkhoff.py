@@ -101,9 +101,9 @@ class BirkhoffReport(NamedTuple):
 class ReducedMap:
     """The reflection-composed half-period map of a tangent table in (s, r).
 
-    Callable on ``BirkhoffCoords`` (or a plain pair); ``apply`` evaluates the
-    same composition in any math backend (floats, truncated Taylor jets,
-    mpmath), and ``fixed_point`` is the detuned orbit's initial state.
+    ``apply`` evaluates the composition in any math backend (floats,
+    truncated Taylor jets, mpmath), and ``fixed_point`` is the detuned
+    orbit's initial state.
     """
 
     def __init__(self, n: int, epsilon: float):
@@ -127,13 +127,6 @@ class ReducedMap:
 
     def apply(self, s, r, lib=FLOAT_BACKEND):
         return half_period_formula(s, r, self.n, self.R, lib)
-
-    def __call__(self, point) -> BirkhoffCoords:
-        s, r = point
-        return BirkhoffCoords(*self.apply(s, r))
-
-    def full_period(self, point) -> BirkhoffCoords:
-        return self(self(point))
 
 
 def taylor_jet(

@@ -11,7 +11,8 @@ Coefficients are stored as a tuple of ten Python floats in the monomial order
     1, x, y, x^2, xy, y^2, x^3, x^2 y, x y^2, y^3
 
 and are plain Taylor *coefficients* (factorials included), so the partial
-derivative d^(i+j) f / dx^i dy^j equals ``coeff(i, j) * i! * j!``.
+derivative d^(i+j) f / dx^i dy^j equals
+``c[MONOMIALS.index((i, j))] * i! * j!``.
 
 The module is pure Python: it imports only ``math`` and ``operator``, so the
 twist pipeline runs without NumPy.
@@ -175,13 +176,6 @@ class Jet2:
         ))
 
     # -- coefficient access --------------------------------------------------
-
-    def coeff(self, i: int, j: int) -> float:
-        return self.c[_INDEX[(i, j)]]
-
-    def partial(self, i: int, j: int) -> float:
-        """Partial derivative d^(i+j)/dx^i dy^j at the base point."""
-        return self.coeff(i, j) * math.factorial(i) * math.factorial(j)
 
     @property
     def value(self) -> float:

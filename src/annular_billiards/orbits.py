@@ -8,20 +8,22 @@ reversed path, and the second perpendicular hit (index 2n+1).
 The ray tracer ``generic_step`` is independent of the closed-form map in
 ``billiard_map``: it works in the plane for any scatterer pose, and steps
 one collision state on Python floats.  ``build_type_a`` builds an orbit from
-its closed-form geometry and ``verify_closure`` traces it for one period;
-``build_type_b`` traces the period as it builds.  Either way the orbit keeps
-its closure residual.  The step and ``build_type_a`` check each reflection
-angle where it is computed, so they build their ``PhasePoint``s as plain
-tuples, without the constructor's second check;
+its closed-form geometry and ``verify_closure`` traces it for one period, in
+two halves that each restart from the recorded outer state after a scatterer
+collision; ``build_type_b`` traces the period as it builds.  Either way the
+orbit keeps its closure residual.  The step and ``build_type_a`` check each
+reflection angle where it is computed, so they build their ``PhasePoint``s
+as plain tuples, without the constructor's second check;
 ``linear_stability.monodromy`` then forms each distinct bounce once.
 
 Every table of one (n, k) shares its polygon's outer collisions and the
-opening of its period: until the ray reaches the scatterer's chord, the
-orbit runs as in the empty disk.  ``build_type_a`` takes the outer points
+opening of each half period: until the ray reaches the scatterer's chord,
+the orbit runs as in the empty disk.  ``build_type_a`` takes the outer points
 from a small cache keyed on (n, k), and ``verify_closure`` reads those
-opening steps from a small cache of empty-disk chains (``_disk_chain``),
-testing each against the table's own scatterer; every other step is one
-``generic_step``.
+opening steps from a small cache of empty-disk chains (``_disk_chain``), one
+per half's start, testing each against the table's own scatterer; the four
+steps from the scatterer's chord through the scatterer and off it are
+``generic_step``s.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ OUTER, INNER = Wall.OUTER, Wall.INNER
 # ``__new__``
 _new = tuple.__new__
 
-#: (n, k) polygons and empty-disk chains kept across calls; a stability scan
-#: builds all tables of one (n, k) in a row
+#: (n, k) polygons kept across calls, and two empty-disk chains for each; a
+#: stability scan builds all tables of one (n, k) in a row
 _SHARED_POLYGONS = 8
 
 
@@ -307,7 +309,7 @@ def build_type_b(n: int, epsilon: float) -> OrbitRecord:
     return OrbitRecord(params, tuple(pts), tuple(flights), tuple(curv), pose, gap)
 
 
-@lru_cache(maxsize=_SHARED_POLYGONS)
+@lru_cache(maxsize=2 * _SHARED_POLYGONS)
 def _disk_chain(start: PhasePoint, steps: int) -> tuple[tuple, ...]:
     """Up to ``steps`` ray-tracing steps from an outer-wall state in the
     empty disk, one ``(px, py, vx, vy, flight, state)`` per step: the launch
@@ -329,43 +331,50 @@ def _disk_chain(start: PhasePoint, steps: int) -> tuple[tuple, ...]:
 
 
 def verify_closure(orbit: OrbitRecord) -> float:
-    """Residual of one full period of the Cartesian ray tracer.
+    """Residual of one full period of the Cartesian ray tracer, traced in two
+    halves.
 
-    Steps from points[0] once per collision and returns the maximum chart
-    distance between the stepped trajectory and the recorded points,
-    including the return to points[0].  A step that the tracer refuses
-    raises its ``BilliardError``.
+    Each half starts from a recorded outer state that follows a scatterer
+    collision, points[0] and points[n+1], and steps n + 1 times, through
+    the scatterer and off it.  The residual is the maximum chart distance
+    between the stepped states and the recorded ones they predict:
+    points[1] to points[n+1], then points[n+2] to points[2n+1] and the
+    return to points[0].  So every recorded state is compared, and
+    rounding does not compound from one scatterer bounce into the next.  A
+    step that the tracer refuses raises its ``BilliardError``.
 
-    The opening steps are read from the empty-disk chain of points[0]
-    (``_disk_chain``), which every type (a) orbit of one (n, k) shares.
-    Each is kept only while the orbit's own scatterer, tested on that
-    step's ray with the call ``generic_step`` makes, is not hit before the
-    outer wall: then it is the step ``generic_step`` takes, bit for bit,
-    grazing warning included.  From the first step the scatterer intercepts
-    on, ``generic_step`` traces every step.
+    The opening steps of each half are read from the empty-disk chain of
+    its start (``_disk_chain``), which every type (a) orbit of one (n, k)
+    shares.  Each is kept only while the orbit's own scatterer, tested on
+    that step's ray with the call ``generic_step`` makes, is not hit before
+    the outer wall: then it is the step ``generic_step`` takes, bit for
+    bit, grazing warning included.  From the first step the scatterer
+    intercepts on, ``generic_step`` traces the rest of the half.
     """
     points, pose = orbit.points, orbit.pose
     (cx, cy), R = pose
-    start = points[0]
-    _, s, theta = start
-    steps = len(points) // 2 - 1
-    # a cache key compares floats by value: 0.0 == -0.0 and nan != nan, so
-    # such starts are traced afresh
-    if 0.0 != s == s and 0.0 != theta == theta:
-        chain = _disk_chain(start, steps)
-    else:
-        chain = _disk_chain.__wrapped__(start, steps)
-    traced = []
-    p = start
-    for px, py, vx, vy, flight, q in chain:
-        if _ray_circle_time(px, py, vx, vy, cx, cy, R) < flight:
-            break
-        traced.append(q)
-        p = q
+    period = len(points)
+    half = period // 2
     step = generic_step  # bound from the module global, so a patch of it sees every step
-    for _ in range(len(points) - len(traced)):
-        p = step(p, pose)[0]
-        traced.append(p)
+    traced = []
+    for first, end in ((0, half), (half, period)):
+        start = points[first]
+        _, s, theta = start
+        # a cache key compares floats by value: 0.0 == -0.0 and nan != nan,
+        # so such starts are traced afresh
+        if 0.0 != s == s and 0.0 != theta == theta:
+            chain = _disk_chain(start, half - 1)
+        else:
+            chain = _disk_chain.__wrapped__(start, half - 1)
+        p = start
+        for px, py, vx, vy, flight, q in chain:
+            if _ray_circle_time(px, py, vx, vy, cx, cy, R) < flight:
+                break
+            traced.append(q)
+            p = q
+        for _ in range(end - len(traced)):
+            p = step(p, pose)[0]
+            traced.append(p)
     worst = 0.0
     for (wall, s, theta), (wall_b, s_b, theta_b) in zip(traced, points[1:] + points[:1]):
         # the chart distance, inf on different walls

@@ -82,9 +82,9 @@ def test_section_maps_each_seed_once_per_half_period(tracer_module, pkg, tmp_pat
 def test_stability_layers_count_every_step_and_monodromy(tracer_module, pkg, tmp_path):
     # two n = 5 orbits of 12 collisions: one build, one closure check and
     # one monodromy per table.  The closure checks share the empty-disk
-    # chain of their start, n steps traced once; each table then traces its
-    # last n + 3 steps, from the chord the scatterer sits on.  The collision
-    # counter sees both periods
+    # chains of their two half-period starts, n steps each traced once; each
+    # table then traces 2 steps a half, from the chord the scatterer sits on
+    # and off the scatterer.  The collision counter sees both periods
     orbits._disk_chain.cache_clear()
     tracer = tracer_module.Tracer()
     argv = ["stability", "--n", "5", "--delta", "0.02", "--R", "0.1:0.15:2"]
@@ -92,7 +92,7 @@ def test_stability_layers_count_every_step_and_monodromy(tracer_module, pkg, tmp
         assert cli.main(argv + ["--out", str(tmp_path / "stab.csv")]) == 0
     assert tracer.calls("orbits.build_type_a") == 2
     assert tracer.calls("orbits.verify_closure") == 2
-    assert tracer.calls("billiard_map.generic_step") == 5 + 2 * 8
+    assert tracer.calls("billiard_map.generic_step") == 2 * 5 + 2 * 4
     assert tracer.calls("linear_stability.monodromy") == 2
     assert tracer.counts["orbits.collisions"] == 2 * 12
 
@@ -100,8 +100,8 @@ def test_stability_layers_count_every_step_and_monodromy(tracer_module, pkg, tmp
 def test_stability_scan_over_several_periods_counts_per_table(tracer_module, pkg, tmp_path):
     # four orbits of two periods, 12 collisions at n = 5 and 16 at n = 7:
     # each table is built, traced and linearised alone.  Each (n, k) traces
-    # its empty-disk chain of n steps once, then each table its last n + 3
-    # steps; the collision counter still sees every period
+    # its two empty-disk chains of n steps once, then each table 4 steps;
+    # the collision counter still sees every period
     orbits._disk_chain.cache_clear()
     tracer = tracer_module.Tracer()
     argv = ["stability", "--n", "5,7", "--k", "1,2", "--delta", "0.01", "--R", "0.02"]
@@ -109,7 +109,7 @@ def test_stability_scan_over_several_periods_counts_per_table(tracer_module, pkg
         assert cli.main(argv + ["--out", str(tmp_path / "stab.csv")]) == 0
     assert tracer.calls("orbits.build_type_a") == 4
     assert tracer.calls("orbits.verify_closure") == 4
-    assert tracer.calls("billiard_map.generic_step") == (5 + 5 + 7 + 7) + (8 + 8 + 10 + 10)
+    assert tracer.calls("billiard_map.generic_step") == 2 * (5 + 5 + 7 + 7) + 4 * 4
     assert tracer.calls("linear_stability.monodromy") == 4
     assert tracer.counts["orbits.collisions"] == 12 + 12 + 16 + 16
 

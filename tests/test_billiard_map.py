@@ -178,7 +178,7 @@ class TestBirkhoffCoords:
         # an r = cos theta off [-1, 1] by more than the clamp is refused
         rmap = ReducedMap(3, 0.01)
         with pytest.raises(NoCollisionError):
-            rmap((rmap.s0, 1.5))
+            rmap.apply(rmap.s0, 1.5)
         with pytest.raises(NoCollisionError):
             half_period_formula(rmap.s0, -1.0 - 1e3 * ACOS_CLAMP_TOL, 3, rmap.R)
 

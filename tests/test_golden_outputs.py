@@ -50,8 +50,8 @@ GOLDEN = {
     "island_section.json": "bbef8ee98407963abfbec342fba178b729c7cda2c550b03e3dbe092bc4296aed",
     "lemma_readme.csv": "80c43d932210cee531adbc2c1d64dee514218dd211ea18ffd627fcbc5cea879c",
     "lemma_readme.json": "a43608ba7f2c877e7e3e016efb75e26bcbc1731ff500c857ea5b2d0ac8392b5a",
-    "orbit_star_readme.csv": "45e3d2ed17e3f6ddcf4b6346115c25a82aa4ef46c4fa6f3a40e4bd2ee265426b",
-    "orbit_star_readme.json": "145e0bd9bc021b7816980abcc1eab9f1c1bfcd4bf9725d1d8f924f224f6c32d2",
+    "orbit_star_readme.csv": "a3fc3f0a74f4848445518490e38b619d582b8c208db483de6dbd3667c88f4e5b",
+    "orbit_star_readme.json": "a33e60faa67542067b2f04d9ec3c0425ddd325ada9d74e8b9aee897e15ac9f25",
     "orbit_star_readme.svg": "a34c96a3b3bef7c02ef2e0e5b3deee7697273bd358d3501e1876d0bd45d17da6",
     "orbit_tangent_readme.csv": "2d9ad59fee8fcdc1c243107bbfbd18c8059deb9399137726ba015b5379468a65",
     "orbit_tangent_readme.json": "b7570a7b6f5bdf6fc33c78482426752a5551a98264b3ca1d9b15281ec0fe15b1",

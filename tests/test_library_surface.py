@@ -1,15 +1,18 @@
 """The package's unreferenced names are exactly a stated allow-list.
 
 A top-level function, class or assignment of ``src/annular_billiards`` that
-no other ``src/`` code refers to is called only by tests.  Each such name
-must earn its place as an oracle, a paper formula or a published contract,
-and say which in ``ALLOWED``; anything else is a second route to a job that
-a command already does, and belongs deleted.  Docstrings and comments do not
-count as references; the name strings of ``cli._LIBRARY`` do, since the CLI
-resolves those names lazily.
+no other ``src/`` code refers to is called only by tests, and so is a public
+method or property of a top-level class whose name no ``src/`` code outside
+its own definition reads as an attribute.  Each such name must earn its
+place as an oracle, a paper formula or a published contract, and say which
+in ``ALLOWED`` or ``ALLOWED_METHODS``; anything else is a second route to a
+job that a command already does, and belongs deleted.  Docstrings and
+comments do not count as references; the name strings of ``cli._LIBRARY``
+do, since the CLI resolves those names lazily.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "annular_billiards"
@@ -27,6 +30,13 @@ ALLOWED = {
     "admissible_interval": "elliptic radius window; the k >= 2 region work gives it a caller",
     "symplectic_defect": "area-preservation health check; output telemetry gives it a caller",
     "JSON_SCHEMA": "published layout of the JSON scan output",
+}
+
+#: every public method or property that no other ``src/`` code reads, with the reason it stays
+ALLOWED_METHODS = {
+    "TaylorJet3.linear": "Jacobian for symplectic_defect; output telemetry gives it a caller",
+    "OrbitRecord.period": "the benchmark's tracer counts collisions with it",
+    "_SubcommandParser.parse_known_args": "an override that argparse's parse_args calls",
 }
 
 
@@ -77,14 +87,46 @@ def unreferenced_names(sources: list[str] | None = None) -> set[str]:
     }
 
 
+def _attributes(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def unreferenced_methods(sources: list[str] | None = None) -> set[str]:
+    """``Class.name`` of each public method or property of a top-level class
+    whose name no attribute access outside its own definition reads, in the
+    given module sources (by default the package's).  Methods are matched by
+    name alone, so one read keeps every method of that name."""
+    if sources is None:
+        sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    trees = [ast.parse(source) for source in sources]
+    reads = sum((_attributes(tree) for tree in trees), Counter())
+    return {
+        f"{cls.name}.{fn.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_")
+        and reads[fn.name] == _attributes(fn)[fn.name]
+    }
+
+
 def test_unreferenced_names_are_the_allow_list():
     found = unreferenced_names()
     assert sorted(found - ALLOWED.keys()) == [], "unreferenced names outside the allow-list"
     assert sorted(ALLOWED.keys() - found) == [], "allow-listed names that src/ now refers to"
 
 
+def test_unreferenced_methods_are_the_allow_list():
+    found = unreferenced_methods()
+    assert sorted(found - ALLOWED_METHODS.keys()) == [], "unreferenced methods outside the allow-list"
+    assert sorted(ALLOWED_METHODS.keys() - found) == [], "allow-listed methods that src/ now reads"
+
+
 def test_every_allowed_name_has_a_reason():
     assert all(reason.strip() for reason in ALLOWED.values())
+    assert all(reason.strip() for reason in ALLOWED_METHODS.values())
 
 
 def test_scan_flags_a_name_only_its_own_definition_uses():
@@ -117,3 +159,38 @@ def test_a_deleted_route_coming_back_is_flagged():
     restored = "import math\ndef caustic_radius(n, k):\n    return math.cos(k * math.pi / n)\n"
     package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_names(package + [restored]) == ALLOWED.keys() | {"caustic_radius"}
+
+
+def test_method_scan_reads_attributes_outside_the_definition():
+    # a method that only calls itself, or that only a bare name of the same
+    # spelling mentions, is flagged; one another method reads is not, and
+    # private methods and dunders are left out
+    source = (
+        "class Map:\n"
+        "    def apply(self, x):\n"
+        "        return self.step(x)\n"
+        "    def step(self, x):\n"
+        "        return x\n"
+        "    def again(self, x):\n"
+        "        return self.again(x)\n"
+        "    def linear(self):\n"
+        "        pass\n"
+        "    def _hidden(self):\n"
+        "        pass\n"
+        "    def __call__(self, x):\n"
+        "        pass\n"
+        "def helper(m):\n"
+        "    linear = 1\n"
+        "    return m.apply(linear)\n"
+    )
+    assert unreferenced_methods([source]) == {"Map.again", "Map.linear"}
+
+
+def test_a_deleted_method_coming_back_is_flagged():
+    restored = (
+        "class ReducedMap:\n"
+        "    def full_period(self, point):\n"
+        "        return self.apply(*self.apply(*point))\n"
+    )
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_methods(package + [restored]) == ALLOWED_METHODS.keys() | {"ReducedMap.full_period"}

@@ -3,13 +3,14 @@ references they must agree with.
 
 The tracer's reference is the plain-float route, kept inline:
 ``_scalar_step`` is a ray-tracing step and ``_scalar_closure`` the closure
-check, which traces every step of the period.  Every step, residual, refusal
-and ``TangencyWarning`` count must come out with the same bits and the same
-text either way, whether ``verify_closure`` reads its opening steps from a
-cold or a warm empty-disk chain cache.  The monodromy's reference is NumPy's
-stacked product, ``_stacked_monodromy``: the float product rounds apart from
-it, so a ``stability`` row's ``trace_numeric`` must agree with it to 1e-13
-relative, and its ``skip_reason`` exactly.
+check, which traces each half period step by step from its recorded start.
+Every step, residual, refusal and ``TangencyWarning`` count must come out
+with the same bits and the same text either way, whether ``verify_closure``
+reads its opening steps from a cold or a warm empty-disk chain cache.  The
+monodromy's reference is NumPy's stacked product, ``_stacked_monodromy``:
+the float product rounds apart from it, so a ``stability`` row's
+``trace_numeric`` must agree with it to 1e-13 relative, and its
+``skip_reason`` exactly.
 """
 
 import importlib.util
@@ -121,12 +122,15 @@ def _scalar_gap(a, b):
 
 
 def _scalar_closure(orbit):
-    p = orbit.points[0]
-    worst = 0.0
+    # two half periods, each stepped from its recorded start: points[0] and
+    # the outer state after the first scatterer collision, points[n+1]
     m = len(orbit.points)
-    for i in range(m):
-        p, _ = _scalar_step(p, orbit.pose)
-        worst = max(worst, _scalar_gap(p, orbit.points[(i + 1) % m]))
+    worst = 0.0
+    for first, end in ((0, m // 2), (m // 2, m)):
+        p = orbit.points[first]
+        for i in range(first, end):
+            p, _ = _scalar_step(p, orbit.pose)
+            worst = max(worst, _scalar_gap(p, orbit.points[(i + 1) % m]))
     return worst
 
 
@@ -307,12 +311,14 @@ def test_stability_rows_match_the_scalar_route(grid, tmp_path):
         else:
             assert abs(row["trace_numeric"] - numeric) <= TRACE_RTOL * abs(numeric), row
         reasons.append(reason)
-    # each grid reaches the refusals it is here for
+    # each grid reaches the refusals it is here for; the closure check
+    # refuses none of the hyperbolic tables that a residual compounded over
+    # the whole period used to refuse
     closure = sum("closure residual" in r for r in reasons)
     if grid == "n53_k6":
-        assert len(rows) == 200 and closure > 0
+        assert len(rows) == 200 and closure == 0
     if grid == "n4_k1_residual":
-        assert reasons == ["InvalidTableError: orbit closure residual 1.11e-09 exceeds 1e-09"]
+        assert reasons == [""] and rows[0]["classification"] == "hyperbolic"
     if grid.startswith("mixed"):
         assert len({(r["n"], r["k"]) for r, why in zip(rows, reasons) if not why}) > 4
         assert any(why.startswith(("InvalidTableError: need 1 <= k", "DomainError: need n >= 5")) for why in reasons)
@@ -485,9 +491,16 @@ def test_shared_prefix_matches_the_scalar_closure_on_the_benchmark_cases():
             delta = f * wl.delta_cap(n, k)
             R = 10.0 ** rng.uniform(-2.0, -0.01) * wl.radius_cap(n, k, delta)
             tables.append(TableParams.type_a(n, k, R, delta))
-    want = _assert_closures_match([_scalar_orbit(t) for t in tables])
-    # the sample reaches both verdicts of the closure check
-    assert any(r <= CLOSURE_TOL for r, _ in want) and any(r > CLOSURE_TOL for r, _ in want)
+    sample = [_scalar_orbit(t) for t in tables]
+    # every table passes; copies with a start kicked off the orbit reach the
+    # refusals, so the sample sees both verdicts of the closure check
+    kicked = [
+        _Orbit((o.points[0]._replace(theta=o.points[0].theta + 1e-8),) + o.points[1:], o.flights, o.curvatures, o.pose)
+        for o in sample[::6]
+    ]
+    want = _assert_closures_match(sample + kicked)
+    assert all(r <= CLOSURE_TOL for r, _ in want[: len(sample)])
+    assert all(CLOSURE_TOL < r < math.inf for r, _ in want[len(sample) :])
     # the built orbits, from cold and warm polygon caches, are the reference's
     orbits._polygon.cache_clear()
     for _ in range(2):
@@ -539,12 +552,16 @@ def _raw_point(wall, s, theta):
 
 def test_signed_zero_and_nan_starts_share_no_chain():
     # 0.0 == -0.0 and nan != nan as cache keys: such starts are traced
-    # afresh, bit for bit, and leave no cache entry
+    # afresh, bit for bit, and leave no cache entry; the one entry left is
+    # the chain of the second half's start, points[n+1]
     orbit = build_type_a(TableParams.type_a(5, 1, 0.1, 0.02))
     starts = [(0.0, orbit.points[0].theta), (-0.0, orbit.points[0].theta), (math.nan, 1.0), (1.0, math.nan)]
     moved = [orbit._replace(points=(_raw_point(Wall.OUTER, s, theta),) + orbit.points[1:]) for s, theta in starts]
     _assert_closures_match(moved)
-    assert orbits._disk_chain.cache_info().currsize == 0
+    assert orbits._disk_chain.cache_info().currsize == 1
+    hits = orbits._disk_chain.cache_info().hits
+    orbits._disk_chain(orbit.points[6], 5)
+    assert orbits._disk_chain.cache_info().hits == hits + 1
 
 
 def test_the_gap_is_the_larger_of_arc_and_angle_nan_included():
@@ -566,3 +583,70 @@ def test_the_gap_is_the_larger_of_arc_and_angle_nan_included():
     # arc offset of -7 is wrapped, the scatterer's is not
     assert all(abs(residuals[i] - 1e-3) < 1e-12 for i in (0, 6, 12))
     assert residuals[5] == residuals[17] == 7.0 - 2.0 * math.pi and residuals[11] == 7.0
+
+
+# ---------------------------------------------------------------------------
+# what the two half periods see
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (10, 3), (53, 6)])
+def test_the_closure_check_sees_every_recorded_state(n, k):
+    # restarting a half from its recorded start still compares every one of
+    # the 2n + 2 recorded states with a traced prediction: moving any one of
+    # them alone, in arc or in angle, by 1e-7 fails the check
+    wl = _workloads()
+    for f_delta, f_radius in ((0.0, 0.5), (0.3, 0.9)):
+        delta = f_delta * wl.delta_cap(n, k)
+        orbit = build_type_a(TableParams.type_a(n, k, f_radius * wl.radius_cap(n, k, delta), delta))
+        assert verify_closure(orbit) <= CLOSURE_TOL
+        for j, (wall, s, theta) in enumerate(orbit.points):
+            for ds, dtheta in ((1e-7, 0.0), (-1e-7, 0.0), (0.0, 1e-7), (0.0, -1e-7)):
+                points = list(orbit.points)
+                points[j] = PhasePoint(wall, s + ds, theta + dtheta)
+                moved = orbit._replace(points=tuple(points))
+                assert verify_closure(moved) > CLOSURE_TOL, (delta, j, ds, dtheta)
+
+
+def _ulp_moves(orbit):
+    """``orbit`` with one of its two half-period starts, points[0] or
+    points[n+1], moved by one ulp in arc or in angle, either way."""
+    half = len(orbit.points) // 2
+    for j in (0, half):
+        wall, s, theta = orbit.points[j]
+        for toward in (-math.inf, math.inf):
+            for start in (
+                PhasePoint(wall, math.nextafter(s, toward), theta),
+                PhasePoint(wall, s, math.nextafter(theta, toward)),
+            ):
+                points = orbit.points[:j] + (start,) + orbit.points[j + 1 :]
+                yield _Orbit(points, orbit.flights, orbit.curvatures, orbit.pose)
+
+
+def _verdict(orbit):
+    outcome = _outcome(verify_closure, orbit)
+    return outcome if isinstance(outcome, tuple) else outcome <= CLOSURE_TOL
+
+
+def test_a_one_ulp_start_changes_no_closure_verdict(tmp_path):
+    # the verdict of every stability-scan table of seeds 1-3, and of the
+    # n = 53, k = 6 grid up to half its delta cap, is the same from starts
+    # one ulp away; these grids reach traces of order 1e4 and more, whose
+    # expansion a residual compounded over the whole period multiplied
+    grids = [argv for seed in (1, 2, 3) for argv in _scan_requests(seed)] + [GRIDS["n53_k6"]]
+    tables = 0
+    widest = 0.0
+    for argv in grids:
+        for row in _rows(argv, tmp_path):
+            if row["R"] == "":
+                continue
+            orbit = _outcome(lambda: _scalar_orbit(TableParams.type_a(row["n"], row["k"], row["R"], row["delta"])))
+            if isinstance(orbit, tuple):
+                continue
+            verdict = _verdict(orbit)
+            for moved in _ulp_moves(orbit):
+                assert _verdict(moved) == verdict, (row, moved.points)
+            tables += 1
+            if row["trace_closed"] != "":
+                widest = max(widest, abs(row["trace_closed"]))
+    assert tables > 3000 and widest > 1e4
