@@ -3,14 +3,17 @@ data, and the first Birkhoff (twist) coefficient.
 
 The full period map factors as the square of the reflection-composed half
 period ``M = reflection o exit o entry o disk``; its fixed point is the
-detuned orbit's initial state.  The twist pipeline is
+detuned orbit's initial state.  The twist pipeline takes one point at a
+time,
 
     reduced map --(jet arithmetic)--> TaylorJet3 --(c-terms)--> A,
 
-with a least-squares cubic fit to the map, in 50-digit arithmetic, auditing
-every Taylor coefficient (``fd_taylor_jet``), and the closed-form leading
-order of A available independently.  ``island_sampler`` iterates the float
-full-period map from a ring of seeds and returns its report with the cloud.
+and each step returns its result or raises the ``BilliardError`` that
+refuses the point.  A least-squares cubic fit to the map, in 50-digit
+arithmetic, audits every Taylor coefficient (``fd_taylor_jet``), and the
+closed-form leading order of A is available independently.
+``island_sampler`` iterates the float full-period map from a ring of seeds
+and returns its report with the cloud.
 
 Rotation-number convention: the twist formula uses mu = arctan(v/u) with
 lambda = u + i*v the upper eigenvalue of the linearized half-period map.
@@ -40,7 +43,6 @@ from .billiard_map import (
     half_period_formula,
 )
 from .errors import (
-    BilliardError,
     ClassificationError,
     DomainError,
     NoCollisionError,
@@ -129,41 +131,17 @@ class ReducedMap:
         return half_period_formula(s, r, self.n, self.R, lib)
 
 
-def taylor_jet(
-    rmap: ReducedMap | list[ReducedMap], cross_check: bool = False
-) -> TaylorJet3 | list[TaylorJet3 | BilliardError]:
+def taylor_jet(rmap: ReducedMap, cross_check: bool = False) -> TaylorJet3:
     """Order-3 Taylor data of the reduced map at its fixed point.
 
-    Primary extraction pushes degree-3 truncated polynomials through the map
-    composition (exact up to rounding).  With ``cross_check`` the audit
-    ``fd_taylor_jet``, a least-squares cubic fit in 50-digit arithmetic,
-    re-derives every coefficient and a disagreement beyond 1e-5 relative
-    raises ``PrecisionError``.
-
-    Given a list of maps, returns, map by map, its Taylor data or the
-    ``BilliardError`` that refuses it, so one refused point does not stop the
-    others.  A single map is the list of one.
+    One push of degree-3 truncated polynomials through the map composition
+    (exact up to rounding).  The push is refused with ``NoCollisionError``
+    if it leaves the arccos domain or a coefficient is not finite, and with
+    ``DomainError`` if the point is not fixed.  With ``cross_check`` the
+    audit ``fd_taylor_jet``, a least-squares cubic fit in 50-digit
+    arithmetic, re-derives every coefficient and a disagreement beyond 1e-5
+    relative raises ``PrecisionError``.
     """
-    if isinstance(rmap, ReducedMap):
-        return _checked_jet(rmap, cross_check)
-    return _taylor_jets(rmap, cross_check)
-
-
-def _taylor_jets(rmaps, cross_check) -> list[TaylorJet3 | BilliardError]:
-    """Each map's Taylor data, or the ``BilliardError`` that refuses it."""
-    jets: list[TaylorJet3 | BilliardError] = []
-    for rmap in rmaps:
-        try:
-            jets.append(_checked_jet(rmap, cross_check))
-        except BilliardError as exc:
-            jets.append(exc)
-    return jets
-
-
-def _checked_jet(rmap, cross_check: bool) -> TaylorJet3:
-    """One jet push of the map's fixed point, refused if it leaves the arccos
-    domain or a coefficient is not finite, the point is not fixed, or the
-    audit disagrees."""
     from .jets import Jet2
 
     s0, r0 = rmap.fixed_point
@@ -400,12 +378,9 @@ class IslandReport(NamedTuple):
     """Outcome of iterating the full period map near the fixed point."""
 
     max_excursion: float
-    iterations_run: int
     escaped: bool
     escape_seed: int | None = None
     escape_iteration: int | None = None
-    seeds: int = 0
-    radius: float = 0.0
 
 
 def island_sampler(
@@ -476,11 +451,8 @@ def island_sampler(
     escape_seed, escape_iteration = escape or (None, None)
     report = IslandReport(
         max_excursion=max_excursion,
-        iterations_run=iterations,
         escaped=escape is not None,
         escape_seed=escape_seed,
         escape_iteration=escape_iteration,
-        seeds=len(phases),
-        radius=radius,
     )
     return report, cloud

@@ -36,7 +36,7 @@ _LIBRARY = {
     name: module
     for module, names in {
         "birkhoff": "ReducedMap birkhoff_A closed_form_A island_sampler taylor_jet twist_limit",
-        "geometry": "TableParams max_radius max_radius_delta",
+        "geometry": "TableParams max_radius",
         "linear_stability": "bifurcation_radius classify delta_star lemma_f min_period_for_k monodromy trace_closed_form",
         "orbits": "build_type_a build_type_b",
     }.items()
@@ -287,13 +287,12 @@ def _stability_row(n: int, k: int, R: float, delta: float) -> tuple:
         return _refused(exc)
 
 
-def _birkhoff_point(n: int, eps: float, jet) -> tuple:
-    """(mu, A_numeric, A_closed_leading, skip_reason) of one twist-scan point
-    from its Taylor data, or from the ``BilliardError`` that refused it."""
+def _birkhoff_point(n: int, eps: float) -> tuple:
+    """(mu, A_numeric, A_closed_leading, skip_reason) of one twist-scan point:
+    its map built, pushed and reduced to the twist coefficient, or refused
+    on the way with the refusal as its ``skip_reason``."""
     try:
-        if isinstance(jet, BilliardError):
-            raise jet
-        report = _cli.birkhoff_A(jet)
+        report = _cli.birkhoff_A(_cli.taylor_jet(_cli.ReducedMap(n, eps)))
         return report.mu, report.A, _cli.closed_form_A(n, eps), ""
     except BilliardError as exc:
         try:
@@ -335,7 +334,7 @@ def cmd_region(spec: ScanSpec) -> int:
     dstar = _cli.delta_star(n)
     deltas = _linspace(0.0, min(1.25 * dstar, 0.999 * math.sin(math.pi / n)), p["count"])
     r_min = [_cli.bifurcation_radius(n, 1, d) for d in deltas]
-    r_del = [_cli.max_radius_delta(n, d) for d in deltas]
+    r_del = [_cli.max_radius(n, 1, d) for d in deltas]
     if spec.fmt == "svg":
         _write_text(spec.out, region_svg(deltas, r_min, r_del))
         return 0
@@ -370,18 +369,7 @@ def _extrapolate_ladder(eps: list[float], vals: list[float]) -> float | None:
 def cmd_birkhoff(spec: ScanSpec) -> int:
     p = spec.params
     points = [(n, e) for n in p["n"] for e in p["eps"]]
-    # a map that cannot be built skips its own point; the rest share one push
-    rmaps = []
-    for n, eps in points:
-        try:
-            rmaps.append(_cli.ReducedMap(n, eps))
-        except BilliardError as exc:
-            rmaps.append(exc)
-    jets = iter(_cli.taylor_jet([m for m in rmaps if isinstance(m, _cli.ReducedMap)]))
-    mu, a_numeric, a_leading, reasons = zip(*(
-        _birkhoff_point(n, eps, m if isinstance(m, BilliardError) else next(jets))
-        for (n, eps), m in zip(points, rmaps)
-    ))
+    mu, a_numeric, a_leading, reasons = zip(*(_birkhoff_point(n, eps) for n, eps in points))
     summary: dict = {"points": len(points)}
     a_tilde = {}
     for n in p["n"]:

@@ -34,16 +34,6 @@ class TableConfig(enum.Enum):
     TYPE_B = "type_b"
 
 
-def max_radius_delta(n: int, delta: float) -> float:
-    """Largest admissible radius for a k=1 scatterer displaced by delta: the
-    disk bound ``max_radius_delta_star_disk(n, 1, delta)``."""
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
-    if not 0.0 <= delta < math.sin(math.pi / n):
-        raise DomainError(f"need 0 <= delta < sin(pi/n), got delta={delta}")
-    return max_radius_delta_star_disk(n, 1, delta)
-
-
 def max_radius_star(n: int, k: int, delta: float) -> float:
     """Largest radius keeping a star-orbit scatterer clear of the other chords.
 
@@ -65,25 +55,28 @@ def max_radius_star(n: int, k: int, delta: float) -> float:
 
 
 def max_radius(n: int, k: int, delta: float) -> float:
-    """Binding admissible radius for either orbit family (k = 1 or star)."""
-    if k == 1:
-        return max_radius_delta(n, delta)
-    return min(max_radius_star(n, k, delta), max_radius_delta_star_disk(n, k, delta))
+    """Largest admissible radius of a type (a) scatterer displaced by delta
+    along the chord of angle k*pi/n: the disk bound, and for k >= 2 the
+    smaller of it and ``max_radius_star``.
 
-
-def max_radius_delta_star_disk(n: int, k: int, delta: float) -> float:
-    """Interiority bound of a scatterer displaced by delta along the chord of
-    angle k*pi/n (for k >= 2 usually not binding).
-
-    The center sits at distance sqrt(delta^2 + cos^2(k pi/n)) from the
-    origin, so the bound is 1 - sqrt(delta^2 + cos^2(k pi/n)).  That
-    difference cancels at large n, so the same number is evaluated as
+    The disk bound keeps the scatterer inside the unit disk.  Its center sits
+    at distance sqrt(delta^2 + cos^2(k pi/n)) from the origin, so the bound
+    is 1 - sqrt(delta^2 + cos^2(k pi/n)).  That difference cancels at large
+    n, so the same number is evaluated as
     (sin^2(k pi/n) - delta^2) / (1 + sqrt(delta^2 + cos^2(k pi/n))), which
     keeps full precision.  A NumPy-scalar delta gives a float too.
     """
+    if k == 1:
+        if n < 3:
+            raise DomainError(f"need n >= 3, got {n}")
+        if not 0.0 <= delta < math.sin(math.pi / n):
+            raise DomainError(f"need 0 <= delta < sin(pi/n), got delta={delta}")
+    else:
+        star = max_radius_star(n, k, delta)
     angle = k * math.pi / n
     s = math.sin(angle)
-    return float((s - delta) * (s + delta) / (1.0 + math.sqrt(delta * delta + math.cos(angle) ** 2)))
+    disk = float((s - delta) * (s + delta) / (1.0 + math.sqrt(delta * delta + math.cos(angle) ** 2)))
+    return disk if k == 1 else min(star, disk)
 
 
 def tangency_radius_b(n: int, epsilon: float) -> float:

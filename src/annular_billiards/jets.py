@@ -14,6 +14,11 @@ and are plain Taylor *coefficients* (factorials included), so the partial
 derivative d^(i+j) f / dx^i dy^j equals
 ``c[MONOMIALS.index((i, j))] * i! * j!``.
 
+A product of two jets sums its terms in ``_MUL_TABLE`` order.  The map push
+forms none: it scales jets by floats, adds them and composes them with
+``jet_sin``, ``jet_cos`` and ``jet_acos``, whose powers of the displacement
+are unrolled.
+
 The module is pure Python: it imports only ``math`` and ``operator``, so the
 twist pipeline runs without NumPy.
 """
@@ -101,23 +106,11 @@ class Jet2:
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             return Jet2(tuple([x * other for x in self.c]))
-        # each output coefficient sums its products from 0.0 in
-        # ``_MUL_TABLE`` order, so every bit (signed zeros included) is that
-        # of a loop over the table
-        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.c
-        b0, b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.c
-        return Jet2((
-            0.0 + a0 * b0,
-            0.0 + a0 * b1 + a1 * b0,
-            0.0 + a0 * b2 + a2 * b0,
-            0.0 + a0 * b3 + a1 * b1 + a3 * b0,
-            0.0 + a0 * b4 + a1 * b2 + a2 * b1 + a4 * b0,
-            0.0 + a0 * b5 + a2 * b2 + a5 * b0,
-            0.0 + a0 * b6 + a1 * b3 + a3 * b1 + a6 * b0,
-            0.0 + a0 * b7 + a1 * b4 + a2 * b3 + a3 * b2 + a4 * b1 + a7 * b0,
-            0.0 + a0 * b8 + a1 * b5 + a2 * b4 + a4 * b2 + a5 * b1 + a8 * b0,
-            0.0 + a0 * b9 + a2 * b5 + a5 * b2 + a9 * b0,
-        ))
+        out = [0.0] * 10
+        a, b = self.c, other.c
+        for ia, ib, io in _MUL_TABLE:
+            out[io] += a[ia] * b[ib]
+        return Jet2(tuple(out))
 
     __rmul__ = __mul__
 
@@ -143,10 +136,10 @@ class Jet2:
 
         This is ``f0 + f1*h + (f2/2)*h*h + (f3/6)*h*h*h`` in the displacement
         h, summed coefficient by coefficient in that order, with the products
-        of h unrolled as ``__mul__`` has them.  h's constant term is 0.0, so
-        the products with it are signed zeros; they are left out of the
-        powers, which leaves their bits alone for a finite jet (a sum that
-        starts from 0.0 is never -0.0).
+        of h unrolled in the order ``__mul__`` sums them.  h's constant term
+        is 0.0, so the products with it are signed zeros; they are left out
+        of the powers, which leaves their bits alone for a finite jet (a sum
+        that starts from 0.0 is never -0.0).
         """
         f0, f1, f2, f3 = derivs
         g2, g3 = f2 / 2.0, f3 / 6.0

@@ -386,8 +386,10 @@ def verify_closure(orbit: OrbitRecord) -> float:
                 ds = wrap_pi(ds)
             ds = abs(ds)
             gap = abs(theta - theta_b)
-            if not gap > ds:  # max(ds, gap), NaN included
+            if not gap > ds:  # max(ds, gap): the arc where the angle is NaN
                 gap = ds
+            if gap != gap:  # a NaN arc fails the check, as a wall mismatch does
+                gap = inf
         if gap > worst:
             worst = gap
     return worst

@@ -114,15 +114,15 @@ def test_stability_scan_over_several_periods_counts_per_table(tracer_module, pkg
     assert tracer.counts["orbits.collisions"] == 12 + 12 + 16 + 16
 
 
-def test_twist_scan_pushes_every_point_in_one_jet_call(tracer_module, pkg, tmp_path):
+def test_twist_scan_pushes_each_built_map_in_its_own_jet_call(tracer_module, pkg, tmp_path):
     # 4 x 2 points, of which the two at n = 2 build no map: one taylor_jet
-    # call takes the 6 built maps and pushes each once, then one birkhoff_A
-    # per pushed point
+    # call per built map pushes it once, then one birkhoff_A per pushed
+    # point
     tracer = tracer_module.Tracer()
     argv = ["birkhoff", "--n", "2,3,4,5", "--eps", "0.002,0.001"]
     with tracer.installed(pkg):
         assert cli.main(argv + ["--out", str(tmp_path / "tw.csv")]) == 0
-    assert tracer.calls("birkhoff.taylor_jet") == 1
+    assert tracer.calls("birkhoff.taylor_jet") == 6
     assert tracer.calls("jets.push") == 6
     assert tracer.calls("birkhoff.birkhoff_A") == 6
 

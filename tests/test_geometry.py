@@ -13,8 +13,6 @@ from annular_billiards.geometry import (
     chord_lines,
     clearance_from_other_chords,
     max_radius,
-    max_radius_delta,
-    max_radius_delta_star_disk,
     max_radius_star,
     scatterer_pose,
     tangency_radius_b,
@@ -52,20 +50,20 @@ class TestTangencyRadiusSimple:
 
 class TestMaxRadiusDelta:
     def test_delta_zero_reduces_to_tangency(self):
-        assert max_radius_delta(4, 0.0) == pytest.approx(1.0 - math.sqrt(2) / 2, abs=1e-15)
+        assert max_radius(4, 1, 0.0) == pytest.approx(1.0 - math.sqrt(2) / 2, abs=1e-15)
 
     def test_displaced_value(self):
         # oracle: 1 minus the distance from the origin to the displaced center
-        got = max_radius_delta(4, 0.1)
+        got = max_radius(4, 1, 0.1)
         center = np.array([-math.cos(math.pi / 4), 0.1])
         assert got == pytest.approx(1.0 - np.hypot(*center), abs=1e-14)
         assert got == pytest.approx(0.285857157145715, abs=1e-14)
 
     def test_limiting_degeneracy(self):
         eps = 1e-9
-        assert max_radius_delta(3, math.sin(math.pi / 3) - eps) == pytest.approx(0.0, abs=1e-8)
+        assert max_radius(3, 1, math.sin(math.pi / 3) - eps) == pytest.approx(0.0, abs=1e-8)
         with pytest.raises(DomainError):
-            max_radius_delta(3, math.sin(math.pi / 3))
+            max_radius(3, 1, math.sin(math.pi / 3))
 
     @pytest.mark.parametrize("n", [200, 10_000, 1_000_000])
     @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["delta0", "delta_half_sin"])
@@ -73,10 +71,19 @@ class TestMaxRadiusDelta:
     def test_large_n_cap_keeps_its_digits(self, n, shift, k):
         # oracle: 1 - sqrt(delta^2 + cos^2(k pi/n)) in 40-digit arithmetic; in
         # floats that difference cancels (relative error 1.3e-5 at n = 1e6)
-        delta = shift * math.sin(k * math.pi / n)
-        got = max_radius_delta(n, delta) if k == 1 else max_radius_delta_star_disk(n, k, delta)
+        # the shift is a fraction of the delta range, sin(pi/n) at k = 1 and
+        # the star bound's cos(k pi/n) tan(pi/n) at k >= 2, where the cap is
+        # the smaller of the disk and star bounds
+        if k == 1:
+            delta = shift * math.sin(math.pi / n)
+        else:
+            delta = shift * math.cos(k * math.pi / n) * math.tan(math.pi / n)
+        got = max_radius(n, k, delta)
         with mp.workdps(40):
             want = 1 - mp.sqrt(mp.mpf(delta) ** 2 + mp.cos(k * mp.pi / n) ** 2)
+            if k > 1:
+                star_cap = mp.cos(k * mp.pi / n) * mp.tan(mp.pi / n)
+                want = min(want, mp.sin(2 * mp.pi / n) * (star_cap - mp.mpf(delta)))
             assert abs(got - want) <= 1e-15 * want
 
 
@@ -192,7 +199,7 @@ class TestScattererPose:
 
     def test_oversized_radius_rejected(self):
         with pytest.raises(InvalidTableError):
-            TableParams.type_a(4, 1, max_radius_delta(4, 0.1) + 1e-6, 0.1)
+            TableParams.type_a(4, 1, max_radius(4, 1, 0.1) + 1e-6, 0.1)
 
     def test_every_pose_interior(self):
         rng = np.random.default_rng(7)

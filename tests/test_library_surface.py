@@ -3,12 +3,14 @@
 A top-level function, class or assignment of ``src/annular_billiards`` that
 no other ``src/`` code refers to is called only by tests, and so is a public
 method or property of a top-level class whose name no ``src/`` code outside
-its own definition reads as an attribute.  Each such name must earn its
-place as an oracle, a paper formula or a published contract, and say which
-in ``ALLOWED`` or ``ALLOWED_METHODS``; anything else is a second route to a
-job that a command already does, and belongs deleted.  Docstrings and
-comments do not count as references; the name strings of ``cli._LIBRARY``
-do, since the CLI resolves those names lazily.
+its own definition reads as an attribute.  A field of a ``NamedTuple`` record
+whose name no ``src/`` code reads as an attribute is likewise read only by
+tests.  Each such name must earn its place as an oracle, a paper formula or
+a published contract, and say which in ``ALLOWED``, ``ALLOWED_METHODS`` or
+``ALLOWED_FIELDS``; anything else is a second route to a job that a command
+already does, and belongs deleted.  Docstrings and comments do not count as
+references; the name strings of ``cli._LIBRARY`` do, since the CLI resolves
+those names lazily.
 """
 
 import ast
@@ -37,6 +39,12 @@ ALLOWED_METHODS = {
     "TaylorJet3.linear": "Jacobian for symplectic_defect; output telemetry gives it a caller",
     "OrbitRecord.period": "the benchmark's tracer counts collisions with it",
     "_SubcommandParser.parse_known_args": "an override that argparse's parse_args calls",
+}
+
+#: every record field that no ``src/`` code reads, with the reason it stays
+ALLOWED_FIELDS = {
+    f"BirkhoffReport.{field}": "checked against the eigenvalue oracle; the invariant twist (ROADMAP item 2) rewrites this report"
+    for field in ("im_c21", "abs_c20_sq", "abs_c02_sq", "mu_arg")
 }
 
 
@@ -112,6 +120,26 @@ def unreferenced_methods(sources: list[str] | None = None) -> set[str]:
     }
 
 
+def unreferenced_fields(sources: list[str] | None = None) -> set[str]:
+    """``Record.field`` of each field of a top-level ``NamedTuple`` class whose
+    name no attribute access reads, in the given module sources (by default
+    the package's).  Fields are matched by name alone, as methods are."""
+    if sources is None:
+        sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    trees = [ast.parse(source) for source in sources]
+    reads = sum((_attributes(tree) for tree in trees), Counter())
+    return {
+        f"{cls.name}.{stmt.target.id}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and not reads[stmt.target.id]
+    }
+
+
 def test_unreferenced_names_are_the_allow_list():
     found = unreferenced_names()
     assert sorted(found - ALLOWED.keys()) == [], "unreferenced names outside the allow-list"
@@ -124,9 +152,16 @@ def test_unreferenced_methods_are_the_allow_list():
     assert sorted(ALLOWED_METHODS.keys() - found) == [], "allow-listed methods that src/ now reads"
 
 
+def test_unreferenced_fields_are_the_allow_list():
+    found = unreferenced_fields()
+    assert sorted(found - ALLOWED_FIELDS.keys()) == [], "unread record fields outside the allow-list"
+    assert sorted(ALLOWED_FIELDS.keys() - found) == [], "allow-listed fields that src/ now reads"
+
+
 def test_every_allowed_name_has_a_reason():
     assert all(reason.strip() for reason in ALLOWED.values())
     assert all(reason.strip() for reason in ALLOWED_METHODS.values())
+    assert all(reason.strip() for reason in ALLOWED_FIELDS.values())
 
 
 def test_scan_flags_a_name_only_its_own_definition_uses():
@@ -194,3 +229,31 @@ def test_a_deleted_method_coming_back_is_flagged():
     )
     package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_methods(package + [restored]) == ALLOWED_METHODS.keys() | {"ReducedMap.full_period"}
+
+
+def test_field_scan_reads_attributes_of_named_tuples_only():
+    # a field no attribute access reads is flagged, one read anywhere (by
+    # name alone) is not; a plain class's annotations are not fields
+    source = (
+        "from typing import NamedTuple\n"
+        "class Report(NamedTuple):\n"
+        "    value: float\n"
+        "    echo: int = 0\n"
+        "class Plain:\n"
+        "    spare: int\n"
+        "def show(report):\n"
+        "    echo = 1\n"
+        "    return report.value + echo\n"
+    )
+    assert unreferenced_fields([source]) == {"Report.echo"}
+
+
+def test_a_deleted_field_coming_back_is_flagged():
+    restored = (
+        "from typing import NamedTuple\n"
+        "class IslandReport(NamedTuple):\n"
+        "    max_excursion: float\n"
+        "    iterations_run: int\n"
+    )
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_fields(package + [restored]) == ALLOWED_FIELDS.keys() | {"IslandReport.iterations_run"}

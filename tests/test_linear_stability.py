@@ -9,7 +9,7 @@ import pytest
 from annular_billiards import linear_stability
 from annular_billiards.birkhoff import ReducedMap, birkhoff_A, taylor_jet
 from annular_billiards.errors import BilliardError, ClassificationError, DomainError, GrazingError
-from annular_billiards.geometry import TableConfig, TableParams, max_radius, max_radius_delta
+from annular_billiards.geometry import TableConfig, TableParams, max_radius
 from annular_billiards.linear_stability import (
     _bounce,
     Classification,
@@ -312,7 +312,7 @@ class TestBifurcationRadius:
         # at delta* the bifurcation radius meets the cap to rounding
         for n in (3, 4, 5, 7, 20, 53, 200):
             d = delta_star(n)
-            cap = max_radius_delta(n, d)
+            cap = max_radius(n, 1, d)
             assert abs(bifurcation_radius(n, 1, d) - cap) <= 1e-12 * cap, n
 
     def test_classification_flip_across_root(self):
@@ -328,7 +328,7 @@ class TestAdmissibleInterval:
         assert iv is not None
         lo, hi = iv
         assert lo == pytest.approx(bifurcation_radius(5, 1, 0.05), abs=1e-15)
-        assert hi == pytest.approx(max_radius_delta(5, 0.05), abs=1e-15)
+        assert hi == pytest.approx(max_radius(5, 1, 0.05), abs=1e-15)
         for R in np.linspace(lo, hi, 100)[1:]:
             assert abs(trace_closed_form(5, 1, R, 0.05)) < 2.0
 
@@ -475,7 +475,7 @@ class TestClassification:
         # hyperbolic below the bifurcation radius, parabolic at it, elliptic above
         n, k, delta = 6, 1, 0.03
         rb = bifurcation_radius(n, k, delta)
-        cap = max_radius_delta(n, delta)
+        cap = max_radius(n, 1, delta)
         assert rb < cap
         seen = []
         for R in np.linspace(0.3 * rb, cap, 300):

@@ -118,7 +118,8 @@ def _scalar_gap(a, b):
     if a.wall is not b.wall:
         return math.inf
     ds = wrap_pi(a.s - b.s) if a.wall is Wall.OUTER else a.s - b.s
-    return max(abs(ds), abs(a.theta - b.theta))
+    gap = max(abs(ds), abs(a.theta - b.theta))
+    return math.inf if math.isnan(gap) else gap
 
 
 def _scalar_closure(orbit):
@@ -567,7 +568,8 @@ def test_signed_zero_and_nan_starts_share_no_chain():
 def test_the_gap_is_the_larger_of_arc_and_angle_nan_included():
     # a recorded point off the orbit, in arc, angle or both, some of them
     # NaN: the residual is ``max(abs(ds), abs(dtheta))`` as the reference
-    # takes it, which keeps the arc distance where the angle one is NaN
+    # takes it, which keeps the arc distance where the angle one is NaN, and
+    # is inf where that maximum is NaN
     orbit = build_type_a(TableParams.type_a(5, 1, 0.1, 0.02))
     offsets = [(1e-3, math.nan), (math.nan, 1e-3), (1e-3, 2e-3), (2e-3, 1e-3), (math.nan, math.nan), (-7.0, 0.0)]
     moved = []
@@ -582,6 +584,7 @@ def test_the_gap_is_the_larger_of_arc_and_angle_nan_included():
     # the NaN angles leave their 1e-3 arc offsets standing; the outer-wall
     # arc offset of -7 is wrapped, the scatterer's is not
     assert all(abs(residuals[i] - 1e-3) < 1e-12 for i in (0, 6, 12))
+    assert all(residuals[i] == math.inf for i in (1, 4, 7, 10, 13, 16))
     assert residuals[5] == residuals[17] == 7.0 - 2.0 * math.pi and residuals[11] == 7.0
 
 
@@ -594,18 +597,24 @@ def test_the_gap_is_the_larger_of_arc_and_angle_nan_included():
 def test_the_closure_check_sees_every_recorded_state(n, k):
     # restarting a half from its recorded start still compares every one of
     # the 2n + 2 recorded states with a traced prediction: moving any one of
-    # them alone, in arc or in angle, by 1e-7 fails the check
+    # them alone, in arc or in angle, by 1e-7 fails the check, and so does a
+    # NaN arc, which the tracer refuses at a half's start
     wl = _workloads()
     for f_delta, f_radius in ((0.0, 0.5), (0.3, 0.9)):
         delta = f_delta * wl.delta_cap(n, k)
         orbit = build_type_a(TableParams.type_a(n, k, f_radius * wl.radius_cap(n, k, delta), delta))
         assert verify_closure(orbit) <= CLOSURE_TOL
+        half = len(orbit.points) // 2
         for j, (wall, s, theta) in enumerate(orbit.points):
-            for ds, dtheta in ((1e-7, 0.0), (-1e-7, 0.0), (0.0, 1e-7), (0.0, -1e-7)):
+            for ds, dtheta in ((1e-7, 0.0), (-1e-7, 0.0), (0.0, 1e-7), (0.0, -1e-7), (math.nan, 0.0)):
                 points = list(orbit.points)
                 points[j] = PhasePoint(wall, s + ds, theta + dtheta)
                 moved = orbit._replace(points=tuple(points))
-                assert verify_closure(moved) > CLOSURE_TOL, (delta, j, ds, dtheta)
+                if math.isnan(ds) and j in (0, half):
+                    with pytest.raises(NoCollisionError):
+                        verify_closure(moved)
+                else:
+                    assert verify_closure(moved) > CLOSURE_TOL, (delta, j, ds, dtheta)
 
 
 def _ulp_moves(orbit):
