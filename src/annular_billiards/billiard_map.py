@@ -1,4 +1,4 @@
-"""The annular billiard map in closed form.
+"""The annular billiard map of the tangent table in closed form.
 
 Phase-space conventions
 -----------------------
@@ -8,10 +8,12 @@ arc length is measured clockwise from the point facing (-1, 0) and offset so
 that s = pi + R*(pi - gamma), where gamma in (0, 2*pi) is the anticlockwise
 polar angle of the collision point about the scatterer center.  theta in
 (0, pi) is the angle between the positively oriented tangent (domain on the
-left) and the outgoing velocity.
+left) and the outgoing velocity.  The records of this chart, ``Wall`` and
+``PhasePoint``, live in ``orbits`` with the ray tracer that builds them.
 
-The half-period map of the tangent configuration (scatterer center on the
-negative x-axis at distance 1 - R) is one straight-line formula,
+The tangent table (scatterer center on the negative x-axis at distance
+1 - R) keeps its scatterer tangent to the outer circle at the radius
+``tangency_radius_b``, and its half-period map is one straight-line formula,
 ``half_period_formula``, written generically over a small math backend: the
 float map, the truncated-Taylor-jet map and the high-precision audit map run
 the same operations in the same order.  Its independent oracle, the
@@ -25,41 +27,36 @@ This module imports only the standard library: the jet backend loads
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, NoCollisionError
+from .errors import DomainError, NoCollisionError, SingularConfigurationError
 
 #: tolerance for clamping arccos arguments that leave [-1, 1] through rounding
 ACOS_CLAMP_TOL = 1e-10
 
 
-class Wall(enum.Enum):
-    OUTER = "outer"
-    INNER = "inner"
+def tangency_radius_b(n: int, epsilon: float) -> float:
+    """Scatterer radius keeping tangency when the angle is detuned to pi/n + eps.
 
-
-class _PhaseFields(NamedTuple):
-    wall: Wall
-    s: float
-    theta: float
-
-
-class PhasePoint(_PhaseFields):
-    """Collision state (wall, arc length, reflection angle); construction
-    (``_replace`` too) checks the angle."""
-
-    __slots__ = ()
-
-    def __new__(cls, wall: Wall, s: float, theta: float):
-        if not 0.0 < theta < math.pi:
-            raise DomainError(f"reflection angle must lie in (0, pi), got {theta}")
-        return tuple.__new__(cls, (wall, s, theta))
-
-    @classmethod
-    def _make(cls, iterable) -> "PhasePoint":
-        return cls(*iterable)
+    With theta0 = pi/n + epsilon the chord of the detuned orbit crosses the
+    negative x-axis at distance cos(theta0)/cos(n*epsilon) from the origin,
+    which yields R_b = 1 + cos(theta0)/cos(n*theta0).
+    """
+    if n < 3:
+        raise DomainError(f"need n >= 3, got {n}")
+    theta0 = math.pi / n + epsilon
+    cn = math.cos(n * theta0)
+    if abs(cn) < 1e-9:
+        raise SingularConfigurationError(
+            f"cos(n*theta0) ~ 0 at n={n}, epsilon={epsilon}"
+        )
+    r = 1.0 + math.cos(theta0) / cn
+    if not 0.0 < r < 1.0:
+        raise SingularConfigurationError(
+            f"tangency radius {r:.6g} outside (0, 1) at n={n}, epsilon={epsilon}"
+        )
+    return r
 
 
 class BirkhoffCoords(NamedTuple):
@@ -67,13 +64,6 @@ class BirkhoffCoords(NamedTuple):
 
     s: float
     r: float
-
-
-def wrap_pi(x: float) -> float:
-    """Reduce an angle to [-pi, pi); exact when already in range."""
-    if -math.pi <= x < math.pi:
-        return x
-    return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +159,3 @@ def half_period_formula(s, r, n: int, R: float, lib=FLOAT_BACKEND):
     theta3 = acos(-R * cos(theta2) - (1.0 - R) * cos(theta2 - a))
     return -(theta2 + theta3 - a), -cos(theta3)
 
-
-# ---------------------------------------------------------------------------
-# mirror symmetry
-# ---------------------------------------------------------------------------
-
-
-def reflection(p: PhasePoint) -> PhasePoint:
-    """Mirror symmetry about the x-axis.
-
-    On the outer wall this is (s, theta) -> (-s, pi - theta); in Birkhoff
-    coordinates (s, r) -> (-s, -r).  On the scatterer the mirrored arc
-    length is 2*pi - s (the chart is centered on s = pi, not s = 0).
-    """
-    if p.wall is Wall.OUTER:
-        return PhasePoint(Wall.OUTER, wrap_pi(-p.s), math.pi - p.theta)
-    return PhasePoint(Wall.INNER, 2.0 * math.pi - p.s, math.pi - p.theta)

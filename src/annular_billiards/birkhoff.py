@@ -41,6 +41,7 @@ from .billiard_map import (
     BirkhoffCoords,
     MPBackend,
     half_period_formula,
+    tangency_radius_b,
 )
 from .errors import (
     ClassificationError,
@@ -50,7 +51,6 @@ from .errors import (
     PrecisionError,
     ResonanceError,
 )
-from .geometry import tangency_radius_b
 
 #: tolerance on |lambda^m - 1| below which a low-order resonance is declared
 RESONANCE_TOL = 1e-8

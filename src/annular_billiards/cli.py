@@ -101,11 +101,34 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
     return [i * step + start for i in range(div)] + [stop]
 
 
+#: the largest count a request may ask for: a ``--count``, ``--seeds`` or
+#: ``--iterations`` value, a range's count, and the seeds times iterations
+#: of ``section``, which keeps every iterate
+MAX_COUNT = 10**6
+
+#: the largest RNG seed, a 64-bit word
+MAX_SEED = 2**64 - 1
+
+
+def _number(text: str) -> float:
+    """``float(text)``, refusing with ``argparse.ArgumentTypeError`` a
+    nonzero literal that rounds to 0.0 or to a subnormal, whose value is not
+    the one written."""
+    value = float(text)
+    if abs(value) < sys.float_info.min and (
+        value or any(c.isdecimal() and int(c) for c in text.lower().partition("e")[0])
+    ):
+        raise argparse.ArgumentTypeError(f"{text!r} underflows the float range to {value!r}")
+    return value
+
+
 def parse_values(text: str, cast=float) -> list:
     """Parse a flag value: a single number, a comma list, or start:stop:count.
 
-    Malformed or non-finite values raise ``argparse.ArgumentTypeError``, so as
-    an argparse ``type`` they exit with usage.
+    Malformed or non-finite values, a nonzero number that underflows, a
+    range count above ``MAX_COUNT`` and a range that repeats one value raise
+    ``argparse.ArgumentTypeError``, so as an argparse ``type`` they exit
+    with usage.
     """
     try:
         if ":" in text:
@@ -114,45 +137,52 @@ def parse_values(text: str, cast=float) -> list:
                 raise argparse.ArgumentTypeError(
                     f"range must be start:stop:count, got {text!r}"
                 )
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop, count = _number(parts[0]), _number(parts[1]), int(parts[2])
             if count < 1:
                 raise argparse.ArgumentTypeError(f"range count must be >= 1, got {text!r}")
+            if count > MAX_COUNT:
+                raise argparse.ArgumentTypeError(f"range count must be <= {MAX_COUNT}, got {text!r}")
             if not (math.isfinite(start) and math.isfinite(stop)):
                 raise argparse.ArgumentTypeError(f"range bounds must be finite, got {text!r}")
+            if start == stop and count > 1:
+                raise argparse.ArgumentTypeError(f"range {text!r} repeats one value {count} times")
             grid = _linspace(start, stop, count)
             values = [cast(v) for v in grid]
             if values != grid:
                 raise argparse.ArgumentTypeError(f"range {text!r} is not exact in {cast.__name__}")
         else:
-            values = [cast(v) for v in text.split(",")]
+            values = [(_number if cast is float else cast)(v) for v in text.split(",")]
+        # an int beyond the float range raises OverflowError here
+        if not all(math.isfinite(v) for v in values):
+            raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
     except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
     return values
 
 
-def whole_number(text: str, lowest: int) -> int:
-    """A whole number >= ``lowest``; as an argparse ``type``, anything else
-    exits with usage."""
+def whole_number(text: str, lowest: int, highest: int) -> int:
+    """A whole number from ``lowest`` to ``highest``; as an argparse
+    ``type``, anything else exits with usage."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < lowest:
         raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {text!r}")
+    if value > highest:
+        raise argparse.ArgumentTypeError(f"must be <= {highest}, got {text!r}")
     return value
 
 
 #: argparse ``type`` of a count flag, and of the RNG seed
-positive_int = partial(whole_number, lowest=1)
-nonnegative_int = partial(whole_number, lowest=0)
+positive_int = partial(whole_number, lowest=1, highest=MAX_COUNT)
+nonnegative_int = partial(whole_number, lowest=0, highest=MAX_SEED)
 
 
 def nonnegative_float(text: str) -> float:
     """argparse ``type`` of a size flag: a finite number >= 0."""
     try:
-        value = float(text)
+        value = _number(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
     if not 0.0 <= value < math.inf:
@@ -513,14 +543,19 @@ class _SubcommandParser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given the name of a subcommand, it holds
+    that subcommand's parser alone, which parses its arguments and reports
+    their errors as the full parser does; given anything else (``-h``,
+    ``--version``, an unknown word or None), it holds every subcommand."""
     parser = argparse.ArgumentParser(
         prog="annular-billiards",
         description="Stability toolkit for annular billiards with a chord-mounted scatterer.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
-    for name, contract in COMMANDS.items():
+    for name in [command] if command in COMMANDS else COMMANDS:
+        contract = COMMANDS[name]
         sub = subs.add_parser(
             name, help=contract.help, epilog="numeric flags take a value, a comma list, or start:stop:count"
         )
@@ -543,6 +578,9 @@ def _spec_error(spec: ScanSpec) -> str | None:
         mixed = [f"--{name}" for name in ("k", "R", "delta") if p[name] != flags[name].default]
         if mixed:
             return f"orbit --eps builds the tangent-table orbit, which takes no {', '.join(mixed)}"
+    if spec.command == "section" and p["seeds"] * p["iterations"] > MAX_COUNT:
+        points = p["seeds"] * p["iterations"]
+        return f"section keeps at most {MAX_COUNT} iterates, got --seeds x --iterations = {points}"
     if spec.command == "birkhoff":
         # the ladder extrapolation divides by differences of detunings, and a
         # repeated n would pool two ladders into one
@@ -553,7 +591,9 @@ def _spec_error(spec: ScanSpec) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     params = {name: getattr(args, name) for name in COMMANDS[args.command].flags}
     spec = ScanSpec(args.command, params, args.fmt, args.out)
     error = _spec_error(spec)

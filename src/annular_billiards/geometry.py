@@ -7,6 +7,10 @@ the last and first outer collision points of the reference orbit; that
 chord is vertical at x = -cos(k*pi/n), so a symmetric table is literally
 invariant under y -> -y and the tangent configuration has its scatterer
 center on the negative x-axis.
+
+The tangent table's radius, ``tangency_radius_b``, lives with its map in
+``billiard_map``, and only the two type (b) branches of ``TableParams``
+import it, so the type (a) tables load no map.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, InvalidTableError, SingularConfigurationError
+from .errors import DomainError, InvalidTableError
 
 #: absolute tolerance for interiority/tangency comparisons on the unit disk
 GEOM_TOL = 1e-12
@@ -79,29 +83,6 @@ def max_radius(n: int, k: int, delta: float) -> float:
     return disk if k == 1 else min(star, disk)
 
 
-def tangency_radius_b(n: int, epsilon: float) -> float:
-    """Scatterer radius keeping tangency when the angle is detuned to pi/n + eps.
-
-    With theta0 = pi/n + epsilon the chord of the detuned orbit crosses the
-    negative x-axis at distance cos(theta0)/cos(n*epsilon) from the origin,
-    which yields R_b = 1 + cos(theta0)/cos(n*theta0).
-    """
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
-    theta0 = math.pi / n + epsilon
-    cn = math.cos(n * theta0)
-    if abs(cn) < 1e-9:
-        raise SingularConfigurationError(
-            f"cos(n*theta0) ~ 0 at n={n}, epsilon={epsilon}"
-        )
-    r = 1.0 + math.cos(theta0) / cn
-    if not 0.0 < r < 1.0:
-        raise SingularConfigurationError(
-            f"tangency radius {r:.6g} outside (0, 1) at n={n}, epsilon={epsilon}"
-        )
-    return r
-
-
 class _TableFields(NamedTuple):
     n: int
     k: int
@@ -145,6 +126,8 @@ class TableParams(_TableFields):
     def type_b(n: int, epsilon: float) -> "TableParams":
         if epsilon <= 0.0:
             raise InvalidTableError(f"type (b) needs epsilon > 0, got {epsilon}")
+        from .billiard_map import tangency_radius_b
+
         r = tangency_radius_b(n, epsilon)
         return TableParams(n=n, k=1, R=r, delta=0.0, epsilon=epsilon, config=TableConfig.TYPE_B)
 
@@ -166,6 +149,8 @@ class TableParams(_TableFields):
         if self.config is TableConfig.TYPE_B:
             if k != 1 or self.delta != 0.0 or self.epsilon <= 0.0:
                 raise InvalidTableError("type (b) requires k=1, delta=0, epsilon>0")
+            from .billiard_map import tangency_radius_b
+
             r = tangency_radius_b(n, self.epsilon)
             if abs(r - self.R) > GEOM_TOL:
                 raise InvalidTableError(

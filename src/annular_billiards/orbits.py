@@ -7,11 +7,12 @@ reversed path, and the second perpendicular hit (index 2n+1).
 
 The ray tracer ``generic_step`` is independent of the closed-form map in
 ``billiard_map``: it works in the plane for any scatterer pose, and steps
-one collision state on Python floats.  ``build_type_a`` builds an orbit from
-its closed-form geometry and ``verify_closure`` traces it for one period, in
-two halves that each restart from the recorded outer state after a scatterer
-collision; ``build_type_b`` traces the period as it builds.  Either way the
-orbit keeps its closure residual.  The step and ``build_type_a`` check each
+one collision state, a ``PhasePoint`` of this module's chart, on Python
+floats.  ``build_type_a`` builds an orbit from its closed-form geometry and
+``verify_closure`` traces it for one period, in two halves that each
+restart from the recorded outer state after a scatterer collision;
+``build_type_b`` traces the period as it builds.  Either way the orbit
+keeps its closure residual.  The step and ``build_type_a`` check each
 reflection angle where it is computed, so they build their ``PhasePoint``s
 as plain tuples, without the constructor's second check;
 ``linear_stability.monodromy`` then forms each distinct bounce once.
@@ -28,12 +29,12 @@ steps from the scatterer's chord through the scatterer and off it are
 
 from __future__ import annotations
 
+import enum
 import warnings
 from functools import lru_cache
 from math import atan2, cos, inf, nan, pi, sin, sqrt
 from typing import NamedTuple
 
-from .billiard_map import PhasePoint, Wall, wrap_pi
 from .errors import DomainError, GrazingError, InvalidTableError, NoCollisionError, TangencyWarning
 from .geometry import ScattererPose, TableConfig, TableParams, scatterer_pose
 
@@ -42,6 +43,57 @@ CLOSURE_TOL = 1e-9
 
 #: minimum advance along a ray before a new intersection counts
 MIN_FLIGHT = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the collision chart (conventions in ``billiard_map``)
+# ---------------------------------------------------------------------------
+
+
+class Wall(enum.Enum):
+    OUTER = "outer"
+    INNER = "inner"
+
+
+class _PhaseFields(NamedTuple):
+    wall: Wall
+    s: float
+    theta: float
+
+
+class PhasePoint(_PhaseFields):
+    """Collision state (wall, arc length, reflection angle); construction
+    (``_replace`` too) checks the angle."""
+
+    __slots__ = ()
+
+    def __new__(cls, wall: Wall, s: float, theta: float):
+        if not 0.0 < theta < pi:
+            raise DomainError(f"reflection angle must lie in (0, pi), got {theta}")
+        return tuple.__new__(cls, (wall, s, theta))
+
+    @classmethod
+    def _make(cls, iterable) -> "PhasePoint":
+        return cls(*iterable)
+
+
+def wrap_pi(x: float) -> float:
+    """Reduce an angle to [-pi, pi); exact when already in range."""
+    if -pi <= x < pi:
+        return x
+    return (x + pi) % (2.0 * pi) - pi
+
+
+def reflection(p: PhasePoint) -> PhasePoint:
+    """Mirror symmetry about the x-axis.
+
+    On the outer wall this is (s, theta) -> (-s, pi - theta); in Birkhoff
+    coordinates (s, r) -> (-s, -r).  On the scatterer the mirrored arc
+    length is 2*pi - s (the chart is centered on s = pi, not s = 0).
+    """
+    if p.wall is Wall.OUTER:
+        return PhasePoint(Wall.OUTER, wrap_pi(-p.s), pi - p.theta)
+    return PhasePoint(Wall.INNER, 2.0 * pi - p.s, pi - p.theta)
 
 # the walls as module globals: looking up an enum member on its class costs
 # about ten times as much, and the ray tracer reads one on every step

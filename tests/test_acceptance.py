@@ -14,12 +14,6 @@ import math
 import numpy as np
 import pytest
 
-from annular_billiards.billiard_map import (
-    PhasePoint,
-    Wall,
-    reflection,
-    wrap_pi,
-)
 from annular_billiards.birkhoff import (
     ReducedMap,
     birkhoff_A,
@@ -45,7 +39,16 @@ from annular_billiards.linear_stability import (
     trace_b_coefficient,
     trace_closed_form,
 )
-from annular_billiards.orbits import build_type_a, build_type_b, generic_step, verify_closure
+from annular_billiards.orbits import (
+    PhasePoint,
+    Wall,
+    build_type_a,
+    build_type_b,
+    generic_step,
+    reflection,
+    verify_closure,
+    wrap_pi,
+)
 
 GRID_PAIRS = [(n, 1) for n in range(3, 11)] + [(5, 2), (7, 2), (7, 3), (9, 2), (9, 4)]
 GRID_DELTAS = [0.0, 0.01, 0.05]

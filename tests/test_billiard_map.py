@@ -15,11 +15,7 @@ from annular_billiards.billiard_map import (
     FLOAT_BACKEND,
     JET_BACKEND,
     MPBackend,
-    PhasePoint,
-    Wall,
     half_period_formula,
-    reflection,
-    wrap_pi,
 )
 from annular_billiards.errors import (
     BilliardError,
@@ -31,7 +27,17 @@ from annular_billiards.birkhoff import FD_DPS, FD_STEP, ReducedMap
 from annular_billiards.geometry import TableParams, max_radius
 from annular_billiards.jets import Jet2
 from annular_billiards.linear_stability import bounce_jacobian
-from annular_billiards.orbits import MIN_FLIGHT, build_type_a, build_type_b, generic_step, phase_to_cartesian
+from annular_billiards.orbits import (
+    MIN_FLIGHT,
+    PhasePoint,
+    Wall,
+    build_type_a,
+    build_type_b,
+    generic_step,
+    phase_to_cartesian,
+    reflection,
+    wrap_pi,
+)
 
 
 def fd_jacobian(step, p: PhasePoint, h=1e-7, outer_out=True):

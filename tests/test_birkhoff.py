@@ -11,9 +11,6 @@ from annular_billiards.billiard_map import (
     ACOS_CLAMP_TOL,
     FLOAT_BACKEND,
     BirkhoffCoords,
-    PhasePoint,
-    Wall,
-    wrap_pi,
 )
 from annular_billiards import birkhoff
 from annular_billiards.birkhoff import (
@@ -49,7 +46,7 @@ from annular_billiards.linear_stability import (
     monodromy,
     symplectic_defect,
 )
-from annular_billiards.orbits import build_type_b, generic_step
+from annular_billiards.orbits import PhasePoint, Wall, build_type_b, generic_step, wrap_pi
 
 #: frozen reference values of the closed-form twist limit
 TWIST_LIMIT_N3 = 0.0338912

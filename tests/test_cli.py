@@ -220,6 +220,83 @@ class TestParsing:
         assert "usage:" in err and "finite" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("text", [
+        # beyond the float range, over and under, not a number, empty, and
+        # ranges that are malformed, empty or repeat one value
+        "1" + "0" * 400, "1e400", "1e-400", "nan", "-inf", "", ",", "1:2", "1:2:0", "1:1:3",
+    ])
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, contract in cli.COMMANDS.items() for flag in contract.flags
+    ])
+    def test_every_flag_refuses_adversarial_values(self, tmp_path, capsys, command, flag, text):
+        # the other required flags take valid values; the flag under test
+        # comes last, so its value is the one parsed
+        valid = {
+            "stability": ["--n", "5"], "region": ["--n", "5"], "birkhoff": ["--n", "3", "--eps", "0.01"],
+            "orbit": ["--n", "5"], "section": ["--n", "3", "--eps", "0.02", "--iterations", "5"], "lemma": [],
+        }
+        argv = [command, *valid[command], f"--{flag}={text}", "--out", str(tmp_path / "x")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "args,reason",
+        [
+            (["stability", "--n", "5", "--R", "0.1:0.1:3"], "repeats one value 3 times"),
+            (["stability", "--n", "5", "--delta", "0:-0.0:2"], "repeats one value 2 times"),
+            (["birkhoff", "--n", "3", "--eps", "1e-400"], "'1e-400' underflows the float range to 0.0"),
+            (["birkhoff", "--n", "3", "--eps", "0.01,-1e-310"], "'-1e-310' underflows the float range"),
+            (["section", "--n", "3", "--eps", "0.02", "--radius", "1e-400"], "underflows"),
+            (["stability", "--n", "5", "--R", "1e-400:0.1:3"], "underflows"),
+            (["region", "--n", "5", "--count", "1000001"], "must be <= 1000000"),
+            (["stability", "--n", "5", "--R", "0.1:0.2:1000001"], "range count must be <= 1000000"),
+            (["section", "--n", "3", "--eps", "0.02", "--seed", str(2**64)], "must be <= 18446744073709551615"),
+        ],
+    )
+    def test_substituted_values_exit_with_usage(self, tmp_path, capsys, args, reason):
+        # a value the request would not run as written, or one above a cap
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_zero_written_with_an_exponent_runs(self, tmp_path):
+        args = ["section", "--n", "3", "--eps", "0.02", "--radius", "0.000e-400", "--iterations", "2"]
+        assert "# summary radius: 0\n" in run(tmp_path, "zero.csv", args)
+
+    def test_section_caps_the_iterates_it_keeps(self, tmp_path, capsys):
+        args = ["section", "--n", "3", "--eps", "0.02", "--seeds", "1000", "--iterations", "1001"]
+        assert main(args + ["--out", str(tmp_path / "x")]) == 2
+        assert "at most 1000000 iterates, got --seeds x --iterations = 1001000" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--version"], ["bogus", "--n", "5"], ["--bogus"], [],
+        *([command, "-h"] for command in cli.COMMANDS),
+        *([command, "--bogus", "1"] for command in cli.COMMANDS),
+        ["stability", "--n", "5,7", "--R", "0.1:0.2:3"], ["section", "--n", "3", "--eps", "0.02", "--format", "svg"],
+        ["orbit", "--n", "5", "--k", "2", "--format", "svg"], ["lemma", "stability"],
+    ])
+    def test_one_subparser_parses_as_all_of_them(self, capsys, argv):
+        # the parser of a request holds only its subcommand's subparser
+        outcomes = []
+        for command in (argv[0] if argv else None, None):
+            try:
+                parsed = vars(cli.build_parser(command).parse_args(argv))
+            except SystemExit as exc:
+                parsed = exc.code
+            outcomes.append((parsed, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] or outcomes[0][2] or isinstance(outcomes[0][0], dict)
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -616,20 +693,23 @@ class TestStartUp:
                 # the jets hold Python floats
                 ["birkhoff", "--n", "3", "--eps", "0.001"],
                 {"annular_billiards.birkhoff", "annular_billiards.jets"},
-                {"annular_billiards.orbits", "annular_billiards.linear_stability"} | NO_NUMPY,
+                {"annular_billiards.orbits", "annular_billiards.linear_stability", "annular_billiards.geometry"}
+                | NO_NUMPY,
             ),
             (
                 # a start:stop:count range is spaced on Python floats
                 ["birkhoff", "--n", "3,4", "--eps", "1e-3:4e-3:4"],
                 {"annular_billiards.birkhoff", "annular_billiards.jets"},
-                {"annular_billiards.orbits", "annular_billiards.linear_stability"} | NO_NUMPY,
+                {"annular_billiards.orbits", "annular_billiards.linear_stability", "annular_billiards.geometry"}
+                | NO_NUMPY,
             ),
             (
                 # the seeds are iterated on floats, and the ring is drawn with
                 # the standard library's random.Random
                 ["section", "--n", "3", "--eps", "0.02", "--iterations", "5"],
                 {"annular_billiards.birkhoff"},
-                {"annular_billiards.orbits", "annular_billiards.linear_stability", "annular_billiards.jets"}
+                {"annular_billiards.orbits", "annular_billiards.linear_stability", "annular_billiards.jets",
+                 "annular_billiards.geometry"}
                 | NO_NUMPY,
             ),
             (
@@ -637,7 +717,8 @@ class TestStartUp:
                 # 2x2 float monodromy
                 ["stability", "--n", "5", "--delta", "0.02", "--R", "0.1"],
                 {"annular_billiards.orbits", "annular_billiards.linear_stability"},
-                {"annular_billiards.birkhoff", "annular_billiards.jets"} | NO_NUMPY,
+                {"annular_billiards.birkhoff", "annular_billiards.jets", "annular_billiards.billiard_map"}
+                | NO_NUMPY,
             ),
             (
                 # the polyline is a list of float pairs

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from annular_billiards.billiard_map import tangency_radius_b
 from annular_billiards.errors import DomainError, InvalidTableError
 from annular_billiards.geometry import (
     TableConfig,
@@ -15,7 +16,6 @@ from annular_billiards.geometry import (
     max_radius,
     max_radius_star,
     scatterer_pose,
-    tangency_radius_b,
 )
 
 

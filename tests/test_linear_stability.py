@@ -80,8 +80,7 @@ class TestBounceJacobian:
     def test_finite_difference_match(self):
         # cross-checked against the ray tracer in the dynamics tests; here a
         # direct disk-step comparison with the T-conjugation convention
-        from annular_billiards.billiard_map import PhasePoint, Wall, wrap_pi
-        from annular_billiards.orbits import generic_step
+        from annular_billiards.orbits import PhasePoint, Wall, generic_step, wrap_pi
 
         th, s = 0.83, 0.31
         h = 1e-7

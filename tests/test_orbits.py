@@ -6,15 +6,23 @@ import math
 import numpy as np
 import pytest
 
-from annular_billiards.billiard_map import PhasePoint, Wall, wrap_pi
+from annular_billiards.billiard_map import tangency_radius_b
 from annular_billiards.errors import BilliardError, InvalidTableError
 from annular_billiards.geometry import (
     TableParams,
     max_radius,
     max_radius_star,
-    tangency_radius_b,
 )
-from annular_billiards.orbits import StepResult, build_type_a, build_type_b, generic_step, verify_closure
+from annular_billiards.orbits import (
+    PhasePoint,
+    StepResult,
+    Wall,
+    build_type_a,
+    build_type_b,
+    generic_step,
+    verify_closure,
+    wrap_pi,
+)
 
 #: the (n, k) cases of the stability-scan benchmark, periods 12 to 108
 BENCH_CASES = ((5, 1), (5, 2), (10, 3), (13, 4), (21, 5), (53, 6))

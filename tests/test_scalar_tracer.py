@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from annular_billiards import cli, orbits
-from annular_billiards.billiard_map import PhasePoint, Wall, wrap_pi
 from annular_billiards.errors import (
     BilliardError,
     GrazingError,
@@ -37,10 +36,13 @@ from annular_billiards.linear_stability import classify, monodromy, trace_closed
 from annular_billiards.orbits import (
     CLOSURE_TOL,
     MIN_FLIGHT,
+    PhasePoint,
+    Wall,
     build_type_a,
     build_type_b,
     generic_step,
     verify_closure,
+    wrap_pi,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
