@@ -126,7 +126,6 @@ class MPBackend:
     """
 
     def __init__(self, mp):
-        self.mp = mp
         self.pi = mp.mpf(math.pi)
         self.cos = mp.cos
         self.sin = mp.sin

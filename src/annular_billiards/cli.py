@@ -101,9 +101,9 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
     return [i * step + start for i in range(div)] + [stop]
 
 
-#: the largest count a request may ask for: a ``--count``, ``--seeds`` or
-#: ``--iterations`` value, a range's count, and the seeds times iterations
-#: of ``section``, which keeps every iterate
+#: the largest count a request may ask for: an ``--n``, ``--count``,
+#: ``--seeds`` or ``--iterations`` value, a range's count, and the seeds times
+#: iterations of ``section``, which keeps every iterate
 MAX_COUNT = 10**6
 
 #: the largest RNG seed, a 64-bit word
@@ -480,6 +480,13 @@ def cmd_lemma(spec: ScanSpec) -> int:
 _INTS = partial(parse_values, cast=int)
 
 
+def _periods(text: str) -> list[int]:
+    """argparse ``type`` of ``--n``: ``_INTS`` values, none above ``MAX_COUNT``."""
+    if max(values := _INTS(text)) > MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_COUNT}, got {text!r}")
+    return values
+
+
 class Flag(NamedTuple):
     """A flag that a subcommand reads: its argparse ``type`` and default.
 
@@ -502,8 +509,8 @@ class Contract(NamedTuple):
     formats: tuple[str, ...] = ("csv", "json")
 
 
-_N = Flag(_INTS, required=True)
-_ONE_N = Flag(_INTS, single=True, required=True)
+_N = Flag(_periods, required=True)
+_ONE_N = Flag(_periods, single=True, required=True)
 _SVG = ("csv", "json", "svg")
 
 #: every subcommand's contract; the parser, the checks in ``_spec_error`` and
@@ -578,8 +585,7 @@ def _spec_error(spec: ScanSpec) -> str | None:
         mixed = [f"--{name}" for name in ("k", "R", "delta") if p[name] != flags[name].default]
         if mixed:
             return f"orbit --eps builds the tangent-table orbit, which takes no {', '.join(mixed)}"
-    if spec.command == "section" and p["seeds"] * p["iterations"] > MAX_COUNT:
-        points = p["seeds"] * p["iterations"]
+    if spec.command == "section" and (points := p["seeds"] * p["iterations"]) > MAX_COUNT:
         return f"section keeps at most {MAX_COUNT} iterates, got --seeds x --iterations = {points}"
     if spec.command == "birkhoff":
         # the ladder extrapolation divides by differences of detunings, and a

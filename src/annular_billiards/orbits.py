@@ -258,16 +258,27 @@ class OrbitRecord(NamedTuple):
         }
 
 
-def _phase_gap(a: PhasePoint, b: PhasePoint) -> float:
-    """Chart distance between two states; inf on different walls."""
-    wall, s, theta = a
-    wall_b, s_b, theta_b = b
-    if wall is not wall_b:
-        return inf
-    ds = s - s_b
-    if wall is OUTER:
-        ds = wrap_pi(ds)
-    return max(abs(ds), abs(theta - theta_b))
+def _residual(traced, recorded) -> float:
+    """The largest chart distance between paired traced and recorded states:
+    inf on different walls or a NaN arc, and an outer arc difference wrapped
+    to [-pi, pi)."""
+    worst = 0.0
+    for (wall, s, theta), (wall_b, s_b, theta_b) in zip(traced, recorded):
+        if wall is not wall_b:
+            gap = inf
+        else:
+            ds = s - s_b
+            if wall is OUTER and not -pi <= ds < pi:
+                ds = wrap_pi(ds)
+            ds = abs(ds)
+            gap = abs(theta - theta_b)
+            if not gap > ds:  # max(ds, gap): the arc where the angle is NaN
+                gap = ds
+            if gap != gap:  # a NaN arc fails the check, as a wall mismatch does
+                gap = inf
+        if gap > worst:
+            worst = gap
+    return worst
 
 
 @lru_cache(maxsize=_SHARED_POLYGONS)
@@ -346,9 +357,9 @@ def build_type_b(n: int, epsilon: float) -> OrbitRecord:
         flights.append(res.flight)
         pts.append(res.point)
         p = res.point
-    # the last step's gap, as ``verify_closure`` measures it: every earlier
-    # step retraces a recorded point exactly
-    gap = _phase_gap(pts[-1], pts[0])
+    # the return's chart distance, as ``verify_closure`` measures it: every
+    # earlier step retraces a recorded point exactly
+    gap = _residual(pts[-1:], pts[:1])
     if gap > CLOSURE_TOL:
         raise InvalidTableError(f"type (b) orbit did not close (residual {gap:.3g})")
     pts = pts[:-1]
@@ -427,21 +438,4 @@ def verify_closure(orbit: OrbitRecord) -> float:
         for _ in range(end - len(traced)):
             p = step(p, pose)[0]
             traced.append(p)
-    worst = 0.0
-    for (wall, s, theta), (wall_b, s_b, theta_b) in zip(traced, points[1:] + points[:1]):
-        # the chart distance, inf on different walls
-        if wall is not wall_b:
-            gap = inf
-        else:
-            ds = s - s_b
-            if wall is OUTER and not -pi <= ds < pi:
-                ds = wrap_pi(ds)
-            ds = abs(ds)
-            gap = abs(theta - theta_b)
-            if not gap > ds:  # max(ds, gap): the arc where the angle is NaN
-                gap = ds
-            if gap != gap:  # a NaN arc fails the check, as a wall mismatch does
-                gap = inf
-        if gap > worst:
-            worst = gap
-    return worst
+    return _residual(traced, points[1:] + points[:1])

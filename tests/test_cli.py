@@ -258,6 +258,11 @@ class TestParsing:
             (["region", "--n", "5", "--count", "1000001"], "must be <= 1000000"),
             (["stability", "--n", "5", "--R", "0.1:0.2:1000001"], "range count must be <= 1000000"),
             (["section", "--n", "3", "--eps", "0.02", "--seed", str(2**64)], "must be <= 18446744073709551615"),
+            # a period above the count cap, one finite as a float among them
+            *(([command, "--n", n, *rest], "argument --n: must be <= 1000000")
+              for n in ("1" + "0" * 300, "1000001")
+              for command, rest in (("stability", []), ("region", []), ("birkhoff", ["--eps", "0.01"]),
+                                    ("orbit", []), ("section", ["--eps", "0.02"]))),
         ],
     )
     def test_substituted_values_exit_with_usage(self, tmp_path, capsys, args, reason):
