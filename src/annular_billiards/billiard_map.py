@@ -14,11 +14,12 @@ left) and the outgoing velocity.  The records of this chart, ``Wall`` and
 The tangent table (scatterer center on the negative x-axis at distance
 1 - R) keeps its scatterer tangent to the outer circle at the radius
 ``tangency_radius_b``, and its half-period map is one straight-line formula,
-``half_period_formula``, written generically over a small math backend: the
-float map, the truncated-Taylor-jet map and the high-precision audit map run
-the same operations in the same order.  Its independent oracle, the
-Cartesian ray tracer ``generic_step``, lives in ``orbits``, its one caller;
-the two routes are cross-checked in the test suite.
+``half_period_formula``, written over a backend that is any namespace with
+a ``cos`` and an ``acos``: ``math``, ``mpmath.mp``, the clamping float
+backend and the jet backend run the same operations in the same order, with
+the double ``math.pi``, which mpmath lifts exactly.  Its independent
+oracle, the Cartesian ray tracer ``generic_step``, lives in ``orbits``, its
+one caller; the two routes are cross-checked in the test suite.
 
 This module imports only the standard library: the jet backend loads
 ``jets`` on its first use, so a program that iterates the float map, such as
@@ -28,6 +29,7 @@ This module imports only the standard library: the jet backend loads
 from __future__ import annotations
 
 import math
+from math import pi
 from typing import NamedTuple
 
 from .errors import DomainError, NoCollisionError, SingularConfigurationError
@@ -72,7 +74,7 @@ class BirkhoffCoords(NamedTuple):
 
 
 class FloatBackend:
-    """Plain double-precision math, with an ``acos`` that clamps a rounding
+    """Plain double-precision ``cos``, with an ``acos`` that clamps a rounding
     excess of at most ``ACOS_CLAMP_TOL`` onto [-1, 1] and refuses a larger
     one with ``NoCollisionError`` (a missed wall).
 
@@ -82,9 +84,7 @@ class FloatBackend:
     again with this backend only then; ``island_sampler`` does.
     """
 
-    pi = math.pi
     cos = staticmethod(math.cos)
-    sin = staticmethod(math.sin)
 
     @staticmethod
     def acos(u):
@@ -105,31 +105,15 @@ class FloatBackend:
 class JetBackend:
     """Degree-3 truncated Taylor arithmetic.
 
-    ``cos``, ``sin`` and ``acos`` come from ``jets``, imported on the first
-    lookup of one of them and then kept on the instance.
+    ``cos`` and ``acos`` come from ``jets``, imported on the first lookup of
+    one of them and then kept on the instance.
     """
-
-    pi = math.pi
 
     def __getattr__(self, name):
         from . import jets
 
-        self.cos, self.sin, self.acos = jets.jet_cos, jets.jet_sin, jets.jet_acos
+        self.cos, self.acos = jets.jet_cos, jets.jet_acos
         return object.__getattribute__(self, name)
-
-
-class MPBackend:
-    """mpmath arithmetic at the caller's working precision.
-
-    pi is the *double* pi lifted exactly, so the map being differentiated is
-    bit-identical to the float/jet map.
-    """
-
-    def __init__(self, mp):
-        self.pi = mp.mpf(math.pi)
-        self.cos = mp.cos
-        self.sin = mp.sin
-        self.acos = mp.acos
 
 
 FLOAT_BACKEND = FloatBackend()
@@ -150,7 +134,7 @@ def half_period_formula(s, r, n: int, R: float, lib=FLOAT_BACKEND):
     scatterer center, at the clockwise arc length pi + R*(pi - gamma); the
     exit is the time reverse of the entry, from a = pi - gamma.
     """
-    cos, acos, pi = lib.cos, lib.acos, lib.pi
+    cos, acos = lib.cos, lib.acos
     theta = acos(r)
     s1 = s + 2.0 * (n - 1) * theta
     theta2 = acos((-cos(theta) - (1.0 - R) * cos(theta + s1)) / R)

@@ -39,7 +39,6 @@ from .billiard_map import (
     FLOAT_BACKEND,
     JET_BACKEND,
     BirkhoffCoords,
-    MPBackend,
     half_period_formula,
     tangency_radius_b,
 )
@@ -101,11 +100,9 @@ class BirkhoffReport(NamedTuple):
 
 
 class ReducedMap:
-    """The reflection-composed half-period map of a tangent table in (s, r).
-
-    ``apply`` evaluates the composition in any math backend (floats,
-    truncated Taylor jets, mpmath), and ``fixed_point`` is the detuned
-    orbit's initial state.
+    """The reflection-composed half-period map of a tangent table in (s, r),
+    ``half_period_formula(s, r, n, R, lib)`` on any backend, with its
+    ``fixed_point``, the detuned orbit's initial state.
     """
 
     def __init__(self, n: int, epsilon: float):
@@ -119,16 +116,13 @@ class ReducedMap:
         self.n = n
         self.epsilon = epsilon
         self.R = tangency_radius_b(n, epsilon)
-        self.theta0 = math.pi / n + epsilon
+        theta0 = math.pi / n + epsilon
         self.s0 = -math.pi + math.pi / n + epsilon * (1.0 - n)
-        self.r0 = math.cos(self.theta0)
+        self.r0 = math.cos(theta0)
 
     @property
     def fixed_point(self) -> BirkhoffCoords:
         return BirkhoffCoords(self.s0, self.r0)
-
-    def apply(self, s, r, lib=FLOAT_BACKEND):
-        return half_period_formula(s, r, self.n, self.R, lib)
 
 
 def taylor_jet(rmap: ReducedMap, cross_check: bool = False) -> TaylorJet3:
@@ -197,11 +191,11 @@ def fd_taylor_jet(rmap: ReducedMap) -> TaylorJet3:
 
     from .jets import MONOMIALS, Jet2
 
-    fit, lib = _fit_matrix(), MPBackend(mp)
+    fit = _fit_matrix()
     with mp.workdps(FD_DPS):
         h = mp.mpf(FD_STEP)
         s0, r0 = (mp.mpf(x) for x in rmap.fixed_point)
-        samples = [rmap.apply(s0 + i * h, r0 + j * h, lib) for i, j in _GRID]
+        samples = [half_period_formula(s0 + i * h, r0 + j * h, rmap.n, rmap.R, mp) for i, j in _GRID]
         sides = (
             [float(mp.fdot(row, side) / h ** (a + b)) for row, (a, b) in zip(fit, MONOMIALS)]
             for side in zip(*samples)

@@ -131,13 +131,6 @@ class TableParams(_TableFields):
         r = tangency_radius_b(n, epsilon)
         return TableParams(n=n, k=1, R=r, delta=0.0, epsilon=epsilon, config=TableConfig.TYPE_B)
 
-    @property
-    def theta0(self) -> float:
-        """Reflection angle of the reference orbit on the outer wall."""
-        if self.config is TableConfig.TYPE_B:
-            return math.pi / self.n + self.epsilon
-        return self.k * math.pi / self.n
-
     def validate(self) -> None:
         n, k = self.n, self.k
         if n < 3:

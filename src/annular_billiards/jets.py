@@ -16,8 +16,9 @@ derivative d^(i+j) f / dx^i dy^j equals
 
 A product of two jets sums its terms in ``_MUL_TABLE`` order.  The map push
 forms none: it scales jets by floats, adds them and composes them with
-``jet_sin``, ``jet_cos`` and ``jet_acos``, whose powers of the displacement
-are unrolled.
+``jet_cos`` and ``jet_acos``, whose powers of the displacement are
+unrolled.  Those two are the whole jet backend of
+``billiard_map.half_period_formula``.
 
 The module is pure Python: it imports only ``math`` and ``operator``, so the
 twist pipeline runs without NumPy.
@@ -173,12 +174,6 @@ class Jet2:
     @property
     def value(self) -> float:
         return self.c[0]
-
-
-def jet_sin(x: Jet2) -> Jet2:
-    u = x.c[0]
-    s, c = math.sin(u), math.cos(u)
-    return x.compose_univariate((s, c, -s, -c))
 
 
 def jet_cos(x: Jet2) -> Jet2:

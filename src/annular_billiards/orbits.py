@@ -19,12 +19,14 @@ as plain tuples, without the constructor's second check;
 
 Every table of one (n, k) shares its polygon's outer collisions and the
 opening of each half period: until the ray reaches the scatterer's chord,
-the orbit runs as in the empty disk.  ``build_type_a`` takes the outer points
-from a small cache keyed on (n, k), and ``verify_closure`` reads those
-opening steps from a small cache of empty-disk chains (``_disk_chain``), one
-per half's start, testing each against the table's own scatterer; the four
-steps from the scatterer's chord through the scatterer and off it are
-``generic_step``s.
+the orbit runs as in the empty disk.  ``build_type_a`` keeps the outer
+points of the last (n, k) it built (``_polygon``), and ``verify_closure``
+reads those opening steps from the empty-disk chains of the last two
+half-period starts (``_disk_chain``), testing each against the table's own
+scatterer; the four steps from the scatterer's chord through the scatterer
+and off it are ``generic_step``s.  A stability scan builds every table of
+one (n, k) in a row, and ``orbit`` builds one table, so one polygon and two
+chains serve them.
 """
 
 from __future__ import annotations
@@ -102,10 +104,6 @@ OUTER, INNER = Wall.OUTER, Wall.INNER
 # builds a record from a tuple of already-checked fields, skipping its
 # ``__new__``
 _new = tuple.__new__
-
-#: (n, k) polygons kept across calls, and two empty-disk chains for each; a
-#: stability scan builds all tables of one (n, k) in a row
-_SHARED_POLYGONS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +279,7 @@ def _residual(traced, recorded) -> float:
     return worst
 
 
-@lru_cache(maxsize=_SHARED_POLYGONS)
+@lru_cache(maxsize=1)
 def _polygon(n: int, k: int) -> tuple[tuple[PhasePoint, ...], tuple[PhasePoint, ...]]:
     """The n outer collisions of the (n, k) polygon orbit, forward with
     reflection angle k*pi/n and reversed with pi - k*pi/n.  They do not
@@ -346,7 +344,7 @@ def build_type_b(n: int, epsilon: float) -> OrbitRecord:
     """
     params = TableParams.type_b(n, epsilon)
     pose = scatterer_pose(params)
-    theta0 = params.theta0
+    theta0 = pi / n + epsilon
     s0 = -pi + pi / n + epsilon * (1.0 - n)
     p = PhasePoint(OUTER, wrap_pi(s0), theta0)
 
@@ -372,7 +370,7 @@ def build_type_b(n: int, epsilon: float) -> OrbitRecord:
     return OrbitRecord(params, tuple(pts), tuple(flights), tuple(curv), pose, gap)
 
 
-@lru_cache(maxsize=2 * _SHARED_POLYGONS)
+@lru_cache(maxsize=2)
 def _disk_chain(start: PhasePoint, steps: int) -> tuple[tuple, ...]:
     """Up to ``steps`` ray-tracing steps from an outer-wall state in the
     empty disk, one ``(px, py, vx, vy, flight, state)`` per step: the launch

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from annular_billiards.billiard_map import half_period_formula
 from annular_billiards.birkhoff import (
     ReducedMap,
     birkhoff_A,
@@ -198,8 +199,8 @@ def test_criterion_09_property_suite():
     def fd_det(s, r, h):
         J = np.zeros((2, 2))
         for col, (ds, dr) in enumerate(((h, 0.0), (0.0, h))):
-            sp, rp = rmap.apply(s + ds, r + dr)
-            sm, rm = rmap.apply(s - ds, r - dr)
+            sp, rp = half_period_formula(s + ds, r + dr, rmap.n, rmap.R)
+            sm, rm = half_period_formula(s - ds, r - dr, rmap.n, rmap.R)
             J[:, col] = [(sp - sm) / (2 * h), (rp - rm) / (2 * h)]
         return float(np.linalg.det(J))
 

@@ -6,6 +6,7 @@ import random
 import struct
 import warnings
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from annular_billiards.billiard_map import (
     ACOS_CLAMP_TOL,
     FLOAT_BACKEND,
     JET_BACKEND,
-    MPBackend,
     half_period_formula,
 )
 from annular_billiards.errors import (
@@ -184,7 +184,7 @@ class TestBirkhoffCoords:
         # an r = cos theta off [-1, 1] by more than the clamp is refused
         rmap = ReducedMap(3, 0.01)
         with pytest.raises(NoCollisionError):
-            rmap.apply(rmap.s0, 1.5)
+            half_period_formula(rmap.s0, 1.5, 3, rmap.R)
         with pytest.raises(NoCollisionError):
             half_period_formula(rmap.s0, -1.0 - 1e3 * ACOS_CLAMP_TOL, 3, rmap.R)
 
@@ -200,8 +200,8 @@ class TestBirkhoffCoords:
             r = fp.r + rng.normal(scale=0.01)
             J = np.zeros((2, 2))
             for col, (ds, dr) in enumerate(((h, 0.0), (0.0, h))):
-                sp, rp = rmap.apply(s + ds, r + dr)
-                sm, rm = rmap.apply(s - ds, r - dr)
+                sp, rp = half_period_formula(s + ds, r + dr, rmap.n, rmap.R)
+                sm, rm = half_period_formula(s - ds, r - dr, rmap.n, rmap.R)
                 J[0, col] = (sp - sm) / (2 * h)
                 J[1, col] = (rp - rm) / (2 * h)
             assert abs(np.linalg.det(J) - 1.0) < 1e-8
@@ -422,6 +422,12 @@ def _three_leg_half_period(s, r, n, R, lib):
     return -s3, -lib.cos(theta3)
 
 
+def _with_pi(lib, pi=math.pi):
+    """``lib``'s ``cos`` and ``acos`` with the ``pi`` that the three legs
+    read; ``half_period_formula`` reads no ``pi`` from its backend."""
+    return SimpleNamespace(pi=pi, cos=lib.cos, acos=lib.acos)
+
+
 def _float_outcome(fn, *args):
     """The map's two outputs as bytes, or its refusal's type and text."""
     try:
@@ -465,7 +471,6 @@ class _ClampWatch:
     """``FLOAT_BACKEND`` that notes an arccos argument off [-1, 1] (NaN is
     not off it: it passes through)."""
 
-    pi = math.pi
     cos = staticmethod(math.cos)
 
     def __init__(self):
@@ -530,21 +535,31 @@ class TestHalfPeriodFormulaMatchesThreeLegs:
                 s = Jet2.variable(rmap.s0 + rng.gauss(0.0, 1e-4), 0)
                 r = Jet2.variable(rmap.r0 + rng.gauss(0.0, 1e-4), 1)
                 got = half_period_formula(s, r, n, rmap.R, JET_BACKEND)
-                want = _three_leg_half_period(s, r, n, rmap.R, JET_BACKEND)
+                want = _three_leg_half_period(s, r, n, rmap.R, _with_pi(JET_BACKEND))
                 for a, b in zip(got, want):
                     assert len(a.c) == 10
                     assert struct.pack("<10d", *a.c) == struct.pack("<10d", *b.c)
 
+    def test_a_cos_and_an_acos_are_the_whole_backend(self):
+        # a namespace of the two functions the formula reads gives
+        # FLOAT_BACKEND's bits and refusals, with no pi and no sin
+        lib = SimpleNamespace(cos=math.cos, acos=FLOAT_BACKEND.acos)
+        for point in chain(_seeded_points(), _edge_points()):
+            got = _float_outcome(half_period_formula, *point, lib)
+            assert got == _float_outcome(half_period_formula, *point, FLOAT_BACKEND), point
+
     def test_audit_backend_bit_equal(self):
+        # mpmath.mp itself is the audit's backend: the formula's double pi,
+        # lifted exactly, gives the three legs' bits with pi lifted up front
         from mpmath import mp
 
-        lib = MPBackend(mp)
+        lifted = _with_pi(mp, mp.mpf(math.pi))
         for n, eps in _TABLES:
             rmap = ReducedMap(n, eps)
             with mp.workdps(FD_DPS):
                 h = mp.mpf(FD_STEP)
                 s0, r0 = (mp.mpf(x) for x in rmap.fixed_point)
                 for i, j in ((0, 0), (-2, 1), (2, -2)):
-                    got = half_period_formula(s0 + i * h, r0 + j * h, n, rmap.R, lib)
-                    want = _three_leg_half_period(s0 + i * h, r0 + j * h, n, rmap.R, lib)
+                    got = half_period_formula(s0 + i * h, r0 + j * h, n, rmap.R, mp)
+                    want = _three_leg_half_period(s0 + i * h, r0 + j * h, n, rmap.R, lifted)
                     assert got[0] == want[0] and got[1] == want[1]

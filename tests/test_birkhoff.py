@@ -1,7 +1,9 @@
 """Twist-coefficient pipeline: jets, c-terms, closed forms, island evidence."""
 
+import hashlib
 import math
 import random
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +13,7 @@ from annular_billiards.billiard_map import (
     ACOS_CLAMP_TOL,
     FLOAT_BACKEND,
     BirkhoffCoords,
+    half_period_formula,
 )
 from annular_billiards import birkhoff
 from annular_billiards.birkhoff import (
@@ -39,7 +42,7 @@ from annular_billiards.errors import (
     ResonanceError,
     SingularConfigurationError,
 )
-from annular_billiards.jets import _MUL_TABLE, MONOMIALS, Jet2, jet_acos, jet_cos, jet_sin
+from annular_billiards.jets import _MUL_TABLE, MONOMIALS, Jet2, jet_acos, jet_cos
 from annular_billiards.linear_stability import (
     bounce_jacobian_birkhoff,
     epsilon_star,
@@ -47,6 +50,10 @@ from annular_billiards.linear_stability import (
     symplectic_defect,
 )
 from annular_billiards.orbits import PhasePoint, Wall, build_type_b, generic_step, wrap_pi
+
+#: sha256 of the audit's 20 coefficients, packed as little-endian doubles,
+#: over the tables of ``TestTaylorJet.test_audit_bits_are_pinned`` (mpmath 1.3)
+AUDIT_SHA256 = "6ba45a56ea450d2d3670f37a842271f3b27141e4764d900e460384d777d1c4f0"
 
 #: frozen reference values of the closed-form twist limit
 TWIST_LIMIT_N3 = 0.0338912
@@ -86,7 +93,7 @@ class ShiftedMap(ReducedMap):
 class TestReducedMap:
     def test_fixed_point(self):
         rmap = ReducedMap(3, 0.01)
-        s, r = rmap.apply(*rmap.fixed_point)
+        s, r = half_period_formula(*rmap.fixed_point, rmap.n, rmap.R)
         assert s == pytest.approx(rmap.s0, abs=1e-10)
         assert r == pytest.approx(rmap.r0, abs=1e-10)
 
@@ -99,7 +106,7 @@ class TestReducedMap:
         for _ in range(20):
             ds, dr = rng.normal(scale=1e-3, size=2)
             s, r = rmap.s0 + ds, rmap.r0 + dr
-            got_s, got_r = rmap.apply(*rmap.apply(s, r))
+            got_s, got_r = half_period_formula(*half_period_formula(s, r, n, rmap.R), n, rmap.R)
             p = PhasePoint(Wall.OUTER, wrap_pi(s), math.acos(r))
             for _ in range(orbit.period):
                 p = generic_step(p, orbit.pose).point
@@ -121,7 +128,7 @@ class TestReducedMap:
             walls.append(p.wall)
         assert walls == [Wall.OUTER] * n
         with pytest.raises(NoCollisionError):
-            rmap.apply(s, math.cos(theta))
+            half_period_formula(s, math.cos(theta), n, rmap.R)
 
     def test_linear_trace_against_monodromy(self):
         # trace of the full-period product equals t^2 - 2 for the half map
@@ -198,6 +205,16 @@ class TestTaylorJet:
     @pytest.mark.parametrize("n,eps", [(3, 0.01), (40, 1e-5)])
     def test_cross_check_passes_on_good_map(self, n, eps):
         taylor_jet(ReducedMap(n, eps), cross_check=True)
+
+    def test_audit_bits_are_pinned(self):
+        # the audit on mpmath.mp with the double pi differentiates the float
+        # map: a backend that moved one bit of a sample would move this hash
+        digest = hashlib.sha256()
+        for n in (3, 4, 5, 7, 12, 20):
+            for eps in (1e-5, 1e-4, 1e-3, 3e-3):
+                jet = fd_taylor_jet(ReducedMap(n, eps))
+                digest.update(struct.pack("<20d", *jet.s.c, *jet.r.c))
+        assert digest.hexdigest() == AUDIT_SHA256
 
     def test_audit_ignores_and_keeps_the_callers_precision(self):
         import annular_billiards.birkhoff as bk
@@ -457,7 +474,7 @@ def _reference_sampler(n, epsilon, radius, iterations, seeds=8, seed=0):
         z = fp + radius * np.array([math.cos(phase), math.sin(phase)])
         for it in range(iterations):
             try:
-                z = np.array(rmap.apply(*rmap.apply(*z)))
+                z = np.array(half_period_formula(*half_period_formula(*z, n, rmap.R), n, rmap.R))
             except NoCollisionError:
                 if escape is None:
                     escape = (si, it)
@@ -565,13 +582,6 @@ def _former_compose(x, f0, f1, f2, f3):
 class _FormerJetBackend:
     """Unbatched jet math on Python floats, as before the batch axis."""
 
-    pi = math.pi
-
-    @staticmethod
-    def sin(x):
-        s, c = math.sin(x.value), math.cos(x.value)
-        return _former_compose(x, s, c, -s, -c)
-
     @staticmethod
     def cos(x):
         s, c = math.sin(x.value), math.cos(x.value)
@@ -596,7 +606,9 @@ class _FormerJetBackend:
 def _former_taylor_jet(rmap):
     """``taylor_jet`` as it was: one push per point through the former route."""
     fp = rmap.fixed_point
-    s_out, r_out = rmap.apply(Jet2.variable(fp.s, 0), Jet2.variable(fp.r, 1), _FormerJetBackend)
+    s_out, r_out = half_period_formula(
+        Jet2.variable(fp.s, 0), Jet2.variable(fp.r, 1), rmap.n, rmap.R, _FormerJetBackend
+    )
     residual = max(abs(s_out.value - fp.s), abs(r_out.value - fp.r))
     if residual > 1e-9:
         raise DomainError(f"point is not fixed (residual {residual:.3g})")
@@ -629,9 +641,8 @@ class TestPushMatchesFormerRoute:
             "mul": lambda x, y: x * y,
             "scale": lambda x, y: 0.37 * x,
             "difference": lambda x, y: (x - y) - 0.25 + (0.5 - x),
-            "sin": lambda x, y: jet_sin(x),
             "cos": lambda x, y: jet_cos(x),
-            "sin of b": lambda x, y: jet_sin(y),
+            "cos of b": lambda x, y: jet_cos(y),
             "acos": lambda x, y: jet_acos(x),
             "reciprocal": lambda x, y: 1.0 / x,
         }
@@ -642,9 +653,8 @@ class TestPushMatchesFormerRoute:
                 "mul": _former_mul(x, y),
                 "scale": 0.37 * x,
                 "difference": (x + (-y)) + (-0.25) + ((-x) + 0.5),
-                "sin": _FormerJetBackend.sin(x),
                 "cos": _FormerJetBackend.cos(x),
-                "sin of b": _FormerJetBackend.sin(y),
+                "cos of b": _FormerJetBackend.cos(y),
                 "acos": _FormerJetBackend.acos(x),
                 "reciprocal": _FormerJetBackend.reciprocal(x),
             }

@@ -17,6 +17,7 @@ from annular_billiards.geometry import (
     max_radius_star,
     scatterer_pose,
 )
+from annular_billiards.orbits import build_type_b
 
 
 class TestTangencyRadiusSimple:
@@ -238,7 +239,8 @@ class TestTableParams:
         params = TableParams.type_b(3, 0.01)
         assert params.R == pytest.approx(tangency_radius_b(3, 0.01), abs=1e-15)
         assert params.config is TableConfig.TYPE_B
-        assert params.theta0 == pytest.approx(math.pi / 3 + 0.01, abs=1e-15)
+        # the orbit's first state carries the detuned angle pi/n + epsilon
+        assert build_type_b(3, 0.01).points[0].theta == pytest.approx(math.pi / 3 + 0.01, abs=1e-15)
 
     def test_coprimality_enforced(self):
         with pytest.raises(InvalidTableError):

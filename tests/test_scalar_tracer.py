@@ -567,6 +567,17 @@ def test_signed_zero_and_nan_starts_share_no_chain():
     assert orbits._disk_chain.cache_info().hits == hits + 1
 
 
+def test_the_caches_hold_one_polygon_and_its_two_chains(tmp_path):
+    # a stability scan builds every table of one (n, k) in a row: the
+    # closure check keeps the last polygon and the chains of its two
+    # half-period starts, not every (n, k) the scan visited
+    orbits._polygon.cache_clear()
+    orbits._disk_chain.cache_clear()
+    assert cli.main(["stability", "--n", "5,7", "--k", "1,2", "--out", str(tmp_path / "scan.csv")]) == 0
+    assert orbits._polygon.cache_info().currsize == 1
+    assert orbits._disk_chain.cache_info().currsize == 2
+
+
 def test_the_gap_is_the_larger_of_arc_and_angle_nan_included():
     # a recorded point off the orbit, in arc, angle or both, some of them
     # NaN: the residual is ``max(abs(ds), abs(dtheta))`` as the reference
