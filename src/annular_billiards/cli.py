@@ -37,7 +37,7 @@ _LIBRARY = {
     for module, names in {
         "birkhoff": "ReducedMap birkhoff_A closed_form_A island_sampler taylor_jet twist_limit",
         "geometry": "TableParams max_radius",
-        "linear_stability": "bifurcation_radius classify delta_star lemma_f min_period_for_k monodromy trace_closed_form",
+        "linear_stability": "admissible_interval bifurcation_radius classify delta_star lemma_f min_period_for_k monodromy trace_closed_form",
         "orbits": "build_type_a build_type_b",
     }.items()
     for name in names.split()
@@ -279,9 +279,9 @@ def orbit_svg(orbit) -> str:
     return _svg_doc(body, (-1.1, -1.1, 2.2, 2.2))
 
 
-def region_svg(deltas, r_min, r_delta) -> str:
-    upper = [(d, r) for d, r, rm in zip(deltas, r_delta, r_min) if r > rm]
-    lower = [(d, rm) for d, r, rm in zip(deltas, r_delta, r_min) if r > rm]
+def region_svg(deltas, r_min, r_delta, window) -> str:
+    upper = [(d, r) for d, r, stable in zip(deltas, r_delta, window) if stable]
+    lower = [(d, rm) for d, rm, stable in zip(deltas, r_min, window) if stable]
     d_scale = max(deltas) or 1.0
     r_scale = max(max(r_delta), max(r_min)) or 1.0
     to_xy = lambda d, r: (d / d_scale, r / r_scale)
@@ -365,13 +365,11 @@ def cmd_region(spec: ScanSpec) -> int:
     deltas = _linspace(0.0, min(1.25 * dstar, 0.999 * math.sin(math.pi / n)), p["count"])
     r_min = [_cli.bifurcation_radius(n, 1, d) for d in deltas]
     r_del = [_cli.max_radius(n, 1, d) for d in deltas]
+    window = [_cli.admissible_interval(n, 1, d) is not None for d in deltas]
     if spec.fmt == "svg":
-        _write_text(spec.out, region_svg(deltas, r_min, r_del))
+        _write_text(spec.out, region_svg(deltas, r_min, r_del, window))
         return 0
-    columns = {
-        "delta": deltas, "R_min": r_min, "R_delta": r_del,
-        "stable_window": [rd > rm for rm, rd in zip(r_min, r_del)],
-    }
+    columns = {"delta": deltas, "R_min": r_min, "R_delta": r_del, "stable_window": window}
     return write_table(spec, columns, {"n": n, "delta_star": dstar})
 
 

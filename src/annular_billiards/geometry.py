@@ -15,7 +15,6 @@ import it, so the type (a) tables load no map.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple
 
@@ -23,19 +22,6 @@ from .errors import DomainError, InvalidTableError
 
 #: absolute tolerance for interiority/tangency comparisons on the unit disk
 GEOM_TOL = 1e-12
-
-
-class TableConfig(enum.Enum):
-    """Which family a table belongs to.
-
-    TYPE_A: scatterer perpendicular to one chord of the inscribed (star)
-    polygon traced with reflection angle k*pi/n, optionally displaced by
-    delta along the chord.  TYPE_B: scatterer tangent to the outer circle,
-    perpendicular to the chord of the detuned angle pi/n + epsilon.
-    """
-
-    TYPE_A = "type_a"
-    TYPE_B = "type_b"
 
 
 def max_radius_star(n: int, k: int, delta: float) -> float:
@@ -89,7 +75,6 @@ class _TableFields(NamedTuple):
     R: float
     delta: float
     epsilon: float
-    config: TableConfig
 
 
 class TableParams(_TableFields):
@@ -100,8 +85,12 @@ class TableParams(_TableFields):
     R        scatterer radius
     delta    displacement of the scatterer along the orbit chord, toward the
              collision point indexed n-1 (type (a) only)
-    epsilon  reflection-angle detuning (type (b) only)
-    config   TYPE_A or TYPE_B
+    epsilon  reflection-angle detuning: 0 for type (a), > 0 for type (b)
+
+    The detuning names the family.  Type (a): scatterer perpendicular to one
+    chord of the (star) polygon of reflection angle k*pi/n, displaced by
+    delta along it.  Type (b), the tangent table: scatterer tangent to the
+    outer circle, perpendicular to the chord of the angle pi/n + epsilon.
 
     Construction runs ``validate`` (``_replace`` too), so every instance is
     an admissible table.
@@ -109,8 +98,8 @@ class TableParams(_TableFields):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, k: int, R: float, delta: float, epsilon: float, config: TableConfig):
-        self = tuple.__new__(cls, (n, k, R, delta, epsilon, config))
+    def __new__(cls, n: int, k: int, R: float, delta: float, epsilon: float):
+        self = tuple.__new__(cls, (n, k, R, delta, epsilon))
         self.validate()
         return self
 
@@ -120,7 +109,7 @@ class TableParams(_TableFields):
 
     @staticmethod
     def type_a(n: int, k: int, R: float, delta: float = 0.0) -> "TableParams":
-        return TableParams(n=n, k=k, R=R, delta=delta, epsilon=0.0, config=TableConfig.TYPE_A)
+        return TableParams(n=n, k=k, R=R, delta=delta, epsilon=0.0)
 
     @staticmethod
     def type_b(n: int, epsilon: float) -> "TableParams":
@@ -129,7 +118,7 @@ class TableParams(_TableFields):
         from .billiard_map import tangency_radius_b
 
         r = tangency_radius_b(n, epsilon)
-        return TableParams(n=n, k=1, R=r, delta=0.0, epsilon=epsilon, config=TableConfig.TYPE_B)
+        return TableParams(n=n, k=1, R=r, delta=0.0, epsilon=epsilon)
 
     def validate(self) -> None:
         n, k = self.n, self.k
@@ -139,8 +128,8 @@ class TableParams(_TableFields):
             raise InvalidTableError(f"need 1 <= k <= n/2 coprime with n, got k={k}, n={n}")
         if not 0.0 < self.R < 1.0:
             raise InvalidTableError(f"need 0 < R < 1, got R={self.R}")
-        if self.config is TableConfig.TYPE_B:
-            if k != 1 or self.delta != 0.0 or self.epsilon <= 0.0:
+        if self.epsilon > 0.0:
+            if k != 1 or self.delta != 0.0:
                 raise InvalidTableError("type (b) requires k=1, delta=0, epsilon>0")
             from .billiard_map import tangency_radius_b
 
@@ -152,6 +141,8 @@ class TableParams(_TableFields):
             return
         if self.delta < 0.0:
             raise InvalidTableError(f"need delta >= 0, got {self.delta}")
+        if not self.epsilon >= 0.0:
+            raise InvalidTableError(f"need epsilon >= 0, got {self.epsilon}")
         cap = max_radius(n, k, self.delta)
         if self.R > cap + GEOM_TOL:
             raise InvalidTableError(
@@ -189,7 +180,7 @@ def scatterer_pose(params: TableParams) -> ScattererPose:
     Type (b): center on the negative x-axis at distance 1 - R_b (tangent to
     the unit circle at (-1, 0)).
     """
-    if params.config is TableConfig.TYPE_B:
+    if params.epsilon > 0.0:
         pose = ScattererPose(center=(-(1.0 - params.R), 0.0), radius=params.R)
     else:
         x = -math.cos(params.k * math.pi / params.n)

@@ -152,7 +152,8 @@ def admissible_interval(n: int, k: int, delta: float) -> tuple[float, float] | N
 
     if 2 n delta > sin(k pi/n), and never otherwise.  The window ends at the
     admissible maximum or at R_-2, whichever comes first.  At delta = 0 the
-    trace is 2 for every R: no window.
+    trace is 2 for every R: no window.  The ``region`` command's
+    ``stable_window`` is whether the k = 1 window is open.
     """
     cap = max_radius(n, k, delta)
     if delta == 0.0:

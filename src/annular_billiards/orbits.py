@@ -38,7 +38,7 @@ from math import atan2, cos, inf, nan, pi, sin, sqrt
 from typing import NamedTuple
 
 from .errors import DomainError, GrazingError, InvalidTableError, NoCollisionError, TangencyWarning
-from .geometry import ScattererPose, TableConfig, TableParams, scatterer_pose
+from .geometry import ScattererPose, TableParams, scatterer_pose
 
 #: maximum closure residual accepted when a constructed orbit is validated
 CLOSURE_TOL = 1e-9
@@ -244,7 +244,7 @@ class OrbitRecord(NamedTuple):
                 "R": self.params.R,
                 "delta": self.params.delta,
                 "epsilon": self.params.epsilon,
-                "config": self.params.config.value,
+                "config": "type_b" if self.params.epsilon > 0.0 else "type_a",
             },
             "points": [
                 {"wall": p.wall.value, "s": p.s, "theta": p.theta}
@@ -309,7 +309,7 @@ def build_type_a(params: TableParams) -> OrbitRecord:
     The orbit is ray-traced for one period (``verify_closure``), and refused
     with ``InvalidTableError`` if it does not close to ``CLOSURE_TOL``.
     """
-    if params.config is not TableConfig.TYPE_A:
+    if params.epsilon > 0.0:
         raise InvalidTableError("build_type_a needs a type (a) table")
     pose = scatterer_pose(params)
     n, k, R, delta = params.n, params.k, params.R, params.delta

@@ -19,6 +19,7 @@ from annular_billiards import cli
 from annular_billiards.birkhoff import island_sampler
 from annular_billiards.cli import JSON_SCHEMA, ScanSpec, _cell, main, parse_values
 from annular_billiards.errors import TangencyWarning
+from annular_billiards.linear_stability import Classification, classify, trace_closed_form
 
 
 def run(tmp_path, name, args):
@@ -330,6 +331,13 @@ class TestParsing:
         assert capsys.readouterr().err.startswith(f"error: {error}: ")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("eps", ["0", "-0"])
+    def test_orbit_refuses_zero_detuning(self, tmp_path, capsys, eps):
+        # eps = 0 at n = 3 is not read as the type (a) table of the same radius
+        assert main(["orbit", "--n", "3", "--eps", eps, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr() == ("", f"error: InvalidTableError: type (b) needs epsilon > 0, got {float(eps)}\n")
+        assert not (tmp_path / "x").exists()
+
 
 class TestStability:
     def test_sweep_finds_bifurcation(self, tmp_path):
@@ -503,8 +511,21 @@ class TestRegion:
         first = rows[0]
         assert float(first[1]) == pytest.approx(math.sin(math.pi / 5) / 5, abs=1e-12)
         assert float(first[2]) == pytest.approx(1 - math.cos(math.pi / 5), abs=1e-12)
-        assert first[3] == "True"
+        # at delta = 0 the trace is 2 for every R: no window
+        assert first[3] == "False"
+        assert rows[1][3] == "True"
         assert rows[-1][3] == "False"
+
+    @pytest.mark.parametrize("n", [*range(3, 61), 100, 400, 1000])
+    def test_window_is_where_the_midpoint_radius_is_elliptic(self, tmp_path, n):
+        # independent of admissible_interval: between R_min and R_delta the
+        # orbit is stable exactly where the midpoint radius is elliptic
+        doc = json.loads(run(tmp_path, "region.json", ["region", "--n", str(n), "--format", "json"]))
+        assert len(doc["rows"]) == 400
+        for row in doc["rows"]:
+            lo, hi, delta = row["R_min"], row["R_delta"], row["delta"]
+            want = lo < hi and classify(trace_closed_form(n, 1, (lo + hi) / 2, delta)) is Classification.ELLIPTIC
+            assert row["stable_window"] is want, row
 
     def test_window_svg(self, tmp_path):
         text = run(tmp_path, "region.svg", ["region", "--n", "20", "--count", "60", "--format", "svg"])

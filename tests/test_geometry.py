@@ -7,9 +7,8 @@ import pytest
 from mpmath import mp
 
 from annular_billiards.billiard_map import tangency_radius_b
-from annular_billiards.errors import DomainError, InvalidTableError
+from annular_billiards.errors import DomainError, InvalidTableError, SingularConfigurationError
 from annular_billiards.geometry import (
-    TableConfig,
     TableParams,
     chord_lines,
     clearance_from_other_chords,
@@ -232,13 +231,16 @@ class TestChordClearance:
 
 class TestTableParams:
     def test_type_b_requires_positive_detuning(self):
-        with pytest.raises(InvalidTableError):
-            TableParams.type_b(3, 0.0)
+        # without this refusal eps = 0 at n = 3 would pass as a type (a)
+        # table: the tangency radius 0.5 equals the type (a) cap there
+        for epsilon in (0.0, -0.0):
+            with pytest.raises(InvalidTableError, match=f"^type \\(b\\) needs epsilon > 0, got {epsilon}$"):
+                TableParams.type_b(3, epsilon)
 
     def test_type_b_radius_is_derived(self):
         params = TableParams.type_b(3, 0.01)
         assert params.R == pytest.approx(tangency_radius_b(3, 0.01), abs=1e-15)
-        assert params.config is TableConfig.TYPE_B
+        assert params.epsilon == 0.01 and len(params) == 5
         # the orbit's first state carries the detuned angle pi/n + epsilon
         assert build_type_b(3, 0.01).points[0].theta == pytest.approx(math.pi / 3 + 0.01, abs=1e-15)
 
@@ -264,7 +266,25 @@ class TestTableParams:
 
     def test_direct_construction_is_validated(self):
         with pytest.raises(InvalidTableError):
-            TableParams(n=6, k=2, R=0.05, delta=0.0, epsilon=0.0, config=TableConfig.TYPE_A)
+            TableParams(n=6, k=2, R=0.05, delta=0.0, epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon", [-0.3, -1e-300, math.nan])
+    def test_detuning_below_zero_is_refused(self, epsilon):
+        with pytest.raises(InvalidTableError, match="need epsilon >= 0"):
+            TableParams(5, 1, 0.1, 0.0, epsilon)
+
+    def test_positive_detuning_makes_a_tangent_table(self):
+        # a detuned table is type (b), so its radius must be the tangency
+        # radius; at n = 5, eps = 0.3 there is none in (0, 1)
+        with pytest.raises(InvalidTableError, match="must equal the tangency radius"):
+            TableParams(5, 1, 0.1, 0.0, 0.01)
+        with pytest.raises(SingularConfigurationError, match="tangency radius"):
+            TableParams(5, 1, 0.1, 0.0, 0.3)
+        with pytest.raises(InvalidTableError, match="type \\(b\\) requires k=1, delta=0"):
+            TableParams(5, 1, 0.1, 0.01, 0.3)
+        params = TableParams.type_b(5, 0.01)
+        assert TableParams(5, 1, params.R, 0.0, 0.01) == params
+        assert scatterer_pose(params).center == (-(1.0 - params.R), 0.0)
 
     def test_validated_once_per_table(self, monkeypatch):
         calls = []

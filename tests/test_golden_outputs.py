@@ -55,9 +55,9 @@ GOLDEN = {
     "orbit_star_readme.svg": "a34c96a3b3bef7c02ef2e0e5b3deee7697273bd358d3501e1876d0bd45d17da6",
     "orbit_tangent_readme.csv": "2d9ad59fee8fcdc1c243107bbfbd18c8059deb9399137726ba015b5379468a65",
     "orbit_tangent_readme.json": "b7570a7b6f5bdf6fc33c78482426752a5551a98264b3ca1d9b15281ec0fe15b1",
-    "region_readme.csv": "ff335a96292a231759e05c8ea29276117ec2ab67de2b389a3f4e1d3994b03465",
-    "region_readme.json": "7de5f314d6fe40f27bfe1ecd91ba5cd9ad72512d10a8fe606de0cdd7dc9a4e7f",
-    "region_readme.svg": "763893d883c13bf9b02f88440af1dd4f2f1a6c01afe94d6b4992d028bb5e9492",
+    "region_readme.csv": "6deaccf688b32165b250b6aa16ae0ba3e5b458aa98cbdd9bd061a4b847558ea1",
+    "region_readme.json": "c4628b3ee5a74ab0be3206ea3e860cb9dd77d320ec2c2608410dc33495a15cd6",
+    "region_readme.svg": "22fa4924da8eec4072dcb835c576820f906356c4c26679bbe0342f789a9e4201",
     "section_readme.csv": "7122f63c4156ee94f6972f81480d15ac15fe38dfe460b35f9fc88e4e7de0bdfc",
     "section_readme.json": "be3f018b69f1f17971ba3264555e18f77f59b1c9262f0dbd4ff25e3dae4b7df2",
     "stability_readme.csv": "f18b5b9c4ae38a9b5aa643f35bbcc70677bd204fb832e808947b867fb6cdaac1",

@@ -29,7 +29,6 @@ ALLOWED = {
     "closed_form_A_large_n": "paper formula: large-n expansion of the twist coefficient",
     "epsilon_star": "paper formula: detuning scale of the tangent table's elliptic window",
     "epsilon_star_large_n": "paper formula: large-n asymptote of epsilon_star",
-    "admissible_interval": "elliptic radius window; the k >= 2 region work gives it a caller",
     "symplectic_defect": "area-preservation health check; output telemetry gives it a caller",
     "JSON_SCHEMA": "published layout of the JSON scan output",
 }

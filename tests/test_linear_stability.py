@@ -9,7 +9,7 @@ import pytest
 from annular_billiards import linear_stability
 from annular_billiards.birkhoff import ReducedMap, birkhoff_A, taylor_jet
 from annular_billiards.errors import BilliardError, ClassificationError, DomainError, GrazingError
-from annular_billiards.geometry import TableConfig, TableParams, max_radius
+from annular_billiards.geometry import TableParams, max_radius
 from annular_billiards.linear_stability import (
     _bounce,
     Classification,
@@ -247,7 +247,7 @@ class TestRepeatedBounces:
             formed.clear()
             assert _bits(monodromy(orbit)) == _bits(_bounce_by_bounce_monodromy(orbit)), orbit.params
             assert len(formed) <= orbit.period
-            if orbit.params.config is TableConfig.TYPE_A:
+            if orbit.params.epsilon == 0.0:
                 # one run of n - 1 disk bounces each way and the four at the scatterer
                 assert len(formed) == 6, orbit.params
                 type_a.append(orbit.params.n)

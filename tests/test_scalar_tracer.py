@@ -31,7 +31,7 @@ from annular_billiards.errors import (
     NoCollisionError,
     TangencyWarning,
 )
-from annular_billiards.geometry import ScattererPose, TableConfig, TableParams, max_radius, scatterer_pose
+from annular_billiards.geometry import ScattererPose, TableParams, max_radius, scatterer_pose
 from annular_billiards.linear_stability import classify, monodromy, trace_closed_form
 from annular_billiards.orbits import (
     CLOSURE_TOL,
@@ -140,7 +140,7 @@ def _scalar_closure(orbit):
 def _scalar_orbit(params):
     """The closed-form type (a) orbit of ``params``, built point by point
     through ``PhasePoint``."""
-    if params.config is not TableConfig.TYPE_A:
+    if params.epsilon > 0.0:
         raise InvalidTableError("build_type_a needs a type (a) table")
     n, k, R, delta = params.n, params.k, params.R, params.delta
     pose = scatterer_pose(params)
