@@ -9,8 +9,9 @@ invariant under y -> -y and the tangent configuration has its scatterer
 center on the negative x-axis.
 
 The tangent table's radius, ``tangency_radius_b``, lives with its map in
-``billiard_map``, and only the two type (b) branches of ``TableParams``
-import it, so the type (a) tables load no map.
+``billiard_map``.  Only ``_tangent_radius``, which the two type (b)
+branches of ``TableParams`` call, imports it, so the type (a) tables load
+no map.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, InvalidTableError
+from .errors import DomainError, InvalidTableError, SingularConfigurationError
 
 #: absolute tolerance for interiority/tangency comparisons on the unit disk
 GEOM_TOL = 1e-12
@@ -69,6 +70,17 @@ def max_radius(n: int, k: int, delta: float) -> float:
     return disk if k == 1 else min(star, disk)
 
 
+def _tangent_radius(n: int, epsilon: float) -> float:
+    """``tangency_radius_b``, refusing a detuning with no tangent radius in
+    (0, 1) as an inadmissible table."""
+    from .billiard_map import tangency_radius_b
+
+    try:
+        return tangency_radius_b(n, epsilon)
+    except SingularConfigurationError as exc:
+        raise InvalidTableError(str(exc)) from None
+
+
 class _TableFields(NamedTuple):
     n: int
     k: int
@@ -115,10 +127,7 @@ class TableParams(_TableFields):
     def type_b(n: int, epsilon: float) -> "TableParams":
         if epsilon <= 0.0:
             raise InvalidTableError(f"type (b) needs epsilon > 0, got {epsilon}")
-        from .billiard_map import tangency_radius_b
-
-        r = tangency_radius_b(n, epsilon)
-        return TableParams(n=n, k=1, R=r, delta=0.0, epsilon=epsilon)
+        return TableParams(n=n, k=1, R=_tangent_radius(n, epsilon), delta=0.0, epsilon=epsilon)
 
     def validate(self) -> None:
         n, k = self.n, self.k
@@ -131,9 +140,7 @@ class TableParams(_TableFields):
         if self.epsilon > 0.0:
             if k != 1 or self.delta != 0.0:
                 raise InvalidTableError("type (b) requires k=1, delta=0, epsilon>0")
-            from .billiard_map import tangency_radius_b
-
-            r = tangency_radius_b(n, self.epsilon)
+            r = _tangent_radius(n, self.epsilon)
             if abs(r - self.R) > GEOM_TOL:
                 raise InvalidTableError(
                     f"type (b) radius must equal the tangency radius {r!r}, got {self.R!r}"

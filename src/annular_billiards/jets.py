@@ -115,19 +115,9 @@ class Jet2:
 
     __rmul__ = __mul__
 
+    # a jet divides by a float only: the map push divides by the radius R
     def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            return self * other._reciprocal()
         return Jet2(tuple([x / other for x in self.c]))
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
-
-    def _reciprocal(self) -> "Jet2":
-        u = self.c[0]
-        if u == 0.0:
-            raise ZeroDivisionError("jet with zero constant term")
-        return self.compose_univariate((1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4))
 
     # -- composition with univariate functions ------------------------------
 

@@ -197,23 +197,11 @@ def min_period_for_k(k: int) -> int | None:
     return None
 
 
-def trace_b_coefficient(n: int) -> float:
-    """First-order coefficient c1 in trace = 2 - c1*epsilon for the tangent table:
+def epsilon_star(n: int) -> float:
+    """Detuning 4/c1(n) where the first-order trace 2 - c1*epsilon of the
+    tangent table reaches -2, with
 
         c1 = 16 n (cos(pi/n) - n cot(pi/n) + n cos(pi/n) cot(pi/n)) / (cos(pi/n) - 1)
-    """
-    c = math.pi / n
-    cot = math.cos(c) / math.sin(c)
-    return (
-        16.0
-        * n
-        * (math.cos(c) - n * cot + n * math.cos(c) * cot)
-        / (math.cos(c) - 1.0)
-    )
-
-
-def epsilon_star(n: int) -> float:
-    """Detuning 4/c1(n) where the first-order trace 2 - c1*epsilon reaches -2.
 
     This sets the scale of the tangent table's elliptic window, not its end:
     the full-period trace is (reduced trace)^2 - 2 >= -2, so it touches -2
@@ -221,7 +209,9 @@ def epsilon_star(n: int) -> float:
     and turns back up.  For n = 3..40 the orbit is still elliptic at
     1.2 epsilon_star; for n = 4..40 it is hyperbolic at 2 epsilon_star.
     """
-    return 4.0 / trace_b_coefficient(n)
+    c = math.pi / n
+    cot = math.cos(c) / math.sin(c)
+    return 4.0 / (16.0 * n * (math.cos(c) - n * cot + n * math.cos(c) * cot) / (math.cos(c) - 1.0))
 
 
 def epsilon_star_large_n(n: int) -> float:

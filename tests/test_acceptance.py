@@ -37,7 +37,6 @@ from annular_billiards.linear_stability import (
     lemma_f,
     min_period_for_k,
     monodromy,
-    trace_b_coefficient,
     trace_closed_form,
 )
 from annular_billiards.orbits import (
@@ -154,7 +153,8 @@ def test_criterion_06_tangent_trace_coefficient():
             tr = float(np.trace(monodromy(orbit)))
             vals.append((2.0 - tr) / eps)
         extrap = richardson(vals)
-        want = trace_b_coefficient(n)
+        # the paper's c1 in trace = 2 - c1*eps, of which epsilon_star is 4/c1
+        want = 4.0 / epsilon_star(n)
         rel = abs(extrap - want) / abs(want)
         worst = max(worst, rel)
         assert rel < 1e-3, (n, extrap, want)

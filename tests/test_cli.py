@@ -324,6 +324,8 @@ class TestParsing:
             (["region", "--n", "2"], "DomainError"),
             (["section", "--n", "3", "--eps", "2.9"], "DomainError"),
             (["lemma", "--x", "1e200"], "DomainError"),
+            # a detuning with no tangent radius in (0, 1) names no table
+            (["orbit", "--n", "5", "--eps", "0.3"], "InvalidTableError"),
         ],
     )
     def test_refused_single_result_exits_2(self, tmp_path, capsys, args, error):

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from annular_billiards.billiard_map import tangency_radius_b
-from annular_billiards.errors import DomainError, InvalidTableError, SingularConfigurationError
+from annular_billiards.errors import DomainError, InvalidTableError
 from annular_billiards.geometry import (
     TableParams,
     chord_lines,
@@ -278,8 +278,10 @@ class TestTableParams:
         # radius; at n = 5, eps = 0.3 there is none in (0, 1)
         with pytest.raises(InvalidTableError, match="must equal the tangency radius"):
             TableParams(5, 1, 0.1, 0.0, 0.01)
-        with pytest.raises(SingularConfigurationError, match="tangency radius"):
+        with pytest.raises(InvalidTableError, match="tangency radius -7.47052 outside \\(0, 1\\)"):
             TableParams(5, 1, 0.1, 0.0, 0.3)
+        with pytest.raises(InvalidTableError, match="tangency radius -7.47052 outside \\(0, 1\\)"):
+            TableParams.type_b(5, 0.3)
         with pytest.raises(InvalidTableError, match="type \\(b\\) requires k=1, delta=0"):
             TableParams(5, 1, 0.1, 0.01, 0.3)
         params = TableParams.type_b(5, 0.01)

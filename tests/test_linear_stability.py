@@ -26,7 +26,6 @@ from annular_billiards.linear_stability import (
     monodromy,
     star_inequality,
     symplectic_defect,
-    trace_b_coefficient,
     trace_closed_form,
 )
 from annular_billiards.orbits import build_type_a, build_type_b
@@ -423,7 +422,8 @@ class TestTangentTrace:
             vals.append((2.0 - tr) / eps)
         r1 = [2 * vals[1] - vals[0], 2 * vals[2] - vals[1]]
         extrap = (4 * r1[1] - r1[0]) / 3
-        want = trace_b_coefficient(n)
+        # the paper's c1 in trace = 2 - c1*eps, of which epsilon_star is 4/c1
+        want = 4.0 / epsilon_star(n)
         assert extrap == pytest.approx(want, rel=1e-3)
 
     def test_threshold_scalings(self):
