@@ -13,15 +13,17 @@ significant digits so a round trip through text is exact.
 from __future__ import annotations
 
 import argparse
+import atexit
 import importlib
 import json
 import math
+import os
 import sys
 from collections.abc import Callable, Sequence
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import __version__
 from .errors import BilliardError
@@ -574,6 +576,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def _spec_error(spec: ScanSpec) -> str | None:
     """Why a parsed request cannot run as given, or None."""
     p, flags = spec.params, COMMANDS[spec.command].flags
+    if spec.out in (None, "-") and sys.stdout is None:
+        return "stdout is closed; name an output file with --out"
     for name, flag in flags.items():
         if flag.required and p[name] is None:
             return f"{spec.command} needs --{name}"
@@ -613,5 +617,37 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
 
+def entry() -> NoReturn:
+    """The process entry, for ``python -m annular_billiards.cli`` and the
+    ``annular-billiards`` script: run ``main`` on the command line and end
+    the process once its output is flushed.
+
+    The status is ``main``'s return, or the code of the ``SystemExit`` that
+    argparse raises, read as ``sys.exit`` reads it.  The ``atexit``
+    callbacks run, stdout and then stderr are flushed, and ``os._exit``
+    skips the interpreter's teardown, which frees every object one at a
+    time.  A reader that closed the pipe early leaves the status as it is,
+    as in ``main``.  Any other exception propagates, with its traceback and
+    a normal teardown.
+    """
+    try:
+        status = main()
+    except SystemExit as exc:
+        status = exc.code
+    if status is None:
+        status = 0
+    elif not isinstance(status, int):
+        print(status, file=sys.stderr)
+        status = 1
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                pass
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,13 +1,16 @@
 """End-to-end runs of every subcommand with reproducibility checks."""
 
 import ast
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import jsonschema
@@ -793,6 +796,125 @@ class TestStartUp:
             assert (tmp_path / "import.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
         if argv[0] == "section":
             assert (tmp_path / "main.csv").read_text().count("\n") == 11 + 8 * 5
+
+
+class TestProcessRoute:
+    """``python -m annular_billiards.cli`` and the console script end through
+    ``cli.entry``, which flushes the output and then ends the process without
+    interpreter teardown."""
+
+    #: one request per subcommand and format, the refusal routes, help, a
+    #: grazing contact and a 3.2 MB stdout
+    ARGVS = [
+        ["--version"],
+        ["-h"],
+        ["stability", "--n", "5", "--R", "0.1", "--out", "-"],
+        ["stability", "--n", "5", "--k", "2", "--delta", "0,0.01", "--R", "0.01:0.05:3", "--format", "json", "--out", "-"],
+        # the scatterer grazes another chord of the orbit: a TangencyWarning
+        ["stability", "--n", "5", "--k", "2", "--delta", "0.01", "--R", "0.20401492639946942", "--out", "-"],
+        ["region", "--n", "5", "--count", "3", "--out", "-"],
+        ["region", "--n", "5", "--count", "3", "--format", "json", "--out", "-"],
+        ["region", "--n", "5", "--count", "4", "--format", "svg", "--out", "-"],
+        ["birkhoff", "--n", "3,4", "--eps", "1e-3:4e-3:4", "--out", "-"],
+        ["birkhoff", "--n", "3", "--eps", "0.001", "--format", "json", "--out", "-"],
+        ["orbit", "--n", "5", "--k", "2", "--out", "-"],
+        ["orbit", "--n", "3", "--eps", "0.01", "--format", "json", "--out", "-"],
+        ["orbit", "--n", "5", "--k", "2", "--format", "svg", "--out", "-"],
+        ["section", "--n", "3", "--eps", "0.02", "--iterations", "5", "--format", "json", "--out", "-"],
+        ["section", "--n", "3", "--eps", "0.02", "--out", "-"],
+        ["lemma", "--x", "1.5,2", "--out", "-"],
+        ["lemma", "--format", "json", "--out", "-"],
+        # a refused single result, and a usage error
+        ["orbit", "--n", "5", "--eps", "0.3", "--out", "-"],
+        ["stability", "--n", "5", "--bogus", "1"],
+    ]
+
+    @staticmethod
+    def child(args, **kwargs) -> subprocess.Popen:
+        """A fresh interpreter on ``src/`` with block-buffered stdout, so
+        that only ``entry``'s flush writes what is left in the buffer, and
+        with the default warning filters and help width."""
+        src = Path(annular_billiards.__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "PYTHONWARNINGS")}
+        env.update(PYTHONPATH=str(src), COLUMNS="80")
+        return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+    @staticmethod
+    def in_process(argv):
+        """stdout bytes, stderr text and status of ``main`` in this process,
+        with warnings shown on stderr as a fresh interpreter shows them."""
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.resetwarnings()
+            warnings.showwarning = lambda message, category, filename, lineno, file=None, line=None: (
+                sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+            )
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        return out.getvalue().encode(), err.getvalue(), status
+
+    def test_process_route_matches_main(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        children = [
+            self.child(["-m", "annular_billiards.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for argv in self.ARGVS
+        ]
+        outcomes = []
+        for argv, proc in zip(self.ARGVS, children):
+            expected = self.in_process(argv)
+            out, err = proc.communicate(timeout=60)
+            outcomes.append((out, err.decode(), proc.returncode))
+            assert outcomes[-1] == expected, argv
+        assert {status for _, _, status in outcomes} == {0, 2}
+        assert any("TangencyWarning" in err for _, err, _ in outcomes)
+        assert max(len(out) for out, _, _ in outcomes) > 3_000_000  # the default section, flushed whole
+
+    @pytest.mark.parametrize(
+        "argv", [["stability", "--n", "5", "--R", "0.1"], ["section", "--n", "3", "--eps", "0.02"]], ids=["small", "large"]
+    )
+    def test_a_reader_that_closed_the_pipe_gets_status_0(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.child(["-m", "annular_billiards.cli", *argv, "--out", "-"], stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+
+    def test_a_closed_stdout_is_a_usage_error(self):
+        proc = self.child(
+            ["-m", "annular_billiards.cli", "stability", "--n", "5", "--R", "0.1", "--out", "-"],
+            stderr=subprocess.PIPE, preexec_fn=partial(os.close, 1),
+        )
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, b"error: stdout is closed; name an output file with --out\n")
+
+    def test_entry_runs_the_atexit_callbacks(self, tmp_path):
+        marker = tmp_path / "marker"
+        launcher = (
+            "import atexit, pathlib\n"
+            f"atexit.register(pathlib.Path({str(marker)!r}).write_text, 'ran')\n"
+            "from annular_billiards.cli import entry\n"
+            "entry()\n"
+        )
+        proc = self.child(["-c", launcher, "--version"], stdout=subprocess.PIPE)
+        out, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (0, f"{annular_billiards.__version__}\n".encode())
+        assert marker.read_text() == "ran"
+
+    @pytest.mark.parametrize("code", [None, 3, "not a number"])
+    def test_entry_reads_an_exit_code_as_sys_exit_does(self, code):
+        # main replaced by one that exits with ``code``, against sys.exit itself
+        exiting = f"import sys\nsys.exit({code!r})\n"
+        raising = f"import sys\nfrom annular_billiards import cli\ncli.main = lambda: sys.exit({code!r})\ncli.entry()\n"
+        outcomes = []
+        for launcher in (raising, exiting):
+            proc = self.child(["-c", launcher], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            outcomes.append((*proc.communicate(timeout=60), proc.returncode))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestLemmaCommand:

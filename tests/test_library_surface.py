@@ -48,6 +48,7 @@ NEVER_RUN = {
     "birkhoff.fd_taylor_jet": "perfbench: the 50-digit oracle of the same audit",
     "birkhoff.closed_form_A_large_n": "tests: paper formula, the large-n expansion of the twist coefficient",
     "birkhoff.rotation_number_leading": "tests: paper formula, the leading order of the rotation angle mu",
+    "cli.entry": "contract: the process entry of python -m and the console script, which the probe's one interpreter cannot run; test_process_route_matches_main runs it in a child per request",
     "geometry.TableParams._make": "contract: _replace validates a table, as test_replace_validates pins",
     "geometry.chord_lines": "tests: oracle of max_radius_star's nearest chord and of the caustic radius",
     "geometry.clearance_from_other_chords": "tests: oracle of max_radius_star's chord clearance",
