@@ -394,6 +394,7 @@ def island_sampler(
     ray missing the scatterer) is recorded as an escape; the reported seed is
     the lowest-numbered one that escaped.  Returns the report and the visited
     (s, r) iterates, a list of pairs, seed by seed, each up to its escape.
+    At radius 0 every seed starts at the fixed point.
 
     Each seed is iterated alone on a pair of Python floats, two calls of
     ``half_period_formula`` per iteration, and stops at its first
@@ -416,7 +417,7 @@ def island_sampler(
     rmap = ReducedMap(n, epsilon)
     s0, r0 = rmap.fixed_point
     rng = random.Random(seed)
-    phases = [2.0 * math.pi * rng.random() for _ in range(seeds)] if radius > 0.0 else [0.0]
+    phases = [2.0 * math.pi * rng.random() for _ in range(seeds)]
     # the module global, looked up per request, so a patched map is the one
     # called; math.acos raises ValueError only where FLOAT_BACKEND clamps or
     # refuses, so only those half periods run again on the fallback

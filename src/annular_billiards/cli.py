@@ -22,6 +22,7 @@ import sys
 from collections.abc import Callable, Sequence
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -211,7 +212,7 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def write_csv(spec: ScanSpec, columns: dict[str, Sequence], summary: dict) -> None:
+def write_csv(spec: ScanSpec, names: Sequence[str], rows: Sequence[Sequence], summary: dict) -> None:
     """Write the header lines, then every row through one %-format of the
     whole body: ``%.17g`` for a column of plain floats (the text ``_cell``
     gives a float), ``%s`` over the ``_cell`` text of any other column."""
@@ -221,14 +222,11 @@ def write_csv(spec: ScanSpec, columns: dict[str, Sequence], summary: dict) -> No
     ]
     for key, val in sorted(summary.items()):
         lines.append(f"# summary {key}: {_cell(val)}")
-    lines.append(",".join(columns))
-    formats, cells = [], []
-    for column in columns.values():
-        floats = set(map(type, column)) == {float}
-        formats.append("%.17g" if floats else "%s")
-        cells.append(column if floats else list(map(_cell, column)))
-    flat = tuple(chain.from_iterable(zip(*cells, strict=True)))
-    body = (",".join(formats) + "\n") * (len(flat) // len(cells)) % flat
+    lines.append(",".join(names))
+    floats = [set(map(type, map(itemgetter(i), rows))) == {float} for i in range(len(names))]
+    if not all(floats):
+        rows = [[v if f else _cell(v) for v, f in zip(row, floats)] for row in rows]
+    body = (",".join("%.17g" if f else "%s" for f in floats) + "\n") * len(rows) % tuple(chain.from_iterable(rows))
     _write_text(spec.out, "\n".join(lines) + "\n" + body)
 
 
@@ -237,14 +235,13 @@ def write_json(spec: ScanSpec, rows: list[dict], summary: dict) -> None:
     _write_text(spec.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def write_table(spec: ScanSpec, columns: dict[str, Sequence], summary: dict) -> int:
-    """Write a table of named, equally long columns in the requested text
+def write_table(spec: ScanSpec, names: Sequence[str], rows: Sequence[Sequence], summary: dict) -> int:
+    """Write a table of rows, one value per name, in the requested text
     format (svg is refused at parse time for commands without a renderer)."""
     if spec.fmt == "json":
-        rows = [dict(zip(columns, row)) for row in zip(*columns.values(), strict=True)]
-        write_json(spec, rows, summary)
+        write_json(spec, [dict(zip(names, row)) for row in rows], summary)
     else:
-        write_csv(spec, columns, summary)
+        write_csv(spec, names, rows, summary)
     return 0
 
 
@@ -355,9 +352,8 @@ def cmd_stability(spec: ScanSpec) -> int:
                     rs = _linspace(0.05 * cap, cap, 25)
                 rows.extend((n, k, R, delta, *_stability_row(n, k, R, delta)) for R in rs)
     names = ("n", "k", "R", "delta", "trace_closed", "trace_numeric", "classification", "skip_reason")
-    columns = dict(zip(names, zip(*rows)))
-    summary = {"points": len(rows), "skipped": sum(map(bool, columns["skip_reason"]))}
-    return write_table(spec, columns, summary)
+    summary = {"points": len(rows), "skipped": sum(bool(row[-1]) for row in rows)}
+    return write_table(spec, names, rows, summary)
 
 
 def cmd_region(spec: ScanSpec) -> int:
@@ -371,8 +367,8 @@ def cmd_region(spec: ScanSpec) -> int:
     if spec.fmt == "svg":
         _write_text(spec.out, region_svg(deltas, r_min, r_del, window))
         return 0
-    columns = {"delta": deltas, "R_min": r_min, "R_delta": r_del, "stable_window": window}
-    return write_table(spec, columns, {"n": n, "delta_star": dstar})
+    rows = list(zip(deltas, r_min, r_del, window))
+    return write_table(spec, ("delta", "R_min", "R_delta", "stable_window"), rows, {"n": n, "delta_star": dstar})
 
 
 def _extrapolate_ladder(eps: list[float], vals: list[float]) -> float | None:
@@ -398,22 +394,18 @@ def _extrapolate_ladder(eps: list[float], vals: list[float]) -> float | None:
 
 def cmd_birkhoff(spec: ScanSpec) -> int:
     p = spec.params
-    points = [(n, e) for n in p["n"] for e in p["eps"]]
-    mu, a_numeric, a_leading, reasons = zip(*(_birkhoff_point(n, eps) for n, eps in points))
+    points = [(n, e, *_birkhoff_point(n, e)) for n in p["n"] for e in p["eps"]]
     summary: dict = {"points": len(points)}
-    a_tilde = {}
     for n in p["n"]:
-        at = _extrapolate_ladder(p["eps"], [a for (m, _), a in zip(points, a_numeric) if m == n])
-        a_tilde[n] = summary[f"A_tilde_n{n}"] = at if at is not None else ""
+        at = _extrapolate_ladder(p["eps"], [a for m, _, _, a, _, _ in points if m == n])
+        summary[f"A_tilde_n{n}"] = at if at is not None else ""
         try:
             summary[f"A_tilde_closed_n{n}"] = _cli.twist_limit(n)
         except BilliardError:
             summary[f"A_tilde_closed_n{n}"] = ""
-    columns = {
-        "n": [n for n, _ in points], "eps": [e for _, e in points], "mu": mu, "A_numeric": a_numeric,
-        "A_closed_leading": a_leading, "A_tilde": [a_tilde[n] for n, _ in points], "skip_reason": reasons,
-    }
-    return write_table(spec, columns, summary)
+    names = ("n", "eps", "mu", "A_numeric", "A_closed_leading", "A_tilde", "skip_reason")
+    rows = [(n, e, mu, a, lead, summary[f"A_tilde_n{n}"], reason) for n, e, mu, a, lead, reason in points]
+    return write_table(spec, names, rows, summary)
 
 
 def cmd_orbit(spec: ScanSpec) -> int:
@@ -429,9 +421,9 @@ def cmd_orbit(spec: ScanSpec) -> int:
         _write_text(spec.out, orbit_svg(orbit))
         return 0
     if spec.fmt == "csv":
-        x, y = zip(*orbit.polyline())
-        return write_table(spec, {"x": x, "y": y}, {"closure_residual": orbit.closure_residual})
-    return write_table(spec, {key: [value] for key, value in orbit.to_json_dict().items()}, {})
+        return write_table(spec, ("x", "y"), orbit.polyline(), {"closure_residual": orbit.closure_residual})
+    write_json(spec, [orbit.to_json_dict()], {})
+    return 0
 
 
 def cmd_section(spec: ScanSpec) -> int:
@@ -450,11 +442,7 @@ def cmd_section(spec: ScanSpec) -> int:
         "escape_seed": report.escape_seed if report.escaped else "",
         "escape_iteration": report.escape_iteration if report.escaped else "",
     }
-    # two comprehensions split the pairs faster than zip(*cloud), and give
-    # empty columns when every seed escaped in its first iteration
-    s = [p[0] for p in cloud]
-    r = [p[1] for p in cloud]
-    return write_table(spec, {"s": s, "r": r}, summary)
+    return write_table(spec, ("s", "r"), cloud, summary)
 
 
 def cmd_lemma(spec: ScanSpec) -> int:
@@ -469,7 +457,7 @@ def cmd_lemma(spec: ScanSpec) -> int:
         "bound_two_pi": 2.0 * math.pi,
         **{f"n_{k}": _cli.min_period_for_k(k) or "none" for k in range(2, 8)},
     }
-    return write_table(spec, {"x": xs, "f": fs, "max_k": [math.floor(f) for f in fs]}, summary)
+    return write_table(spec, ("x", "f", "max_k"), [(x, f, math.floor(f)) for x, f in zip(xs, fs)], summary)
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +603,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except OSError as exc:
+        return _unwritten(exc)
+
+
+def _unwritten(exc: OSError) -> int:
+    """Report an output that could not be written in one ``error:`` line: status 1."""
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1
 
 
 def entry() -> NoReturn:
@@ -627,8 +623,9 @@ def entry() -> NoReturn:
     callbacks run, stdout and then stderr are flushed, and ``os._exit``
     skips the interpreter's teardown, which frees every object one at a
     time.  A reader that closed the pipe early leaves the status as it is,
-    as in ``main``.  Any other exception propagates, with its traceback and
-    a normal teardown.
+    as in ``main``; any other failed flush is reported as ``main`` reports
+    a failed write, unless ``main`` has already failed.  Any other exception
+    propagates, with its traceback and a normal teardown.
     """
     try:
         status = main()
@@ -646,6 +643,8 @@ def entry() -> NoReturn:
                 stream.flush()
             except BrokenPipeError:
                 pass
+            except OSError as exc:
+                status = status or _unwritten(exc)
     os._exit(status)
 
 

@@ -66,13 +66,9 @@ Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 def bounce_jacobian(tau, kappa, kappa1, theta, theta1) -> Matrix2:
     """Derivative of one bounce: flight tau, signed wall curvatures kappa at
     the launch point and kappa1 at the arrival point (-1 on the outer circle,
-    +1/R on the scatterer), reflection angles theta -> theta1."""
-    return _bounce(tau, kappa, kappa1, math.sin(theta), math.sin(theta1))
-
-
-def _bounce(tau, kappa, kappa1, st, st1) -> Matrix2:
-    """``bounce_jacobian`` from st = sin(theta) and st1 = sin(theta1); a
-    bounce arriving too close to tangential raises ``GrazingError``."""
+    +1/R on the scatterer), reflection angles theta -> theta1.  A bounce
+    arriving too close to tangential raises ``GrazingError``."""
+    st, st1 = math.sin(theta), math.sin(theta1)
     if abs(st1) < 1e-12:
         raise GrazingError(f"sin(theta1) = {st1!r} too close to zero")
     return (
@@ -84,9 +80,8 @@ def _bounce(tau, kappa, kappa1, st, st1) -> Matrix2:
 def bounce_jacobian_birkhoff(tau, kappa, kappa1, theta, theta1) -> Matrix2:
     """Same bounce derivative rescaled to (s, cos theta), diag(1, sin theta1)
     J diag(1, 1/sin theta); determinant 1."""
-    st, st1 = math.sin(theta), math.sin(theta1)
-    (a, b), (c, d) = _bounce(tau, kappa, kappa1, st, st1)
-    scale = 1.0 / st
+    (a, b), (c, d) = bounce_jacobian(tau, kappa, kappa1, theta, theta1)
+    st1, scale = math.sin(theta1), 1.0 / math.sin(theta)
     return (a, b * scale), (st1 * c, st1 * d * scale)
 
 
@@ -99,13 +94,13 @@ def monodromy(orbit: OrbitRecord) -> Matrix2:
     previous bounce's reuses its matrix, which has the same bits.  A type (a)
     orbit has six distinct bounces whatever its period.
     """
-    sines = [math.sin(theta) for _, _, theta in orbit.points]
+    thetas = [theta for _, _, theta in orbit.points]
     kappa = orbit.curvatures
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     last = None
-    for bounce in zip(orbit.flights, kappa, kappa[1:] + kappa[:1], sines, sines[1:] + sines[:1]):
+    for bounce in zip(orbit.flights, kappa, kappa[1:] + kappa[:1], thetas, thetas[1:] + thetas[:1]):
         if bounce != last:
-            (j00, j01), (j10, j11) = _bounce(*bounce)
+            (j00, j01), (j10, j11) = bounce_jacobian(*bounce)
             last = bounce
         a, b, c, d = j00 * a + j01 * c, j00 * b + j01 * d, j10 * a + j11 * c, j10 * b + j11 * d
     return (a, b), (c, d)

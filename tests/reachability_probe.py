@@ -3,9 +3,9 @@ and print, as JSON, ``[module file, first line, name]`` of every package
 function that one of them entered.
 
 The set covers every subcommand and format, the console-script lines of
-CI and each refusal route: usage errors, a refused single result and a
-refused row.  Each request writes to an in-memory stream, so the probe
-prints only its JSON.  ``tests/test_library_surface.py`` runs it, and
+CI and each refusal route: usage errors, a refused single result, a
+refused row and an output that cannot be written.  Each request writes to
+an in-memory stream or fails to write, so the probe prints only its JSON.  ``tests/test_library_surface.py`` runs it, and
 compares the package's functions that none of these requests entered with
 its allow-list.
 
@@ -68,6 +68,8 @@ ARGVS = [
     ["stability", "--n", "5", "--k", "2", "--R", "0.5,0.01", "--out", "-"],
     ["stability", "--n", "6", "--k", "2", "--out", "-"],
     ["orbit", "--n", "5", "--eps", "0.3", "--out", "-"],
+    # an output that cannot be written: a path under this file
+    ["lemma", "--x", "2", "--out", str(Path(__file__).resolve() / "x.csv")],
     # usage errors, one for each check of a flag value or of a request
     [],
     ["stability", "--n", "2000000", "--out", "-"],

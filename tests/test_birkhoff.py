@@ -434,6 +434,12 @@ class TestIslandSampler:
         assert rep.max_excursion < 1e-12
         assert not rep.escaped
 
+    def test_zero_radius_iterates_every_seed_from_the_fixed_point(self):
+        rep, cloud = island_sampler(3, 0.02, 0.0, 4, seeds=3)
+        assert not rep.escaped
+        assert len(cloud) == 12
+        assert cloud[:4] == cloud[4:8] == cloud[8:]
+
     def test_bounded_cloud_in_elliptic_regime(self):
         rep, _ = island_sampler(3, 0.02, 1e-4, 10_000, seed=1)
         assert not rep.escaped
@@ -468,7 +474,7 @@ def _reference_sampler(n, epsilon, radius, iterations, seeds=8, seed=0):
     rmap = ReducedMap(n, epsilon)
     fp = np.array(rmap.fixed_point)
     rng = random.Random(seed)
-    phases = [2.0 * math.pi * rng.random() for _ in range(seeds)] if radius > 0.0 else [0.0]
+    phases = [2.0 * math.pi * rng.random() for _ in range(seeds)]
     max_exc, escape, cloud = 0.0, None, []
     for si, phase in enumerate(phases):
         z = fp + radius * np.array([math.cos(phase), math.sin(phase)])

@@ -500,7 +500,8 @@ class TestTables:
             columns = {"s": np.asarray(cloud)[:, 0].tolist(), "r": np.asarray(cloud)[:, 1].tolist()}
         written = []
         monkeypatch.setattr(cli, "_write_text", lambda out, text: written.append(text))
-        cli.write_csv(ScanSpec("lemma", {}, "csv", None), columns, {"note": "a,b"})
+        rows = list(zip(*columns.values()))
+        cli.write_csv(ScanSpec("lemma", {}, "csv", None), list(columns), rows, {"note": "a,b"})
         (text,) = written
         assert isinstance(text, str)
         head, body = text.split(",".join(columns) + "\n", 1)
@@ -883,6 +884,36 @@ class TestProcessRoute:
             os.close(write)
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv", [["stability", "--n", "5", "--R", "0.1"], ["section", "--n", "3", "--eps", "0.02"]], ids=["small", "large"]
+    )
+    def test_a_full_stdout_ends_with_one_error_line(self, tmp_path, argv):
+        # a small output fails in entry's flush, a large one in main's write
+        with open("/dev/full", "wb") as full:
+            proc = self.child(
+                ["-m", "annular_billiards.cli", *argv, "--out", "-"], stdout=full, stderr=subprocess.PIPE, cwd=tmp_path
+            )
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err.decode().splitlines()) == (1, ["error: OSError: [Errno 28] No space left on device"])
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "out,error",
+        [("missing/x.csv", "FileNotFoundError"), (".", "IsADirectoryError")],
+        ids=["missing directory", "a directory"],
+    )
+    def test_an_unwritable_out_ends_with_one_error_line(self, tmp_path, out, error):
+        proc = self.child(
+            ["-m", "annular_billiards.cli", "stability", "--n", "5", "--R", "0.1", "--out", out],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+        )
+        stdout, err = proc.communicate(timeout=60)
+        (line,) = err.decode().splitlines()
+        assert (proc.returncode, stdout) == (1, b"")
+        assert line.startswith(f"error: {error}: "), line
+        assert not any(tmp_path.iterdir())
 
     def test_a_closed_stdout_is_a_usage_error(self):
         proc = self.child(

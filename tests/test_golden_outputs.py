@@ -37,6 +37,12 @@ REQUESTS = {
         "section", "--n", "3", "--eps", "0.04640475874058755", "--radius", "4.7398422386857325e-05",
         "--seeds", "8", "--iterations", "41", "--seed", "1321642623",
     ],
+    # writer paths that the requests above do not take: a refused row whose
+    # skip_reason holds commas, refused points among pushed ones, and a
+    # table with no rows (every seed escapes in its first iteration)
+    "stability_refused": ["stability", "--n", "5", "--k", "2", "--R", "0.5,0.01"],
+    "birkhoff_refused": ["birkhoff", "--n", "2,3", "--eps", "0.001,2.9"],
+    "section_all_escaped": ["section", "--n", "3", "--eps", "0.02", "--radius", "2.0", "--seeds", "3", "--seed", "5"],
 }
 
 #: the README renders these two as svg
@@ -66,6 +72,12 @@ GOLDEN = {
     "stability_scan.json": "59c0a2ff8d174d03d5c71a29c4f1bcc08bea3fde8342e9c88010bdb00eefaab5",
     "twist_scan.csv": "15b67ecf2bb476aa1cf8346a8c8dd764d72fa4f92caeb85f74fe3ca4a0b2913f",
     "twist_scan.json": "c1cbe3e7bb9070f2bca8ec2bf7aa12973ce604cad3ad6e7abe5cf56f32d4ea62",
+    "stability_refused.csv": "fb1409df7e87380e5342ab597742ce51387b58a0d0327443e0ed1c8ff126bc74",
+    "stability_refused.json": "c0ddd6bcc08298244dcbd4e144a087f53088b8ff32b0f0dcd9cfbb8dc94383ff",
+    "birkhoff_refused.csv": "93e8d9ad6902c36cc80a098755ed18d75d34566409a8eed4e8494a8960e4ff16",
+    "birkhoff_refused.json": "d91d23c1f96d78d7b86940b5fca1ff94f0678b5b178e423aad6d953ee5448d6c",
+    "section_all_escaped.csv": "826903c507b661d9fcae6cbd5990c0ee3761ee06bebfa1bc149d9fe264165d8c",
+    "section_all_escaped.json": "1f9248fd82cc2805ddef398ec328c0bede9ba338e135de4398ea7ebc6766559d",
 }
 
 

@@ -53,7 +53,6 @@ NEVER_RUN = {
     "geometry.chord_lines": "tests: oracle of max_radius_star's nearest chord and of the caustic radius",
     "geometry.clearance_from_other_chords": "tests: oracle of max_radius_star's chord clearance",
     "jets.Jet2.__eq__": "contract: jets compare by value; the tests check that a push is repeatable with it",
-    "linear_stability.bounce_jacobian": "tests: per-bounce reference for the monodromy product",
     "linear_stability.bounce_jacobian_birkhoff": "tests: per-bounce reference in (s, cos theta), determinant 1",
     "linear_stability.epsilon_star": "tests: paper formula 4/c1, the detuning scale of the tangent table's elliptic window; they check c1 against the monodromy",
     "linear_stability.epsilon_star_large_n": "tests: paper formula, the large-n asymptote of epsilon_star",

@@ -11,7 +11,6 @@ from annular_billiards.birkhoff import ReducedMap, birkhoff_A, taylor_jet
 from annular_billiards.errors import BilliardError, ClassificationError, DomainError, GrazingError
 from annular_billiards.geometry import TableParams, max_radius
 from annular_billiards.linear_stability import (
-    _bounce,
     Classification,
     admissible_interval,
     bifurcation_radius,
@@ -206,12 +205,12 @@ class TestPerBounceProducts:
 
 
 def _bounce_by_bounce_monodromy(orbit):
-    """The float product with one ``_bounce`` per collision, none reused."""
-    sines = [math.sin(p.theta) for p in orbit.points]
+    """The float product with one ``bounce_jacobian`` per collision, none reused."""
+    thetas = [p.theta for p in orbit.points]
     kappa = orbit.curvatures
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for tau, k0, k1, st, st1 in zip(orbit.flights, kappa, kappa[1:] + kappa[:1], sines, sines[1:] + sines[:1]):
-        (j00, j01), (j10, j11) = _bounce(tau, k0, k1, st, st1)
+    for tau, k0, k1, t0, t1 in zip(orbit.flights, kappa, kappa[1:] + kappa[:1], thetas, thetas[1:] + thetas[:1]):
+        (j00, j01), (j10, j11) = bounce_jacobian(tau, k0, k1, t0, t1)
         a, b, c, d = j00 * a + j01 * c, j00 * b + j01 * d, j10 * a + j11 * c, j10 * b + j11 * d
     return (a, b), (c, d)
 
@@ -240,7 +239,9 @@ class TestRepeatedBounces:
 
     def test_monodromy_equals_the_bounce_by_bounce_product_bit_for_bit(self, monkeypatch):
         formed = []
-        monkeypatch.setattr(linear_stability, "_bounce", lambda *args: formed.append(args) or _bounce(*args))
+        monkeypatch.setattr(
+            linear_stability, "bounce_jacobian", lambda *args: formed.append(args) or bounce_jacobian(*args)
+        )
         type_a = []
         for orbit in self._orbits():
             formed.clear()
