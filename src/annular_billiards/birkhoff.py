@@ -13,7 +13,8 @@ refuses the point.  A least-squares cubic fit to the map, in 50-digit
 arithmetic, audits every Taylor coefficient (``fd_taylor_jet``), and the
 closed-form leading order of A is available independently.
 ``island_sampler`` iterates the float full-period map from a ring of seeds
-and returns its report with the cloud.
+and returns its report with the cloud; ``sample_ring`` is its loop, which
+iterates any contiguous block of the ring alone.
 
 Rotation-number convention: the twist formula uses mu = arctan(v/u) with
 lambda = u + i*v the upper eigenvalue of the linearized half-period map.
@@ -406,7 +407,8 @@ def island_sampler(
     ``FLOAT_BACKEND``, which clamps or refuses it, so the iterates are
     FLOAT_BACKEND's bit for bit.  At the widths a request asks for (up to a
     few hundred seeds) this costs no more than stepping them together as
-    arrays, and it needs no NumPy.
+    arrays, and it needs no NumPy.  Its loop is ``sample_ring``'s, over the
+    whole ring.
     """
     if iterations < 1 or seeds < 1:
         raise DomainError(f"need iterations >= 1 and seeds >= 1, got {iterations}, {seeds}")
@@ -414,16 +416,32 @@ def island_sampler(
         raise DomainError(f"need radius >= 0, got {radius}")
     if seed < 0:
         raise DomainError(f"need seed >= 0, got {seed}")
+    return sample_ring(n, epsilon, radius, iterations, seed, range(seeds))
+
+
+def sample_ring(
+    n: int, epsilon: float, radius: float, iterations: int, seed: int, block: range
+) -> tuple[IslandReport, list[tuple[float, float]]]:
+    """``island_sampler``'s loop over the seeds numbered in ``block``, a
+    contiguous run of its ring, on arguments it has checked.
+
+    Each seed starts at its own phase of the ring that ``seed`` draws and is
+    iterated alone, so the clouds of consecutive blocks, joined in order, are
+    the whole ring's cloud.  The report's escape seed is numbered in the
+    whole ring, so the largest of the blocks' excursions and the first block
+    that escaped give the whole ring's report.
+    """
     rmap = ReducedMap(n, epsilon)
     s0, r0 = rmap.fixed_point
     rng = random.Random(seed)
-    phases = [2.0 * math.pi * rng.random() for _ in range(seeds)]
+    phases = [2.0 * math.pi * rng.random() for _ in range(block.stop)]
     # the module global, looked up per request, so a patched map is the one
     # called; math.acos raises ValueError only where FLOAT_BACKEND clamps or
     # refuses, so only those half periods run again on the fallback
     half, R, lib, fallback = half_period_formula, rmap.R, math, FLOAT_BACKEND
     max_excursion, escape, cloud = 0.0, None, []
-    for index, phase in enumerate(phases):
+    for index in block:
+        phase = phases[index]
         s, r = s0 + radius * math.cos(phase), r0 + radius * math.sin(phase)
         orbit = []
         try:

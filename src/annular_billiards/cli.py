@@ -30,15 +30,16 @@ from . import __version__
 from .errors import BilliardError
 
 #: the submodule that defines each library name a subcommand calls.  A name is
-#: imported on its first lookup as an attribute of this module (PEP 562) and
-#: kept in its globals, so a request loads only the modules its subcommand
-#: runs.  The subcommands call these names as attributes of ``_cli``, this
-#: module, so a patched attribute intercepts the call.  No subcommand
-#: imports NumPy.
+#: imported on its first lookup as an attribute of this module (PEP 562) or
+#: of ``_cli`` and kept in its globals, so a request loads only the modules
+#: its subcommand runs.  The subcommands call these names as attributes of
+#: ``_cli``, so a patched attribute of this module intercepts the call.  No
+#: subcommand imports NumPy.
 _LIBRARY = {
     name: module
     for module, names in {
-        "birkhoff": "ReducedMap birkhoff_A closed_form_A island_sampler taylor_jet twist_limit",
+        "birkhoff": "IslandReport ReducedMap birkhoff_A closed_form_A island_sampler sample_ring taylor_jet twist_limit",
+        "blocks": "in_blocks usable_cpus",
         "geometry": "TableParams max_radius",
         "linear_stability": "admissible_interval bifurcation_radius classify delta_star lemma_f min_period_for_k monodromy trace_closed_form",
         "orbits": "build_type_a build_type_b",
@@ -54,8 +55,21 @@ def __getattr__(name: str):
     return value
 
 
-#: this module, as ``python -m`` runs it (``__main__``) or as it is imported
-_cli = sys.modules[__name__]
+class _Globals:
+    """The globals of this module's code as attributes, a missing library
+    name imported by ``__getattr__``.  They are the module's own namespace
+    when it is imported or run by ``python -m``, and a dictionary of the
+    runner's when a runner such as ``python -m cProfile -m`` executes it as
+    ``__main__`` there, where ``sys.modules[__name__]`` is the runner's own
+    module."""
+
+    __getattr__ = staticmethod(__getattr__)
+
+    def __init__(self):
+        self.__dict__ = globals()
+
+
+_cli = _Globals()
 
 
 #: JSON document layout for scan output (validated in the test suite)
@@ -212,10 +226,22 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def write_csv(spec: ScanSpec, names: Sequence[str], rows: Sequence[Sequence], summary: dict) -> None:
-    """Write the header lines, then every row through one %-format of the
-    whole body: ``%.17g`` for a column of plain floats (the text ``_cell``
+def csv_body(rows: Sequence[Sequence], width: int) -> str:
+    """The CSV lines of ``rows`` of ``width`` values, through one %-format of
+    them all: ``%.17g`` for a column of plain floats (the text ``_cell``
     gives a float), ``%s`` over the ``_cell`` text of any other column."""
+    floats = [set(map(type, map(itemgetter(i), rows))) == {float} for i in range(width)]
+    if not all(floats):
+        rows = [[v if f else _cell(v) for v, f in zip(row, floats)] for row in rows]
+    return (",".join("%.17g" if f else "%s" for f in floats) + "\n") * len(rows) % tuple(chain.from_iterable(rows))
+
+
+def write_csv(
+    spec: ScanSpec, names: Sequence[str], rows: Sequence[Sequence], summary: dict, rendered: str = ""
+) -> None:
+    """Write the header lines, the ``csv_body`` of ``rows``, then
+    ``rendered``, rows that ``csv_body`` has rendered already (``section``
+    renders each block of its table where the block runs)."""
     lines = [
         f"# annular-billiards {__version__}",
         f"# spec: {json.dumps(spec.echo(), sort_keys=True)}",
@@ -223,11 +249,7 @@ def write_csv(spec: ScanSpec, names: Sequence[str], rows: Sequence[Sequence], su
     for key, val in sorted(summary.items()):
         lines.append(f"# summary {key}: {_cell(val)}")
     lines.append(",".join(names))
-    floats = [set(map(type, map(itemgetter(i), rows))) == {float} for i in range(len(names))]
-    if not all(floats):
-        rows = [[v if f else _cell(v) for v, f in zip(row, floats)] for row in rows]
-    body = (",".join("%.17g" if f else "%s" for f in floats) + "\n") * len(rows) % tuple(chain.from_iterable(rows))
-    _write_text(spec.out, "\n".join(lines) + "\n" + body)
+    _write_text(spec.out, "\n".join(lines) + "\n" + csv_body(rows, len(names)) + rendered)
 
 
 def write_json(spec: ScanSpec, rows: list[dict], summary: dict) -> None:
@@ -426,23 +448,51 @@ def cmd_orbit(spec: ScanSpec) -> int:
     return 0
 
 
+#: the fewest seed-iterations a ``section`` block holds.  A forked block
+#: costs a few ms beyond its work: the fork (~1 ms), the child's start, exit
+#: and reaping (~1.5 ms), and the pipe.  Timing ``main`` in fresh processes
+#: (8 seeds, 25 alternating runs, 2-core VM), two blocks of 4096 took a
+#: minimum of 25.0 ms against 31.9 ms for one block of 8192; two of 2048
+#: took 18.5 ms against 19.1 ms, and more than one block in the median
+MIN_BLOCK = 4096
+
+
 def cmd_section(spec: ScanSpec) -> int:
     p = spec.params
     n = p["n"][0]
     eps = p["eps"][0]
-    radius, iters = p["radius"], p["iterations"]
-    report, cloud = _cli.island_sampler(n, eps, radius, iters, seeds=p["seeds"], seed=p["seed"])
+    radius, iters, seeds, seed = p["radius"], p["iterations"], p["seeds"], p["seed"]
+    csv = spec.fmt == "csv"
+    sample_ring = _cli.sample_ring  # its module loads once, before any fork
+
+    def block(ring: range):
+        # the first block is the sampler's first seeds; each block renders
+        # its CSV rows where it runs, and reports as a plain tuple
+        if ring.start:
+            report, cloud = sample_ring(n, eps, radius, iters, seed, ring)
+        else:
+            report, cloud = _cli.island_sampler(n, eps, radius, iters, seeds=ring.stop, seed=seed)
+        return tuple(report), csv_body(cloud, 2) if csv else cloud
+
+    blocks = max(1, min(_cli.usable_cpus(), seeds, seeds * iters // MIN_BLOCK))
+    reports, parts = zip(*_cli.in_blocks(block, seeds, blocks))
+    reports = list(map(_cli.IslandReport._make, reports))
+    # the largest excursion, and the escape of the first block that escaped
+    first = next((report for report in reports if report.escaped), reports[0])
     summary = {
         "n": n,
         "eps": eps,
         "radius": radius,
         "iterations": iters,
-        "max_excursion": report.max_excursion,
-        "escaped": report.escaped,
-        "escape_seed": report.escape_seed if report.escaped else "",
-        "escape_iteration": report.escape_iteration if report.escaped else "",
+        "max_excursion": max(report.max_excursion for report in reports),
+        "escaped": first.escaped,
+        "escape_seed": first.escape_seed if first.escaped else "",
+        "escape_iteration": first.escape_iteration if first.escaped else "",
     }
-    return write_table(spec, ("s", "r"), cloud, summary)
+    if csv:
+        write_csv(spec, ("s", "r"), (), summary, "".join(parts))
+        return 0
+    return write_table(spec, ("s", "r"), list(chain.from_iterable(parts)), summary)
 
 
 def cmd_lemma(spec: ScanSpec) -> int:

@@ -923,6 +923,24 @@ class TestProcessRoute:
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (2, b"error: stdout is closed; name an output file with --out\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["section", "--n", "3", "--eps", "0.02", "--iterations", "10"], ["stability", "--n", "5", "--R", "0.1"]],
+        ids=["section", "stability"],
+    )
+    def test_a_runner_that_executes_cli_in_its_own_namespace(self, tmp_path, argv):
+        # cProfile runs cli's code as __main__ in a dictionary of its own, and
+        # sys.modules["__main__"] is cProfile; the process ends in entry, so
+        # it writes no profile
+        proc = self.child(
+            ["-m", "cProfile", "-o", "p.out", "-m", "annular_billiards.cli", *argv, "--out", "x.csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+        )
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (0, b"", b"")
+        assert main(argv + ["--out", str(tmp_path / "main.csv")]) == 0
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
     def test_entry_runs_the_atexit_callbacks(self, tmp_path):
         marker = tmp_path / "marker"
         launcher = (
