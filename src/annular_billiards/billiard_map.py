@@ -15,11 +15,12 @@ The tangent table (scatterer center on the negative x-axis at distance
 1 - R) keeps its scatterer tangent to the outer circle at the radius
 ``tangency_radius_b``, and its half-period map is one straight-line formula,
 ``half_period_formula``, written over a backend that is any namespace with
-a ``cos`` and an ``acos``: ``math``, ``mpmath.mp``, the clamping float
-backend and the jet backend run the same operations in the same order, with
-the double ``math.pi``, which mpmath lifts exactly.  Its independent
-oracle, the Cartesian ray tracer ``generic_step``, lives in ``orbits``, its
-one caller; the two routes are cross-checked in the test suite.
+a ``cos`` and an ``acos``: ``math``, ``mpmath.mp``, the float backend and
+the jet backend run the same operations in the same order, with the double
+``math.pi``, which mpmath lifts exactly.  On each an arccos argument off
+[-1, 1] is a missed wall, and the map refuses it.  Its independent oracle,
+the Cartesian ray tracer ``generic_step``, lives in ``orbits``, its one
+caller; the two routes are cross-checked in the test suite.
 
 This module imports only the standard library: the jet backend loads
 ``jets`` on its first use, so a program that iterates the float map, such as
@@ -33,9 +34,6 @@ from math import pi
 from typing import NamedTuple
 
 from .errors import DomainError, NoCollisionError, SingularConfigurationError
-
-#: tolerance for clamping arccos arguments that leave [-1, 1] through rounding
-ACOS_CLAMP_TOL = 1e-10
 
 
 def tangency_radius_b(n: int, epsilon: float) -> float:
@@ -74,32 +72,20 @@ class BirkhoffCoords(NamedTuple):
 
 
 class FloatBackend:
-    """Plain double-precision ``cos``, with an ``acos`` that clamps a rounding
-    excess of at most ``ACOS_CLAMP_TOL`` onto [-1, 1] and refuses a larger
-    one with ``NoCollisionError`` (a missed wall).
-
-    Inside [-1, 1], and for NaN, it computes what the ``math`` module does,
-    so a caller may run a formula on ``math`` itself, whose ``acos`` raises
-    ``ValueError`` exactly where this one clamps or refuses, and evaluate
-    again with this backend only then; ``island_sampler`` does.
-    """
+    """The ``math`` module's ``cos`` and ``acos``, NaN passing through as
+    NaN, with the ``ValueError`` of an arccos argument off [-1, 1] (a missed
+    wall) raised as ``NoCollisionError``; ``island_sampler`` runs the map on
+    ``math`` itself."""
 
     cos = staticmethod(math.cos)
 
     @staticmethod
     def acos(u):
-        if -1.0 <= u <= 1.0:
+        try:
             return math.acos(u)
-        # out of range, or NaN, which passes through as NaN
-        if u > 1.0:
-            if u - 1.0 > ACOS_CLAMP_TOL:
-                raise NoCollisionError(f"arccos argument {u!r} exceeds 1")
-            u = 1.0
-        elif u < -1.0:
-            if -1.0 - u > ACOS_CLAMP_TOL:
-                raise NoCollisionError(f"arccos argument {u!r} below -1")
-            u = -1.0
-        return math.acos(u)
+        except ValueError:
+            side = "exceeds 1" if u > 1.0 else "below -1"
+            raise NoCollisionError(f"arccos argument {u!r} {side}") from None
 
 
 class JetBackend:

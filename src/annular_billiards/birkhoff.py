@@ -37,7 +37,6 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .billiard_map import (
-    FLOAT_BACKEND,
     JET_BACKEND,
     BirkhoffCoords,
     half_period_formula,
@@ -398,13 +397,13 @@ def island_sampler(
     At radius 0 every seed starts at the fixed point.
 
     Each seed is iterated alone on a pair of Python floats, two calls of
-    ``half_period_formula`` per iteration, and stops at its first
-    ``NoCollisionError``.  The map is the one straight-line formula that the
-    jet push and the audit also run, called through this module's global
-    name, so a patched map sees every half period.  Each half period runs on
-    the ``math`` module, C builtins only; where ``math.acos`` raises
-    ``ValueError`` (a grazing or missing ray) that half period runs again on
-    ``FLOAT_BACKEND``, which clamps or refuses it, so the iterates are
+    ``half_period_formula`` per iteration.  The map is the one straight-line
+    formula that the jet push and the audit also run, called through this
+    module's global name, so a patched map sees every half period.  Each
+    half period runs once, on the ``math`` module, C builtins only, and a
+    seed stops at its first ``ValueError``: ``math.acos`` raises it where an
+    arccos argument leaves [-1, 1] (a ray missing its wall), exactly where
+    ``FLOAT_BACKEND`` raises ``NoCollisionError``, so the iterates are
     FLOAT_BACKEND's bit for bit.  At the widths a request asks for (up to a
     few hundred seeds) this costs no more than stepping them together as
     arrays, and it needs no NumPy.  Its loop is ``sample_ring``'s, over the
@@ -436,9 +435,8 @@ def sample_ring(
     rng = random.Random(seed)
     phases = [2.0 * math.pi * rng.random() for _ in range(block.stop)]
     # the module global, looked up per request, so a patched map is the one
-    # called; math.acos raises ValueError only where FLOAT_BACKEND clamps or
-    # refuses, so only those half periods run again on the fallback
-    half, R, lib, fallback = half_period_formula, rmap.R, math, FLOAT_BACKEND
+    # called; on `math` a missed wall raises ValueError
+    half, R, lib = half_period_formula, rmap.R, math
     max_excursion, escape, cloud = 0.0, None, []
     for index in block:
         phase = phases[index]
@@ -446,16 +444,10 @@ def sample_ring(
         orbit = []
         try:
             for it in range(iterations):
-                try:
-                    s, r = half(s, r, n, R, lib)
-                except ValueError:
-                    s, r = half(s, r, n, R, fallback)
-                try:
-                    s, r = half(s, r, n, R, lib)
-                except ValueError:
-                    s, r = half(s, r, n, R, fallback)
+                s, r = half(s, r, n, R, lib)
+                s, r = half(s, r, n, R, lib)
                 orbit.append((s, r))
-        except NoCollisionError:
+        except ValueError:
             if escape is None:
                 escape = (index, it)
         excursion = max(map(math.dist, orbit, repeat(rmap.fixed_point)), default=0.0)

@@ -55,7 +55,7 @@ def max_radius(n: int, k: int, delta: float) -> float:
     is 1 - sqrt(delta^2 + cos^2(k pi/n)).  That difference cancels at large
     n, so the same number is evaluated as
     (sin^2(k pi/n) - delta^2) / (1 + sqrt(delta^2 + cos^2(k pi/n))), which
-    keeps full precision.  A NumPy-scalar delta gives a float too.
+    keeps full precision.
     """
     if k == 1:
         if n < 3:
@@ -66,7 +66,7 @@ def max_radius(n: int, k: int, delta: float) -> float:
         star = max_radius_star(n, k, delta)
     angle = k * math.pi / n
     s = math.sin(angle)
-    disk = float((s - delta) * (s + delta) / (1.0 + math.sqrt(delta * delta + math.cos(angle) ** 2)))
+    disk = (s - delta) * (s + delta) / (1.0 + math.sqrt(delta * delta + math.cos(angle) ** 2))
     return disk if k == 1 else min(star, disk)
 
 

@@ -236,4 +236,4 @@ def delta_star(n: int) -> float:
 def symplectic_defect(M: Matrix2) -> float:
     """|det(M) - 1|, the deviation from area preservation."""
     (a, b), (c, d) = M
-    return abs(float(a * d - b * c) - 1.0)
+    return abs(a * d - b * c - 1.0)

@@ -38,11 +38,13 @@ BLOCKS = (1, 2, 3, 5)
 
 SECTION = ["section", "--n", "3", "--eps", "0.02"]
 
-#: the island-section requests of seed 1, then the edge cases: an escape,
-#: every seed escaped (an empty table), radius 0, one seed, and fewer seeds
-#: than blocks
+#: the island-section requests of seed 1, then the edge cases: an escape at
+#: seed 0, a first escape at seed 9 of 16 (past the first block at 2, 3 and 5
+#: blocks), every seed escaped (an empty table), radius 0, one seed, and
+#: fewer seeds than blocks
 ARGVS = [list(request.argv) for request in requests_for("island-section", 1)] + [
     SECTION + ["--radius", "0.1", "--iterations", "50"],
+    SECTION + ["--radius", "0.05", "--seeds", "16", "--iterations", "1024", "--seed", "5"],
     SECTION + ["--radius", "2.0", "--seeds", "3", "--seed", "5"],
     SECTION + ["--radius", "0", "--seeds", "4", "--iterations", "20"],
     SECTION + ["--seeds", "1", "--iterations", "30"],

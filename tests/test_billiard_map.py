@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from annular_billiards.billiard_map import (
-    ACOS_CLAMP_TOL,
     FLOAT_BACKEND,
     JET_BACKEND,
     half_period_formula,
@@ -181,12 +180,12 @@ class TestBirkhoffCoords:
         assert legs == {(Wall.OUTER, Wall.OUTER), (Wall.OUTER, Wall.INNER), (Wall.INNER, Wall.OUTER)}
 
     def test_domain_guard(self):
-        # an r = cos theta off [-1, 1] by more than the clamp is refused
+        # an r = cos theta off [-1, 1] is refused
         rmap = ReducedMap(3, 0.01)
         with pytest.raises(NoCollisionError):
             half_period_formula(rmap.s0, 1.5, 3, rmap.R)
         with pytest.raises(NoCollisionError):
-            half_period_formula(rmap.s0, -1.0 - 1e3 * ACOS_CLAMP_TOL, 3, rmap.R)
+            half_period_formula(rmap.s0, -1.0 - 1e-7, 3, rmap.R)
 
     def test_composed_map_area_preservation(self):
         # finite-difference determinant of the half-period map in (s, r)
@@ -376,14 +375,18 @@ class TestPlainFloatTracerMatchesVectorTracer:
 # ---------------------------------------------------------------------------
 
 
+#: the rounding excess past -1 or 1 that ``FloatBackend.acos`` once clamped
+_FORMER_CLAMP = 1e-10
+
+
 def _former_acos(u):
     """``FloatBackend.acos`` as it was: the clamp's comparisons first."""
     if u > 1.0:
-        if u - 1.0 > ACOS_CLAMP_TOL:
+        if u - 1.0 > _FORMER_CLAMP:
             raise NoCollisionError(f"arccos argument {u!r} exceeds 1")
         u = 1.0
     elif u < -1.0:
-        if -1.0 - u > ACOS_CLAMP_TOL:
+        if -1.0 - u > _FORMER_CLAMP:
             raise NoCollisionError(f"arccos argument {u!r} below -1")
         u = -1.0
     return math.acos(u)
@@ -439,10 +442,11 @@ def _float_outcome(fn, *args):
 #: tangent tables of the twist and section scans
 _TABLES = [(3, 0.01), (3, 0.02), (4, 0.01), (5, 0.002), (7, 1e-3), (12, 1e-4)]
 
-#: arguments at and about the ends of the arccos domain
+#: arguments at and about the ends of the arccos domain: inside and past
+#: each end by half the former clamp, and past it by twice that
 _EDGES = [
-    1.0 + ACOS_CLAMP_TOL / 2, 1.0 - ACOS_CLAMP_TOL / 2, -1.0 + ACOS_CLAMP_TOL / 2, -1.0 - ACOS_CLAMP_TOL / 2,
-    1.0, -1.0, 1.0 + 2 * ACOS_CLAMP_TOL, -1.0 - 2 * ACOS_CLAMP_TOL, math.nan,
+    1.0 + 5e-11, 1.0 - 5e-11, -1.0 + 5e-11, -1.0 - 5e-11,
+    1.0, -1.0, 1.0 + 2e-10, -1.0 - 2e-10, math.nan,
 ]
 
 
@@ -458,7 +462,7 @@ def _seeded_points():
 
 
 def _edge_points():
-    """Map arguments (s, r, 3, R) with r at the clamp edges; a grazing ray
+    """Map arguments (s, r, 3, R) with r at the arccos edges; a grazing ray
     from near (-1, 0), where the scatterer touches the wall, takes the entry
     and exit arccos to their edges too, and comes out with values."""
     for r in _EDGES:
@@ -493,23 +497,35 @@ class TestHalfPeriodFormulaMatchesThreeLegs:
         assert refused > 100
 
     def test_floats_bit_equal_at_the_clamp_edges(self):
-        values = 0
+        # about the ends of the arccos domain FLOAT_BACKEND gives `math`'s
+        # value bits exactly where `math` gives a value, and refuses with
+        # NoCollisionError exactly where `math` raises ValueError: no
+        # argument past -1 or 1 is taken for a grazing hit
+        outcomes = {"values": 0, "refused": 0}
         for point in _edge_points():
             got = _float_outcome(half_period_formula, *point)
-            want = _float_outcome(_three_leg_half_period, *point, _FormerFloatBackend)
-            assert got == want, point
-            values += isinstance(want, bytes)
-        assert values >= 12
+            try:
+                want = _float_outcome(half_period_formula, *point, math)
+            except ValueError:
+                assert got[0] is NoCollisionError, point
+                outcomes["refused"] += 1
+            else:
+                assert got == want, point
+                outcomes["values"] += 1
+        assert outcomes["values"] >= 12 and outcomes["refused"] >= 12, outcomes
         # and into the acos itself, where NaN still passes through as NaN
         for u in _EDGES:
             got = _float_outcome(lambda x: (FLOAT_BACKEND.acos(x), 0.0), u)
-            assert got == _float_outcome(lambda x: (_former_acos(x), 0.0), u), u
+            if -1.0 <= u <= 1.0 or math.isnan(u):
+                assert got == struct.pack("<2d", math.acos(u), 0.0), u
+            else:
+                side = "exceeds 1" if u > 1.0 else "below -1"
+                assert got == (NoCollisionError, f"arccos argument {u!r} {side}"), u
 
     def test_math_then_float_retry_bit_equal_to_float(self):
-        # the island sampler evaluates each half period on `math`, and again
-        # on FLOAT_BACKEND only where `math.acos` raises ValueError: that
-        # gives FLOAT_BACKEND's value bits or its refusal, and `math` raises
-        # exactly where FLOAT_BACKEND clamps or refuses
+        # the island sampler evaluates each half period on `math` alone, and
+        # takes its ValueError for an escape: `math` raises exactly where
+        # FLOAT_BACKEND refuses, so no point is clamped to a value
         outcomes = {"math": 0, "clamped": 0, "refused": 0}
         for point in chain(_seeded_points(), _edge_points()):
             want = _float_outcome(half_period_formula, *point, FLOAT_BACKEND)
@@ -525,7 +541,7 @@ class TestHalfPeriodFormulaMatchesThreeLegs:
                 assert not watch.off, point
                 outcomes["math"] += 1
             assert got == want, point
-        assert outcomes["math"] > 4000 and outcomes["clamped"] >= 12 and outcomes["refused"] > 1000, outcomes
+        assert outcomes["math"] > 4000 and outcomes["clamped"] == 0 and outcomes["refused"] > 1000, outcomes
 
     def test_jets_bit_equal_in_all_ten_coefficients(self):
         rng = random.Random(18)

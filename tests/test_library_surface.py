@@ -42,6 +42,7 @@ PROBE = Path(__file__).resolve().parent / "reachability_probe.py"
 
 #: every ``src/`` function that no request of the probe runs, with who runs it
 NEVER_RUN = {
+    "billiard_map.FloatBackend.acos": "contract: half_period_formula's default backend refuses an arccos argument off [-1, 1] with NoCollisionError where math.acos raises ValueError, as test_floats_bit_equal_at_the_clamp_edges pins; the sampler runs the map on math itself",
     "birkhoff.TaylorJet3.linear": "tests: the Jacobian of a pushed jet, whose symplectic_defect they check",
     "birkhoff.TaylorJet3.max_rel_disagreement": "perfbench: checks.py's twist check runs taylor_jet(..., cross_check=True), whose audit compares the pushed and fitted jets with it",
     "birkhoff._fit_matrix": "perfbench: the least-squares fit of the same audit",
