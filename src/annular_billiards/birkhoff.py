@@ -12,16 +12,16 @@ and each step returns its result or raises the ``BilliardError`` that
 refuses the point.  A least-squares cubic fit to the map, in 50-digit
 arithmetic, audits every Taylor coefficient (``fd_taylor_jet``), and the
 closed-form leading order of A is available independently.
-``island_sampler`` iterates the float full-period map from a ring of seeds
-and returns its report with the cloud; ``sample_ring`` is its loop, which
-iterates any contiguous block of the ring alone.
+``ReducedMap`` refuses a table whose fixed point is off the map's chart.
+``island_sampler`` iterates the float full-period map from a ring of seeds,
+or from any contiguous run of it, and returns its report with the cloud.
 
 Rotation-number convention: the twist formula uses mu = arctan(v/u) with
 lambda = u + i*v the upper eigenvalue of the linearized half-period map.
 For the near-parabolic tangent orbits u < 0, so mu is a small *negative*
 angle tending to 0 with the detuning, while the principal argument of lambda
-itself sits near pi.  ``BirkhoffReport`` holds both, and the ``birkhoff``
-subcommand prints mu.
+itself sits near pi.  ``BirkhoffReport`` is (A, mu), the two numbers the
+``birkhoff`` subcommand prints.
 
 The pipeline runs on Python floats: ``jets`` is pure Python and is imported
 inside the Taylor-data functions that use it, so ``island_sampler``, which
@@ -45,6 +45,7 @@ from .billiard_map import (
 from .errors import (
     ClassificationError,
     DomainError,
+    InvalidTableError,
     NoCollisionError,
     NonEllipticNormalizationError,
     PrecisionError,
@@ -89,20 +90,18 @@ class TaylorJet3(NamedTuple):
 
 
 class BirkhoffReport(NamedTuple):
-    """First twist coefficient and the quantities entering it."""
+    """First twist coefficient and the rotation angle entering it."""
 
     A: float
-    im_c21: float
-    abs_c20_sq: float
-    abs_c02_sq: float
     mu: float  # arctan-convention rotation number used in the twist formula
-    mu_arg: float  # principal argument of the upper eigenvalue, in (0, pi)
 
 
 class ReducedMap:
     """The reflection-composed half-period map of a tangent table in (s, r),
     ``half_period_formula(s, r, n, R, lib)`` on any backend, with its
-    ``fixed_point``, the detuned orbit's initial state.
+    ``fixed_point``, the detuned orbit's initial state.  A table whose fixed
+    point is off the map's chart, one of its n - 1 disk chords meeting the
+    scatterer, is refused with ``InvalidTableError``.
     """
 
     def __init__(self, n: int, epsilon: float):
@@ -115,10 +114,18 @@ class ReducedMap:
             raise DomainError(f"need epsilon < pi - pi/n at n={n}, got {epsilon}")
         self.n = n
         self.epsilon = epsilon
-        self.R = tangency_radius_b(n, epsilon)
+        self.R = R = tangency_radius_b(n, epsilon)
         theta0 = math.pi / n + epsilon
-        self.s0 = -math.pi + math.pi / n + epsilon * (1.0 - n)
+        self.s0 = s0 = -math.pi + math.pi / n + epsilon * (1.0 - n)
         self.r0 = math.cos(theta0)
+        for j in range(n - 1):
+            # disk chord j's scatterer-entry arccos argument, formed as the
+            # map forms chord n - 1's: in [-1, 1], the chord meets the scatterer
+            arg = (-self.r0 - (1.0 - R) * math.cos(theta0 + s0 + 2 * j * theta0)) / R
+            if -1.0 <= arg <= 1.0:
+                raise InvalidTableError(
+                    f"disk chord {j} of the fixed point meets the scatterer at n={n}, epsilon={epsilon}"
+                )
 
     @property
     def fixed_point(self) -> BirkhoffCoords:
@@ -246,53 +253,38 @@ def c_terms(jet: TaylorJet3) -> tuple[float, float, float]:
     return im_c21, abs_c20_sq, abs_c02_sq
 
 
-def _rotation_angles(trace: float) -> tuple[float, float]:
-    """(arctan-convention mu, principal argument) for an elliptic trace."""
-    u = trace / 2.0
-    v = math.sqrt(max(1.0 - u * u, 0.0))
-    mu_arg = math.atan2(v, u)
-    mu = math.atan(v / u) if u != 0.0 else math.pi / 2.0
-    return mu, mu_arg
-
-
-def twist_from_c_terms(
-    im_c21: float, abs_c20_sq: float, abs_c02_sq: float, mu: float
-) -> float:
-    """The twist combination
-
-        Im c21 + sin(mu)/(cos(mu) - 1) * (3 |c20|^2
-            + (2 cos(mu) - 1)/(2 cos(mu) + 1) * |c02|^2).
-    """
-    cm, sm = math.cos(mu), math.sin(mu)
-    return im_c21 + sm / (cm - 1.0) * (
-        3.0 * abs_c20_sq + (2.0 * cm - 1.0) / (2.0 * cm + 1.0) * abs_c02_sq
-    )
-
-
 def birkhoff_A(jet: TaylorJet3) -> BirkhoffReport:
     """First Birkhoff coefficient of an elliptic, nonresonant fixed point
-    with the given Taylor data (see ``twist_from_c_terms``)."""
+    with the given Taylor data, and its rotation angle.
+
+    With u = trace/2 and v = sqrt(1 - u^2), the upper eigenvalue of the
+    linear part is lambda = u + i*v and mu = arctan(v/u) (pi/2 at u = 0);
+    lambda^3 = 1 or lambda^4 = 1 is refused as a resonance.  From the
+    ``c_terms`` of the jet,
+
+        A = Im c21 + sin(mu)/(cos(mu) - 1) * (3 |c20|^2
+            + (2 cos(mu) - 1)/(2 cos(mu) + 1) * |c02|^2).
+    """
     tr = jet.trace()
     if abs(tr) >= 2.0 - 1e-12:
         raise ClassificationError(
             f"twist coefficient needs an elliptic linear part, trace = {tr!r}"
         )
-    mu, mu_arg = _rotation_angles(tr)
+    u = tr / 2.0
+    v = math.sqrt(max(1.0 - u * u, 0.0))
+    mu_arg = math.atan2(v, u)
+    mu = math.atan(v / u) if u != 0.0 else math.pi / 2.0
     lam = complex(math.cos(mu_arg), math.sin(mu_arg))
     if abs(lam**3 - 1.0) < RESONANCE_TOL or abs(lam**4 - 1.0) < RESONANCE_TOL:
         raise ResonanceError(
             f"eigenvalue argument {mu_arg!r} sits on a low-order resonance"
         )
-    im_c21, c20_sq, c02_sq = c_terms(jet)
-    A = twist_from_c_terms(im_c21, c20_sq, c02_sq, mu)
-    return BirkhoffReport(
-        A=A,
-        im_c21=im_c21,
-        abs_c20_sq=c20_sq,
-        abs_c02_sq=c02_sq,
-        mu=mu,
-        mu_arg=mu_arg,
+    im_c21, abs_c20_sq, abs_c02_sq = c_terms(jet)
+    cm, sm = math.cos(mu), math.sin(mu)
+    A = im_c21 + sm / (cm - 1.0) * (
+        3.0 * abs_c20_sq + (2.0 * cm - 1.0) / (2.0 * cm + 1.0) * abs_c02_sq
     )
+    return BirkhoffReport(A=A, mu=mu)
 
 
 def rotation_number_leading(n: int, epsilon: float) -> float:
@@ -373,8 +365,8 @@ class IslandReport(NamedTuple):
 
     max_excursion: float
     escaped: bool
-    escape_seed: int | None = None
-    escape_iteration: int | None = None
+    escape_seed: int | None
+    escape_iteration: int | None
 
 
 def island_sampler(
@@ -384,17 +376,22 @@ def island_sampler(
     iterations: int,
     seeds: int = 8,
     seed: int = 0,
+    first: int = 0,
 ) -> tuple[IslandReport, list[tuple[float, float]]]:
     """Iterate the full period map from a ring of initial conditions.
 
-    Starts ``seeds`` points on a circle of the given radius around the fixed
-    point in (s, r), at phases 2 pi * ``random.Random(seed).random()`` drawn
-    in seed order, applies the squared reduced map ``iterations`` times and
-    tracks the maximal distance from the fixed point.  Leaving the chart (a
-    ray missing the scatterer) is recorded as an escape; the reported seed is
-    the lowest-numbered one that escaped.  Returns the report and the visited
-    (s, r) iterates, a list of pairs, seed by seed, each up to its escape.
-    At radius 0 every seed starts at the fixed point.
+    The ring has ``seeds`` points on a circle of the given radius around the
+    fixed point in (s, r), at phases 2 pi * ``random.Random(seed).random()``
+    drawn in seed order.  Its seeds numbered ``first`` to ``seeds - 1`` each
+    apply the squared reduced map ``iterations`` times, and the maximal
+    distance from the fixed point is tracked.  Leaving the chart (a ray
+    missing the scatterer) is recorded as an escape; the reported seed is
+    the lowest-numbered one that escaped.  Returns the report and the
+    visited (s, r) iterates, a list of pairs, seed by seed, each up to its
+    escape.  At radius 0 every seed starts at the fixed point.  A seed's
+    phase depends on its number alone, so consecutive runs of the ring,
+    joined in order, give the whole ring's cloud, and the largest of their
+    excursions and the first run that escaped give its report.
 
     Each seed is iterated alone on a pair of Python floats, two calls of
     ``half_period_formula`` per iteration.  The map is the one straight-line
@@ -406,39 +403,25 @@ def island_sampler(
     ``FLOAT_BACKEND`` raises ``NoCollisionError``, so the iterates are
     FLOAT_BACKEND's bit for bit.  At the widths a request asks for (up to a
     few hundred seeds) this costs no more than stepping them together as
-    arrays, and it needs no NumPy.  Its loop is ``sample_ring``'s, over the
-    whole ring.
+    arrays, and it needs no NumPy.
     """
     if iterations < 1 or seeds < 1:
         raise DomainError(f"need iterations >= 1 and seeds >= 1, got {iterations}, {seeds}")
+    if not 0 <= first < seeds:
+        raise DomainError(f"need 0 <= first < seeds, got first = {first}, seeds = {seeds}")
     if not radius >= 0.0:
         raise DomainError(f"need radius >= 0, got {radius}")
     if seed < 0:
         raise DomainError(f"need seed >= 0, got {seed}")
-    return sample_ring(n, epsilon, radius, iterations, seed, range(seeds))
-
-
-def sample_ring(
-    n: int, epsilon: float, radius: float, iterations: int, seed: int, block: range
-) -> tuple[IslandReport, list[tuple[float, float]]]:
-    """``island_sampler``'s loop over the seeds numbered in ``block``, a
-    contiguous run of its ring, on arguments it has checked.
-
-    Each seed starts at its own phase of the ring that ``seed`` draws and is
-    iterated alone, so the clouds of consecutive blocks, joined in order, are
-    the whole ring's cloud.  The report's escape seed is numbered in the
-    whole ring, so the largest of the blocks' excursions and the first block
-    that escaped give the whole ring's report.
-    """
     rmap = ReducedMap(n, epsilon)
     s0, r0 = rmap.fixed_point
     rng = random.Random(seed)
-    phases = [2.0 * math.pi * rng.random() for _ in range(block.stop)]
+    phases = [2.0 * math.pi * rng.random() for _ in range(seeds)]
     # the module global, looked up per request, so a patched map is the one
     # called; on `math` a missed wall raises ValueError
     half, R, lib = half_period_formula, rmap.R, math
     max_excursion, escape, cloud = 0.0, None, []
-    for index in block:
+    for index in range(first, seeds):
         phase = phases[index]
         s, r = s0 + radius * math.cos(phase), r0 + radius * math.sin(phase)
         orbit = []

@@ -38,7 +38,7 @@ from .errors import BilliardError
 _LIBRARY = {
     name: module
     for module, names in {
-        "birkhoff": "IslandReport ReducedMap birkhoff_A closed_form_A island_sampler sample_ring taylor_jet twist_limit",
+        "birkhoff": "IslandReport ReducedMap birkhoff_A closed_form_A island_sampler taylor_jet twist_limit",
         "blocks": "in_blocks usable_cpus",
         "geometry": "TableParams max_radius",
         "linear_stability": "admissible_interval bifurcation_radius classify delta_star lemma_f min_period_for_k monodromy trace_closed_form",
@@ -463,15 +463,11 @@ def cmd_section(spec: ScanSpec) -> int:
     eps = p["eps"][0]
     radius, iters, seeds, seed = p["radius"], p["iterations"], p["seeds"], p["seed"]
     csv = spec.fmt == "csv"
-    sample_ring = _cli.sample_ring  # its module loads once, before any fork
+    sampler = _cli.island_sampler  # its module loads once, before any fork
 
     def block(ring: range):
-        # the first block is the sampler's first seeds; each block renders
-        # its CSV rows where it runs, and reports as a plain tuple
-        if ring.start:
-            report, cloud = sample_ring(n, eps, radius, iters, seed, ring)
-        else:
-            report, cloud = _cli.island_sampler(n, eps, radius, iters, seeds=ring.stop, seed=seed)
+        # each block renders its CSV rows where it runs, and reports as a plain tuple
+        report, cloud = sampler(n, eps, radius, iters, ring.stop, seed, ring.start)
         return tuple(report), csv_body(cloud, 2) if csv else cloud
 
     blocks = max(1, min(_cli.usable_cpus(), seeds, seeds * iters // MIN_BLOCK))

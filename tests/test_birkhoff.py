@@ -28,13 +28,13 @@ from annular_billiards.birkhoff import (
     island_sampler,
     rotation_number_leading,
     taylor_jet,
-    twist_from_c_terms,
     twist_limit,
 )
 from annular_billiards.errors import (
     BilliardError,
     ClassificationError,
     DomainError,
+    InvalidTableError,
     NoCollisionError,
     NonEllipticNormalizationError,
     PrecisionError,
@@ -128,6 +128,31 @@ class TestReducedMap:
         assert walls == [Wall.OUTER] * n
         with pytest.raises(NoCollisionError):
             half_period_formula(s, math.cos(theta), n, rmap.R)
+
+    def test_a_disk_chord_through_the_scatterer_is_refused_as_build_type_b_refuses(self):
+        # a seeded grid of (n, eps) up to 2.4 epsilon*, and the n = 3 edge,
+        # 0.9555 epsilon*, from either side: the map refuses a table exactly
+        # where the ray tracer's type (b) orbit does not close
+        rng = random.Random(37)
+        points = [(n, rng.uniform(0.01, 2.4) * epsilon_star(n)) for n in rng.choices(range(3, 13), k=300)]
+        points += [(3, 0.1087716581 - 1e-9), (3, 0.1087716581 + 1e-9)]
+        verdicts = []
+        for n, eps in points:
+            try:
+                ReducedMap(n, eps)
+                verdict = None
+            except InvalidTableError as exc:
+                assert str(exc).startswith("disk chord ") and "meets the scatterer" in str(exc)
+                verdict = "refused"
+            try:
+                build_type_b(n, eps)
+                assert verdict is None, (n, eps)
+            except InvalidTableError:
+                assert verdict == "refused", (n, eps)
+            verdicts.append(verdict)
+        assert verdicts[-2:] == [None, "refused"]
+        refused = [point for point, verdict in zip(points, verdicts) if verdict]
+        assert len(refused) > 10 and {n for n, _ in refused} == {3}
 
     def test_linear_trace_against_monodromy(self):
         # trace of the full-period product equals t^2 - 2 for the half map
@@ -297,15 +322,23 @@ class TestCTerms:
 class TestTwistFormula:
     def test_c20_only_near_right_angle(self):
         mu = 1.47  # near pi/2 but safely off the 4-resonance
+        # a rotation by mu with a20 = b11 = 2: Im c21 = |c02|^2 = 0, |c20|^2 = 1
+        c, s = math.cos(mu), math.sin(mu)
+        jet = make_jet(a_extra={(2, 0): 2.0}, b_extra={(1, 1): 2.0}, a10=c, a01=s, b10=-s, b01=c)
+        assert jet.trace() == 2.0 * math.cos(1.47)
+        assert c_terms(jet) == (0.0, 1.0, 0.0)
+        rep = birkhoff_A(jet)
+        assert rep.mu == pytest.approx(mu, rel=1e-15)
         want = 3.0 * math.sin(mu) / (math.cos(mu) - 1.0)
-        assert twist_from_c_terms(0.0, 1.0, 0.0, mu) == pytest.approx(want, rel=1e-15)
+        assert rep.A == pytest.approx(want, rel=1e-14)
 
     def test_report_fields(self):
-        rep = birkhoff_A(taylor_jet(ReducedMap(3, 0.01)))
-        assert isinstance(rep, BirkhoffReport)
-        assert rep.mu < 0.0 and 0.0 < rep.mu_arg < math.pi
-        assert rep.mu_arg == pytest.approx(math.pi + rep.mu, abs=1e-12)
-        assert rep.abs_c20_sq > 0.0 and rep.abs_c02_sq > 0.0
+        jet = taylor_jet(ReducedMap(3, 0.01))
+        rep = birkhoff_A(jet)
+        assert isinstance(rep, BirkhoffReport) and rep._fields == ("A", "mu")
+        assert rep.mu < 0.0 and rep.A > 0.0
+        im_c21, c20_sq, c02_sq = c_terms(jet)
+        assert c20_sq > 0.0 and c02_sq > 0.0
 
     def test_hyperbolic_rejected(self):
         eps = 2.0 * epsilon_star(4)
@@ -465,6 +498,14 @@ class TestIslandSampler:
         args = dict(n=3, epsilon=0.02, radius=1e-4, iterations=10) | kwargs
         with pytest.raises(DomainError):
             island_sampler(**args)
+
+    @pytest.mark.parametrize("first", [-1, 4, 5])
+    def test_first_seed_outside_the_ring_refused(self, first):
+        with pytest.raises(DomainError, match=rf"need 0 <= first < seeds, got first = {first}, seeds = 4"):
+            island_sampler(3, 0.02, 1e-4, 10, seeds=4, first=first)
+        # no seeds at all keeps its own message
+        with pytest.raises(DomainError, match=r"need iterations >= 1 and seeds >= 1, got 10, 0"):
+            island_sampler(3, 0.02, 1e-4, 10, seeds=0, first=first)
 
 
 def _reference_sampler(n, epsilon, radius, iterations, seeds=8, seed=0):
@@ -666,9 +707,13 @@ class TestPushMatchesFormerRoute:
         for n, eps in grid:
             try:
                 rmaps.append(ReducedMap(n, eps))
-            except (DomainError, SingularConfigurationError) as exc:
+            except (DomainError, SingularConfigurationError, InvalidTableError) as exc:
                 refused[(n, eps)] = exc  # refused before any push, as in the scan
         assert all(type(refused[(3, eps)]) is DomainError for eps in (2.9, 2.95))
+        # a disk chord of the fixed point meets the scatterer; build_type_b
+        # refuses these tables too
+        off_chart = [point for point, exc in refused.items() if type(exc) is InvalidTableError]
+        assert off_chart == [(3, 0.3), (7, 1.2), (20, 0.3), (20, 1.2)]
         # points the push refuses, amid the others: not fixed, and off the
         # arccos domain
         rmaps[3:3] = [ShiftedMap(3, 0.01, 0.01, 0.0)]
@@ -778,13 +823,17 @@ class TestJetPairMatchesDictRoute:
         import annular_billiards.birkhoff as bk
 
         # detuning ladders inside the elliptic window, as a twist scan has
-        # them, plus points past it that birkhoff_A refuses
-        rmaps = [
-            ReducedMap(n, e)
-            for n in range(3, 21)
-            for e in [epsilon_star(n) * 0.05 * 0.5**i for i in range(8)]
-            + [epsilon_star(n) * f for f in (0.5, 1.2, 2.0)]
-        ]
+        # them, plus points past it that birkhoff_A refuses, or that are
+        # refused at construction: at n = 3 a disk chord of the fixed point
+        # meets the scatterer from 0.96 epsilon* up
+        rmaps, off_chart = [], []
+        for n in range(3, 21):
+            for f in [0.05 * 0.5**i for i in range(8)] + [0.5, 1.2, 2.0]:
+                try:
+                    rmaps.append(ReducedMap(n, epsilon_star(n) * f))
+                except InvalidTableError:
+                    off_chart.append((n, f))
+        assert off_chart == [(3, 1.2), (3, 2.0)]
         jets = [taylor_jet(rmap) for rmap in rmaps]
         assert all(isinstance(jet, TaylorJet3) for jet in jets)
         got = [_report_or_refusal(jet) for jet in jets]

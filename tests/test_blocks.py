@@ -89,10 +89,15 @@ def test_a_child_holds_only_its_own_write_end():
 
 
 def test_a_failed_child_raises_its_traceback(monkeypatch, three_blocks):
-    def refused(*args):
-        raise ValueError("this block is refused")
+    sampler = cli.island_sampler
 
-    monkeypatch.setattr(cli, "sample_ring", refused)
+    def refused(*args):
+        first = args[6]
+        if first:
+            raise ValueError("this block is refused")
+        return sampler(*args)
+
+    monkeypatch.setattr(cli, "island_sampler", refused)
     with pytest.raises(RuntimeError) as info:
         cli.main(SPLIT)
     message = str(info.value)
@@ -104,13 +109,12 @@ def test_a_failed_child_raises_its_traceback(monkeypatch, three_blocks):
 
 def test_a_failed_parent_kills_and_reaps_its_children(monkeypatch, three_blocks):
     # the children would sleep for a minute; killed, they end at once
-    def slow(*args):
-        time.sleep(60)
-
-    def refused(*args, **kwargs):
+    def refused(*args):
+        first = args[6]
+        if first:
+            time.sleep(60)
         raise ValueError("this process's block is refused")
 
-    monkeypatch.setattr(cli, "sample_ring", slow)
     monkeypatch.setattr(cli, "island_sampler", refused)
     t0 = time.monotonic()
     with pytest.raises(ValueError, match="this process's block is refused"):
@@ -130,9 +134,12 @@ def test_a_failed_child_ends_the_process_with_status_1(tmp_path):
     launcher = (
         "import sys\n"
         "from annular_billiards import cli\n"
+        "sampler = cli.island_sampler\n"
         "def refused(*args):\n"
-        "    raise ValueError('this block is refused')\n"
-        "cli.sample_ring, cli.usable_cpus, cli.MIN_BLOCK = refused, lambda: 2, 1\n"
+        "    if args[6]:\n"
+        "        raise ValueError('this block is refused')\n"
+        "    return sampler(*args)\n"
+        "cli.island_sampler, cli.usable_cpus, cli.MIN_BLOCK = refused, lambda: 2, 1\n"
         f"sys.argv[1:] = {SPLIT!r}\n"
         "cli.entry()\n"
     )
@@ -184,11 +191,11 @@ def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
 def test_a_block_of_the_ring_is_its_seeds_alone():
     # seeds 2..5 of an 8-seed ring: their iterates, in order, and their
     # report, with an escape numbered in the whole ring
-    args = (3, 0.02, 0.1, 50, 0)
-    singles = [birkhoff.sample_ring(*args, range(i, i + 1)) for i in range(8)]
-    report, cloud = birkhoff.sample_ring(*args, range(2, 6))
+    args = (3, 0.02, 0.1, 50)
+    singles = [birkhoff.island_sampler(*args, seeds=i + 1, seed=0, first=i) for i in range(8)]
+    report, cloud = birkhoff.island_sampler(*args, seeds=6, seed=0, first=2)
     assert cloud == [row for _, rows in singles[2:6] for row in rows]
     assert report.max_excursion == max(single.max_excursion for single, _ in singles[2:6])
     escapes = [single for single, _ in singles[2:6] if single.escaped]
     assert escapes and report[1:] == escapes[0][1:]
-    assert birkhoff.island_sampler(*args[:4], seeds=8, seed=0)[1] == [row for _, rows in singles for row in rows]
+    assert birkhoff.island_sampler(*args, seeds=8, seed=0)[1] == [row for _, rows in singles for row in rows]

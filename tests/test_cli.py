@@ -558,6 +558,18 @@ class TestBirkhoffCommand:
         assert "# summary A_tilde_n40: \n" in text
         assert "nan" not in text
 
+    def test_a_table_off_the_maps_chart_is_refused(self, tmp_path, capsys):
+        # at n = 3, eps = 0.5 a disk chord of the fixed point meets the
+        # scatterer: the orbit does not close, and no twist is reported
+        last = run(tmp_path, "bk_off.csv", ["birkhoff", "--n", "3", "--eps", "0.5"]).splitlines()[-1]
+        assert last.startswith("3,0.5,,,") and '"InvalidTableError: disk chord 0 ' in last
+        assert main(["orbit", "--n", "3", "--eps", "0.5", "--out", os.devnull]) == 2
+        assert main(["section", "--n", "3", "--eps", "0.11", "--iterations", "5", "--out", os.devnull]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: InvalidTableError: type (b) orbit did not close (residual 0.19)",
+            "error: InvalidTableError: disk chord 0 of the fixed point meets the scatterer at n=3, epsilon=0.11",
+        ]
+
     def test_undefined_twist_limit_leaves_closed_summary_empty(self, tmp_path):
         text = run(tmp_path, "bk_n2.csv", ["birkhoff", "--n", "2", "--eps", "0.01"])
         assert "# summary A_tilde_closed_n2: \n" in text

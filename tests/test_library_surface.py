@@ -69,10 +69,7 @@ ALLOWED = {
 }
 
 #: every record field that no ``src/`` code reads, with the reason it stays
-ALLOWED_FIELDS = {
-    f"BirkhoffReport.{field}": "checked against the eigenvalue oracle; the invariant twist (ROADMAP item 2) rewrites this report"
-    for field in ("im_c21", "abs_c20_sq", "abs_c02_sq", "mu_arg")
-}
+ALLOWED_FIELDS: dict[str, str] = {}
 
 
 # ---------------------------------------------------------------------------

@@ -496,8 +496,8 @@ class TestClassification:
         lam = np.linalg.eigvals(M)
         assert np.abs(lam) == pytest.approx([1.0, 1.0], abs=1e-9)
         assert lam[0] == pytest.approx(np.conj(lam[1]), abs=1e-12)
-        mu_arg = birkhoff_A(taylor_jet(ReducedMap(3, 0.01))).mu_arg
-        assert abs(np.angle(lam[0])) == pytest.approx(2.0 * math.pi - 2.0 * mu_arg, abs=1e-9)
+        mu = birkhoff_A(taylor_jet(ReducedMap(3, 0.01))).mu
+        assert abs(np.angle(lam[0])) == pytest.approx(-2.0 * mu, abs=1e-9)
         # hyperbolic: a real pair lambda, 1/lambda
         n, k, delta = 6, 1, 0.03
         R = 0.5 * bifurcation_radius(n, k, delta)
