@@ -33,7 +33,7 @@ import math
 from math import pi
 from typing import NamedTuple
 
-from .errors import DomainError, NoCollisionError, SingularConfigurationError
+from .errors import InvalidTableError, NoCollisionError
 
 
 def tangency_radius_b(n: int, epsilon: float) -> float:
@@ -42,18 +42,24 @@ def tangency_radius_b(n: int, epsilon: float) -> float:
     With theta0 = pi/n + epsilon the chord of the detuned orbit crosses the
     negative x-axis at distance cos(theta0)/cos(n*epsilon) from the origin,
     which yields R_b = 1 + cos(theta0)/cos(n*theta0).
+
+    This is the one admission of a tangent table (n, epsilon): every route
+    that builds one calls it, and it refuses with ``InvalidTableError`` an
+    n below 3, a detuning outside (0, pi - pi/n) (NaN too), where theta0
+    would leave the reflection angles' range, a vanishing cos(n*theta0), and
+    a radius outside (0, 1).
     """
     if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
+        raise InvalidTableError(f"need n >= 3, got {n}")
+    if not 0.0 < epsilon < math.pi - math.pi / n:
+        raise InvalidTableError(f"need 0 < epsilon < pi - pi/n at n={n}, got {epsilon}")
     theta0 = math.pi / n + epsilon
     cn = math.cos(n * theta0)
     if abs(cn) < 1e-9:
-        raise SingularConfigurationError(
-            f"cos(n*theta0) ~ 0 at n={n}, epsilon={epsilon}"
-        )
+        raise InvalidTableError(f"cos(n*theta0) ~ 0 at n={n}, epsilon={epsilon}")
     r = 1.0 + math.cos(theta0) / cn
     if not 0.0 < r < 1.0:
-        raise SingularConfigurationError(
+        raise InvalidTableError(
             f"tangency radius {r:.6g} outside (0, 1) at n={n}, epsilon={epsilon}"
         )
     return r

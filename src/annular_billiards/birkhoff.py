@@ -101,17 +101,11 @@ class ReducedMap:
     ``half_period_formula(s, r, n, R, lib)`` on any backend, with its
     ``fixed_point``, the detuned orbit's initial state.  A table whose fixed
     point is off the map's chart, one of its n - 1 disk chords meeting the
-    scatterer, is refused with ``InvalidTableError``.
+    scatterer, is refused with ``InvalidTableError``, as is every table that
+    ``tangency_radius_b`` refuses.
     """
 
     def __init__(self, n: int, epsilon: float):
-        if n < 3:
-            raise DomainError(f"need n >= 3, got {n}")
-        if epsilon <= 0.0:
-            raise DomainError(f"need epsilon > 0, got {epsilon}")
-        if epsilon >= math.pi - math.pi / n:
-            # theta0 = pi/n + eps would leave the reflection angles' range (0, pi)
-            raise DomainError(f"need epsilon < pi - pi/n at n={n}, got {epsilon}")
         self.n = n
         self.epsilon = epsilon
         self.R = R = tangency_radius_b(n, epsilon)
@@ -341,8 +335,10 @@ def _over_eps_squared(limit: float, epsilon: float) -> float:
 
 
 def closed_form_A(n: int, epsilon: float) -> float:
-    """Leading-order twist coefficient, twist_limit(n)/epsilon^2; refused
-    where epsilon^2 underflows to 0 or the quotient overflows."""
+    """Leading-order twist coefficient, twist_limit(n)/epsilon^2, of a table
+    that ``tangency_radius_b`` admits; refused where epsilon^2 underflows to
+    0 or the quotient overflows."""
+    tangency_radius_b(n, epsilon)
     return _over_eps_squared(twist_limit(n), epsilon)
 
 

@@ -17,10 +17,6 @@ class InvalidTableError(BilliardError):
     """Table parameters violate an admissibility constraint."""
 
 
-class SingularConfigurationError(BilliardError):
-    """A configuration formula degenerates (e.g. division by a vanishing cosine)."""
-
-
 class NoCollisionError(BilliardError):
     """A ray misses the wall the map assumed it would hit."""
 

@@ -8,10 +8,12 @@ chord is vertical at x = -cos(k*pi/n), so a symmetric table is literally
 invariant under y -> -y and the tangent configuration has its scatterer
 center on the negative x-axis.
 
-The tangent table's radius, ``tangency_radius_b``, lives with its map in
-``billiard_map``.  Only ``_tangent_radius``, which the two type (b)
-branches of ``TableParams`` call, imports it, so the type (a) tables load
-no map.
+Each table family is admitted in one place, which refuses an inadmissible
+table with ``InvalidTableError``: a chord-mounted table (n, k, delta) by
+``max_radius``, a tangent table (n, epsilon) by ``tangency_radius_b``,
+which lives with its map in ``billiard_map``.  The type (b) branches of
+``TableParams`` import it where they run, so the type (a) tables load no
+map.
 """
 
 from __future__ import annotations
@@ -19,36 +21,35 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, InvalidTableError, SingularConfigurationError
+from .errors import InvalidTableError
 
 #: absolute tolerance for interiority/tangency comparisons on the unit disk
 GEOM_TOL = 1e-12
 
 
 def max_radius_star(n: int, k: int, delta: float) -> float:
-    """Largest radius keeping a star-orbit scatterer clear of the other chords.
+    """Largest radius keeping a star-orbit scatterer clear of the other chords,
+    for a table (n, k >= 2, delta) that ``max_radius`` admits.
 
-    For k >= 2 the binding constraint is the nearest other chord of the star
-    polygon, at distance sin(2*pi/n) * (cos(k*pi/n)*tan(pi/n) - delta) from
-    the displaced chord midpoint.  At delta = 0 this reduces to
+    The binding constraint is the nearest other chord of the star polygon,
+    at distance sin(2*pi/n) * (cos(k*pi/n)*tan(pi/n) - delta) from the
+    displaced chord midpoint.  At delta = 0 this reduces to
     2*cos(k*pi/n)*sin^2(pi/n).
     """
-    if n < 5 or k < 2 or 2 * k > n:
-        raise DomainError(f"need n >= 5 and 2 <= k <= n/2, got n={n}, k={k}")
-    if math.gcd(k, n) != 1:
-        raise DomainError(f"need gcd(k, n) = 1, got n={n}, k={k}")
-    cap = math.cos(k * math.pi / n) * math.tan(math.pi / n)
-    if not 0.0 <= delta < cap:
-        raise DomainError(
-            f"need 0 <= delta < cos(k pi/n) tan(pi/n) = {cap:.6g}, got {delta}"
-        )
-    return math.sin(2.0 * math.pi / n) * (cap - delta)
+    return math.sin(2.0 * math.pi / n) * (math.cos(k * math.pi / n) * math.tan(math.pi / n) - delta)
 
 
 def max_radius(n: int, k: int, delta: float) -> float:
     """Largest admissible radius of a type (a) scatterer displaced by delta
     along the chord of angle k*pi/n: the disk bound, and for k >= 2 the
     smaller of it and ``max_radius_star``.
+
+    This is the one admission of a chord-mounted table (n, k, delta): every
+    route that builds one calls it, and it refuses with
+    ``InvalidTableError`` an n below 3, a k outside 1..n/2 or sharing a
+    factor with n, and a delta outside [0, cap), where the cap is sin(pi/n)
+    for k = 1 and cos(k pi/n) tan(pi/n), at which ``max_radius_star`` is 0,
+    for k >= 2.
 
     The disk bound keeps the scatterer inside the unit disk.  Its center sits
     at distance sqrt(delta^2 + cos^2(k pi/n)) from the origin, so the bound
@@ -57,28 +58,17 @@ def max_radius(n: int, k: int, delta: float) -> float:
     (sin^2(k pi/n) - delta^2) / (1 + sqrt(delta^2 + cos^2(k pi/n))), which
     keeps full precision.
     """
-    if k == 1:
-        if n < 3:
-            raise DomainError(f"need n >= 3, got {n}")
-        if not 0.0 <= delta < math.sin(math.pi / n):
-            raise DomainError(f"need 0 <= delta < sin(pi/n), got delta={delta}")
-    else:
-        star = max_radius_star(n, k, delta)
+    if n < 3:
+        raise InvalidTableError(f"need n >= 3, got {n}")
+    if k < 1 or 2 * k > n or math.gcd(k, n) != 1:
+        raise InvalidTableError(f"need 1 <= k <= n/2 coprime with n, got k={k}, n={n}")
     angle = k * math.pi / n
+    cap = math.sin(math.pi / n) if k == 1 else math.cos(angle) * math.tan(math.pi / n)
+    if not 0.0 <= delta < cap:
+        raise InvalidTableError(f"need 0 <= delta < {cap!r} at n={n}, k={k}, got delta={delta}")
     s = math.sin(angle)
     disk = (s - delta) * (s + delta) / (1.0 + math.sqrt(delta * delta + math.cos(angle) ** 2))
-    return disk if k == 1 else min(star, disk)
-
-
-def _tangent_radius(n: int, epsilon: float) -> float:
-    """``tangency_radius_b``, refusing a detuning with no tangent radius in
-    (0, 1) as an inadmissible table."""
-    from .billiard_map import tangency_radius_b
-
-    try:
-        return tangency_radius_b(n, epsilon)
-    except SingularConfigurationError as exc:
-        raise InvalidTableError(str(exc)) from None
+    return disk if k == 1 else min(max_radius_star(n, k, delta), disk)
 
 
 class _TableFields(NamedTuple):
@@ -125,41 +115,39 @@ class TableParams(_TableFields):
 
     @staticmethod
     def type_b(n: int, epsilon: float) -> "TableParams":
-        if epsilon <= 0.0:
-            raise InvalidTableError(f"type (b) needs epsilon > 0, got {epsilon}")
-        return TableParams(n=n, k=1, R=_tangent_radius(n, epsilon), delta=0.0, epsilon=epsilon)
+        from .billiard_map import tangency_radius_b
+
+        return TableParams(n=n, k=1, R=tangency_radius_b(n, epsilon), delta=0.0, epsilon=epsilon)
 
     def validate(self) -> None:
-        n, k = self.n, self.k
-        if n < 3:
-            raise InvalidTableError(f"need n >= 3, got {n}")
-        if k < 1 or 2 * k > n or math.gcd(k, n) != 1:
-            raise InvalidTableError(f"need 1 <= k <= n/2 coprime with n, got k={k}, n={n}")
-        if not 0.0 < self.R < 1.0:
-            raise InvalidTableError(f"need 0 < R < 1, got R={self.R}")
-        if self.epsilon > 0.0:
-            if k != 1 or self.delta != 0.0:
-                raise InvalidTableError("type (b) requires k=1, delta=0, epsilon>0")
-            r = _tangent_radius(n, self.epsilon)
-            if abs(r - self.R) > GEOM_TOL:
+        """Admit the table's family, then its radius: a type (a) table
+        through ``max_radius``, a type (b) one, of nonzero detuning,
+        through ``billiard_map.tangency_radius_b``."""
+        n, k, R, delta, epsilon = self
+        if epsilon == 0.0:
+            cap = max_radius(n, k, delta)
+        elif k != 1 or delta != 0.0:
+            raise InvalidTableError("type (b) requires k=1, delta=0, epsilon>0")
+        else:
+            from .billiard_map import tangency_radius_b
+
+            tangent = tangency_radius_b(n, epsilon)
+        if not 0.0 < R < 1.0:
+            raise InvalidTableError(f"need 0 < R < 1, got R={R}")
+        if epsilon != 0.0:
+            if abs(tangent - R) > GEOM_TOL:
                 raise InvalidTableError(
-                    f"type (b) radius must equal the tangency radius {r!r}, got {self.R!r}"
+                    f"type (b) radius must equal the tangency radius {tangent!r}, got {R!r}"
                 )
-            return
-        if self.delta < 0.0:
-            raise InvalidTableError(f"need delta >= 0, got {self.delta}")
-        if not self.epsilon >= 0.0:
-            raise InvalidTableError(f"need epsilon >= 0, got {self.epsilon}")
-        cap = max_radius(n, k, self.delta)
-        if self.R > cap + GEOM_TOL:
+        elif R > cap + GEOM_TOL:
             raise InvalidTableError(
-                f"R={self.R:.6g} exceeds the admissible maximum {cap:.6g} "
-                f"for n={n}, k={k}, delta={self.delta:.6g}"
+                f"R={R:.6g} exceeds the admissible maximum {cap:.6g} "
+                f"for n={n}, k={k}, delta={delta:.6g}"
             )
-        if k > 1 and self.R >= max_radius_star(n, k, self.delta):
+        elif k > 1 and R >= max_radius_star(n, k, delta):
             raise InvalidTableError(
-                f"R={self.R:.6g} touches another chord of the orbit "
-                f"for n={n}, k={k}, delta={self.delta:.6g}"
+                f"R={R:.6g} touches another chord of the orbit "
+                f"for n={n}, k={k}, delta={delta:.6g}"
             )
 
 
@@ -218,6 +206,7 @@ def clearance_from_other_chords(params: TableParams) -> float:
 
     Numerical check of the claim behind ``max_radius_star``: the returned
     clearance must be >= R for the orbit segments to miss the scatterer.
+    It measures an admitted table; ``max_radius`` admits, not this check.
     """
     pose = scatterer_pose(params)
     cx, cy = pose.center

@@ -201,8 +201,10 @@ def epsilon_star(n: int) -> float:
     This sets the scale of the tangent table's elliptic window, not its end:
     the full-period trace is (reduced trace)^2 - 2 >= -2, so it touches -2
     near epsilon_star (at 0.977 epsilon_star for n = 7, 0.951 for n = 12)
-    and turns back up.  For n = 3..40 the orbit is still elliptic at
-    1.2 epsilon_star; for n = 4..40 it is hyperbolic at 2 epsilon_star.
+    and turns back up.  For n = 4..40 the orbit is still elliptic at
+    1.2 epsilon_star and hyperbolic at 2 epsilon_star.  At n = 3 it exists
+    only below 0.9555 epsilon_star, where a disk chord of the fixed point
+    starts to meet the scatterer, so both of those tables are refused.
     """
     c = math.pi / n
     cot = math.cos(c) / math.sin(c)
@@ -225,8 +227,7 @@ def delta_star(n: int) -> float:
 
         delta*^2 = s^3 (n s/(1 + c) - 1) (1 - R* + c) / ((1 + c) (2n - s)).
     """
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
+    max_radius(n, 1, 0.0)  # the admission of the family's n
     s, c = math.sin(math.pi / n), math.cos(math.pi / n)
     r_star = n * s * s / (2.0 * n - s)
     num = s**3 * (n * s / (1.0 + c) - 1.0) * (1.0 - r_star + c)

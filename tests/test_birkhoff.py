@@ -39,7 +39,6 @@ from annular_billiards.errors import (
     NonEllipticNormalizationError,
     PrecisionError,
     ResonanceError,
-    SingularConfigurationError,
 )
 from annular_billiards.jets import _MUL_TABLE, MONOMIALS, Jet2, jet_acos, jet_cos
 from annular_billiards.linear_stability import (
@@ -174,16 +173,16 @@ class TestReducedMap:
             prev_gap = gap
 
     def test_domain_guards(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidTableError, match=r"need n >= 3, got 2"):
             ReducedMap(2, 0.01)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidTableError, match=r"need 0 < epsilon"):
             ReducedMap(3, 0.0)
 
     @pytest.mark.parametrize("n,eps", [(3, 2.9), (3, 2.95), (3, math.pi - math.pi / 3), (5, 2.6)])
     def test_refuses_detuning_past_pi_minus_pi_over_n(self, n, eps):
         # theta0 = pi/n + eps >= pi is no reflection angle, even where the
         # tangency radius lands in (0, 1) again, as at n = 3, eps = 2.9
-        with pytest.raises(DomainError, match=r"pi - pi/n"):
+        with pytest.raises(InvalidTableError, match=r"pi - pi/n"):
             ReducedMap(n, eps)
 
 
@@ -381,13 +380,34 @@ class TestTwistValues:
 
     def test_closed_form_scales_inverse_square(self):
         assert closed_form_A(7, 1e-3) == pytest.approx(twist_limit(7) * 1e6, rel=1e-12)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidTableError, match=r"need n >= 3, got 2"):
             closed_form_A(2, 1e-3)
+
+    @pytest.mark.parametrize("n,eps", [(3, 2.9), (3, -0.1), (5, 0.3), (2, 0.1)])
+    def test_closed_form_refused_with_its_table(self, monkeypatch, n, eps):
+        # a tangent table that does not exist has no leading-order twist
+        # either: the closed form is refused as the map is
+        with pytest.raises(InvalidTableError) as refusal:
+            ReducedMap(n, eps)
+        calls = []
+        admit = birkhoff.tangency_radius_b
+        # through the module global, the one a patched admission replaces
+        monkeypatch.setattr(birkhoff, "tangency_radius_b", lambda *table: calls.append(table) or admit(*table))
+        with pytest.raises(InvalidTableError) as closed:
+            closed_form_A(n, eps)
+        assert str(closed.value) == str(refusal.value) and calls == [(n, eps)]
+
+    def test_closed_form_kept_for_a_table_refused_later(self):
+        # at n = 3, eps = 0.5 the table exists but is off the map's chart
+        with pytest.raises(InvalidTableError, match="disk chord 0"):
+            ReducedMap(3, 0.5)
+        assert closed_form_A(3, 0.5) == twist_limit(3) / 0.25
 
     @pytest.mark.parametrize("eps", [0.0, 1e-170, 1e-160])
     def test_closed_form_refuses_underflowing_eps(self, eps):
-        # eps^2 underflows to 0 at 1e-170; at 1e-160 the quotient overflows
-        with pytest.raises(DomainError):
+        # eps^2 underflows to 0 at 1e-170; at 1e-160 the quotient overflows;
+        # eps = 0 is no tangent table
+        with pytest.raises(InvalidTableError if eps == 0.0 else DomainError):
             closed_form_A(3, eps)
         with pytest.raises(DomainError):
             closed_form_A_large_n(3, eps)
@@ -707,12 +727,12 @@ class TestPushMatchesFormerRoute:
         for n, eps in grid:
             try:
                 rmaps.append(ReducedMap(n, eps))
-            except (DomainError, SingularConfigurationError, InvalidTableError) as exc:
+            except InvalidTableError as exc:
                 refused[(n, eps)] = exc  # refused before any push, as in the scan
-        assert all(type(refused[(3, eps)]) is DomainError for eps in (2.9, 2.95))
+        assert all("pi - pi/n" in str(refused[(3, eps)]) for eps in (2.9, 2.95))
         # a disk chord of the fixed point meets the scatterer; build_type_b
         # refuses these tables too
-        off_chart = [point for point, exc in refused.items() if type(exc) is InvalidTableError]
+        off_chart = [point for point, exc in refused.items() if "disk chord" in str(exc)]
         assert off_chart == [(3, 0.3), (7, 1.2), (20, 0.3), (20, 1.2)]
         # points the push refuses, amid the others: not fixed, and off the
         # arccos domain
@@ -745,7 +765,7 @@ class TestPushMatchesFormerRoute:
         assert len(rmaps) - 3 < len(grid)  # some points never reach the push
 
     def test_single_map_refusals(self):
-        with pytest.raises(DomainError, match=r"pi - pi/n"):
+        with pytest.raises(InvalidTableError, match=r"pi - pi/n"):
             ReducedMap(3, 2.9)
         with pytest.raises(NoCollisionError, match=r"leaves \(-1, 1\)"):
             taylor_jet(ShiftedMap(3, 0.01, 0.0, 2.0))

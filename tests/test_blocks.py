@@ -126,7 +126,7 @@ def test_a_failed_parent_kills_and_reaps_its_children(monkeypatch, three_blocks)
 def test_a_parent_refusal_keeps_its_message_and_status(monkeypatch, three_blocks, capsys):
     # an n that the map refuses: the first block's refusal, as one block gives it
     assert cli.main(["section", "--n", "2", "--eps", "0.02", "--seeds", "4", "--iterations", "20"]) == 2
-    assert capsys.readouterr().err == "error: DomainError: need n >= 3, got 2\n"
+    assert capsys.readouterr().err == "error: InvalidTableError: need n >= 3, got 2\n"
     assert_no_child_left()
 
 

@@ -323,9 +323,9 @@ class TestParsing:
         "args,error",
         [
             (["orbit", "--n", "5", "--k", "2", "--R", "5"], "InvalidTableError"),
-            (["orbit", "--n", "5", "--k", "4"], "DomainError"),
-            (["region", "--n", "2"], "DomainError"),
-            (["section", "--n", "3", "--eps", "2.9"], "DomainError"),
+            (["orbit", "--n", "5", "--k", "4"], "InvalidTableError"),
+            (["region", "--n", "2"], "InvalidTableError"),
+            (["section", "--n", "3", "--eps", "2.9"], "InvalidTableError"),
             (["lemma", "--x", "1e200"], "DomainError"),
             # a detuning with no tangent radius in (0, 1) names no table
             (["orbit", "--n", "5", "--eps", "0.3"], "InvalidTableError"),
@@ -340,8 +340,61 @@ class TestParsing:
     def test_orbit_refuses_zero_detuning(self, tmp_path, capsys, eps):
         # eps = 0 at n = 3 is not read as the type (a) table of the same radius
         assert main(["orbit", "--n", "3", "--eps", eps, "--out", str(tmp_path / "x")]) == 2
-        assert capsys.readouterr() == ("", f"error: InvalidTableError: type (b) needs epsilon > 0, got {float(eps)}\n")
+        assert capsys.readouterr() == ("", f"error: InvalidTableError: need 0 < epsilon < pi - pi/n at n=3, got {float(eps)}\n")
         assert not (tmp_path / "x").exists()
+
+
+def _skip_reason(tmp_path, args):
+    """The ``skip_reason`` of a request's one row."""
+    _, rows = csv_table(run(tmp_path, "one.csv", args))
+    assert len(rows) == 1
+    return rows[0][-1]
+
+
+def _refusal(capsys, args):
+    """The one ``error:`` line of a refused request, without its prefix."""
+    assert main(args + ["--out", os.devnull]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    return err[len("error: "):-1]
+
+
+class TestRouteIndependence:
+    """A table that cannot exist is refused with one ``Type: message`` on
+    every route: a row's ``skip_reason`` or the ``error:`` line, with or
+    without ``--R``, whichever subcommand asks."""
+
+    @pytest.mark.parametrize("n,k,delta,reason", [
+        ("6", "2", "0", "need 1 <= k <= n/2 coprime with n, got k=2, n=6"),
+        ("2", "1", "0", "need n >= 3, got 2"),
+        ("5", "1", "-0.1", f"need 0 <= delta < {math.sin(math.pi / 5)!r} at n=5, k=1, got delta=-0.1"),
+    ], ids=["gcd", "n", "delta"])
+    def test_chord_mounted_table(self, tmp_path, capsys, n, k, delta, reason):
+        table = ["--n", n, "--k", k, "--delta", delta]
+        routes = {
+            "stability": _skip_reason(tmp_path, ["stability", *table]),
+            "stability --R": _skip_reason(tmp_path, ["stability", *table, "--R", "0.01"]),
+            "orbit": _refusal(capsys, ["orbit", *table]),
+            "orbit --R": _refusal(capsys, ["orbit", *table, "--R", "0.01"]),
+        }
+        if int(n) < 3:
+            routes["region"] = _refusal(capsys, ["region", "--n", n])
+        assert routes == dict.fromkeys(routes, f"InvalidTableError: {reason}")
+
+    @pytest.mark.parametrize("n,eps,reason", [
+        ("5", "0.3", "tangency radius -7.47052 outside (0, 1) at n=5, epsilon=0.3"),
+        ("3", "2.9", "need 0 < epsilon < pi - pi/n at n=3, got 2.9"),
+        ("3", "-0.1", "need 0 < epsilon < pi - pi/n at n=3, got -0.1"),
+        ("2", "0.1", "need n >= 3, got 2"),
+    ], ids=["radius", "past", "negative", "n"])
+    def test_tangent_table(self, tmp_path, capsys, n, eps, reason):
+        table = ["--n", n, "--eps", eps]
+        routes = {
+            "birkhoff": _skip_reason(tmp_path, ["birkhoff", *table]),
+            "section": _refusal(capsys, ["section", *table, "--iterations", "3"]),
+            "orbit --eps": _refusal(capsys, ["orbit", *table]),
+        }
+        assert routes == dict.fromkeys(routes, f"InvalidTableError: {reason}")
 
 
 class TestStability:
@@ -401,7 +454,7 @@ class TestStability:
             ["stability", "--n", "6", "--k", "2", "--delta", "0.01,0.02", "--format", "json"],
         ))
         assert [(r["R"], r["delta"]) for r in doc["rows"]] == [("", 0.01), ("", 0.02)]
-        assert {r["skip_reason"] for r in doc["rows"]} == {"DomainError: need gcd(k, n) = 1, got n=6, k=2"}
+        assert {r["skip_reason"] for r in doc["rows"]} == {"InvalidTableError: need 1 <= k <= n/2 coprime with n, got k=2, n=6"}
         # k = 1 with one displacement past sin(pi/n): 25 radii, then the refusal
         doc = json.loads(run(
             tmp_path,
@@ -411,7 +464,8 @@ class TestStability:
         rows = doc["rows"]
         assert len(rows) == 26 and not any(r["skip_reason"] for r in rows[:25])
         assert rows[25]["R"] == "" and rows[25]["delta"] == 0.7
-        assert rows[25]["skip_reason"].startswith("DomainError: need 0 <= delta < sin(pi/n)")
+        cap = math.sin(math.pi / 5)
+        assert rows[25]["skip_reason"] == f"InvalidTableError: need 0 <= delta < {cap!r} at n=5, k=1, got delta=0.7"
 
     def test_default_grid_refuses_a_scatterer_touching_another_chord(self, tmp_path):
         # the default grid ends at max_radius, where for k >= 2 the scatterer
@@ -570,19 +624,33 @@ class TestBirkhoffCommand:
             "error: InvalidTableError: disk chord 0 of the fixed point meets the scatterer at n=3, epsilon=0.11",
         ]
 
+    def test_no_closed_form_beside_a_table_that_does_not_exist(self, tmp_path):
+        # the closed form is refused with the table; the row refused later,
+        # at the map's chart (eps = 0.5), keeps its closed form
+        from annular_billiards.birkhoff import closed_form_A
+
+        text = run(tmp_path, "bk_none.csv", ["birkhoff", "--n", "3", "--eps", "2.9,-0.1,0.5"])
+        header, rows = csv_table(text)
+        closed, reason = header.index("A_closed_leading"), header.index("skip_reason")
+        assert [r[closed] for r in rows] == ["", "", _cell(closed_form_A(3, 0.5))]
+        assert all(r[reason].startswith("InvalidTableError: ") for r in rows)
+        _, rows = csv_table(run(tmp_path, "bk_none5.csv", ["birkhoff", "--n", "5", "--eps", "0.3"]))
+        assert rows[0][closed] == ""
+
     def test_undefined_twist_limit_leaves_closed_summary_empty(self, tmp_path):
         text = run(tmp_path, "bk_n2.csv", ["birkhoff", "--n", "2", "--eps", "0.01"])
         assert "# summary A_tilde_closed_n2: \n" in text
         assert "# summary A_tilde_n2: \n" in text
-        assert "DomainError" in text.splitlines()[-1]
+        assert '"InvalidTableError: need n >= 3, got 2"' in text.splitlines()[-1]
 
     def test_off_domain_point_skips_without_ending_the_scan(self, tmp_path):
         # at n = 3, eps >= pi - pi/n puts theta0 = pi/n + eps past pi; that
-        # point alone is refused, before any jet push
+        # point alone is refused, before any jet push, and gets no closed form
         text = run(tmp_path, "bk_far.csv", ["birkhoff", "--n", "3", "--eps", "0.001,2.9,0.0005"])
         _, rows = csv_table(text)
         assert [r[1] for r in rows] == ["0.001", "2.8999999999999999", "0.00050000000000000001"]
-        assert rows[1][6].startswith("DomainError: need epsilon < pi - pi/n") and rows[1][3] == ""
+        assert rows[1][6] == "InvalidTableError: need 0 < epsilon < pi - pi/n at n=3, got 2.9"
+        assert rows[1][3] == rows[1][4] == ""
         for r in (rows[0], rows[2]):
             assert r[6] == "" and float(r[3]) > 0.0
 

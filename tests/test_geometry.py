@@ -1,14 +1,17 @@
 """Closed-form table geometry against independent Cartesian reconstructions."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 from mpmath import mp
 
 from annular_billiards.billiard_map import tangency_radius_b
-from annular_billiards.errors import DomainError, InvalidTableError
+from annular_billiards.birkhoff import ReducedMap
+from annular_billiards.errors import BilliardError, InvalidTableError
 from annular_billiards.geometry import (
+    GEOM_TOL,
     TableParams,
     chord_lines,
     clearance_from_other_chords,
@@ -39,7 +42,7 @@ class TestTangencyRadiusSimple:
         assert pose.interiority_defect() == pytest.approx(0.0, abs=1e-14)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidTableError, match=r"^need n >= 3, got 2$"):
             max_radius(2, 1, 0.0)
 
     def test_decreasing_in_n(self):
@@ -62,7 +65,7 @@ class TestMaxRadiusDelta:
     def test_limiting_degeneracy(self):
         eps = 1e-9
         assert max_radius(3, 1, math.sin(math.pi / 3) - eps) == pytest.approx(0.0, abs=1e-8)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidTableError, match=r"need 0 <= delta < "):
             max_radius(3, 1, math.sin(math.pi / 3))
 
     @pytest.mark.parametrize("n", [200, 10_000, 1_000_000])
@@ -113,10 +116,13 @@ class TestMaxRadiusStar:
             assert max_radius_star(5, 2, delta) < base
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            max_radius_star(4, 2, 0.0)  # gcd(2, 4) != 1
-        with pytest.raises(DomainError):
-            max_radius_star(5, 1, 0.0)  # k must exceed 1
+        # the star bound is a bare formula: max_radius admits its tables
+        with pytest.raises(InvalidTableError, match="coprime"):
+            max_radius(4, 2, 0.0)  # gcd(2, 4) != 1
+        cap = math.cos(2 * math.pi / 5) * math.tan(math.pi / 5)
+        with pytest.raises(InvalidTableError, match="need 0 <= delta < "):
+            max_radius(5, 2, cap)  # max_radius_star is 0 there
+        assert max_radius_star(5, 2, cap) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestCausticRadius:
@@ -134,7 +140,7 @@ class TestCausticRadius:
 
     def test_gcd_guard(self):
         # a k sharing a factor with n traces no single star polygon
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidTableError):
             max_radius(6, 2, 0.0)
         with pytest.raises(InvalidTableError):
             TableParams.type_a(9, 3, 0.01, 0.0)
@@ -157,10 +163,13 @@ class TestCausticRadius:
 
 class TestTangencyRadiusB:
     def test_zero_detuning_limit(self):
+        # the limit eps -> 0+; eps = 0 itself is no tangent table
         for n in (3, 4, 7, 20):
-            assert tangency_radius_b(n, 0.0) == pytest.approx(
+            assert tangency_radius_b(n, 5e-324) == pytest.approx(
                 max_radius(n, 1, 0.0), abs=1e-14
             )
+            with pytest.raises(InvalidTableError, match="need 0 < epsilon"):
+                tangency_radius_b(n, 0.0)
 
     @pytest.mark.parametrize("n,eps", [(3, 0.01), (4, 0.005)])
     def test_tangency_oracle(self, n, eps):
@@ -169,12 +178,10 @@ class TestTangencyRadiusB:
         assert abs(pose.interiority_defect()) < 1e-12
 
     def test_singular_configuration(self):
-        from annular_billiards.errors import SingularConfigurationError
-
-        # push n*theta0 to pi/2 where the formula degenerates
+        # push n*theta0 to 3 pi/2 where the formula degenerates
         n = 3
-        eps = math.pi / (2 * n) - math.pi / n
-        with pytest.raises(SingularConfigurationError):
+        eps = 3 * math.pi / (2 * n) - math.pi / n
+        with pytest.raises(InvalidTableError, match=r"cos\(n\*theta0\) ~ 0"):
             tangency_radius_b(n, eps)
 
 
@@ -210,7 +217,7 @@ class TestScattererPose:
             delta = float(rng.uniform(0.0, 0.2)) * math.sin(math.pi / n)
             try:
                 cap = max_radius(n, k, delta)
-            except DomainError:
+            except InvalidTableError:
                 continue
             R = float(rng.uniform(0.1, 1.0)) * cap
             pose = scatterer_pose(TableParams.type_a(n, k, R, delta))
@@ -234,7 +241,7 @@ class TestTableParams:
         # without this refusal eps = 0 at n = 3 would pass as a type (a)
         # table: the tangency radius 0.5 equals the type (a) cap there
         for epsilon in (0.0, -0.0):
-            with pytest.raises(InvalidTableError, match=f"^type \\(b\\) needs epsilon > 0, got {epsilon}$"):
+            with pytest.raises(InvalidTableError, match=f"^need 0 < epsilon < pi - pi/n at n=3, got {epsilon}$"):
                 TableParams.type_b(3, epsilon)
 
     def test_type_b_radius_is_derived(self):
@@ -270,7 +277,7 @@ class TestTableParams:
 
     @pytest.mark.parametrize("epsilon", [-0.3, -1e-300, math.nan])
     def test_detuning_below_zero_is_refused(self, epsilon):
-        with pytest.raises(InvalidTableError, match="need epsilon >= 0"):
+        with pytest.raises(InvalidTableError, match="need 0 < epsilon < pi - pi/n"):
             TableParams(5, 1, 0.1, 0.0, epsilon)
 
     def test_positive_detuning_makes_a_tangent_table(self):
@@ -296,3 +303,169 @@ class TestTableParams:
         scatterer_pose(params)
         TableParams.type_b(4, 0.01)
         assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# admission verdicts against the former rules
+# ---------------------------------------------------------------------------
+
+
+class _Refused(Exception):
+    """A refusal by one of the former rules, whatever its type was."""
+
+
+def _former_max_radius_star(n, k, delta):
+    if n < 5 or k < 2 or 2 * k > n or math.gcd(k, n) != 1:
+        raise _Refused
+    cap = math.cos(k * math.pi / n) * math.tan(math.pi / n)
+    if not 0.0 <= delta < cap:
+        raise _Refused
+    return math.sin(2.0 * math.pi / n) * (cap - delta)
+
+
+def _former_max_radius(n, k, delta):
+    if k == 1:
+        if n < 3 or not 0.0 <= delta < math.sin(math.pi / n):
+            raise _Refused
+    else:
+        star = _former_max_radius_star(n, k, delta)
+    angle = k * math.pi / n
+    s = math.sin(angle)
+    disk = (s - delta) * (s + delta) / (1.0 + math.sqrt(delta * delta + math.cos(angle) ** 2))
+    return disk if k == 1 else min(star, disk)
+
+
+def _former_tangency_radius_b(n, epsilon):
+    if n < 3:
+        raise _Refused
+    theta0 = math.pi / n + epsilon
+    cn = math.cos(n * theta0)
+    if abs(cn) < 1e-9:
+        raise _Refused
+    r = 1.0 + math.cos(theta0) / cn
+    if not 0.0 < r < 1.0:
+        raise _Refused
+    return r
+
+
+def _former_reduced_map_radius(n, epsilon):
+    """The former ``ReducedMap``'s own checks of n and epsilon, then the
+    former ``tangency_radius_b``."""
+    if n < 3 or epsilon <= 0.0 or epsilon >= math.pi - math.pi / n:
+        raise _Refused
+    return _former_tangency_radius_b(n, epsilon)
+
+
+def _former_validate(n, k, R, delta, epsilon):
+    if n < 3 or k < 1 or 2 * k > n or math.gcd(k, n) != 1 or not 0.0 < R < 1.0:
+        raise _Refused
+    if epsilon > 0.0:
+        if k != 1 or delta != 0.0 or abs(_former_tangency_radius_b(n, epsilon) - R) > GEOM_TOL:
+            raise _Refused
+        return
+    if delta < 0.0 or not epsilon >= 0.0:
+        raise _Refused
+    cap = _former_max_radius(n, k, delta)
+    if R > cap + GEOM_TOL or k > 1 and R >= _former_max_radius_star(n, k, delta):
+        raise _Refused
+
+
+def _verdict(f, *args):
+    """``f(*args)``, or the refusal's type: ``_Refused`` by a former rule."""
+    try:
+        return f(*args)
+    except (_Refused, BilliardError) as exc:
+        return type(exc)
+
+
+def _chord_grid(seed=11):
+    """(n, k, delta) for n = 2..60 and k = -1..n: delta at 0, at the cap of
+    the chord's family (sin(pi/n) for k = 1, cos(k pi/n) tan(pi/n) above),
+    one ulp on either side of both, and a seeded draw below the cap."""
+    rng = random.Random(seed)
+    for n in range(2, 61):
+        for k in range(-1, n + 1):
+            cap = math.sin(math.pi / n) if k == 1 else math.cos(k * math.pi / n) * math.tan(math.pi / n)
+            for delta in {0.0, -5e-324, 5e-324, cap, math.nextafter(cap, -math.inf),
+                          math.nextafter(cap, math.inf), rng.random() * abs(cap)}:
+                yield n, k, delta
+
+
+def _radii(n, k, delta):
+    """R at the disk cap and the star bound, each one ulp and ``GEOM_TOL``
+    either side, and at the edges of (0, 1)."""
+    angle = k * math.pi / n
+    s = math.sin(angle)
+    disk = (s - delta) * (s + delta) / (1.0 + math.sqrt(delta * delta + math.cos(angle) ** 2))
+    star = math.sin(2.0 * math.pi / n) * (math.cos(angle) * math.tan(math.pi / n) - delta)
+    out = {0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0}
+    for edge in (disk, disk + GEOM_TOL, disk - GEOM_TOL, star, star + GEOM_TOL, star - GEOM_TOL):
+        out |= {edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)}
+    return out
+
+
+def _tangent_grid(seed=13):
+    """(n, epsilon) for n = 2..60: epsilon at 0, at pi - pi/n, at the zeros
+    (2m - 1) pi/(2n) of cos(n theta0), each one ulp either side (and the
+    zeros 1e-9/n either side, the width of the refusal there), at NaN and
+    at seeded draws in (-0.1, pi)."""
+    rng = random.Random(seed)
+    for n in range(2, 61):
+        edges = [0.0, math.pi - math.pi / n]
+        zeros = [(2 * m - 1) * math.pi / (2 * n) for m in range(1, n + 1)]
+        edges += zeros + [z + t * 1e-9 / n for z in zeros for t in (-1.5, -0.5, 0.5, 1.5)]
+        eps = {math.nan, *(rng.uniform(-0.1, math.pi) for _ in range(20))}
+        for e in edges:
+            eps |= {e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)}
+        for epsilon in eps:
+            yield n, epsilon
+
+
+class TestAdmissionMatchesFormerRules:
+    """Each table family is admitted in one place, which refuses with
+    ``InvalidTableError``.  Every table gets the verdict of the former
+    rules, which were spread over ``geometry`` and ``birkhoff`` and raised
+    three error types."""
+
+    def test_chord_mounted_tables(self):
+        tables = 0
+        for n, k, delta in _chord_grid():
+            got = _verdict(max_radius, n, k, delta)
+            want = _verdict(_former_max_radius, n, k, delta)
+            assert got == want or (got, want) == (InvalidTableError, _Refused), (n, k, delta, got, want)
+            for R in _radii(n, k, delta) if got is not InvalidTableError else (0.5, 0.0):
+                for epsilon in (0.0, -0.0):
+                    got = _verdict(TableParams, n, k, R, delta, epsilon)
+                    want = _verdict(_former_validate, n, k, R, delta, epsilon)
+                    assert (got is InvalidTableError) == (want is _Refused), (n, k, R, delta, got, want)
+                    tables += 1
+        assert tables > 100_000
+
+    def test_tangent_tables(self):
+        refused = 0
+        for n, epsilon in _tangent_grid():
+            want = _verdict(_former_reduced_map_radius, n, epsilon)
+            assert _verdict(tangency_radius_b, n, epsilon) == (InvalidTableError if want is _Refused else want)
+            table = _verdict(TableParams.type_b, n, epsilon)
+            assert table is InvalidTableError if want is _Refused else table.R == want, (n, epsilon)
+            if want is _Refused:
+                # the map refuses it too, before its own chart check
+                assert _verdict(ReducedMap, n, epsilon) is InvalidTableError
+                refused += 1
+        assert 1000 < refused
+
+    def test_detuned_tables_built_directly(self):
+        # the former type (b) branch admitted detunings past pi - pi/n, which
+        # the ray tracer then refused (theta0 >= pi is no reflection angle);
+        # those alone change verdict here
+        changed = 0
+        for n, epsilon in _tangent_grid():
+            R = _verdict(_former_tangency_radius_b, n, epsilon)
+            for k, delta in ((1, 0.0), (2, 0.0), (1, 0.01)):
+                for radius in (0.25, R) if isinstance(R, float) else (0.25,):
+                    got = _verdict(TableParams, n, k, radius, delta, epsilon)
+                    want = _verdict(_former_validate, n, k, radius, delta, epsilon)
+                    past = epsilon >= math.pi - math.pi / n
+                    assert (got is InvalidTableError) == (want is _Refused or past), (n, k, radius, epsilon)
+                    changed += want is None and past
+        assert changed > 0

@@ -74,8 +74,8 @@ GOLDEN = {
     "twist_scan.json": "c1cbe3e7bb9070f2bca8ec2bf7aa12973ce604cad3ad6e7abe5cf56f32d4ea62",
     "stability_refused.csv": "fb1409df7e87380e5342ab597742ce51387b58a0d0327443e0ed1c8ff126bc74",
     "stability_refused.json": "c0ddd6bcc08298244dcbd4e144a087f53088b8ff32b0f0dcd9cfbb8dc94383ff",
-    "birkhoff_refused.csv": "93e8d9ad6902c36cc80a098755ed18d75d34566409a8eed4e8494a8960e4ff16",
-    "birkhoff_refused.json": "d91d23c1f96d78d7b86940b5fca1ff94f0678b5b178e423aad6d953ee5448d6c",
+    "birkhoff_refused.csv": "26070405a6ab95a436a9a8cf20a88f62b726d2e90c5ddfd4454b439eb0931c46",
+    "birkhoff_refused.json": "e0a82bfb59beb519dd16b1a7170cbb600033e20f857309eea3682b1e601ec6c7",
     "section_all_escaped.csv": "826903c507b661d9fcae6cbd5990c0ee3761ee06bebfa1bc149d9fe264165d8c",
     "section_all_escaped.json": "1f9248fd82cc2805ddef398ec328c0bede9ba338e135de4398ea7ebc6766559d",
 }

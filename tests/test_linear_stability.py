@@ -8,7 +8,7 @@ import pytest
 
 from annular_billiards import linear_stability
 from annular_billiards.birkhoff import ReducedMap, birkhoff_A, taylor_jet
-from annular_billiards.errors import BilliardError, ClassificationError, DomainError, GrazingError
+from annular_billiards.errors import BilliardError, ClassificationError, DomainError, GrazingError, InvalidTableError
 from annular_billiards.geometry import TableParams, max_radius
 from annular_billiards.linear_stability import (
     Classification,
@@ -43,7 +43,7 @@ def grid_tables():
         for delta in GRID_DELTAS:
             try:
                 cap = max_radius(n, k, delta)
-            except DomainError:
+            except InvalidTableError:
                 continue
             for frac in GRID_FRACTIONS:
                 yield n, k, frac * cap, delta
@@ -436,6 +436,27 @@ class TestTangentTrace:
         assert all(v > 0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_window_claims_of_the_docstring(self):
+        # elliptic at 1.2 epsilon_star and hyperbolic at 2 epsilon_star for
+        # n = 4..40, by the ray-traced monodromy and by the map's jet; at
+        # n = 3 the orbit ends below 0.9555 epsilon_star, and both routes
+        # refuse those tables
+        for n in range(3, 41):
+            for factor, want in ((1.2, Classification.ELLIPTIC), (2.0, Classification.HYPERBOLIC)):
+                eps = factor * epsilon_star(n)
+                if n == 3:
+                    with pytest.raises(InvalidTableError, match="did not close"):
+                        build_type_b(n, eps)
+                    with pytest.raises(InvalidTableError, match="disk chord 0"):
+                        ReducedMap(n, eps)
+                    continue
+                (a, _), (_, d) = monodromy(build_type_b(n, eps))
+                half = taylor_jet(ReducedMap(n, eps)).trace()
+                assert classify(a + d) is classify(half * half - 2.0) is want, (n, factor)
+        assert ReducedMap(3, 0.955 * epsilon_star(3)).fixed_point
+        with pytest.raises(InvalidTableError, match="disk chord 0"):
+            ReducedMap(3, 0.956 * epsilon_star(3))
+
 
 class TestLargeWindingNumbers:
     def test_k_seven_always_hyperbolic(self):
@@ -447,7 +468,7 @@ class TestLargeWindingNumbers:
             for delta in (1e-3, 5e-3):
                 try:
                     cap = max_radius(n, 7, delta)
-                except DomainError:
+                except InvalidTableError:
                     continue
                 for frac in (0.2, 0.6, 0.99):
                     tr = trace_closed_form(n, 7, frac * cap, delta)
