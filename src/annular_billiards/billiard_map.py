@@ -13,14 +13,17 @@ left) and the outgoing velocity.  The records of this chart, ``Wall`` and
 
 The tangent table (scatterer center on the negative x-axis at distance
 1 - R) keeps its scatterer tangent to the outer circle at the radius
-``tangency_radius_b``, and its half-period map is one straight-line formula,
-``half_period_formula``, written over a backend that is any namespace with
-a ``cos`` and an ``acos``: ``math``, ``mpmath.mp``, the float backend and
-the jet backend run the same operations in the same order, with the double
-``math.pi``, which mpmath lifts exactly.  On each an arccos argument off
-[-1, 1] is a missed wall, and the map refuses it.  Its independent oracle,
-the Cartesian ray tracer ``generic_step``, lives in ``orbits``, its one
-caller; the two routes are cross-checked in the test suite.
+``tangency_radius_b``, which admits the table: it refuses one whose orbit
+cannot exist, a disk chord of the fixed point ``tangent_fixed_point``
+meeting the scatterer included.  Its half-period map is one straight-line
+formula, ``half_period_formula``, written over a backend that is any
+namespace with a ``cos`` and an ``acos``: ``math``, ``mpmath.mp``, the
+float backend and the jet backend run the same operations in the same
+order, with the double ``math.pi``, which mpmath lifts exactly.  On each
+an arccos argument off [-1, 1] is a missed wall, and the map refuses it.
+Its independent oracle, the Cartesian ray tracer ``generic_step``, lives
+in ``orbits``, its one caller; the two routes are cross-checked in the
+test suite.
 
 This module imports only the standard library: the jet backend loads
 ``jets`` on its first use, so a program that iterates the float map, such as
@@ -36,6 +39,13 @@ from typing import NamedTuple
 from .errors import InvalidTableError, NoCollisionError
 
 
+def tangent_fixed_point(n: int, epsilon: float) -> tuple[float, float]:
+    """The detuned orbit's initial state (s0, theta0) on the outer wall of
+    the tangent table (n, epsilon): s0 = -pi + pi/n + epsilon*(1-n) and
+    theta0 = pi/n + epsilon, the fixed point of ``half_period_formula``."""
+    return -pi + pi / n + epsilon * (1.0 - n), pi / n + epsilon
+
+
 def tangency_radius_b(n: int, epsilon: float) -> float:
     """Scatterer radius keeping tangency when the angle is detuned to pi/n + eps.
 
@@ -46,22 +56,33 @@ def tangency_radius_b(n: int, epsilon: float) -> float:
     This is the one admission of a tangent table (n, epsilon): every route
     that builds one calls it, and it refuses with ``InvalidTableError`` an
     n below 3, a detuning outside (0, pi - pi/n) (NaN too), where theta0
-    would leave the reflection angles' range, a vanishing cos(n*theta0), and
-    a radius outside (0, 1).
+    would leave the reflection angles' range, a vanishing cos(n*theta0), a
+    radius outside (0, 1), and a table whose fixed point is off the map's
+    chart: one of its n - 1 disk chords meets the scatterer, so the orbit
+    does not exist.
     """
     if n < 3:
         raise InvalidTableError(f"need n >= 3, got {n}")
     if not 0.0 < epsilon < math.pi - math.pi / n:
         raise InvalidTableError(f"need 0 < epsilon < pi - pi/n at n={n}, got {epsilon}")
-    theta0 = math.pi / n + epsilon
+    s0, theta0 = tangent_fixed_point(n, epsilon)
     cn = math.cos(n * theta0)
     if abs(cn) < 1e-9:
         raise InvalidTableError(f"cos(n*theta0) ~ 0 at n={n}, epsilon={epsilon}")
-    r = 1.0 + math.cos(theta0) / cn
+    r0 = math.cos(theta0)
+    r = 1.0 + r0 / cn
     if not 0.0 < r < 1.0:
         raise InvalidTableError(
             f"tangency radius {r:.6g} outside (0, 1) at n={n}, epsilon={epsilon}"
         )
+    for j in range(n - 1):
+        # disk chord j's scatterer-entry arccos argument, formed as the map
+        # forms chord n - 1's: in [-1, 1], the chord meets the scatterer
+        arg = (-r0 - (1.0 - r) * math.cos(theta0 + s0 + 2 * j * theta0)) / r
+        if -1.0 <= arg <= 1.0:
+            raise InvalidTableError(
+                f"disk chord {j} of the fixed point meets the scatterer at n={n}, epsilon={epsilon}"
+            )
     return r
 
 

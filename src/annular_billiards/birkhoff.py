@@ -12,7 +12,9 @@ and each step returns its result or raises the ``BilliardError`` that
 refuses the point.  A least-squares cubic fit to the map, in 50-digit
 arithmetic, audits every Taylor coefficient (``fd_taylor_jet``), and the
 closed-form leading order of A is available independently.
-``ReducedMap`` refuses a table whose fixed point is off the map's chart.
+``ReducedMap``, ``closed_form_A`` and ``closed_form_A_large_n`` refuse
+what ``tangency_radius_b`` refuses, a table whose fixed point is off the
+map's chart included.
 ``island_sampler`` iterates the float full-period map from a ring of seeds,
 or from any contiguous run of it, and returns its report with the cloud.
 
@@ -41,11 +43,11 @@ from .billiard_map import (
     BirkhoffCoords,
     half_period_formula,
     tangency_radius_b,
+    tangent_fixed_point,
 )
 from .errors import (
     ClassificationError,
     DomainError,
-    InvalidTableError,
     NoCollisionError,
     NonEllipticNormalizationError,
     PrecisionError,
@@ -99,27 +101,17 @@ class BirkhoffReport(NamedTuple):
 class ReducedMap:
     """The reflection-composed half-period map of a tangent table in (s, r),
     ``half_period_formula(s, r, n, R, lib)`` on any backend, with its
-    ``fixed_point``, the detuned orbit's initial state.  A table whose fixed
-    point is off the map's chart, one of its n - 1 disk chords meeting the
-    scatterer, is refused with ``InvalidTableError``, as is every table that
-    ``tangency_radius_b`` refuses.
+    ``fixed_point``, the detuned orbit's initial state.  It is built for a
+    table that ``tangency_radius_b`` admits, and refused with that
+    admission's ``InvalidTableError`` otherwise.
     """
 
     def __init__(self, n: int, epsilon: float):
         self.n = n
         self.epsilon = epsilon
-        self.R = R = tangency_radius_b(n, epsilon)
-        theta0 = math.pi / n + epsilon
-        self.s0 = s0 = -math.pi + math.pi / n + epsilon * (1.0 - n)
+        self.R = tangency_radius_b(n, epsilon)
+        self.s0, theta0 = tangent_fixed_point(n, epsilon)
         self.r0 = math.cos(theta0)
-        for j in range(n - 1):
-            # disk chord j's scatterer-entry arccos argument, formed as the
-            # map forms chord n - 1's: in [-1, 1], the chord meets the scatterer
-            arg = (-self.r0 - (1.0 - R) * math.cos(theta0 + s0 + 2 * j * theta0)) / R
-            if -1.0 <= arg <= 1.0:
-                raise InvalidTableError(
-                    f"disk chord {j} of the fixed point meets the scatterer at n={n}, epsilon={epsilon}"
-                )
 
     @property
     def fixed_point(self) -> BirkhoffCoords:
@@ -345,8 +337,7 @@ def closed_form_A(n: int, epsilon: float) -> float:
 def closed_form_A_large_n(n: int, epsilon: float) -> float:
     """Large-n expansion 5/(24 eps^2) * ((pi-2)/pi^2 + (pi-1)/(6 n^2)),
     refused as ``closed_form_A`` is."""
-    if n < 3:
-        raise DomainError(f"undefined for n < 3, got {n}")
+    tangency_radius_b(n, epsilon)
     limit = 5.0 / 24.0 * ((math.pi - 2.0) / math.pi**2 + (math.pi - 1.0) / (6.0 * n * n))
     return _over_eps_squared(limit, epsilon)
 

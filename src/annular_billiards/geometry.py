@@ -11,9 +11,9 @@ center on the negative x-axis.
 Each table family is admitted in one place, which refuses an inadmissible
 table with ``InvalidTableError``: a chord-mounted table (n, k, delta) by
 ``max_radius``, a tangent table (n, epsilon) by ``tangency_radius_b``,
-which lives with its map in ``billiard_map``.  The type (b) branches of
-``TableParams`` import it where they run, so the type (a) tables load no
-map.
+which lives with its map in ``billiard_map`` and also refuses a table whose
+disk chords meet the scatterer.  The type (b) branches of ``TableParams``
+import it where they run, so the type (a) tables load no map.
 """
 
 from __future__ import annotations
@@ -94,8 +94,9 @@ class TableParams(_TableFields):
     delta along it.  Type (b), the tangent table: scatterer tangent to the
     outer circle, perpendicular to the chord of the angle pi/n + epsilon.
 
-    Construction runs ``validate`` (``_replace`` too), so every instance is
-    an admissible table.
+    Construction runs ``validate`` (``_replace`` too), and ``type_b``
+    admits its table through ``tangency_radius_b``, so every instance is an
+    admissible table.
     """
 
     __slots__ = ()
@@ -115,9 +116,11 @@ class TableParams(_TableFields):
 
     @staticmethod
     def type_b(n: int, epsilon: float) -> "TableParams":
+        """The tangent table (n, epsilon), admitted once: its radius is the
+        admission's, so ``validate`` would only repeat it."""
         from .billiard_map import tangency_radius_b
 
-        return TableParams(n=n, k=1, R=tangency_radius_b(n, epsilon), delta=0.0, epsilon=epsilon)
+        return tuple.__new__(TableParams, (n, 1, tangency_radius_b(n, epsilon), 0.0, epsilon))
 
     def validate(self) -> None:
         """Admit the table's family, then its radius: a type (a) table

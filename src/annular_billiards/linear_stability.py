@@ -204,7 +204,8 @@ def epsilon_star(n: int) -> float:
     and turns back up.  For n = 4..40 the orbit is still elliptic at
     1.2 epsilon_star and hyperbolic at 2 epsilon_star.  At n = 3 it exists
     only below 0.9555 epsilon_star, where a disk chord of the fixed point
-    starts to meet the scatterer, so both of those tables are refused.
+    starts to meet the scatterer, and ``tangency_radius_b`` refuses both of
+    those tables.
     """
     c = math.pi / n
     cot = math.cos(c) / math.sin(c)

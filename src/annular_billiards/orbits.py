@@ -338,14 +338,17 @@ def build_type_a(params: TableParams) -> OrbitRecord:
 def build_type_b(n: int, epsilon: float) -> OrbitRecord:
     """Construct the tangent-scatterer orbit with detuned angle pi/n + epsilon.
 
-    Starts from the fixed point s0 = -pi + pi/n + epsilon*(1-n),
-    theta0 = pi/n + epsilon and follows the Cartesian ray tracer for a full
-    period, so every recorded flight and collision is dynamically generated.
+    Starts from the fixed point ``billiard_map.tangent_fixed_point`` of a
+    table that ``tangency_radius_b`` admits and follows the Cartesian ray
+    tracer for a full period, so every recorded flight and collision is
+    dynamically generated; the closure and perpendicular-hit checks are the
+    tracer's check on the admitted table.
     """
+    from .billiard_map import tangent_fixed_point
+
     params = TableParams.type_b(n, epsilon)
     pose = scatterer_pose(params)
-    theta0 = pi / n + epsilon
-    s0 = -pi + pi / n + epsilon * (1.0 - n)
+    s0, theta0 = tangent_fixed_point(n, epsilon)
     p = PhasePoint(OUTER, wrap_pi(s0), theta0)
 
     pts = [p]

@@ -47,7 +47,8 @@ from annular_billiards.linear_stability import (
     monodromy,
     symplectic_defect,
 )
-from annular_billiards.orbits import PhasePoint, Wall, build_type_b, generic_step, wrap_pi
+from annular_billiards.geometry import ScattererPose
+from annular_billiards.orbits import CLOSURE_TOL, PhasePoint, Wall, build_type_b, generic_step, wrap_pi
 
 #: sha256 of the audit's 20 coefficients, packed as little-endian doubles,
 #: over the tables of ``TestTaylorJet.test_audit_bits_are_pinned`` (mpmath 1.3)
@@ -131,7 +132,10 @@ class TestReducedMap:
     def test_a_disk_chord_through_the_scatterer_is_refused_as_build_type_b_refuses(self):
         # a seeded grid of (n, eps) up to 2.4 epsilon*, and the n = 3 edge,
         # 0.9555 epsilon*, from either side: the map refuses a table exactly
-        # where the ray tracer's type (b) orbit does not close
+        # where the ray tracer's period from the fixed point does not close.
+        # The oracle poses the scatterer itself, at the radius
+        # 1 + cos(theta0)/cos(n theta0), and traces 2n + 2 steps without the
+        # admission that build_type_b and the map share
         rng = random.Random(37)
         points = [(n, rng.uniform(0.01, 2.4) * epsilon_star(n)) for n in rng.choices(range(3, 13), k=300)]
         points += [(3, 0.1087716581 - 1e-9), (3, 0.1087716581 + 1e-9)]
@@ -143,11 +147,19 @@ class TestReducedMap:
             except InvalidTableError as exc:
                 assert str(exc).startswith("disk chord ") and "meets the scatterer" in str(exc)
                 verdict = "refused"
+            theta0 = math.pi / n + eps
+            R = 1.0 + math.cos(theta0) / math.cos(n * theta0)
+            pose = ScattererPose(center=(-(1.0 - R), 0.0), radius=R)
+            start = p = PhasePoint(Wall.OUTER, wrap_pi(-math.pi + math.pi / n + eps * (1.0 - n)), theta0)
             try:
-                build_type_b(n, eps)
-                assert verdict is None, (n, eps)
-            except InvalidTableError:
-                assert verdict == "refused", (n, eps)
+                for _ in range(2 * n + 2):
+                    p = generic_step(p, pose).point
+                closes = p.wall is start.wall and max(
+                    abs(wrap_pi(p.s - start.s)), abs(p.theta - start.theta)
+                ) <= CLOSURE_TOL
+            except BilliardError:
+                closes = False
+            assert verdict == (None if closes else "refused"), (n, eps)
             verdicts.append(verdict)
         assert verdicts[-2:] == [None, "refused"]
         refused = [point for point, verdict in zip(points, verdicts) if verdict]
@@ -374,7 +386,8 @@ class TestTwistValues:
 
     def test_limit_approaches_asymptote(self):
         assert twist_limit(1000) == pytest.approx(TWIST_LIMIT_INF, abs=1e-3)
-        assert closed_form_A_large_n(1000, 1e-3) * 1e-6 == pytest.approx(
+        # at n = 1000 a tangent table exists only below eps ~ 3e-6
+        assert closed_form_A_large_n(1000, 1e-9) * 1e-18 == pytest.approx(
             twist_limit(1000), rel=1e-4
         )
 
@@ -383,37 +396,33 @@ class TestTwistValues:
         with pytest.raises(InvalidTableError, match=r"need n >= 3, got 2"):
             closed_form_A(2, 1e-3)
 
-    @pytest.mark.parametrize("n,eps", [(3, 2.9), (3, -0.1), (5, 0.3), (2, 0.1)])
+    @pytest.mark.parametrize("n,eps", [(3, 2.9), (3, -0.1), (5, 0.3), (2, 0.1), (3, 0.5)])
     def test_closed_form_refused_with_its_table(self, monkeypatch, n, eps):
-        # a tangent table that does not exist has no leading-order twist
-        # either: the closed form is refused as the map is
+        # a tangent table that does not exist, one whose disk chord meets the
+        # scatterer (3, 0.5) too, has no leading-order twist either: both
+        # closed forms are refused as the map is
         with pytest.raises(InvalidTableError) as refusal:
             ReducedMap(n, eps)
         calls = []
         admit = birkhoff.tangency_radius_b
         # through the module global, the one a patched admission replaces
         monkeypatch.setattr(birkhoff, "tangency_radius_b", lambda *table: calls.append(table) or admit(*table))
-        with pytest.raises(InvalidTableError) as closed:
-            closed_form_A(n, eps)
-        assert str(closed.value) == str(refusal.value) and calls == [(n, eps)]
-
-    def test_closed_form_kept_for_a_table_refused_later(self):
-        # at n = 3, eps = 0.5 the table exists but is off the map's chart
-        with pytest.raises(InvalidTableError, match="disk chord 0"):
-            ReducedMap(3, 0.5)
-        assert closed_form_A(3, 0.5) == twist_limit(3) / 0.25
+        for closed_form in (closed_form_A, closed_form_A_large_n):
+            with pytest.raises(InvalidTableError) as closed:
+                closed_form(n, eps)
+            assert str(closed.value) == str(refusal.value)
+        assert calls == [(n, eps)] * 2
 
     @pytest.mark.parametrize("eps", [0.0, 1e-170, 1e-160])
     def test_closed_form_refuses_underflowing_eps(self, eps):
         # eps^2 underflows to 0 at 1e-170; at 1e-160 the quotient overflows;
         # eps = 0 is no tangent table
-        with pytest.raises(InvalidTableError if eps == 0.0 else DomainError):
-            closed_form_A(3, eps)
-        with pytest.raises(DomainError):
-            closed_form_A_large_n(3, eps)
+        for closed_form in (closed_form_A, closed_form_A_large_n):
+            with pytest.raises(InvalidTableError if eps == 0.0 else DomainError):
+                closed_form(3, eps)
 
     def test_large_n_form_refuses_n_below_3(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidTableError, match="need n >= 3, got 0"):
             closed_form_A_large_n(0, 1e-3)
 
     @pytest.mark.parametrize("n", [3, 5, 10])

@@ -386,11 +386,16 @@ class TestRouteIndependence:
         ("3", "2.9", "need 0 < epsilon < pi - pi/n at n=3, got 2.9"),
         ("3", "-0.1", "need 0 < epsilon < pi - pi/n at n=3, got -0.1"),
         ("2", "0.1", "need n >= 3, got 2"),
-    ], ids=["radius", "past", "negative", "n"])
+        *((n, eps, f"disk chord {j} of the fixed point meets the scatterer at n={n}, epsilon={eps}")
+          for n, eps, j in (("3", "0.11", 0), ("3", "0.5", 0), ("7", "1.2", 0), ("20", "0.3", 6))),
+    ], ids=["radius", "past", "negative", "n", "chord-3-0.11", "chord-3-0.5", "chord-7-1.2", "chord-20-0.3"])
     def test_tangent_table(self, tmp_path, capsys, n, eps, reason):
+        # the birkhoff row gets no closed form beside its refusal
         table = ["--n", n, "--eps", eps]
+        header, rows = csv_table(run(tmp_path, "one.csv", ["birkhoff", *table]))
+        assert len(rows) == 1 and rows[0][header.index("A_closed_leading")] == ""
         routes = {
-            "birkhoff": _skip_reason(tmp_path, ["birkhoff", *table]),
+            "birkhoff": rows[0][header.index("skip_reason")],
             "section": _refusal(capsys, ["section", *table, "--iterations", "3"]),
             "orbit --eps": _refusal(capsys, ["orbit", *table]),
         }
@@ -614,25 +619,24 @@ class TestBirkhoffCommand:
 
     def test_a_table_off_the_maps_chart_is_refused(self, tmp_path, capsys):
         # at n = 3, eps = 0.5 a disk chord of the fixed point meets the
-        # scatterer: the orbit does not close, and no twist is reported
+        # scatterer: the table is refused at its admission, with no twist
+        # and no closed form, and orbit refuses it as section does
         last = run(tmp_path, "bk_off.csv", ["birkhoff", "--n", "3", "--eps", "0.5"]).splitlines()[-1]
-        assert last.startswith("3,0.5,,,") and '"InvalidTableError: disk chord 0 ' in last
+        assert last.startswith("3,0.5,,,,,") and '"InvalidTableError: disk chord 0 ' in last
         assert main(["orbit", "--n", "3", "--eps", "0.5", "--out", os.devnull]) == 2
         assert main(["section", "--n", "3", "--eps", "0.11", "--iterations", "5", "--out", os.devnull]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: InvalidTableError: type (b) orbit did not close (residual 0.19)",
+            "error: InvalidTableError: disk chord 0 of the fixed point meets the scatterer at n=3, epsilon=0.5",
             "error: InvalidTableError: disk chord 0 of the fixed point meets the scatterer at n=3, epsilon=0.11",
         ]
 
     def test_no_closed_form_beside_a_table_that_does_not_exist(self, tmp_path):
-        # the closed form is refused with the table; the row refused later,
-        # at the map's chart (eps = 0.5), keeps its closed form
-        from annular_billiards.birkhoff import closed_form_A
-
+        # the closed form is refused with the table, the one whose disk chord
+        # meets the scatterer (eps = 0.5) too
         text = run(tmp_path, "bk_none.csv", ["birkhoff", "--n", "3", "--eps", "2.9,-0.1,0.5"])
         header, rows = csv_table(text)
         closed, reason = header.index("A_closed_leading"), header.index("skip_reason")
-        assert [r[closed] for r in rows] == ["", "", _cell(closed_form_A(3, 0.5))]
+        assert [r[closed] for r in rows] == ["", "", ""]
         assert all(r[reason].startswith("InvalidTableError: ") for r in rows)
         _, rows = csv_table(run(tmp_path, "bk_none5.csv", ["birkhoff", "--n", "5", "--eps", "0.3"]))
         assert rows[0][closed] == ""
@@ -708,6 +712,21 @@ class TestOrbitCommand:
         text = run(tmp_path, f"orbit.{fmt}", ["orbit", "--n", "4", *table, "--format", fmt])
         assert len(calls) == traces
         assert "closure_residual" in text
+
+    def test_one_admission_per_tangent_table(self, tmp_path, monkeypatch):
+        # orbit admits its table once, in TableParams.type_b; a birkhoff row
+        # twice, in ReducedMap and then in closed_form_A
+        from annular_billiards import billiard_map, birkhoff
+
+        calls = []
+        admit = billiard_map.tangency_radius_b
+        counted = lambda *table: calls.append(table) or admit(*table)
+        monkeypatch.setattr(billiard_map, "tangency_radius_b", counted)
+        monkeypatch.setattr(birkhoff, "tangency_radius_b", counted)
+        run(tmp_path, "orbit.csv", ["orbit", "--n", "3", "--eps", "0.01"])
+        assert calls == [(3, 0.01)]
+        run(tmp_path, "bk.csv", ["birkhoff", "--n", "3", "--eps", "0.01"])
+        assert calls == [(3, 0.01)] * 3
 
     def test_csv_polyline(self, tmp_path):
         text = run(

@@ -296,13 +296,20 @@ class TestTableParams:
         assert scatterer_pose(params).center == (-(1.0 - params.R), 0.0)
 
     def test_validated_once_per_table(self, monkeypatch):
+        # a type (a) table is validated once; a tangent table is admitted
+        # once, and its radius is the admission's, so validate would repeat it
+        from annular_billiards import billiard_map
+
         calls = []
         validate = TableParams.validate
         monkeypatch.setattr(TableParams, "validate", lambda self: calls.append(self) or validate(self))
+        admit = billiard_map.tangency_radius_b
+        monkeypatch.setattr(billiard_map, "tangency_radius_b", lambda *table: calls.append(table) or admit(*table))
         params = TableParams.type_a(5, 2, 0.1, 0.01)
         scatterer_pose(params)
-        TableParams.type_b(4, 0.01)
-        assert len(calls) == 2
+        tangent = TableParams.type_b(4, 0.01)
+        assert calls == [params, (4, 0.01)]
+        assert TableParams(*tangent) == tangent
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +355,26 @@ def _former_tangency_radius_b(n, epsilon):
     return r
 
 
+def _former_disk_chords(n, epsilon, R):
+    """The former ``ReducedMap``'s chart check: refused where one of the
+    n - 1 disk chords of the fixed point meets the scatterer of radius R."""
+    theta0 = math.pi / n + epsilon
+    s0 = -math.pi + math.pi / n + epsilon * (1.0 - n)
+    r0 = math.cos(theta0)
+    for j in range(n - 1):
+        arg = (-r0 - (1.0 - R) * math.cos(theta0 + s0 + 2 * j * theta0)) / R
+        if -1.0 <= arg <= 1.0:
+            raise _Refused
+
+
 def _former_reduced_map_radius(n, epsilon):
     """The former ``ReducedMap``'s own checks of n and epsilon, then the
-    former ``tangency_radius_b``."""
+    former ``tangency_radius_b``, then its disk-chord check."""
     if n < 3 or epsilon <= 0.0 or epsilon >= math.pi - math.pi / n:
         raise _Refused
-    return _former_tangency_radius_b(n, epsilon)
+    R = _former_tangency_radius_b(n, epsilon)
+    _former_disk_chords(n, epsilon, R)
+    return R
 
 
 def _former_validate(n, k, R, delta, epsilon):
@@ -425,7 +446,8 @@ class TestAdmissionMatchesFormerRules:
     """Each table family is admitted in one place, which refuses with
     ``InvalidTableError``.  Every table gets the verdict of the former
     rules, which were spread over ``geometry`` and ``birkhoff`` and raised
-    three error types."""
+    three error types; a tangent table's include the former ``ReducedMap``'s
+    disk-chord check."""
 
     def test_chord_mounted_tables(self):
         tables = 0
@@ -442,30 +464,37 @@ class TestAdmissionMatchesFormerRules:
         assert tables > 100_000
 
     def test_tangent_tables(self):
-        refused = 0
+        refused = blocked = 0
         for n, epsilon in _tangent_grid():
             want = _verdict(_former_reduced_map_radius, n, epsilon)
             assert _verdict(tangency_radius_b, n, epsilon) == (InvalidTableError if want is _Refused else want)
             table = _verdict(TableParams.type_b, n, epsilon)
             assert table is InvalidTableError if want is _Refused else table.R == want, (n, epsilon)
             if want is _Refused:
-                # the map refuses it too, before its own chart check
-                assert _verdict(ReducedMap, n, epsilon) is InvalidTableError
+                # the map refuses it too, through the same admission
+                with pytest.raises(InvalidTableError) as refusal:
+                    ReducedMap(n, epsilon)
                 refused += 1
-        assert 1000 < refused
+                blocked += str(refusal.value).startswith("disk chord ")
+        assert 1000 < refused and 300 < blocked
 
     def test_detuned_tables_built_directly(self):
         # the former type (b) branch admitted detunings past pi - pi/n, which
-        # the ray tracer then refused (theta0 >= pi is no reflection angle);
-        # those alone change verdict here
-        changed = 0
+        # the ray tracer then refused (theta0 >= pi is no reflection angle),
+        # and tables whose disk chord meets the scatterer, which the former
+        # ReducedMap refused: those alone change verdict here
+        changed = {"past": 0, "blocked": 0}
         for n, epsilon in _tangent_grid():
             R = _verdict(_former_tangency_radius_b, n, epsilon)
+            blocked = isinstance(R, float) and _verdict(_former_disk_chords, n, epsilon, R) is _Refused
+            past = epsilon >= math.pi - math.pi / n
             for k, delta in ((1, 0.0), (2, 0.0), (1, 0.01)):
                 for radius in (0.25, R) if isinstance(R, float) else (0.25,):
                     got = _verdict(TableParams, n, k, radius, delta, epsilon)
                     want = _verdict(_former_validate, n, k, radius, delta, epsilon)
-                    past = epsilon >= math.pi - math.pi / n
-                    assert (got is InvalidTableError) == (want is _Refused or past), (n, k, radius, epsilon)
-                    changed += want is None and past
-        assert changed > 0
+                    refused = want is _Refused or past or blocked
+                    assert (got is InvalidTableError) == refused, (n, k, radius, epsilon)
+                    if want is None:
+                        changed["past"] += past
+                        changed["blocked"] += blocked and not past
+        assert min(changed.values()) > 0
