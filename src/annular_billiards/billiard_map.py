@@ -76,8 +76,8 @@ def tangency_radius_b(n: int, epsilon: float) -> float:
             f"tangency radius {r:.6g} outside (0, 1) at n={n}, epsilon={epsilon}"
         )
     for j in range(n - 1):
-        # disk chord j's scatterer-entry arccos argument, formed as the map
-        # forms chord n - 1's: in [-1, 1], the chord meets the scatterer
+        # disk chord j's scatterer-entry arccos argument, the map's u2 at
+        # j = n - 1: in [-1, 1], the chord meets the scatterer
         arg = (-r0 - (1.0 - r) * math.cos(theta0 + s0 + 2 * j * theta0)) / r
         if -1.0 <= arg <= 1.0:
             raise InvalidTableError(
@@ -141,17 +141,19 @@ def half_period_formula(s, r, n: int, R: float, lib=FLOAT_BACKEND):
     tangent table.  Works unwrapped: near the reference orbit no angle
     reduction is ever required, which keeps the formulas smooth.
 
-    The n-1 bounces advance s by 2 theta each.  The entry angle theta2 is
-    arccos((-cos(theta) - (1-R) cos(theta + s1)) / R), and the entry point
-    sits at the polar angle gamma = -pi + s1 + theta + theta2 about the
-    scatterer center, at the clockwise arc length pi + R*(pi - gamma); the
-    exit is the time reverse of the entry, from a = pi - gamma.
+    The n-1 bounces advance s by 2 theta each, to s1.  The entry angle has
+    cos theta2 = u2 = (-r - (1-R) cos(theta + s1)) / R, the chord argument
+    of ``tangency_radius_b``; the entry point sits at the polar angle
+    gamma = -pi + s1 + theta + theta2 about the scatterer center.  The exit
+    is the entry's time reverse from a = pi - gamma, with cos theta3 = u3 =
+    -R u2 - (1-R) cos(theta2 - a), and -u3 is the returned r.
     """
     cos, acos = lib.cos, lib.acos
     theta = acos(r)
     s1 = s + 2.0 * (n - 1) * theta
-    theta2 = acos((-cos(theta) - (1.0 - R) * cos(theta + s1)) / R)
-    a = (pi + R * (2.0 * pi - theta2 - theta - s1) - pi) / R
-    theta3 = acos(-R * cos(theta2) - (1.0 - R) * cos(theta2 - a))
-    return -(theta2 + theta3 - a), -cos(theta3)
-
+    u2 = (-r - (1.0 - R) * cos(theta + s1)) / R
+    theta2 = acos(u2)
+    a = 2.0 * pi - theta2 - theta - s1
+    u3 = -R * u2 - (1.0 - R) * cos(theta2 - a)
+    theta3 = acos(u3)
+    return -(theta2 + theta3 - a), -u3

@@ -13,7 +13,8 @@ table with ``InvalidTableError``: a chord-mounted table (n, k, delta) by
 ``max_radius``, a tangent table (n, epsilon) by ``tangency_radius_b``,
 which lives with its map in ``billiard_map`` and also refuses a table whose
 disk chords meet the scatterer.  The type (b) branches of ``TableParams``
-import it where they run, so the type (a) tables load no map.
+import it where they run, so the type (a) tables load no map.  No later
+step bounds the radius again: ``scatterer_pose`` refuses nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 from .errors import InvalidTableError
 
-#: absolute tolerance for interiority/tangency comparisons on the unit disk
+#: absolute tolerance of the admissions' radius bounds on the unit disk
 GEOM_TOL = 1e-12
 
 
@@ -161,17 +162,9 @@ class ScattererPose(NamedTuple):
     center: tuple[float, float]
     radius: float
 
-    @property
-    def center_distance(self) -> float:
-        return math.hypot(*self.center)
-
-    def interiority_defect(self) -> float:
-        """|center| + radius - 1; <= 0 means interior, 0 means tangent."""
-        return self.center_distance + self.radius - 1.0
-
 
 def scatterer_pose(params: TableParams) -> ScattererPose:
-    """Place the scatterer for the given table in the canonical frame.
+    """Place the scatterer of an admitted table in the canonical frame.
 
     Type (a): center on the vertical chord x = -cos(k*pi/n), displaced by
     delta toward the upper endpoint (the collision point indexed n-1).
@@ -179,15 +172,9 @@ def scatterer_pose(params: TableParams) -> ScattererPose:
     the unit circle at (-1, 0)).
     """
     if params.epsilon > 0.0:
-        pose = ScattererPose(center=(-(1.0 - params.R), 0.0), radius=params.R)
-    else:
-        x = -math.cos(params.k * math.pi / params.n)
-        pose = ScattererPose(center=(x, params.delta), radius=params.R)
-    if pose.interiority_defect() > GEOM_TOL:
-        raise InvalidTableError(
-            f"scatterer pokes out of the disk by {pose.interiority_defect():.3g}"
-        )
-    return pose
+        return ScattererPose(center=(-(1.0 - params.R), 0.0), radius=params.R)
+    x = -math.cos(params.k * math.pi / params.n)
+    return ScattererPose(center=(x, params.delta), radius=params.R)
 
 
 def chord_lines(n: int, k: int) -> list[tuple[float, float, float]]:

@@ -52,7 +52,7 @@ from annular_billiards.orbits import CLOSURE_TOL, PhasePoint, Wall, build_type_b
 
 #: sha256 of the audit's 20 coefficients, packed as little-endian doubles,
 #: over the tables of ``TestTaylorJet.test_audit_bits_are_pinned`` (mpmath 1.3)
-AUDIT_SHA256 = "6ba45a56ea450d2d3670f37a842271f3b27141e4764d900e460384d777d1c4f0"
+AUDIT_SHA256 = "02f9f1e69273b44474c9d03443d5fc8ac099e0d78bf00b522513903966e6e267"
 
 #: frozen reference values of the closed-form twist limit
 TWIST_LIMIT_N3 = 0.0338912

@@ -22,6 +22,12 @@ from annular_billiards.geometry import (
 from annular_billiards.orbits import build_type_b
 
 
+def _interiority_defect(pose):
+    """|center| + radius - 1 of a scatterer pose: <= 0 means interior, 0
+    means tangent to the unit circle."""
+    return math.hypot(*pose.center) + pose.radius - 1.0
+
+
 class TestTangencyRadiusSimple:
     """The symmetric k = 1 scatterer's largest radius, max_radius(n, 1, 0),
     where it touches the outer circle and the orbit forms a cusp."""
@@ -39,7 +45,7 @@ class TestTangencyRadiusSimple:
         center = np.array([-math.cos(math.pi / 10), 0.0])
         assert np.hypot(*center) + v == pytest.approx(1.0, abs=1e-14)
         pose = scatterer_pose(TableParams.type_a(10, 1, v, 0.0))
-        assert pose.interiority_defect() == pytest.approx(0.0, abs=1e-14)
+        assert _interiority_defect(pose) == pytest.approx(0.0, abs=1e-14)
 
     def test_domain_error(self):
         with pytest.raises(InvalidTableError, match=r"^need n >= 3, got 2$"):
@@ -175,7 +181,7 @@ class TestTangencyRadiusB:
     def test_tangency_oracle(self, n, eps):
         params = TableParams.type_b(n, eps)
         pose = scatterer_pose(params)
-        assert abs(pose.interiority_defect()) < 1e-12
+        assert abs(_interiority_defect(pose)) < 1e-12
 
     def test_singular_configuration(self):
         # push n*theta0 to 3 pi/2 where the formula degenerates
@@ -191,18 +197,30 @@ class TestScattererPose:
         pose = scatterer_pose(params)
         assert pose.center[0] == pytest.approx(-math.cos(math.pi / 4), abs=1e-15)
         assert pose.center[1] == pytest.approx(0.0, abs=1e-15)
-        assert pose.center_distance == pytest.approx(math.cos(math.pi / 4), abs=1e-14)
+        assert math.hypot(*pose.center) == pytest.approx(math.cos(math.pi / 4), abs=1e-14)
 
     def test_type_b_tangency_residual(self):
         pose = scatterer_pose(TableParams.type_b(3, 0.01))
-        assert abs(pose.interiority_defect()) < 1e-12
+        assert abs(_interiority_defect(pose)) < 1e-12
 
     def test_cusp_pose_matches_type_b_limit(self):
         n = 5
         r0 = max_radius(n, 1, 0.0)
         pose_a = scatterer_pose(TableParams.type_a(n, 1, r0, 0.0))
-        assert abs(pose_a.interiority_defect()) < 1e-12
+        assert abs(_interiority_defect(pose_a)) < 1e-12
         assert pose_a.center[0] == pytest.approx(-(1.0 - r0), abs=1e-14)
+
+    def test_radius_admitted_at_the_tolerance_is_posed(self):
+        # max_radius's bound, with its GEOM_TOL, is the one disk bound: the
+        # pose of every table it admits refuses nothing, and a radius past it
+        # is refused by the admission
+        for n in range(3, 40):
+            for delta in (0.0, 0.01, 0.05):
+                cap = max_radius(n, 1, delta)
+                pose = scatterer_pose(TableParams.type_a(n, 1, cap + GEOM_TOL, delta))
+                assert 0.0 < _interiority_defect(pose) < 2 * GEOM_TOL
+                with pytest.raises(InvalidTableError, match="exceeds the admissible maximum"):
+                    TableParams.type_a(n, 1, cap + 1.5 * GEOM_TOL, delta)
 
     def test_oversized_radius_rejected(self):
         with pytest.raises(InvalidTableError):
@@ -221,7 +239,7 @@ class TestScattererPose:
                 continue
             R = float(rng.uniform(0.1, 1.0)) * cap
             pose = scatterer_pose(TableParams.type_a(n, k, R, delta))
-            assert pose.interiority_defect() <= 1e-12
+            assert _interiority_defect(pose) <= 1e-12
 
 
 class TestChordClearance:

@@ -50,10 +50,10 @@ SVG = ("region_readme", "orbit_star_readme")
 
 #: sha256 of each output
 GOLDEN = {
-    "birkhoff_readme.csv": "bcda506151efdef983feec61fd3467d43fba53e8a14979a1592919e20089b22b",
-    "birkhoff_readme.json": "4fe6034775afa1e51411bdbad93f21ec56f111437e246fcc7c286af0ac458942",
-    "island_section.csv": "f90047d099e7e925d47081019cc30930de847475d836afe027740e9815899143",
-    "island_section.json": "bbef8ee98407963abfbec342fba178b729c7cda2c550b03e3dbe092bc4296aed",
+    "birkhoff_readme.csv": "4fff1579481197efa051d510bef0418d38c0e2a6ea877d0dd2034f23e63856a0",
+    "birkhoff_readme.json": "cd565e6074d92ade3824e9fd685ab4c9420f7a722c28baf475c4887cd142ecc8",
+    "island_section.csv": "f864c469679f4ccdebd25844ee744b081cfb954c98e5c0cfb5d895ed81441b2c",
+    "island_section.json": "d634db47e060dbfab0e35bc4748a39708df1f8d6f2e31fff23381242d7ee6972",
     "lemma_readme.csv": "80c43d932210cee531adbc2c1d64dee514218dd211ea18ffd627fcbc5cea879c",
     "lemma_readme.json": "a43608ba7f2c877e7e3e016efb75e26bcbc1731ff500c857ea5b2d0ac8392b5a",
     "orbit_star_readme.csv": "a3fc3f0a74f4848445518490e38b619d582b8c208db483de6dbd3667c88f4e5b",
@@ -64,18 +64,18 @@ GOLDEN = {
     "region_readme.csv": "6deaccf688b32165b250b6aa16ae0ba3e5b458aa98cbdd9bd061a4b847558ea1",
     "region_readme.json": "c4628b3ee5a74ab0be3206ea3e860cb9dd77d320ec2c2608410dc33495a15cd6",
     "region_readme.svg": "22fa4924da8eec4072dcb835c576820f906356c4c26679bbe0342f789a9e4201",
-    "section_readme.csv": "7122f63c4156ee94f6972f81480d15ac15fe38dfe460b35f9fc88e4e7de0bdfc",
-    "section_readme.json": "be3f018b69f1f17971ba3264555e18f77f59b1c9262f0dbd4ff25e3dae4b7df2",
+    "section_readme.csv": "b00360f0a12b5ebcbaf0702600a74a4a81ab0e0d1d1526d8352581043d44519d",
+    "section_readme.json": "40bbfb2c1a1fe24cfb439c159f5726eea2758c248bc602bc48289081f1269698",
     "stability_readme.csv": "f18b5b9c4ae38a9b5aa643f35bbcc70677bd204fb832e808947b867fb6cdaac1",
     "stability_readme.json": "bf906756ba833fa7bfbb6ddd422f0d9ffb9ea2af8ae328f841321651ef0bb925",
     "stability_scan.csv": "84230ba2093201f36daa67aceb809f27fe408c109933f99bc7b219861874b0c8",
     "stability_scan.json": "59c0a2ff8d174d03d5c71a29c4f1bcc08bea3fde8342e9c88010bdb00eefaab5",
-    "twist_scan.csv": "15b67ecf2bb476aa1cf8346a8c8dd764d72fa4f92caeb85f74fe3ca4a0b2913f",
-    "twist_scan.json": "c1cbe3e7bb9070f2bca8ec2bf7aa12973ce604cad3ad6e7abe5cf56f32d4ea62",
+    "twist_scan.csv": "1bc795a47694d013845a61941731ef220ccf4100df14e5e9224b44ac0b55ede7",
+    "twist_scan.json": "bbae227f56ffd89339bf1c1c4c7fe8ab8344c23c290bf7e3072644569c4ba632",
     "stability_refused.csv": "fb1409df7e87380e5342ab597742ce51387b58a0d0327443e0ed1c8ff126bc74",
     "stability_refused.json": "c0ddd6bcc08298244dcbd4e144a087f53088b8ff32b0f0dcd9cfbb8dc94383ff",
-    "birkhoff_refused.csv": "26070405a6ab95a436a9a8cf20a88f62b726d2e90c5ddfd4454b439eb0931c46",
-    "birkhoff_refused.json": "e0a82bfb59beb519dd16b1a7170cbb600033e20f857309eea3682b1e601ec6c7",
+    "birkhoff_refused.csv": "08be699587401f095c76d38f8c2e98b33e8e17a5146b292edb0dae11cc22ad54",
+    "birkhoff_refused.json": "54868c0dec1e16b73bf49f6a37eb48f2dc10be1a922a5154d98846e9aed9b339",
     "section_all_escaped.csv": "826903c507b661d9fcae6cbd5990c0ee3761ee06bebfa1bc149d9fe264165d8c",
     "section_all_escaped.json": "1f9248fd82cc2805ddef398ec328c0bede9ba338e135de4398ea7ebc6766559d",
 }

@@ -249,9 +249,8 @@ def _scan_requests(seed):
 
 
 def _pose_grid():
-    """Consecutive radii just below cap + GEOM_TOL at n = 5, k = 1: the
-    first pass every check, the next few pass the table check and are
-    refused by ``scatterer_pose`` alone, the rest by the table check."""
+    """Consecutive radii about cap + GEOM_TOL at n = 5, k = 1: those up to
+    it pass, the rest are refused by the table check, the one disk bound."""
     rs = []
     for delta in (0.0, 0.01, 0.02):
         R = max_radius(5, 1, delta) + 0.9997e-12
@@ -326,7 +325,7 @@ def test_stability_rows_match_the_scalar_route(grid, tmp_path):
         assert len({(r["n"], r["k"]) for r, why in zip(rows, reasons) if not why}) > 4
         assert any(why.startswith(("InvalidTableError: need 1 <= k", "DomainError: need n >= 5")) for why in reasons)
     if grid == "pose":
-        assert any("pokes out" in r for r in reasons)
+        assert not any("pokes out" in r for r in reasons)
         assert any("exceeds the admissible maximum" in r for r in reasons)
         assert any(r == "" for r in reasons)
 
